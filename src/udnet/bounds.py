@@ -23,9 +23,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from .lie_core import (
+    _LOG_HUGE,
     InvalidParameterError,
     _check_dimension,
-    _check_sigma,
+    _check_eps,
+    _check_int,
+    _check_positive,
+    _check_unit_open,
     eps_tilde,
     group_constants,
     log_prefactor,
@@ -58,8 +62,6 @@ __all__ = [
 
 C_BIG = 9.0 * math.pi
 A_V = 1.0 / C_BIG
-
-_LOG_HUGE = 709.0
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def eta_min(d: int) -> Fraction:
 def t_star(d: int, sigma: float) -> float:
     """Trim threshold (d^2 / (2 sqrt(sigma))) * sqrt(2 log(d^4 / sigma))."""
     _check_dimension(d)
-    _check_sigma(sigma)
+    _check_positive("sigma", sigma)
     arg = math.log(d**4 / sigma)
     return d * d / (2.0 * math.sqrt(sigma)) * math.sqrt(2.0 * max(0.0, arg))
 
@@ -123,20 +125,6 @@ def sigma_star(d: int, eps: float) -> float:
     _check_dimension(d)
     e = _check_eps(eps)
     return e * e / (128.0 * d * math.log(d) * math.log(2.0 / (A_V * e)))
-
-
-def _check_eps(eps) -> float:
-    e = float(eps)
-    if not math.isfinite(e) or e <= 0.0 or e > 2.0:
-        raise InvalidParameterError(f"eps must lie in (0, 2], got {eps!r}")
-    return e
-
-
-def _check_positive(name: str, v) -> float:
-    x = float(v)
-    if not math.isfinite(x) or x <= 0.0:
-        raise InvalidParameterError(f"{name} must be positive and finite, got {v!r}")
-    return x
 
 
 def _weyl_norm_sq(d: int) -> float:
@@ -150,11 +138,9 @@ def bound_trim(d: int, sigma: float, t: float, gamma: float = 0.5) -> BoundRepor
     that condition is the "t-condition" flag.
     """
     _check_dimension(d)
-    _check_sigma(sigma)
+    _check_positive("sigma", sigma)
     t = _check_positive("t", t)
-    g = float(gamma)
-    if not (0.0 < g < 1.0):
-        raise InvalidParameterError(f"gamma must lie in (0, 1), got {gamma!r}")
+    g = _check_unit_open("gamma", float(gamma))
     log_v = 0.5 * d * math.log(2.0) - 2.0 * sigma * (1.0 - g) * t * t / (d * d) - sigma * t / 2.0
     arg = math.log(d**4 / (2.0 * g * sigma))
     threshold = d * d / math.sqrt(g * sigma) * math.sqrt(max(0.0, arg))
@@ -170,7 +156,7 @@ def bound_trim(d: int, sigma: float, t: float, gamma: float = 0.5) -> BoundRepor
 def bound_I0(d: int, sigma: float, eps: float) -> BoundReport:
     """Dominant Gaussian tail (1/2) exp(-(d/16 sigma) eps_tilde^2 + |delta|^2 sigma)."""
     _check_dimension(d)
-    _check_sigma(sigma)
+    _check_positive("sigma", sigma)
     et = eps_tilde(eps)
     log_v = math.log(0.5) - d * et * et / (16.0 * sigma) + _weyl_norm_sq(d) * sigma
     return BoundReport(
@@ -189,7 +175,7 @@ def bound_R(d: int, sigma: float) -> BoundReport:
     * exp(-d pi^2 / (2 sigma)), valid for sigma <= 2 pi^2 d / (d^2+d-2).
     """
     _check_dimension(d)
-    _check_sigma(sigma)
+    _check_positive("sigma", sigma)
     m = d * (d - 1) // 2
     log_v = (
         log_prefactor(d, sigma)
@@ -219,7 +205,7 @@ def ratio_R_over_I0_ok(d: int, sigma: float, eta: float) -> BoundReport:
     comparison holds, 0 when it fails; eta_min is returned exactly in extras.
     """
     _check_dimension(d)
-    _check_sigma(sigma)
+    _check_positive("sigma", sigma)
     eta_f = _check_positive("eta", eta)
     emin = eta_min(d)
     log_lhs = bound_R(d, sigma).log_value_unchecked
@@ -250,7 +236,7 @@ def bound_outside_ball(d: int, sigma: float, t: float, eps: float, eta: float) -
     with the three displayed validity conditions as flags.
     """
     _check_dimension(d)
-    _check_sigma(sigma)
+    _check_positive("sigma", sigma)
     t = _check_positive("t", t)
     e = _check_eps(eps)
     eta_f = _check_positive("eta", eta)
@@ -284,7 +270,7 @@ def bound_L2(d: int, sigma: float, t: int | None = None) -> BoundReport:
     only drops non-negative Plancherel terms, so t is echoed, not used.
     """
     _check_dimension(d)
-    _check_sigma(sigma)
+    _check_positive("sigma", sigma)
     m = d * (d - 1) // 2
     l = d - 1
     wns = _weyl_norm_sq(d) * sigma
@@ -311,7 +297,7 @@ def bound_L2(d: int, sigma: float, t: int | None = None) -> BoundReport:
 def bound_L2_simple(d: int, sigma: float) -> BoundReport:
     """Simple L2 bound c (d/sigma)^{(d^2-1)/4}, c = 8 below d = 12, else 1."""
     _check_dimension(d)
-    _check_sigma(sigma)
+    _check_positive("sigma", sigma)
     c = 1.0 if d >= 12 else 8.0
     log_v = math.log(c) + (d * d - 1) / 4.0 * math.log(d / sigma)
     return BoundReport(
@@ -326,7 +312,7 @@ def bound_L2_simple(d: int, sigma: float) -> BoundReport:
 def bound_L1_trimmed(d: int, sigma: float, t: float) -> BoundReport:
     """L1 bound 1 + 2^{d/2} exp(-sigma t^2/d^2 - sigma t/2) for t >= t_star."""
     _check_dimension(d)
-    _check_sigma(sigma)
+    _check_positive("sigma", sigma)
     t = _check_positive("t", t)
     log_tail = 0.5 * d * math.log(2.0) - sigma * t * t / (d * d) - sigma * t / 2.0
     log_v = float(np.logaddexp(0.0, log_tail))
@@ -402,9 +388,7 @@ def application1_ell(d: int, eps: float, delta: float) -> float:
     """
     _check_dimension(d)
     e = _check_eps(eps)
-    dl = float(delta)
-    if not (0.0 < dl < 1.0):
-        raise InvalidParameterError(f"delta must lie in (0, 1), got {delta!r}")
+    dl = _check_unit_open("delta", float(delta))
     dcap = 8.0 * C_BIG ** (2.0 / 3.0) * math.log(2.0 * C_BIG) ** (1.0 / 3.0)
     n = d * d - 1
     numer = math.log(1.0 / kappa(d)) + n * (
@@ -448,12 +432,12 @@ def aux_inequalities_check(d_max: int = 6, trials: int = 200, seed: int = 0) -> 
 
     Shell counts (2r+1)^d - (2r-1)^d <= 2^d (2r)^{d-1} on integer grids;
     Gamma(s, x) <= exp(-x) x^s / (x - s + 1) with the incomplete gamma
-    computed by adaptive quadrature; (d/4)^{-d^2/8} >= 1/prod k!; the
-    spectral-norm tail bound at r = 2 sqrt(d) not exceeding 1/2.
+    computed by adaptive quadrature; (d/4)^{-d^2/8} >= 1/prod k!. The GUE
+    spectral-norm tail bound is checked against Monte Carlo by the CLI
+    `validate --suite gue` rows, not here.
     """
     _check_dimension(d_max)
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
+    trials = _check_int("trials", trials, 1)
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -491,16 +475,5 @@ def aux_inequalities_check(d_max: int = 6, trials: int = 200, seed: int = 0) -> 
         worst = min(worst, lhs - rhs)
         ok = ok and lhs >= rhs
     checks.append(AuxCheck("factorial-floor", d_max - 1, worst, ok))
-
-    worst = math.inf
-    ok = True
-    cases = 0
-    for d in range(2, d_max + 1):
-        for r in [2.0 * math.sqrt(d)] + list(2.0 * math.sqrt(d) + rng.uniform(0.0, 10.0, size=5)):
-            rhs = 0.5 * math.exp(-0.5 * d * (r / math.sqrt(d) - 2.0) ** 2)
-            cases += 1
-            worst = min(worst, 0.5 - rhs)
-            ok = ok and rhs <= 0.5
-    checks.append(AuxCheck("spectral-tail-half", cases, worst, ok))
 
     return AuxReport(checks=tuple(checks))

@@ -34,7 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .design_tester import ResourceLimitError, delta_design, gate_set_from_json
+from .design_tester import (
+    DEFAULT_DIM_CAP,
+    ResourceLimitError,
+    _check_moment_args,
+    delta_design,
+    gate_set_from_json,
+)
 from .kernels import (
     KernelParams,
     NumericalInstabilityError,
@@ -45,7 +51,14 @@ from .kernels import (
     l2_norm_untrimmed,
     trimming_error,
 )
-from .lie_core import InvalidDimensionError, InvalidParameterError, TorusPoint, eps_tilde
+from .lie_core import (
+    InvalidDimensionError,
+    InvalidParameterError,
+    TorusPoint,
+    _check_int,
+    _is_int,
+    eps_tilde,
+)
 from .montecarlo import (
     RngStream,
     gue_opnorm_cdf,
@@ -55,7 +68,7 @@ from .montecarlo import (
     numeric_I0,
     torus_grid,
 )
-from .weights_chars import character, enumerate_projective_weights
+from .weights_chars import _char_batch, enumerate_projective_weights
 
 __all__ = ["RunConfig", "main"]
 
@@ -110,9 +123,7 @@ def _resolve_seed(flag: int | None) -> int:
 def _resolve_threads(flag: int | None) -> int:
     if flag is None:
         return os.cpu_count() or 1
-    if flag < 1:
-        raise InvalidParameterError(f"threads must be a positive integer, got {flag}")
-    return flag
+    return _check_int("threads", flag, 1)
 
 
 def _sanitize(obj):
@@ -293,14 +304,36 @@ def _stat_check(ctx: _SuiteCtx, suite, check, trial, note=""):
     return _record(suite, check, status, measured, bound, se, n, "mc", note)
 
 
+def _resolve_auto_t(d: int, sigma: float, t, gamma: float | None = None) -> int:
+    if t == "auto":
+        if gamma is None:
+            return max(1, math.ceil(bounds.t_star(d, sigma)))
+        threshold = bounds.bound_trim(d, sigma, 1, gamma).extras["t_threshold"]
+        return max(1, math.ceil(threshold))
+    return int(t)
+
+
+def _trim_check(d: int, sigma: float, t, gamma: float):
+    """(t, trimming error, bound_trim report) with t resolved by _resolve_auto_t."""
+    t = _resolve_auto_t(d, sigma, t, gamma)
+    return t, trimming_error(d, sigma, t), bounds.bound_trim(d, sigma, t, gamma)
+
+
+def _pythagoras(d: int, sigma: float, t: int):
+    """(trimming error, trimmed norm, untrimmed norm, relative residual of
+    err^2 + trimmed^2 = untrimmed^2)."""
+    err = trimming_error(d, sigma, t)
+    l2t = l2_norm_trimmed(d, sigma, t)
+    l2u = l2_norm_untrimmed(d, sigma)
+    resid = abs(err * err + l2t * l2t - l2u * l2u) / max(l2u * l2u, 1e-300)
+    return err, l2t, l2u, resid
+
+
 def _suite_trimming(ctx: _SuiteCtx) -> list[dict]:
     sigmas = (0.01, 0.05, 0.2, 0.5) if ctx.d <= _QUAD_DMAX else (0.2, 0.5)
     out = []
     for sigma in sigmas:
-        threshold = bounds.bound_trim(ctx.d, sigma, 1, ctx.gamma).extras["t_threshold"]
-        t = max(1, math.ceil(threshold))
-        rep = bounds.bound_trim(ctx.d, sigma, t, ctx.gamma)
-        err = trimming_error(ctx.d, sigma, t)
+        t, err, rep = _trim_check(ctx.d, sigma, "auto", ctx.gamma)
         status = "pass" if err <= rep.value_unchecked and rep.all_ok else "fail"
         out.append(
             _record(
@@ -373,10 +406,7 @@ def _suite_l2(ctx: _SuiteCtx) -> list[dict]:
     else:
         pyth = [(1.0, 5)]
     for sigma, t in pyth:
-        err = trimming_error(ctx.d, sigma, t)
-        l2t = l2_norm_trimmed(ctx.d, sigma, t)
-        l2u = l2_norm_untrimmed(ctx.d, sigma)
-        resid = abs(err * err + l2t * l2t - l2u * l2u) / max(l2u * l2u, 1e-300)
+        resid = _pythagoras(ctx.d, sigma, t)[3]
         status = "pass" if resid <= 1e-10 else "fail"
         out.append(
             _record(
@@ -452,12 +482,8 @@ def _suite_orthonormality(ctx: _SuiteCtx) -> list[dict]:
     t_cap, grid = (4, 512) if ctx.d == 2 else (2, 128)
     ws = enumerate_projective_weights(ctx.d, t_cap)
     nodes, weights = torus_grid(ctx.d, grid)
-    chars = np.array(
-        [
-            [character(w, TorusPoint(ctx.d, tuple(float(v) for v in row))) for row in nodes]
-            for w in ws
-        ]
-    )
+    theta = np.concatenate([nodes, -nodes.sum(axis=1, keepdims=True)], axis=1)
+    chars = _char_batch(np.array([w.lam for w in ws]), theta)
     gram = (chars * weights) @ chars.conj().T
     dev = float(np.max(np.abs(gram - np.eye(len(ws)))))
     status = "pass" if dev <= 1e-6 else "fail"
@@ -544,8 +570,7 @@ _SUITES = {
 
 def _cmd_validate(args, seed: int, threads: int, fmt: str):
     eta = float(bounds.eta_min(args.d)) if args.eta is None else args.eta
-    if args.n < 2:
-        raise InvalidParameterError(f"n must be at least 2, got {args.n}")
+    _check_int("n", args.n, 2)
     ctx = _SuiteCtx(args.d, args.n, seed, args.gamma, eta, threads, itertools.count())
     names = tuple(_SUITES) if args.suite == "all" else (args.suite,)
     records: list[dict] = []
@@ -593,9 +618,9 @@ def _load_json_file(path: str, what: str):
 
 
 def _cmd_design_delta(args, seed: int, threads: int, fmt: str):
-    if args.t < 1:
-        raise InvalidParameterError(f"t must be a positive integer, got {args.t}")
     nu = gate_set_from_json(_load_json_file(args.gateset, "gate set file"))
+    # Refuse an over-cap t before computing any of the smaller orders.
+    _check_moment_args(nu.d, args.t, DEFAULT_DIM_CAP)
     records = []
     for s in range(1, args.t + 1):
         delta = delta_design(nu, s)
@@ -618,20 +643,9 @@ def _cmd_design_delta(args, seed: int, threads: int, fmt: str):
 _AXIS_ORDER = ("d", "eps", "sigma", "t", "gamma")
 
 
-def _resolve_auto_t(d: int, sigma: float, t, gamma: float | None = None) -> int:
-    if t == "auto":
-        if gamma is None:
-            return max(1, math.ceil(bounds.t_star(d, sigma)))
-        threshold = bounds.bound_trim(d, sigma, 1, gamma).extras["t_threshold"]
-        return max(1, math.ceil(threshold))
-    return int(t)
-
-
 def _sweep_row_trimming_error(p: dict) -> dict:
     d, sigma, gamma = p["d"], p["sigma"], p["gamma"]
-    t = _resolve_auto_t(d, sigma, p["t"], gamma)
-    rep = bounds.bound_trim(d, sigma, t, gamma)
-    err = trimming_error(d, sigma, t)
+    t, err, rep = _trim_check(d, sigma, p["t"], gamma)
     return {
         "d": d,
         "sigma": sigma,
@@ -665,10 +679,7 @@ def _sweep_row_t_min(p: dict) -> dict:
 def _sweep_row_l2_norms(p: dict) -> dict:
     d, sigma = p["d"], p["sigma"]
     t = _resolve_auto_t(d, sigma, p["t"])
-    err = trimming_error(d, sigma, t)
-    l2t = l2_norm_trimmed(d, sigma, t)
-    l2u = l2_norm_untrimmed(d, sigma)
-    resid = abs(err * err + l2t * l2t - l2u * l2u) / max(l2u * l2u, 1e-300)
+    err, l2t, l2u, resid = _pythagoras(d, sigma, t)
     return {
         "d": d,
         "sigma": sigma,
@@ -741,13 +752,13 @@ _SWEEP_TARGETS = {
 
 def _coerce_sweep_value(name: str, value):
     if name == "d":
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise InvalidParameterError(f"axis d takes integers, got {value!r}")
         return value
     if name == "t":
         if value == "auto":
             return "auto"
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise InvalidParameterError(f"axis t takes integers or \"auto\", got {value!r}")
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie_core import InvalidParameterError, _check_dimension, eps_tilde
+from .lie_core import (
+    InvalidParameterError,
+    _check_dimension,
+    _check_eps,
+    _check_int,
+    _check_unitary,
+)
 from .montecarlo import McEstimate, RngStream, _dp_to_identity, _haar_su, _mc_run
 
 __all__ = [
@@ -45,16 +51,6 @@ class ResourceLimitError(RuntimeError):
     """Moment dimension d^(2t) exceeds the configured cap."""
 
 
-def _as_unitary(mat, d: int, tol: float, what: str) -> np.ndarray:
-    arr = np.array(mat, dtype=complex)
-    if arr.shape != (d, d):
-        raise InvalidParameterError(f"{what} must be a {d}x{d} matrix")
-    if np.abs(arr.conj().T @ arr - np.eye(d)).max() > tol:
-        raise InvalidParameterError(f"{what} is not unitary to {tol:g}")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class WeightedGateSet:
     """Finitely supported measure on PU(d): positive weights summing to 1."""
@@ -71,7 +67,7 @@ class WeightedGateSet:
             w = float(w)
             if not math.isfinite(w) or w <= 0.0:
                 raise InvalidParameterError(f"weight {k} must be positive")
-            cleaned.append((w, _as_unitary(mat, self.d, _UNITARY_TOL, f"element {k}")))
+            cleaned.append((w, _check_unitary(mat, self.d, _UNITARY_TOL, f"element {k}")))
         total = math.fsum(w for w, _ in cleaned)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise InvalidParameterError(f"weights sum to {total!r}, expected 1")
@@ -98,9 +94,6 @@ def gate_set_from_json(obj) -> WeightedGateSet:
     """Parse and validate the schema produced by gate_set_to_json."""
     if not isinstance(obj, dict) or "d" not in obj or "elements" not in obj:
         raise InvalidParameterError("expected an object with keys 'd' and 'elements'")
-    d = obj["d"]
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise InvalidParameterError("'d' must be an integer")
     elements = []
     for k, entry in enumerate(obj["elements"]):
         if not isinstance(entry, dict) or "weight" not in entry or "matrix" not in entry:
@@ -111,17 +104,16 @@ def gate_set_from_json(obj) -> WeightedGateSet:
         except (TypeError, IndexError) as exc:
             raise InvalidParameterError(f"element {k}: malformed matrix") from exc
         elements.append((entry["weight"], mat))
-    return WeightedGateSet(d=d, elements=tuple(elements))
+    return WeightedGateSet(d=obj["d"], elements=tuple(elements))
 
 
 def _check_moment_args(d: int, t, dim_cap: int) -> int:
     _check_dimension(d)
-    if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:
-        raise InvalidParameterError("t must be a positive integer")
-    dim = d ** (2 * int(t))
+    t = _check_int("t", t, 1)
+    dim = d ** (2 * t)
     if dim > dim_cap:
         raise ResourceLimitError(f"moment dimension d^(2t) = {dim} exceeds cap {dim_cap}")
-    return int(t)
+    return t
 
 
 def _cycle_count(perm: tuple[int, ...]) -> int:
@@ -252,9 +244,8 @@ def net_probe(support, eps: float, n: int, rng: RngStream) -> NetProbeReport:
     if len(support) == 0:
         raise InvalidParameterError("support must be non-empty")
     d = np.asarray(support[0]).shape[0]
-    stack = np.stack([_as_unitary(u, d, 1e-8, f"support element {k}") for k, u in enumerate(support)])
-    eps = float(eps)
-    eps_tilde(eps)
+    stack = np.stack([_check_unitary(u, d, 1e-8, f"support element {k}") for k, u in enumerate(support)])
+    eps = _check_eps(eps)
     worst = 0.0
 
     def chunk(gen, m):

@@ -26,16 +26,19 @@ space with signs tracked separately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .lie_core import (
+    _LOG_HUGE,
     TWO_PI,
     InvalidParameterError,
     TorusPoint,
     _check_dimension,
-    _check_sigma,
+    _check_int,
+    _check_positive,
+    _check_unit_open,
     log_prefactor,
 )
 from .weights_chars import (
@@ -65,7 +68,6 @@ __all__ = [
 ]
 
 _LOG_TINY = -745.0
-_LOG_HUGE = 709.0
 _JITTER_H = 1e-5
 _MAX_LATTICE_RADIUS = 512
 
@@ -103,23 +105,13 @@ class KernelParams:
 
     def __post_init__(self):
         _check_dimension(self.d)
-        _check_sigma(self.sigma)
+        _check_positive("sigma", self.sigma)
         if self.trim_t is not None:
-            if not isinstance(self.trim_t, int) or isinstance(self.trim_t, bool):
-                raise InvalidParameterError(f"trim_t must be an integer, got {self.trim_t!r}")
-            if self.trim_t < 0:
-                raise InvalidParameterError(f"trim_t must be >= 0, got {self.trim_t}")
-        if not (0.0 < self.tail_tol < 1.0):
-            raise InvalidParameterError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
+            _check_int("trim_t", self.trim_t)
+        _check_unit_open("tail_tol", self.tail_tol)
         if self.lattice_radius is not None:
-            if not isinstance(self.lattice_radius, int) or isinstance(self.lattice_radius, bool):
-                raise InvalidParameterError("lattice_radius must be an integer or None")
-            if self.lattice_radius < 1:
-                raise InvalidParameterError(
-                    f"lattice_radius must be >= 1, got {self.lattice_radius}"
-                )
-        if not isinstance(self.max_terms, int) or self.max_terms < 1:
-            raise InvalidParameterError("max_terms must be a positive integer")
+            _check_int("lattice_radius", self.lattice_radius, 1)
+        _check_int("max_terms", self.max_terms, 1)
 
 
 @dataclass(frozen=True)
@@ -180,13 +172,23 @@ def _su_shell_log_env(d: int, sigma: float, rate: float, s: float) -> float:
     )
 
 
-def _smallest_cutoff(env_tail, tol: float, even: bool) -> int:
-    """Smallest cutoff L (even if requested) with env_tail(L) < tol."""
+def _weight_cutoff(
+    shell_log_env, d: int, sigma: float, rate: float, tol: float, even: bool
+) -> tuple[int, float]:
+    """Smallest cutoff L (even if requested) whose envelope tail is below tol.
+
+    shell_log_env is _pu_shell_log_env or _su_shell_log_env; rate is 1 for
+    value sums and 2 for Plancherel sums. Returns (L, tail beyond L).
+    """
+
+    def tail(L):
+        return _env_tail(lambda j: shell_log_env(d, sigma, rate, j), L + 1)
+
     step = 2 if even else 1
-    if env_tail(0) < tol:
-        return 0
+    if tail(0) < tol:
+        return 0, tail(0)
     lo, hi = 0, step
-    while env_tail(hi) >= tol:
+    while tail(hi) >= tol:
         lo = hi
         hi *= 2
         if hi > (1 << 26):
@@ -199,35 +201,11 @@ def _smallest_cutoff(env_tail, tol: float, even: bool) -> int:
         mid -= mid % step
         if mid <= lo:
             mid = lo + step
-        if env_tail(mid) >= tol:
+        if tail(mid) >= tol:
             lo = mid
         else:
             hi = mid
-    return hi
-
-
-def _pu_value_cutoff(d: int, sigma: float, tol: float) -> tuple[int, float]:
-    def tail(L):
-        return _env_tail(lambda j: _pu_shell_log_env(d, sigma, 1.0, j), L + 1)
-
-    L = _smallest_cutoff(tail, tol, even=True)
-    return L, tail(L)
-
-
-def _pu_plancherel_cutoff(d: int, sigma: float, tol: float) -> tuple[int, float]:
-    def tail(L):
-        return _env_tail(lambda j: _pu_shell_log_env(d, sigma, 2.0, j), L + 1)
-
-    L = _smallest_cutoff(tail, tol, even=True)
-    return L, tail(L)
-
-
-def _su_value_cutoff(d: int, sigma: float, tol: float) -> tuple[int, float]:
-    def tail(S):
-        return _env_tail(lambda s: _su_shell_log_env(d, sigma, 1.0, s), S + 1)
-
-    S = _smallest_cutoff(tail, tol, even=False)
-    return S, tail(S)
+    return hi, tail(hi)
 
 
 def _char_eval(
@@ -246,18 +224,19 @@ def _char_eval(
         tail = 0.0
         skip_budget = 0.0
     elif projective:
-        L, tail = _pu_value_cutoff(d, sigma, 0.5 * p.tail_tol)
+        L, tail = _weight_cutoff(_pu_shell_log_env, d, sigma, 1.0, 0.5 * p.tail_tol, even=True)
         tuples = _projective_tuples(d, L // 2)
         skip_budget = 0.4 * p.tail_tol
     else:
-        S, tail = _su_value_cutoff(d, sigma, 0.5 * p.tail_tol)
+        S, tail = _weight_cutoff(_su_shell_log_env, d, sigma, 1.0, 0.5 * p.tail_tol, even=False)
         tuples = _su_label_tuples(d, S)
         skip_budget = 0.4 * p.tail_tol
     if len(tuples) > p.max_terms:
+        required = max(sum(abs(v) for v in t) for t in tuples)
         raise TruncationError(
             f"tail_tol = {p.tail_tol:g} needs {len(tuples)} weights, over the"
-            f" max_terms budget {p.max_terms}; required cutoff {max(sum(abs(v) for v in t) for t in tuples)}",
-            required_cutoff=max(sum(abs(v) for v in t) for t in tuples),
+            f" max_terms budget {p.max_terms}; required cutoff {required}",
+            required_cutoff=required,
         )
 
     lams = _lam_array(tuples)
@@ -305,11 +284,16 @@ def heat_pu_char(p: KernelParams, x: TorusPoint) -> EvalResult:
     return EvalResult(float(vals[0]), bound, n)
 
 
-def heat_su_char_batch(p: KernelParams, theta_rows: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Vector heat_su_char over rows of full eigenphases, shape (n, d)."""
+def _check_rows(p: KernelParams, theta_rows) -> np.ndarray:
     theta_rows = np.asarray(theta_rows, dtype=float)
     if theta_rows.ndim != 2 or theta_rows.shape[1] != p.d:
         raise InvalidParameterError(f"expected eigenphase rows of shape (n, {p.d})")
+    return theta_rows
+
+
+def heat_su_char_batch(p: KernelParams, theta_rows: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Vector heat_su_char over rows of full eigenphases, shape (n, d)."""
+    theta_rows = _check_rows(p, theta_rows)
     if p.trim_t is not None:
         raise InvalidParameterError("heat_su_char_batch evaluates the untrimmed kernel; trim_t must be None")
     return _char_eval(p, theta_rows, projective=False)
@@ -317,10 +301,7 @@ def heat_su_char_batch(p: KernelParams, theta_rows: np.ndarray) -> tuple[np.ndar
 
 def heat_pu_char_batch(p: KernelParams, theta_rows: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Vector heat_pu_char over rows of full eigenphases, shape (n, d)."""
-    theta_rows = np.asarray(theta_rows, dtype=float)
-    if theta_rows.ndim != 2 or theta_rows.shape[1] != p.d:
-        raise InvalidParameterError(f"expected eigenphase rows of shape (n, {p.d})")
-    return _char_eval(p, theta_rows, projective=True)
+    return _char_eval(p, _check_rows(p, theta_rows), projective=True)
 
 
 def _lattice_grid(d: int, radius: int) -> np.ndarray:
@@ -418,14 +399,7 @@ def _poisson_su(p: KernelParams, x: TorusPoint) -> EvalResult:
     # stay clear of the 1e-6 gap threshold.
     d = p.d
     direction = np.arange(1, d, dtype=float)
-    inner = KernelParams(
-        d=p.d,
-        sigma=p.sigma,
-        trim_t=p.trim_t,
-        tail_tol=0.3 * p.tail_tol,
-        lattice_radius=p.lattice_radius,
-        max_terms=p.max_terms,
-    )
+    inner = replace(p, tail_tol=0.3 * p.tail_tol)
     phi = np.asarray(x.phi, dtype=float)
     evals = {}
     for c in (1.0, -1.0, 0.5, -0.5):
@@ -469,6 +443,14 @@ def heat_pu_poisson(p: KernelParams, x: TorusPoint) -> EvalResult:
     return EvalResult(total / d, bound / d, terms)
 
 
+def _plancherel_sq(sigma: float, lams: np.ndarray) -> float:
+    """Plancherel sum of d_lam^2 exp(-2*sigma*k_lam) over the label rows."""
+    dims = _dim_array(lams)
+    cas = _casimir_array(lams)
+    with np.errstate(under="ignore"):
+        return float(np.sum(np.square(dims) * np.exp(-2.0 * sigma * cas)))
+
+
 def trimming_error(d: int, sigma: float, t: int, tail_tol: float = 1e-12) -> float:
     """L2 distance between the PU kernel and its trim at parameter t.
 
@@ -477,48 +459,28 @@ def trimming_error(d: int, sigma: float, t: int, tail_tol: float = 1e-12) -> flo
     guaranteed below tail_tol.
     """
     _check_dimension(d)
-    _check_sigma(sigma)
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise InvalidParameterError(f"t must be a non-negative integer, got {t!r}")
-    if not (0.0 < tail_tol < 1.0):
-        raise InvalidParameterError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    L, _ = _pu_plancherel_cutoff(d, sigma, tail_tol)
+    _check_positive("sigma", sigma)
+    _check_int("t", t)
+    _check_unit_open("tail_tol", tail_tol)
+    L, _ = _weight_cutoff(_pu_shell_log_env, d, sigma, 2.0, tail_tol, even=True)
     if L <= 2 * t:
         return 0.0
-    tuples = _projective_tuples(d, L // 2)
-    lams = _lam_array(tuples)
-    mask = np.abs(lams).sum(axis=1) > 2 * t
-    if not mask.any():
-        return 0.0
-    dims = _dim_array(lams[mask])
-    cas = _casimir_array(lams[mask])
-    with np.errstate(under="ignore"):
-        sq = float(np.sum(np.square(dims) * np.exp(-2.0 * sigma * cas)))
-    return math.sqrt(sq)
-
-
-def _plancherel_sum(d: int, sigma: float, tuples) -> float:
-    lams = _lam_array(tuples)
-    dims = _dim_array(lams)
-    cas = _casimir_array(lams)
-    with np.errstate(under="ignore"):
-        return float(np.sum(np.square(dims) * np.exp(-2.0 * sigma * cas)))
+    lams = _lam_array(_projective_tuples(d, L // 2))
+    return math.sqrt(_plancherel_sq(sigma, lams[np.abs(lams).sum(axis=1) > 2 * t]))
 
 
 def l2_norm_trimmed(d: int, sigma: float, t: int) -> float:
     """Exact L2 norm of the trimmed PU kernel (finite Plancherel sum)."""
     _check_dimension(d)
-    _check_sigma(sigma)
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise InvalidParameterError(f"t must be a non-negative integer, got {t!r}")
-    return math.sqrt(_plancherel_sum(d, sigma, _projective_tuples(d, t)))
+    _check_positive("sigma", sigma)
+    _check_int("t", t)
+    return math.sqrt(_plancherel_sq(sigma, _lam_array(_projective_tuples(d, t))))
 
 
 def l2_norm_untrimmed(d: int, sigma: float, tail_tol: float = 1e-12) -> float:
     """L2 norm of the full PU kernel; squared-sum remainder below tail_tol."""
     _check_dimension(d)
-    _check_sigma(sigma)
-    if not (0.0 < tail_tol < 1.0):
-        raise InvalidParameterError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    L, _ = _pu_plancherel_cutoff(d, sigma, tail_tol)
-    return math.sqrt(_plancherel_sum(d, sigma, _projective_tuples(d, L // 2)))
+    _check_positive("sigma", sigma)
+    _check_unit_open("tail_tol", tail_tol)
+    L, _ = _weight_cutoff(_pu_shell_log_env, d, sigma, 2.0, tail_tol, even=True)
+    return math.sqrt(_plancherel_sq(sigma, _lam_array(_projective_tuples(d, L // 2))))

@@ -13,10 +13,15 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
+# Largest log that math.exp turns into a finite float.
+_LOG_HUGE = 709.0
 
 
 class InvalidDimensionError(ValueError):
@@ -27,17 +32,52 @@ class InvalidParameterError(ValueError):
     """Numeric argument outside its documented domain."""
 
 
+def _is_int(value) -> bool:
+    """True for int and np.integer values; bool is not an integer argument."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value, minimum: int = 0, error=InvalidParameterError) -> int:
+    if not _is_int(value) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _check_dimension(d) -> int:
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise InvalidDimensionError(f"d must be an integer >= 2, got {d!r}")
-    return d
+    return _check_int("d", d, 2, InvalidDimensionError)
 
 
-def _check_sigma(sigma) -> float:
-    s = float(sigma)
-    if not math.isfinite(s) or s <= 0.0:
-        raise InvalidParameterError(f"sigma must be a finite positive real, got {sigma!r}")
-    return s
+def _check_unit_open(name: str, value) -> float:
+    """A real in the open interval (0, 1); NaN is rejected."""
+    if not (0.0 < value < 1.0):
+        raise InvalidParameterError(f"{name} must lie in (0, 1), got {value!r}")
+    return float(value)
+
+
+def _check_eps(eps) -> float:
+    e = float(eps)
+    if not math.isfinite(e) or e <= 0.0 or e > 2.0:
+        raise InvalidParameterError(f"eps must lie in (0, 2], got {eps!r}")
+    return e
+
+
+def _check_unitary(mat, d: int, tol: float, what: str) -> np.ndarray:
+    """Read-only complex copy of mat after checking it is a d x d unitary to tol."""
+    arr = np.array(mat, dtype=complex)
+    if arr.shape != (d, d):
+        raise InvalidParameterError(f"{what} must be a {d}x{d} matrix")
+    if np.abs(arr.conj().T @ arr - np.eye(d)).max() > tol:
+        raise InvalidParameterError(f"{what} is not unitary to {tol:g}")
+    arr.setflags(write=False)
+    return arr
+
+
+def _check_positive(name: str, value) -> float:
+    x = float(value)
+    if not math.isfinite(x) or x <= 0.0:
+        raise InvalidParameterError(f"{name} must be a finite positive real, got {value!r}")
+    return x
+
 
 
 @dataclass(frozen=True)
@@ -112,17 +152,25 @@ class TorusPoint:
 
     def min_gap(self) -> float:
         """Smallest pairwise circular distance between eigenphases."""
-        th = self.eigenphases()
-        best = math.inf
-        for i in range(self.d):
-            for j in range(i + 1, self.d):
-                gap = abs(math.remainder(th[i] - th[j], TWO_PI))
-                if gap < best:
-                    best = gap
-        return best
+        return float(_min_gaps(np.array([self.eigenphases()]))[0])
 
     def is_regular(self, tol: float = 0.0) -> bool:
         return self.min_gap() > tol
+
+
+def _min_gaps(theta: np.ndarray) -> np.ndarray:
+    """Minimum pairwise circular eigenphase gap, per row of theta (n, d).
+
+    fmod is exact and 2*pi - r is exact for r in [pi, 2*pi), so each gap
+    equals |math.remainder(difference, 2*pi)| bit for bit.
+    """
+    n, d = theta.shape
+    best = np.full(n, np.inf)
+    for i in range(d):
+        for j in range(i + 1, d):
+            r = np.abs(np.fmod(theta[:, i] - theta[:, j], TWO_PI))
+            np.minimum(best, np.minimum(r, TWO_PI - r), out=best)
+    return best
 
 
 def log_prefactor(d: int, sigma: float) -> float:
@@ -133,7 +181,7 @@ def log_prefactor(d: int, sigma: float) -> float:
 
     assembled in log space so it stays finite down to sigma = 1e-12."""
     _check_dimension(d)
-    s = _check_sigma(sigma)
+    s = _check_positive("sigma", sigma)
     m = d * (d - 1) // 2
     n = d * d - 1
     log_fact = math.fsum(math.lgamma(k + 1) for k in range(1, d + 1))
@@ -159,9 +207,7 @@ def killing_norm_sq(d: int, phi: TorusPoint, k=None) -> float:
         psi = phi.phi
     else:
         kk = tuple(k)
-        if len(kk) != d - 1 or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in kk
-        ):
+        if len(kk) != d - 1 or not all(_is_int(v) for v in kk):
             raise InvalidParameterError("k must be an integer vector of length d-1")
         psi = tuple(p + TWO_PI * v for p, v in zip(phi.phi, kk))
     sq = math.fsum(p * p for p in psi)
@@ -171,7 +217,4 @@ def killing_norm_sq(d: int, phi: TorusPoint, k=None) -> float:
 
 def eps_tilde(eps: float) -> float:
     """Geodesic radius 2 arcsin(eps/2) matching a chordal radius eps."""
-    e = float(eps)
-    if not math.isfinite(e) or e <= 0.0 or e > 2.0:
-        raise InvalidParameterError(f"eps must lie in (0, 2], got {eps!r}")
-    return 2.0 * math.asin(e / 2.0)
+    return 2.0 * math.asin(_check_eps(eps) / 2.0)

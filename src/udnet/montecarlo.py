@@ -39,6 +39,10 @@ from .lie_core import (
     InvalidParameterError,
     TorusPoint,
     _check_dimension,
+    _check_eps,
+    _check_int,
+    _check_unitary,
+    _is_int,
     eps_tilde,
     log_prefactor,
 )
@@ -72,7 +76,7 @@ class RngStream:
 
     def __post_init__(self):
         for name, value, width in (("seed", self.seed, 64), ("stream_id", self.stream_id, 32)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_int(value):
                 raise InvalidParameterError(f"{name} must be an integer")
             if not 0 <= int(value) < (1 << width):
                 raise InvalidParameterError(f"{name} must fit in {width} unsigned bits")
@@ -114,9 +118,7 @@ def sample_haar_su(d: int, rng: RngStream, size: int | None = None) -> np.ndarra
     _check_dimension(d)
     if size is None:
         return _haar_su(d, 1, rng.generator())[0]
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
-        raise InvalidParameterError("size must be a positive integer or None")
-    return _haar_su(d, int(size), rng.generator())
+    return _haar_su(d, _check_int("size", size, 1), rng.generator())
 
 
 def _gue_traceless(d: int, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -131,9 +133,7 @@ def sample_gue_traceless(d: int, rng: RngStream, size: int | None = None) -> np.
     _check_dimension(d)
     if size is None:
         return _gue_traceless(d, 1, rng.generator())[0]
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
-        raise InvalidParameterError("size must be a positive integer or None")
-    return _gue_traceless(d, int(size), rng.generator())
+    return _gue_traceless(d, _check_int("size", size, 1), rng.generator())
 
 
 def _dp_to_identity(theta: np.ndarray, d: int) -> np.ndarray:
@@ -147,30 +147,11 @@ def _dp_to_identity(theta: np.ndarray, d: int) -> np.ndarray:
 def projective_distance(u: np.ndarray, v: np.ndarray, d: int) -> float:
     """d_P(U, V): operator-norm distance minimized over the d center phases."""
     _check_dimension(d)
-    eye = np.eye(d)
-    for name, mat in (("U", u), ("V", v)):
-        mat = np.asarray(mat)
-        if mat.shape != (d, d):
-            raise InvalidParameterError(f"{name} must be a {d}x{d} matrix")
-        if np.abs(mat.conj().T @ mat - eye).max() > _UNITARY_TOL:
-            raise InvalidParameterError(f"{name} is not unitary to {_UNITARY_TOL:g}")
+    _check_unitary(u, d, _UNITARY_TOL, "U")
+    _check_unitary(v, d, _UNITARY_TOL, "V")
     w = np.asarray(u) @ np.asarray(v).conj().T
     theta = np.angle(np.linalg.eigvals(w))
     return float(_dp_to_identity(theta[None, :], d)[0])
-
-
-def _check_count(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameterError("n must be a positive integer")
-    return int(n)
-
-
-def _check_workers(workers) -> int:
-    if workers is None:
-        return os.cpu_count() or 1
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise InvalidParameterError("workers must be a positive integer or None")
-    return int(workers)
 
 
 def _mc_run(n: int, rng: RngStream, chunk_vals, workers: int | None = 1) -> McEstimate:
@@ -180,8 +161,10 @@ def _mc_run(n: int, rng: RngStream, chunk_vals, workers: int | None = 1) -> McEs
     fsum in index order, so the estimate depends on (seed, stream_id, n)
     only, regardless of the worker count.
     """
-    n = _check_count(n)
-    workers = _check_workers(workers)
+    n = _check_int("n", n, 1)
+    if workers is None:
+        workers = os.cpu_count() or 1
+    workers = _check_int("workers", workers, 1)
     plan = []
     done = 0
     while done < n:
@@ -257,8 +240,7 @@ def mc_outside_ball(d: int, sigma: float, trim_t: int | None, eps: float, n: int
     trim_t None selects ceil(t_star(d, sigma)). The estimate targets
     the integral of |H| over {d_P(U, I) > eps} under Haar measure.
     """
-    eps = float(eps)
-    eps_tilde(eps)
+    eps = _check_eps(eps)
     p = KernelParams(d=d, sigma=sigma, trim_t=_resolve_trim(d, sigma, trim_t))
 
     def chunk(gen, m):
@@ -275,8 +257,7 @@ def mc_outside_ball_su(d: int, sigma: float, eps: float, n: int, rng: RngStream,
     Companion estimate to mc_outside_ball: the projective integral is
     bounded by this one because the ball preimage contains the SU ball.
     """
-    eps = float(eps)
-    eps_tilde(eps)
+    eps = _check_eps(eps)
     p = KernelParams(d=d, sigma=sigma)
 
     def chunk(gen, m):
@@ -289,12 +270,10 @@ def mc_outside_ball_su(d: int, sigma: float, eps: float, n: int, rng: RngStream,
 
 
 def _check_grid(d, grid_n) -> tuple[int, int]:
-    _check_dimension(d)
+    d = _check_dimension(d)
     if d > 3:
         raise InvalidDimensionError("grid quadrature supports d in {2, 3}; use Monte Carlo")
-    if isinstance(grid_n, bool) or not isinstance(grid_n, (int, np.integer)) or grid_n < 2:
-        raise InvalidParameterError("grid_n must be an integer >= 2")
-    return int(d), int(grid_n)
+    return d, _check_int("grid_n", grid_n, 2)
 
 
 def torus_grid(d: int, grid_n: int) -> tuple[np.ndarray, np.ndarray]:

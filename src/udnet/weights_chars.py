@@ -27,6 +27,8 @@ from .lie_core import (
     InvalidParameterError,
     TorusPoint,
     _check_dimension,
+    _check_int,
+    _min_gaps,
 )
 
 GAP_TOL = 1e-6
@@ -100,8 +102,7 @@ def enumerate_projective_weights(d: int, t: int) -> list[HighestWeight]:
     """All zero-sum non-increasing integer vectors with 1-norm <= 2t,
     sorted lexicographically."""
     _check_dimension(d)
-    if not isinstance(t, int) or t < 0:
-        raise InvalidParameterError(f"t must be a non-negative integer, got {t!r}")
+    t = _check_int("t", t)
     return [HighestWeight(d, lam) for lam in _projective_tuples(d, t)]
 
 
@@ -117,8 +118,7 @@ def _su_label_tuples(d, s_max):
 def enumerate_su_labels(d: int, s_max: int) -> list[HighestWeight]:
     """All lambda_d = 0 dominant labels with sum(lambda) <= s_max."""
     _check_dimension(d)
-    if not isinstance(s_max, int) or s_max < 0:
-        raise InvalidParameterError(f"s_max must be a non-negative integer, got {s_max!r}")
+    s_max = _check_int("s_max", s_max)
     return [HighestWeight(d, lam) for lam in _su_label_tuples(d, s_max)]
 
 
@@ -164,17 +164,6 @@ def _casimir_array(lams: np.ndarray) -> np.ndarray:
     main = (lams * lams).sum(axis=1) + lams @ c
     s = lams.sum(axis=1)
     return main / (2.0 * d) - (s * s) / (2.0 * d * d)
-
-
-def _min_gaps(theta: np.ndarray) -> np.ndarray:
-    """Minimum pairwise circular eigenphase gap, per row of theta (n, d)."""
-    n, d = theta.shape
-    best = np.full(n, np.inf)
-    for i in range(d):
-        for j in range(i + 1, d):
-            diff = np.remainder(theta[:, i] - theta[:, j] + np.pi, TWO_PI) - np.pi
-            np.minimum(best, np.abs(diff), out=best)
-    return best
 
 
 @_functools.lru_cache(maxsize=None)
@@ -287,8 +276,6 @@ def center_average_character(w: HighestWeight, x: TorusPoint) -> complex:
     if w.d != x.d:
         raise InvalidParameterError(f"weight has d={w.d}, point has d={x.d}")
     d = w.d
-    total = 0.0 + 0.0j
-    for k in range(d):
-        shifted = TorusPoint(d, tuple(p + TWO_PI * k / d for p in x.phi))
-        total += character(w, shifted)
-    return total / d
+    shifted = [TorusPoint(d, tuple(p + TWO_PI * k / d for p in x.phi)) for k in range(d)]
+    chi = _char_batch(_lam_array([w.lam]), np.array([y.eigenphases() for y in shifted]))
+    return complex(chi[0].sum()) / d

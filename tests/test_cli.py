@@ -149,8 +149,12 @@ def test_design_delta_pauli(capsys, pauli_file):
     assert rows[2]["implied_eps"] == "none"
 
 
-def test_design_delta_resource_cap_exits_4(pauli_file):
+def test_design_delta_resource_cap_exits_4(pauli_file, monkeypatch):
+    # The cap is checked for the largest t before any smaller order is computed.
+    calls = []
+    monkeypatch.setattr(cli, "delta_design", lambda nu, s: calls.append(s) or 0.0)
     assert main(["design-delta", pauli_file, "--t", "7"]) == 4
+    assert calls == []
 
 
 def test_design_delta_bad_json_exits_2(tmp_path):

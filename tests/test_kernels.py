@@ -239,6 +239,15 @@ def test_kernel_params_validation():
         KernelParams(2, 0.5, lattice_radius=0)
     with pytest.raises(InvalidParameterError):
         KernelParams(2, 0.5, max_terms=0)
+    with pytest.raises(InvalidParameterError):
+        KernelParams(2, 0.5, max_terms=True)
+    with pytest.raises(InvalidParameterError):
+        KernelParams(2, 0.5, trim_t=True)
+    # numpy integers are integers, as in the Monte Carlo estimators
+    p = KernelParams(3, 0.1, trim_t=np.int64(3))
+    assert heat_pu_char(p, _pt(3, 0.2, 0.1)).value == heat_pu_char(
+        KernelParams(3, 0.1, trim_t=3), _pt(3, 0.2, 0.1)
+    ).value
 
 
 def test_dimension_mismatch_rejected():

@@ -85,6 +85,11 @@ def test_enumerate_su_labels():
         enumerate_su_labels(2, -1)
     with pytest.raises(InvalidParameterError):
         enumerate_projective_weights(2, 1.5)
+    with pytest.raises(InvalidParameterError):
+        enumerate_projective_weights(2, True)
+    with pytest.raises(InvalidParameterError):
+        enumerate_su_labels(2, True)
+    assert len(enumerate_projective_weights(2, np.int64(4))) == 5
 
 
 @pytest.mark.parametrize(
