@@ -25,6 +25,7 @@ space with signs tracked separately.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -46,8 +47,9 @@ from .weights_chars import (
     _casimir_array,
     _char_batch,
     _dim_array,
-    _lam_array,
+    _projective_count,
     _projective_tuples,
+    _su_label_count,
     _su_label_tuples,
 )
 
@@ -70,6 +72,7 @@ __all__ = [
 _LOG_TINY = -745.0
 _JITTER_H = 1e-5
 _MAX_LATTICE_RADIUS = 512
+_SHELL_MEMO = 1 << 16
 
 
 class TruncationError(RuntimeError):
@@ -180,9 +183,15 @@ def _weight_cutoff(
     shell_log_env is _pu_shell_log_env or _su_shell_log_env; rate is 1 for
     value sums and 2 for Plancherel sums. Returns (L, tail beyond L).
     """
+    # Each probe re-walks the shells past its start; evaluating each shell
+    # once keeps the floats, and so L and its tail, the same bit for bit.
+    log_env = functools.lru_cache(maxsize=_SHELL_MEMO)(
+        functools.partial(shell_log_env, d, sigma, rate)
+    )
 
+    @functools.cache
     def tail(L):
-        return _env_tail(lambda j: shell_log_env(d, sigma, rate, j), L + 1)
+        return _env_tail(log_env, L + 1)
 
     step = 2 if even else 1
     if tail(0) < tol:
@@ -220,35 +229,33 @@ def _char_eval(
     """
     d, sigma = p.d, p.sigma
     if projective and p.trim_t is not None:
-        tuples = _projective_tuples(d, p.trim_t)
+        cutoff = 2 * p.trim_t
         tail = 0.0
         skip_budget = 0.0
     elif projective:
-        L, tail = _weight_cutoff(_pu_shell_log_env, d, sigma, 1.0, 0.5 * p.tail_tol, even=True)
-        tuples = _projective_tuples(d, L // 2)
+        cutoff, tail = _weight_cutoff(_pu_shell_log_env, d, sigma, 1.0, 0.5 * p.tail_tol, even=True)
         skip_budget = 0.4 * p.tail_tol
     else:
-        S, tail = _weight_cutoff(_su_shell_log_env, d, sigma, 1.0, 0.5 * p.tail_tol, even=False)
-        tuples = _su_label_tuples(d, S)
+        cutoff, tail = _weight_cutoff(_su_shell_log_env, d, sigma, 1.0, 0.5 * p.tail_tol, even=False)
         skip_budget = 0.4 * p.tail_tol
-    if len(tuples) > p.max_terms:
-        required = max(sum(abs(v) for v in t) for t in tuples)
+    count = _projective_count(d, cutoff // 2) if projective else _su_label_count(d, cutoff)
+    if count > p.max_terms:
         raise TruncationError(
-            f"tail_tol = {p.tail_tol:g} needs {len(tuples)} weights, over the"
-            f" max_terms budget {p.max_terms}; required cutoff {required}",
-            required_cutoff=required,
+            f"tail_tol = {p.tail_tol:g} needs {count} weights, over the"
+            f" max_terms budget {p.max_terms}; required cutoff {cutoff}",
+            required_cutoff=cutoff,
         )
+    lams = _projective_tuples(d, cutoff // 2) if projective else _su_label_tuples(d, cutoff)
 
-    lams = _lam_array(tuples)
     dims = _dim_array(lams)
     cas = _casimir_array(lams)
     with np.errstate(under="ignore"):
         coeff = dims * np.exp(-sigma * cas)
         worst = coeff * dims
-    keep = np.ones(len(tuples), dtype=bool)
+    keep = np.ones(len(lams), dtype=bool)
     skipped = 0.0
-    if skip_budget > 0.0 and len(tuples) > 1:
-        cut = skip_budget / len(tuples)
+    if skip_budget > 0.0 and len(lams) > 1:
+        cut = skip_budget / len(lams)
         keep = worst >= cut
         keep[np.all(lams == 0, axis=1)] = True
         skipped = float(worst[~keep].sum())
@@ -465,7 +472,7 @@ def trimming_error(d: int, sigma: float, t: int, tail_tol: float = 1e-12) -> flo
     L, _ = _weight_cutoff(_pu_shell_log_env, d, sigma, 2.0, tail_tol, even=True)
     if L <= 2 * t:
         return 0.0
-    lams = _lam_array(_projective_tuples(d, L // 2))
+    lams = _projective_tuples(d, L // 2)
     return math.sqrt(_plancherel_sq(sigma, lams[np.abs(lams).sum(axis=1) > 2 * t]))
 
 
@@ -474,7 +481,7 @@ def l2_norm_trimmed(d: int, sigma: float, t: int) -> float:
     _check_dimension(d)
     _check_positive("sigma", sigma)
     _check_int("t", t)
-    return math.sqrt(_plancherel_sq(sigma, _lam_array(_projective_tuples(d, t))))
+    return math.sqrt(_plancherel_sq(sigma, _projective_tuples(d, t)))
 
 
 def l2_norm_untrimmed(d: int, sigma: float, tail_tol: float = 1e-12) -> float:
@@ -483,4 +490,4 @@ def l2_norm_untrimmed(d: int, sigma: float, tail_tol: float = 1e-12) -> float:
     _check_positive("sigma", sigma)
     _check_unit_open("tail_tol", tail_tol)
     L, _ = _weight_cutoff(_pu_shell_log_env, d, sigma, 2.0, tail_tol, even=True)
-    return math.sqrt(_plancherel_sq(sigma, _lam_array(_projective_tuples(d, L // 2))))
+    return math.sqrt(_plancherel_sq(sigma, _projective_tuples(d, L // 2)))

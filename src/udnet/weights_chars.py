@@ -14,6 +14,7 @@ stays finite at coincident eigenphases.
 
 from __future__ import annotations
 
+import collections
 import functools as _functools
 import itertools as _itertools
 import math
@@ -28,6 +29,7 @@ from .lie_core import (
     TorusPoint,
     _check_dimension,
     _check_int,
+    _is_int,
     _min_gaps,
 )
 
@@ -41,6 +43,8 @@ class HighestWeight:
 
     def __post_init__(self):
         _check_dimension(self.d)
+        if not all(_is_int(x) for x in self.lam):
+            raise InvalidParameterError(f"label entries must be integers, got {self.lam!r}")
         lam = tuple(int(x) for x in self.lam)
         if len(lam) != self.d:
             raise InvalidParameterError(f"label must have length d = {self.d}")
@@ -72,30 +76,82 @@ class HighestWeight:
         return cls(d, tuple(x - shift for x in w.lam))
 
 
-def _partitions(n, max_parts, cap):
-    """Partitions of n into at most max_parts parts, each <= cap."""
-    if n == 0:
-        yield ()
-        return
-    if max_parts == 0:
-        return
-    for v in range(min(n, cap), 0, -1):
-        for rest in _partitions(n - v, max_parts - 1, v):
-            yield (v,) + rest
+def _append_column(cols, lo, hi):
+    """Give each row of the prefix columns one child per value lo..hi of a
+    new last column. Children stay grouped under their parent in ascending
+    order, so rows in lexicographic order stay in lexicographic order.
+
+    Returns (cols with the new column, index of each child's parent row).
+    """
+    counts = hi - lo + 1
+    parent = np.repeat(np.arange(counts.size), counts)
+    first = np.cumsum(counts) - counts
+    value = np.arange(parent.size) - first[parent] + lo[parent]
+    return [c[parent] for c in cols] + [value], parent
 
 
 def _projective_tuples(d, t):
-    out = [(0,) * d]
-    for n in range(1, t + 1):
-        pos = list(_partitions(n, d - 1, n))
-        for p in pos:
-            for q in pos:
-                if len(p) + len(q) <= d:
-                    out.append(
-                        p + (0,) * (d - len(p) - len(q)) + tuple(-v for v in reversed(q))
-                    )
-    out.sort()
-    return out
+    """Zero-sum non-increasing labels with positive mass <= t (one-norm
+    <= 2t), as an (n, d) int64 array in lexicographic row order."""
+    first = np.arange(t + 1, dtype=np.int64)
+    cols, psum, mass = [first], first, first
+    for k in range(1, d - 1):
+        # the d - k entries from here on sum to -psum and none exceeds this
+        # one, so it is at least -psum / (d - k); a positive one spends mass
+        lo = -(psum // (d - k))
+        hi = np.minimum(cols[-1], np.maximum(t - mass, 0))
+        cols, parent = _append_column(cols, lo, hi)
+        psum = psum[parent] + cols[-1]
+        mass = mass[parent] + np.maximum(cols[-1], 0)
+    # lo keeps the entries left able to average down to -psum, so the last
+    # entry -psum never exceeds the one before it
+    return np.stack(cols + [-psum], axis=1)
+
+
+def _su_label_tuples(d, s_max):
+    """lambda_d = 0 dominant labels with sum(lambda) <= s_max, as a (n, d)
+    int64 array in lexicographic row order."""
+    first = np.arange(s_max + 1, dtype=np.int64)
+    cols, psum = [first], first
+    for _ in range(1, d - 1):
+        hi = np.minimum(cols[-1], s_max - psum)
+        cols, parent = _append_column(cols, np.zeros_like(hi), hi)
+        psum = psum[parent] + cols[-1]
+    return np.stack(cols + [np.zeros_like(psum)], axis=1)
+
+
+def _partition_counts(n_max, parts):
+    """Yield c for n = 0..n_max, where c[a] is the number of partitions of n
+    into exactly a parts, a = 0..parts."""
+    recent = collections.deque(maxlen=parts)  # rows n-1, n-2, ..., n-parts
+    for n in range(n_max + 1):
+        if n == 0:
+            c = [1] + [0] * parts
+        else:
+            c = [0] + [
+                recent[0][a - 1] + (recent[a - 1][a] if a <= n else 0)
+                for a in range(1, parts + 1)
+            ]
+        recent.appendleft(c)
+        yield c
+
+
+def _projective_count(d, t):
+    """len(_projective_tuples(d, t)) without building the rows: each shell n
+    pairs a partition of n into a parts with one into b parts, a + b <= d."""
+    total = 0
+    for n, c in enumerate(_partition_counts(t, d - 1)):
+        if n == 0:
+            total += 1
+            continue
+        upto = list(_itertools.accumulate(c))  # upto[k] = sum of c[0..k]; c[0] = 0
+        total += sum(c[a] * upto[d - a] for a in range(1, d))
+    return total
+
+
+def _su_label_count(d, s_max):
+    """len(_su_label_tuples(d, s_max)) without building the rows."""
+    return sum(sum(c) for c in _partition_counts(s_max, d - 1))
 
 
 def enumerate_projective_weights(d: int, t: int) -> list[HighestWeight]:
@@ -103,23 +159,14 @@ def enumerate_projective_weights(d: int, t: int) -> list[HighestWeight]:
     sorted lexicographically."""
     _check_dimension(d)
     t = _check_int("t", t)
-    return [HighestWeight(d, lam) for lam in _projective_tuples(d, t)]
-
-
-def _su_label_tuples(d, s_max):
-    out = []
-    for s in range(s_max + 1):
-        for p in _partitions(s, d - 1, s):
-            out.append(p + (0,) * (d - len(p)))
-    out.sort()
-    return out
+    return [HighestWeight(d, lam) for lam in _projective_tuples(d, t).tolist()]
 
 
 def enumerate_su_labels(d: int, s_max: int) -> list[HighestWeight]:
     """All lambda_d = 0 dominant labels with sum(lambda) <= s_max."""
     _check_dimension(d)
     s_max = _check_int("s_max", s_max)
-    return [HighestWeight(d, lam) for lam in _su_label_tuples(d, s_max)]
+    return [HighestWeight(d, lam) for lam in _su_label_tuples(d, s_max).tolist()]
 
 
 def dim(w: HighestWeight) -> int:
@@ -143,10 +190,6 @@ def casimir(w: HighestWeight) -> Fraction:
     s = sum(w.lam)
     main = sum(x * x + (d - 2 * j - 1) * x for j, x in enumerate(w.lam))
     return Fraction(main, 2 * d) - Fraction(s * s, 2 * d * d)
-
-
-def _lam_array(tuples) -> np.ndarray:
-    return np.asarray(tuples, dtype=np.int64).reshape(len(tuples), -1)
 
 
 def _dim_array(lams: np.ndarray) -> np.ndarray:
@@ -252,7 +295,7 @@ def character(w: HighestWeight, x: TorusPoint) -> complex:
     if w.d != x.d:
         raise InvalidParameterError(f"weight has d={w.d}, point has d={x.d}")
     theta = np.asarray(x.eigenphases(), dtype=float)[None, :]
-    return complex(_char_batch(_lam_array([w.lam]), theta)[0, 0])
+    return complex(_char_batch([w.lam], theta)[0, 0])
 
 
 def j_function(d: int, x: TorusPoint) -> complex:
@@ -277,5 +320,5 @@ def center_average_character(w: HighestWeight, x: TorusPoint) -> complex:
         raise InvalidParameterError(f"weight has d={w.d}, point has d={x.d}")
     d = w.d
     shifted = [TorusPoint(d, tuple(p + TWO_PI * k / d for p in x.phi)) for k in range(d)]
-    chi = _char_batch(_lam_array([w.lam]), np.array([y.eigenphases() for y in shifted]))
+    chi = _char_batch([w.lam], np.array([y.eigenphases() for y in shifted]))
     return complex(chi[0].sum()) / d

@@ -3,9 +3,11 @@
 Everything here is computed with mpmath at 50 significant digits and is
 independent of the package: characters come from explicit alternant
 determinants, heat kernels from raw series/lattice sums, integrals from
-mp.quad. Running this file prints the frozen constants used in the tests
-together with internal consistency diagnostics (character series vs.
-Poisson lattice sums agreeing to ~20 digits).
+mp.quad; the label generators are plain recursions over partitions and
+referee the package's array enumerators row for row. Running this file
+prints the frozen constants used in the tests together with internal
+consistency diagnostics (character series vs. Poisson lattice sums
+agreeing to ~20 digits).
 """
 
 import mpmath as mp
@@ -62,54 +64,41 @@ def casimir_mp(lam):
     return (q + c) / (2 * d) - s**2 / (2 * d * d)
 
 
-def su_labels(d, smax):
-    """lambda_d = 0 dominant labels with sum(lambda) <= smax."""
-    out = []
+def _partitions(n, max_parts, cap):
+    """Partitions of n into at most max_parts parts, each <= cap."""
+    if n == 0:
+        yield ()
+        return
+    if max_parts == 0:
+        return
+    for v in range(min(n, cap), 0, -1):
+        for rest in _partitions(n - v, max_parts - 1, v):
+            yield (v,) + rest
 
-    def rec(prefix, rest, cap):
-        if len(prefix) == d - 1:
-            out.append(tuple(prefix) + (0,))
-            return
-        for v in range(min(rest, cap), -1, -1):
-            rec(prefix + [v], rest - v, v)
 
-    for s in range(smax + 1):
-        def rec2(prefix, rest, cap):
-            if len(prefix) == d - 1:
-                if rest == 0:
-                    out.append(tuple(prefix) + (0,))
-                return
-            for v in range(min(rest, cap), -1, -1):
-                rec2(prefix + [v], rest - v, v)
-        rec2([], s, s)
+def projective_tuples(d, t):
+    """Zero-sum dominant labels with 1-norm <= 2t, sorted lexicographically."""
+    out = [(0,) * d]
+    for n in range(1, t + 1):
+        pos = list(_partitions(n, d - 1, n))
+        for p in pos:
+            for q in pos:
+                if len(p) + len(q) <= d:
+                    out.append(
+                        p + (0,) * (d - len(p) - len(q)) + tuple(-v for v in reversed(q))
+                    )
+    out.sort()
     return out
 
 
-def pu_labels(d, jmax):
-    """Zero-sum dominant labels with 1-norm <= jmax."""
+def su_label_tuples(d, s_max):
+    """lambda_d = 0 dominant labels with sum(lambda) <= s_max, sorted
+    lexicographically."""
     out = []
-
-    def parts(n, maxparts, cap, prefix, sink):
-        if n == 0:
-            sink.append(tuple(prefix))
-            return
-        if maxparts == 0:
-            return
-        for v in range(min(n, cap), 0, -1):
-            parts(n - v, maxparts - 1, v, prefix + [v], sink)
-
-    for n in range(jmax // 2 + 1):
-        pos, neg = [], []
-        parts(n, d - 1, n, [], pos)
-        parts(n, d - 1, n, [], neg)
-        if n == 0:
-            out.append(tuple([0] * d))
-            continue
-        for p in pos:
-            for q in neg:
-                if len(p) + len(q) <= d:
-                    lam = list(p) + [0] * (d - len(p) - len(q)) + [-v for v in reversed(q)]
-                    out.append(tuple(lam))
+    for s in range(s_max + 1):
+        for p in _partitions(s, d - 1, s):
+            out.append(p + (0,) * (d - len(p)))
+    out.sort()
     return out
 
 
@@ -117,7 +106,7 @@ def heat_su_char_mp(d, sigma, phi, smax):
     sigma = mp.mpf(sigma)
     phis_full = list(map(mp.mpf, phi)) + [-mp.fsum(map(mp.mpf, phi))]
     total = mp.mpf(0)
-    for lam in su_labels(d, smax):
+    for lam in su_label_tuples(d, smax):
         dl = dim_weyl(lam)
         total += dl * mp.e ** (-sigma * casimir_mp(lam)) * schur_mp(lam, phis_full)
     return total
@@ -127,7 +116,7 @@ def heat_pu_char_mp(d, sigma, phi, jmax):
     sigma = mp.mpf(sigma)
     phis_full = list(map(mp.mpf, phi)) + [-mp.fsum(map(mp.mpf, phi))]
     total = mp.mpf(0)
-    for lam in pu_labels(d, jmax):
+    for lam in projective_tuples(d, jmax // 2):
         shifted = [x - lam[-1] for x in lam]
         dl = dim_weyl(lam)
         total += dl * mp.e ** (-sigma * casimir_mp(lam)) * schur_mp(shifted, phis_full)

@@ -35,6 +35,7 @@ from udnet.montecarlo import (
 )
 from udnet.weights_chars import (
     HighestWeight,
+    _char_batch,
     center_average_character,
     character,
     enumerate_projective_weights,
@@ -195,9 +196,8 @@ def test_acceptance_08_character_orthonormality():
     for d, grid_n, t in ((2, 512, 4), (3, 128, 2)):
         ws = enumerate_projective_weights(d, t)
         phi, wts = torus_grid(d, grid_n)
-        chars = np.empty((len(ws), phi.shape[0]), dtype=complex)
-        for i, w in enumerate(ws):
-            chars[i] = [character(w, TorusPoint(d, tuple(row))) for row in phi]
+        theta = np.array([TorusPoint(d, tuple(row)).eigenphases() for row in phi])
+        chars = _char_batch(np.array([w.lam for w in ws]), theta)
         gram = (chars * wts) @ chars.conj().T
         dev = float(abs(gram - np.eye(len(ws))).max())
         assert dev <= 1e-6, (d, dev)

@@ -226,6 +226,21 @@ def test_truncation_error_on_tiny_term_budget():
     assert exc.value.required_cutoff > 10
 
 
+def test_term_budget_checked_before_enumeration(monkeypatch):
+    import udnet.kernels as kernels
+
+    calls = []
+    for name in ("_projective_tuples", "_su_label_tuples"):
+        monkeypatch.setattr(kernels, name, lambda *args: calls.append(args))
+    with pytest.raises(TruncationError) as exc:
+        heat_pu_char(KernelParams(5, 0.2), _pt(5, 0.1, 0.2, -0.3, 0.05))
+    assert "needs 2235417 weights" in str(exc.value)
+    assert exc.value.required_cutoff == 192
+    with pytest.raises(TruncationError):
+        heat_su_char(KernelParams(2, 0.05, max_terms=10), _pt(2, 0.3))
+    assert calls == []
+
+
 def test_kernel_params_validation():
     with pytest.raises(InvalidParameterError):
         KernelParams(2, 0.0)

@@ -2,7 +2,8 @@
 
 Character checks avoid the implementation's own code paths where possible:
 SU(2) characters against the sin ratio, dimensions against hand-derivable
-values, enumeration against a brute-force box scan, orthonormality against
+values, enumeration against a brute-force box scan and, row for row, against
+the partition recursions in tests/oracles.py, orthonormality against
 torus quadrature (exact for trig polynomials below the grid Nyquist degree).
 """
 
@@ -26,7 +27,13 @@ from udnet.weights_chars import (
     enumerate_projective_weights,
     enumerate_su_labels,
     j_function,
+    _projective_count,
+    _projective_tuples,
+    _su_label_count,
+    _su_label_tuples,
 )
+
+from oracles import projective_tuples, su_label_tuples
 
 
 def test_highest_weight_validation():
@@ -38,6 +45,12 @@ def test_highest_weight_validation():
         HighestWeight(3, (0, 1, -1))
     with pytest.raises(InvalidParameterError):
         HighestWeight(3, (1, 0))
+    with pytest.raises(InvalidParameterError):
+        HighestWeight(2, (1.5, -1.5))
+    with pytest.raises(InvalidParameterError):
+        HighestWeight(2, (True, False))
+    w = HighestWeight(2, (np.int64(1), np.int64(-1)))
+    assert w.lam == (1, -1) and all(type(x) is int for x in w.lam)
 
 
 def test_from_su_label():
@@ -61,13 +74,34 @@ def _brute_projective(d, t):
     return out
 
 
-@pytest.mark.parametrize("d,t", [(2, 0), (2, 4), (3, 1), (3, 2), (4, 2)])
+@pytest.mark.parametrize("d,t", [(2, 0), (2, 4), (3, 1), (3, 2), (4, 2), (5, 1), (5, 2)])
 def test_enumerate_projective_weights_matches_brute_force(d, t):
     got = enumerate_projective_weights(d, t)
     lams = [w.lam for w in got]
     assert lams == sorted(lams)
     assert len(set(lams)) == len(lams)
     assert set(lams) == _brute_projective(d, t)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_label_arrays_match_partition_oracle_row_for_row(d):
+    # row order fixes the summation order of every character sum
+    for t in range(9):
+        got = _projective_tuples(d, t)
+        assert np.array_equal(np.asarray(got), np.array(projective_tuples(d, t)))
+        got = _su_label_tuples(d, t)
+        assert np.array_equal(np.asarray(got), np.array(su_label_tuples(d, t)))
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_label_counts_match_enumerators(d):
+    for t in (0, 1, 2, 5, 9, 14):
+        lams = _projective_tuples(d, t)
+        assert lams.dtype == np.int64 and lams.shape[1] == d
+        assert _projective_count(d, t) == len(lams)
+        labels = _su_label_tuples(d, t)
+        assert labels.dtype == np.int64 and labels.shape[1] == d
+        assert _su_label_count(d, t) == len(labels)
 
 
 def test_enumerate_projective_weights_d2_count():
