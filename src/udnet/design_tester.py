@@ -1,14 +1,24 @@
 """Exact t-design diagnostics for small (d, t).
 
-The Haar moment operator is assembled exactly as the orthogonal projector
-onto the span of vectorized permutation operators; the Gram matrix
-G[sigma, tau] = d^#cycles(sigma tau^-1) is exact integer data, so no Monte
-Carlo error enters the baseline. delta(nu, t) is the spectral norm of
-T_nu - T_mu, computed by power iteration on the squared difference with
-fixed-seed restarts. The net probe estimates the Haar-covered fraction of
-a finite support; for d = 2 the projective distance to a support element
-collapses to sqrt(2 - |Re Tr(U V^dag)|), turning the hot loop into a
-single matrix product.
+delta(nu, t) is the spectral norm of T_nu - T_mu. At d = 2 it is taken
+from the irreducible blocks: U^{(x)t} (x) conj(U)^{(x)t} splits into the
+integer spins ell = 0..t, T_mu is the projector onto ell = 0, so delta is
+the largest LAPACK SVD norm of sum_k w_k D^ell(U_k) over ell = 1..t, with
+blocks of size 2 ell + 1 and no d^(2t) matrix (Gross, Audenaert and Eisert,
+J. Math. Phys. 48, 052104, 2007).
+
+For d >= 3 the dense path serves: the Haar moment operator is assembled
+exactly as the orthogonal projector onto the span of vectorized
+permutation operators (the Gram matrix G[sigma, tau] =
+d^#cycles(sigma tau^-1) is exact integer data, so no Monte Carlo error
+enters the baseline), and delta is computed by power iteration on the
+squared difference with fixed-seed restarts. The dense operators are also
+the test oracle for the d = 2 blocks.
+
+The net probe estimates the Haar-covered fraction of a finite support; for
+d = 2 the projective distance to a support element collapses to
+sqrt(2 - |Re Tr(U V^dag)|), turning the hot loop into a single matrix
+product.
 """
 
 from __future__ import annotations
@@ -208,8 +218,59 @@ def _spectral_norm(mat: np.ndarray, tol: float = 1e-10, restarts: int = 3, max_i
     return math.sqrt(best)
 
 
+def _spin_matrices(ell: int) -> np.ndarray:
+    """(J_x, J_y, J_z) of spin ell in the basis m = ell, ..., -ell."""
+    m = np.arange(ell, -ell - 1, -1, dtype=float)
+    raise_ = np.diag(np.sqrt(ell * (ell + 1) - m[1:] * (m[1:] + 1)), 1)
+    jx = 0.5 * (raise_ + raise_.T)
+    jy = -0.5j * (raise_ - raise_.T)
+    return np.stack([jx, jy, np.diag(m)])
+
+
+def _su2_axis_angles(mats: np.ndarray) -> np.ndarray:
+    """h = alpha * n with U / sqrt(det U) = exp(i alpha n.sigma), one row per U.
+
+    The sign of the root is immaterial for integer spin, and so is the
+    global phase. atan2 keeps alpha accurate near 0 and pi, where arccos
+    of the trace loses half the digits.
+    """
+    v = mats / np.sqrt(np.linalg.det(mats))[:, None, None]
+    cos_a = 0.5 * (v[:, 0, 0] + v[:, 1, 1]).real
+    sin_n = np.stack(
+        [
+            0.5 * (v[:, 0, 1] + v[:, 1, 0]).imag,
+            0.5 * (v[:, 0, 1] - v[:, 1, 0]).real,
+            0.5 * (v[:, 0, 0] - v[:, 1, 1]).imag,
+        ],
+        axis=1,
+    )
+    sin_a = np.linalg.norm(sin_n, axis=1)
+    alpha = np.arctan2(sin_a, cos_a)
+    scale = np.divide(alpha, sin_a, out=np.zeros_like(alpha), where=sin_a > 0.0)
+    return sin_n * scale[:, None]
+
+
+def _spin_block_norm(weights: np.ndarray, h: np.ndarray, ell: int) -> float:
+    """Spectral norm of sum_k w_k D^ell(U_k), D^ell(U) = exp(2i h.J)."""
+    gen = np.einsum("ka,aij->kij", 2.0 * h, _spin_matrices(ell))
+    lam, q = np.linalg.eigh(gen)
+    block = np.einsum("k,kij,kj,klj->il", weights, q, np.exp(1j * lam), q.conj())
+    return float(np.linalg.norm(block, 2))
+
+
 def delta_design(nu: WeightedGateSet, t: int, dim_cap: int = DEFAULT_DIM_CAP) -> float:
-    """delta(nu, t): spectral norm of T_{nu,t} - T_{mu,t}."""
+    """delta(nu, t): spectral norm of T_{nu,t} - T_{mu,t}.
+
+    At d = 2 the moment space splits into spins ell = 0..t, each present;
+    T_mu projects onto ell = 0, where T_nu is the identity, so delta is the
+    largest norm of sum_k w_k D^ell(U_k) over ell = 1..t, taken by SVD.
+    Each block is computed alone, so delta(t) is non-decreasing in t.
+    """
+    t = _check_moment_args(nu.d, t, dim_cap)
+    if nu.d == 2:
+        weights = np.array([w for w, _ in nu.elements])
+        h = _su2_axis_angles(np.stack([mat for _, mat in nu.elements]))
+        return max(_spin_block_norm(weights, h, ell) for ell in range(1, t + 1))
     diff = measure_moment(nu, t, dim_cap).matrix - haar_moment_projector(nu.d, t, dim_cap).matrix
     return _spectral_norm(diff)
 

@@ -73,6 +73,7 @@ _LOG_TINY = -745.0
 _JITTER_H = 1e-5
 _MAX_LATTICE_RADIUS = 512
 _SHELL_MEMO = 1 << 16
+_MAX_TERMS = 2_000_000  # weights a sum may enumerate unless told otherwise
 
 
 class TruncationError(RuntimeError):
@@ -104,7 +105,7 @@ class KernelParams:
     trim_t: int | None = None
     tail_tol: float = 1e-12
     lattice_radius: int | None = None
-    max_terms: int = 2_000_000
+    max_terms: int = _MAX_TERMS
 
     def __post_init__(self):
         _check_dimension(self.d)
@@ -217,6 +218,22 @@ def _weight_cutoff(
     return hi, tail(hi)
 
 
+def _label_rows(d: int, cutoff: int, projective: bool, max_terms: int, reason: str) -> np.ndarray:
+    """Label rows up to cutoff (projective one-norm or SU level).
+
+    The rows are counted before any array is built; over max_terms this
+    raises TruncationError carrying the cutoff.
+    """
+    count = _projective_count(d, cutoff // 2) if projective else _su_label_count(d, cutoff)
+    if count > max_terms:
+        raise TruncationError(
+            f"{reason} needs {count} weights, over the"
+            f" max_terms budget {max_terms}; required cutoff {cutoff}",
+            required_cutoff=cutoff,
+        )
+    return _projective_tuples(d, cutoff // 2) if projective else _su_label_tuples(d, cutoff)
+
+
 def _char_eval(
     p: KernelParams, theta_rows: np.ndarray, projective: bool
 ) -> tuple[np.ndarray, float, int]:
@@ -238,14 +255,7 @@ def _char_eval(
     else:
         cutoff, tail = _weight_cutoff(_su_shell_log_env, d, sigma, 1.0, 0.5 * p.tail_tol, even=False)
         skip_budget = 0.4 * p.tail_tol
-    count = _projective_count(d, cutoff // 2) if projective else _su_label_count(d, cutoff)
-    if count > p.max_terms:
-        raise TruncationError(
-            f"tail_tol = {p.tail_tol:g} needs {count} weights, over the"
-            f" max_terms budget {p.max_terms}; required cutoff {cutoff}",
-            required_cutoff=cutoff,
-        )
-    lams = _projective_tuples(d, cutoff // 2) if projective else _su_label_tuples(d, cutoff)
+    lams = _label_rows(d, cutoff, projective, p.max_terms, f"tail_tol = {p.tail_tol:g}")
 
     dims = _dim_array(lams)
     cas = _casimir_array(lams)
@@ -463,7 +473,9 @@ def trimming_error(d: int, sigma: float, t: int, tail_tol: float = 1e-12) -> flo
 
     Square root of the Plancherel tail sum_{one-norm > 2t} d_lam^2
     exp(-2*sigma*k_lam); the omitted remainder of the squared sum is
-    guaranteed below tail_tol.
+    guaranteed below tail_tol. Raises TruncationError, before any weight is
+    enumerated, when the sum needs more than 2,000,000 weights (the
+    KernelParams.max_terms default); so do the two L2 norms below.
     """
     _check_dimension(d)
     _check_positive("sigma", sigma)
@@ -472,7 +484,7 @@ def trimming_error(d: int, sigma: float, t: int, tail_tol: float = 1e-12) -> flo
     L, _ = _weight_cutoff(_pu_shell_log_env, d, sigma, 2.0, tail_tol, even=True)
     if L <= 2 * t:
         return 0.0
-    lams = _projective_tuples(d, L // 2)
+    lams = _label_rows(d, L, True, _MAX_TERMS, f"tail_tol = {tail_tol:g}")
     return math.sqrt(_plancherel_sq(sigma, lams[np.abs(lams).sum(axis=1) > 2 * t]))
 
 
@@ -481,7 +493,7 @@ def l2_norm_trimmed(d: int, sigma: float, t: int) -> float:
     _check_dimension(d)
     _check_positive("sigma", sigma)
     _check_int("t", t)
-    return math.sqrt(_plancherel_sq(sigma, _projective_tuples(d, t)))
+    return math.sqrt(_plancherel_sq(sigma, _label_rows(d, 2 * t, True, _MAX_TERMS, f"t = {t}")))
 
 
 def l2_norm_untrimmed(d: int, sigma: float, tail_tol: float = 1e-12) -> float:
@@ -490,4 +502,5 @@ def l2_norm_untrimmed(d: int, sigma: float, tail_tol: float = 1e-12) -> float:
     _check_positive("sigma", sigma)
     _check_unit_open("tail_tol", tail_tol)
     L, _ = _weight_cutoff(_pu_shell_log_env, d, sigma, 2.0, tail_tol, even=True)
-    return math.sqrt(_plancherel_sq(sigma, _projective_tuples(d, L // 2)))
+    lams = _label_rows(d, L, True, _MAX_TERMS, f"tail_tol = {tail_tol:g}")
+    return math.sqrt(_plancherel_sq(sigma, lams))

