@@ -40,12 +40,14 @@ from .lie_core import (
     _check_int,
     _check_positive,
     _check_unit_open,
+    _min_gaps,
     log_prefactor,
 )
 from .weights_chars import (
     GAP_TOL,
     _casimir_array,
     _char_batch,
+    _char_sum,
     _dim_array,
     _projective_count,
     _projective_tuples,
@@ -241,8 +243,16 @@ def _char_eval(
 
     Returns (values, truncation_bound, terms_used). Weights whose worst-case
     contribution d_lam^2 exp(-sigma*k) cannot reach a share of the tail
-    budget are skipped and charged to the bound; the trivial weight is
-    always retained so the normalization stays exact.
+    budget are skipped and charged to the bound. The trivial weight is
+    added exactly, as 1 * c_0, so the normalization stays exact.
+
+    Regular points go through _char_sum, which evaluates the one Laurent
+    polynomial sum_w c_w z^mu_w and divides by the Vandermonde once, so no
+    (weights x points) character matrix is built. Its cost follows the
+    widest label and the number of label prefixes, not the weight count, so
+    skipping a weight saves almost no work: skipping only feeds the bound.
+    Points with an eigenphase gap below GAP_TOL take the confluent form
+    through _char_batch.
     """
     d, sigma = p.d, p.sigma
     if projective and p.trim_t is not None:
@@ -262,19 +272,21 @@ def _char_eval(
     with np.errstate(under="ignore"):
         coeff = dims * np.exp(-sigma * cas)
         worst = coeff * dims
+    trivial = np.all(lams == 0, axis=1)
     keep = np.ones(len(lams), dtype=bool)
     skipped = 0.0
     if skip_budget > 0.0 and len(lams) > 1:
         cut = skip_budget / len(lams)
-        keep = worst >= cut
-        keep[np.all(lams == 0, axis=1)] = True
+        keep = (worst >= cut) | trivial
         skipped = float(worst[~keep].sum())
 
-    chi = _char_batch(lams[keep], theta_rows)
-    trivial = np.nonzero(np.all(lams[keep] == 0, axis=1))[0]
-    if trivial.size:
-        chi[trivial[0], :] = 1.0
-    vals = coeff[keep] @ chi
+    vals = np.full(len(theta_rows), coeff[trivial].sum(), dtype=complex)
+    kept, c = lams[keep & ~trivial], coeff[keep & ~trivial]
+    regular = _min_gaps(theta_rows) >= GAP_TOL
+    if len(kept):
+        vals[regular] += _char_sum(kept, c, theta_rows[regular])
+        if not regular.all():
+            vals[~regular] += c @ _char_batch(kept, theta_rows[~regular])
     bound = tail + skipped
     resid = np.max(np.abs(vals.imag)) if vals.size else 0.0
     ceiling = 1e-9 * max(1.0, float(np.max(np.abs(vals.real)))) + bound

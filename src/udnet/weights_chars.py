@@ -10,6 +10,15 @@ points and through a Jacobi-Trudi determinant in complete homogeneous
 symmetric polynomials when two eigenphases come within 1e-6 of each other;
 the latter is the confluent (divided-difference) form of the same ratio and
 stays finite at coincident eigenphases.
+
+At regular points the alternant is read as a Laurent polynomial: with
+mu = lam - lam_d + rho the last exponent is 0, so a sum sum_w c_w chi_w has
+the numerator sum_sigma sgn(sigma) P(x_sigma(1), ..., x_sigma(d-1)) for one
+polynomial P = sum_w c_w z^mu_w in d - 1 variables. _char_sum evaluates P
+(by Horner at d = 2, by real matmuls over power tables at d >= 3) and
+divides by the Vandermonde once; _char_batch keeps one row per weight,
+each alternant term a product of power-table entries. No complex exp is
+taken per weight.
 """
 
 from __future__ import annotations
@@ -209,19 +218,6 @@ def _casimir_array(lams: np.ndarray) -> np.ndarray:
     return main / (2.0 * d) - (s * s) / (2.0 * d * d)
 
 
-@_functools.lru_cache(maxsize=None)
-def _signed_permutations(d):
-    out = []
-    for perm in _itertools.permutations(range(d)):
-        sgn = 1
-        for i in range(d):
-            for j in range(i + 1, d):
-                if perm[i] > perm[j]:
-                    sgn = -sgn
-        out.append((perm, sgn))
-    return out
-
-
 def _chars_confluent(parts: np.ndarray, theta_row: np.ndarray) -> np.ndarray:
     """Characters of many partition-form labels at ONE torus point via the
     Jacobi-Trudi determinant in complete homogeneous polynomials.
@@ -251,6 +247,73 @@ def _chars_confluent(parts: np.ndarray, theta_row: np.ndarray) -> np.ndarray:
     return np.linalg.det(mats)
 
 
+def _laurent_exponents(lams) -> np.ndarray:
+    """mu = lam - lam_d + rho for each label row, rho = (d-1, ..., 1, 0); the
+    last column is 0. Shifting by lam_d is exact on SU(d), where det = 1."""
+    lams = np.asarray(lams, dtype=np.int64)
+    d = lams.shape[1]
+    return lams - lams[:, -1:] + np.arange(d - 1, -1, -1, dtype=np.int64)
+
+
+def _power_tables(theta: np.ndarray, k_max: int) -> np.ndarray:
+    """x_j^k = e^{i k theta_j} for k < k_max (and a few more), as a C-ordered
+    (d, >= k_max, n) array.
+
+    With k = B q + r and B about sqrt(k_max), x^k = e^{i B q theta} x^r: one
+    exp per giant step and a running product of at most B - 1 factors, so
+    each power is within about B + 2 ulps of the direct exp.
+    """
+    n, d = theta.shape
+    step = math.isqrt(max(k_max - 1, 0)) + 1
+    rows = -(-k_max // step)
+    th = theta.T[:, None, :]
+    baby = np.empty((d, step, n), dtype=complex)
+    baby[:, 0] = 1.0
+    baby[:, 1:] = np.exp(1j * th)
+    np.cumprod(baby, axis=1, out=baby)
+    giant = np.exp(1j * (step * np.arange(rows))[:, None] * th)
+    tab = np.empty((d, rows, step, n), dtype=complex)
+    np.multiply(giant[:, :, None, :], baby[:, None, :, :], out=tab)
+    return tab.reshape(d, rows * step, n)
+
+
+@_functools.cache
+def _alternant_terms(d):
+    """The d! terms of a d x d alternant: (column order, sign), where a term
+    multiplies entry (perm[j], j) over the columns j."""
+    return tuple(
+        (perm, -1 if sum(a > b for a, b in _itertools.combinations(perm, 2)) % 2 else 1)
+        for perm in _itertools.permutations(range(d))
+    )
+
+
+def _alternant(tab: np.ndarray, heads: np.ndarray, last) -> np.ndarray:
+    """Alternant numerators det[f_j(x_i)] for G column sets at n points.
+
+    Column j < d-2 of set g is x^heads[g, j] (read from the power tables tab),
+    column d-2 is a polynomial whose values at x_b are last[b] (G, n), and
+    column d-1 is x^0 = 1. Returns (G, n).
+    """
+    d = tab.shape[0]
+    num = np.zeros(last[0].shape, dtype=complex)
+    for perm, sign in _alternant_terms(d):
+        term = last[perm[d - 2]]
+        for j in range(d - 2):
+            term = term * tab[perm[j]][heads[:, j]]
+        (np.add if sign > 0 else np.subtract)(num, term, out=num)
+    return num
+
+
+def _vandermonde(tab: np.ndarray) -> np.ndarray:
+    """prod_{i<j} (x_i - x_j), the alternant of rho, from the power tables."""
+    d = tab.shape[0]
+    vdm = np.ones(tab.shape[2], dtype=complex)
+    for i in range(d):
+        for j in range(i + 1, d):
+            vdm *= tab[i, 1] - tab[j, 1]
+    return vdm
+
+
 def _char_batch(lams: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Characters of many weights at many torus points.
 
@@ -259,34 +322,70 @@ def _char_batch(lams: np.ndarray, theta: np.ndarray) -> np.ndarray:
     theta: (np, d) full eigenphase rows.
     Returns (nw, np) complex array.
 
-    Regular points go through the alternant ratio, expanded over column
-    permutations so each permutation costs one real matmul plus one exp;
-    points with an eigenphase gap below 1e-6 use the confluent form.
+    Regular points go through the alternant ratio, each of its d! terms a
+    product of d - 1 entries of the power tables; points with an eigenphase
+    gap below GAP_TOL use the confluent form. Sums of characters with fixed
+    coefficients go through _char_sum, which builds no such matrix.
     """
-    lams = np.asarray(lams, dtype=np.int64)
+    mu = _laurent_exponents(lams)
     theta = np.asarray(theta, dtype=float)
-    nw, d = lams.shape
-    npts = theta.shape[0]
-    parts = lams - lams[:, -1:]
-    out = np.empty((nw, npts), dtype=complex)
-
-    gaps = _min_gaps(theta)
-    good = gaps >= GAP_TOL
-    idx_good = np.nonzero(good)[0]
-    if idx_good.size:
-        tg = theta[idx_good]
-        x = np.exp(1j * tg)
-        vdm = np.ones(idx_good.size, dtype=complex)
-        for i in range(d):
-            for j in range(i + 1, d):
-                vdm *= x[:, i] - x[:, j]
-        mu = (parts + np.arange(d - 1, -1, -1, dtype=np.int64)[None, :]).astype(float)
-        num = np.zeros((idx_good.size, nw), dtype=complex)
-        for perm, sgn in _signed_permutations(d):
-            num += sgn * np.exp(1j * (tg @ mu[:, list(perm)].T))
-        out[:, idx_good] = (num / vdm[:, None]).T
+    nw, d = mu.shape
+    out = np.empty((nw, theta.shape[0]), dtype=complex)
+    good = _min_gaps(theta) >= GAP_TOL
+    if good.any():
+        tab = _power_tables(theta[good], int(mu[:, 0].max()) + 1)
+        last = [t[mu[:, d - 2]] for t in tab]
+        out[:, good] = _alternant(tab, mu[:, : d - 2], last) / _vandermonde(tab)
+    parts = mu - np.arange(d - 1, -1, -1, dtype=np.int64)
     for p in np.nonzero(~good)[0]:
         out[:, p] = _chars_confluent(parts, theta[p])
+    return out
+
+
+_BLOCK = 1 << 16  # complex entries per (group x point) array of _char_sum
+
+
+def _char_sum(lams: np.ndarray, coeff: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """sum_w coeff_w chi_w at regular torus points (every gap >= GAP_TOL),
+    for at least one weight.
+
+    With mu = lam - lam_d + rho the last exponent is 0, so the alternant
+    numerator of the sum is sum_sigma sgn(sigma) P(x_sigma(1), ...,
+    x_sigma(d-1)) for the one Laurent polynomial P = sum_w coeff_w z^mu_w in
+    d - 1 variables (Fulton-Harris, Representation Theory, section 24).
+    P is grouped by its first d - 2 exponents; each group is a dense row of
+    coefficients in the last variable, evaluated at all d eigenvalues by one
+    real matmul against the power tables. Points run in blocks, so no array
+    holds more than about _BLOCK entries or grows with the weight count.
+    Returns (np,) complex; the Vandermonde is divided out once per point.
+    """
+    mu = _laurent_exponents(lams)
+    theta = np.asarray(theta, dtype=float)
+    d = mu.shape[1]
+    if d == 2:
+        # P(z) = sum_m a_m z^m by Horner at both eigenvalues
+        a = np.bincount(mu[:, 0], weights=coeff)
+        x = np.exp(1j * theta)
+        p = np.zeros_like(x)
+        for a_m in a[::-1]:
+            p *= x
+            p += a_m
+        return (p[:, 0] - p[:, 1]) / (x[:, 0] - x[:, 1])
+    k_max = int(mu[:, 0].max()) + 1
+    key = np.ravel_multi_index(tuple(mu[:, : d - 2].T), (k_max,) * (d - 2))
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    heads = mu[first, : d - 2]
+    width = int(mu[:, d - 2].max()) + 1
+    rows = np.bincount(
+        group * width + mu[:, d - 2], weights=coeff, minlength=len(heads) * width
+    ).reshape(len(heads), width)
+    block = max(1, _BLOCK // max(len(heads), k_max))
+    out = np.empty(len(theta), dtype=complex)
+    for lo in range(0, len(theta), block):
+        tab = _power_tables(theta[lo : lo + block], k_max)
+        # (G, width) @ (width, 2n) on the interleaved real view of (width, n)
+        last = [(rows @ t[:width].view(float)).view(complex) for t in tab]
+        out[lo : lo + block] = _alternant(tab, heads, last).sum(axis=0) / _vandermonde(tab)
     return out
 
 

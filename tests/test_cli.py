@@ -1,7 +1,8 @@
 """End-to-end CLI behavior: exit codes, output schemas, determinism, seeds.
 
 Every invocation goes through udnet.cli.main with an argv list; stdout is
-captured with capsys or redirected to a file with --out.
+captured with capsys or redirected to a file with --out. One test runs
+``python -m udnet`` in a subprocess.
 """
 
 from __future__ import annotations
@@ -9,10 +10,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import udnet
 import udnet.cli as cli
 from udnet.cli import main
 from udnet.design_tester import WeightedGateSet, gate_set_to_json
@@ -340,3 +346,19 @@ def test_out_file_leaves_stdout_empty(capsys, tmp_path):
 def test_usage_error_exits_2():
     assert main(["bounds", "--d", "2"]) == 2  # missing --eps
     assert main(["no-such-command"]) == 2
+
+
+def test_python_m_udnet_runs_without_warnings():
+    src = str(Path(udnet.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "udnet", "bounds", "--d", "2", "--eps", "0.1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["results"][0]["t_min"] == pytest.approx(8821.801219593926)

@@ -8,6 +8,7 @@ are quoted to full double precision.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,12 +27,41 @@ from udnet.kernels import (
     l2_norm_trimmed,
     l2_norm_untrimmed,
     trimming_error,
+    _pu_shell_log_env,
+    _su_shell_log_env,
+    _weight_cutoff,
 )
-from udnet.lie_core import InvalidParameterError, TorusPoint
+from udnet.lie_core import InvalidParameterError, TorusPoint, _min_gaps
+from udnet.montecarlo import RngStream, sample_haar_su
+from udnet.weights_chars import (
+    _casimir_array,
+    _char_batch,
+    _dim_array,
+    _projective_tuples,
+    _su_label_tuples,
+)
 
 
 def _pt(d, *phi):
     return TorusPoint(d, phi)
+
+
+def _haar_rows(d, n, seed):
+    return np.angle(np.linalg.eigvals(sample_haar_su(d, RngStream(seed), size=n)))
+
+
+def _confluent_rows(d):
+    """Rows with an eigenphase gap below 1e-6, including an exact tie and a
+    pair straddling -pi, all routed to the confluent form."""
+    if d == 2:
+        rows = [[1.5e-7, -1.5e-7], [0.0, 0.0], [math.pi - 1e-7, -math.pi + 1e-7]]
+    else:
+        pairs = ((0.4, 0.4 + 3e-7), (1.1, 1.1), (math.pi - 1e-7, -math.pi + 1e-7))
+        rows = [[a, b] + [-0.9] * (d - 3) for a, b in pairs]
+        rows = [phi + [-sum(phi)] for phi in rows]
+    rows = np.array(rows)
+    assert np.all(_min_gaps(rows) < 1e-6)
+    return rows
 
 
 # ---------------------------------------------------------------- reference
@@ -91,6 +121,10 @@ def test_trim_zero_is_constant_one():
     p = KernelParams(2, 0.3, trim_t=0)
     for phi in (0.0, 0.4, -1.2):
         assert heat_pu_char(p, _pt(2, phi)).value == 1.0
+    for d in (2, 3, 4):
+        theta = np.vstack([_haar_rows(d, 50, seed=10 + d), _confluent_rows(d)])
+        vals, bound, terms = heat_pu_char_batch(KernelParams(d, 0.3, trim_t=0), theta)
+        assert np.all(vals == 1.0) and bound == 0.0 and terms == 1
 
 
 # ---------------------------------------------------------- dual-route grid
@@ -184,6 +218,61 @@ def test_char_batch_matches_scalar_calls():
 
     svals, _, _ = heat_su_char_batch(p, theta)
     assert svals[0] == pytest.approx(993.37854676591078918, rel=1e-12)
+
+
+# (d, sigma, trim_t, projective) -> (truncation_bound, terms_used) as computed
+# by the per-weight character matrix the sum engine replaced
+_CONTRACTION_CASES = {
+    (2, 0.01, None, True): (3.721864350347674e-13, 93),
+    (2, 0.05, None, False): (3.045359321272275e-13, 77),
+    (3, 0.05, None, True): (1.3443486306775798e-13, 2140),
+    (3, 0.3, None, False): (3.3290796625409456e-13, 935),
+    (3, 0.05, 78, True): (0.0, 3121),
+    (4, 0.5, None, True): (8.526467900182773e-14, 2799),
+    (4, 1.0, None, False): (2.77488958556778e-13, 3578),
+    (4, 0.4, 6, True): (0.0, 58),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONTRACTION_CASES, key=repr))
+def test_char_sum_matches_character_matrix_contraction(case):
+    d, sigma, trim_t, projective = case
+    theta = np.vstack([_haar_rows(d, 120 if d < 4 else 40, seed=d), _confluent_rows(d)])
+    p = KernelParams(d, sigma, trim_t=trim_t)
+    vals, bound, terms = (heat_pu_char_batch if projective else heat_su_char_batch)(p, theta)
+    assert (bound, terms) == _CONTRACTION_CASES[case]
+
+    # the oracle keeps every weight up to the cutoff; the ones the kernel
+    # skips add at most 0.4 * tail_tol, inside the tolerance below
+    if trim_t is not None:
+        cutoff = 2 * trim_t
+    else:
+        env = _pu_shell_log_env if projective else _su_shell_log_env
+        cutoff, _ = _weight_cutoff(env, d, sigma, 1.0, 0.5 * p.tail_tol, even=projective)
+    lams = _projective_tuples(d, cutoff // 2) if projective else _su_label_tuples(d, cutoff)
+    dims = _dim_array(lams)
+    coeff = dims * np.exp(-sigma * _casimir_array(lams))
+    ref = (coeff @ _char_batch(lams, theta)).real
+    np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12 * float(coeff @ dims))
+
+
+def test_char_batch_memory_does_not_grow_with_weight_count():
+    # 3,121 weights at 32,768 points: a (weights x points) complex matrix
+    # would take 1.6 GB; the sum engine works in point blocks
+    theta = _haar_rows(3, 1 << 15, seed=5)
+    p = KernelParams(3, 0.05, trim_t=78)
+    tracemalloc.start()
+    try:
+        vals, _, terms = heat_pu_char_batch(p, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert terms == 3121 and vals.shape == (1 << 15,)
+    assert peak < 256 * 2**20
+    # the last point block agrees with the same points evaluated on their own
+    scale = heat_pu_char(p, _pt(3, 0.0, 0.0)).value
+    tail, _, _ = heat_pu_char_batch(p, theta[-8:])
+    np.testing.assert_allclose(vals[-8:], tail, rtol=0, atol=1e-12 * scale)
 
 
 # ---------------------------------------------------------------- L2 norms

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from udnet.lie_core import InvalidParameterError, TorusPoint
+from udnet.lie_core import InvalidParameterError, TorusPoint, _min_gaps
 from udnet.montecarlo import torus_quadrature
 from udnet.weights_chars import (
     HighestWeight,
@@ -27,13 +27,14 @@ from udnet.weights_chars import (
     enumerate_projective_weights,
     enumerate_su_labels,
     j_function,
+    _char_batch,
     _projective_count,
     _projective_tuples,
     _su_label_count,
     _su_label_tuples,
 )
 
-from oracles import projective_tuples, su_label_tuples
+from oracles import projective_tuples, schur_mp, su_label_tuples
 
 
 def test_highest_weight_validation():
@@ -224,6 +225,52 @@ def test_character_exactly_coincident_phases():
     # continuity against a nearby regular point
     y = TorusPoint(3, (0.9, 0.9 + 1e-5))
     assert abs(val - character(w, y)) < 1e-3
+
+
+# labels up to lambda_1 - lambda_d = 310, past the widest label a d = 3
+# kernel query at sigma = 0.02 sums (261)
+_ORACLE_LABELS = {
+    2: [(0, 0), (1, -1), (37, -37), (150, -150), (310, 0)],
+    3: [(0, 0, 0), (2, 1, 0), (40, -7, -20), (200, 0, -100), (160, 155, -150)],
+    4: [(0, 0, 0, 0), (5, 3, 1, 0), (77, 77, 0, 0), (160, 40, -30, -150), (300, 0, 0, 0)],
+}
+
+
+def _oracle_points(d, gen):
+    """Two random regular points, then four whose smallest eigenphase gap is
+    1e-3, 1e-4, 1.5e-5 and 1e-5: just above GAP_TOL, where the alternant
+    ratio divides by a small Vandermonde."""
+    rows = []
+    for gap in (None, None, 1e-3, 1e-4, 1.5e-5, 1e-5):
+        phi = gen.uniform(-math.pi, math.pi, d - 1)
+        if gap is not None and d == 2:
+            phi[0] = gap / 2
+        elif gap is not None:
+            phi[1] = phi[0] + gap
+        rows.append(np.append(phi, -phi.sum()))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_char_batch_matches_mpmath_alternant(d):
+    labels = _ORACLE_LABELS[d]
+    theta = _oracle_points(d, np.random.default_rng(d))
+    gaps = _min_gaps(theta)
+    assert np.all(gaps[2:] >= 1e-5 * (1 - 1e-9)) and np.all(gaps[2:] <= 1e-3 * (1 + 1e-9))
+    got = _char_batch(np.array(labels), theta)
+    for i, lam in enumerate(labels):
+        part = [x - lam[-1] for x in lam]
+        for j, row in enumerate(theta):
+            ref = complex(schur_mp(part, row.tolist()))
+            # rounding model: d! unit-modulus terms of degree up to part[0] + d
+            # cancelling down to |Vandermonde| |chi|
+            vdm = math.prod(
+                abs(2.0 * math.sin((row[a] - row[b]) / 2.0))
+                for a in range(d)
+                for b in range(a + 1, d)
+            )
+            tol = 4.0 * 2.0**-53 * math.factorial(d) * (part[0] + d) / vdm
+            assert abs(got[i, j] - ref) <= tol, (lam, j, got[i, j], ref)
 
 
 def test_character_dimension_mismatch():
