@@ -34,13 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .design_tester import (
-    DEFAULT_DIM_CAP,
-    ResourceLimitError,
-    _check_moment_args,
-    delta_design,
-    gate_set_from_json,
-)
+from .design_tester import ResourceLimitError, design_deltas, gate_set_from_json
 from .kernels import (
     KernelParams,
     NumericalInstabilityError,
@@ -80,6 +74,7 @@ EXIT_RESOURCE = 4
 
 _LN10 = math.log(10.0)
 _QUAD_DMAX = 3
+_TAIL_TOL = 1e-12  # squared-sum remainder left out of a trimming error
 _RETRY_SHIFT = 1_000_003
 
 _log = logging.getLogger("udnet.cli")
@@ -316,7 +311,7 @@ def _resolve_auto_t(d: int, sigma: float, t, gamma: float | None = None) -> int:
 def _trim_check(d: int, sigma: float, t, gamma: float):
     """(t, trimming error, bound_trim report) with t resolved by _resolve_auto_t."""
     t = _resolve_auto_t(d, sigma, t, gamma)
-    return t, trimming_error(d, sigma, t), bounds.bound_trim(d, sigma, t, gamma)
+    return t, trimming_error(d, sigma, t, _TAIL_TOL), bounds.bound_trim(d, sigma, t, gamma)
 
 
 def _pythagoras(d: int, sigma: float, t: int):
@@ -335,6 +330,10 @@ def _suite_trimming(ctx: _SuiteCtx) -> list[dict]:
     for sigma in sigmas:
         t, err, rep = _trim_check(ctx.d, sigma, "auto", ctx.gamma)
         status = "pass" if err <= rep.value_unchecked and rep.all_ok else "fail"
+        note = ""
+        if err == 0.0:
+            # the whole tail lies below what trimming_error resolves
+            status, note = "skipped", f"below resolution sqrt(tail_tol) = {math.sqrt(_TAIL_TOL):g}"
         out.append(
             _record(
                 "trimming",
@@ -345,6 +344,7 @@ def _suite_trimming(ctx: _SuiteCtx) -> list[dict]:
                 None,
                 None,
                 "plancherel",
+                note,
             )
         )
     return out
@@ -592,17 +592,23 @@ def _cmd_validate(args, seed: int, threads: int, fmt: str):
 # -- design-delta ------------------------------------------------------------
 
 
-def _implied_eps(d: int, delta: float) -> float | None:
-    """Smallest eps in [1e-12, 2] whose theorem-form delta_max covers delta."""
+def _implied_eps(d: int, delta: float, s: int) -> float | None:
+    """Smallest eps in [1e-12, 2] at which the design-to-net theorem applies
+    to a delta-approximate s-design: delta <= delta_max(d, eps) in the
+    theorem form and s >= t_min(d, eps). Both hold from some eps upward."""
     target = math.log(delta) if delta > 0 else -math.inf
+
+    def applies(eps: float) -> bool:
+        return bounds.theorem2_delta_max(d, eps) >= target and s >= bounds.theorem1_t_min(d, eps)
+
     lo, hi = 1e-12, 2.0
-    if bounds.theorem2_delta_max(d, hi) < target:
+    if not applies(hi):
         return None
-    if bounds.theorem2_delta_max(d, lo) >= target:
+    if applies(lo):
         return lo
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if bounds.theorem2_delta_max(d, mid) >= target:
+        if applies(mid):
             hi = mid
         else:
             lo = mid
@@ -619,12 +625,9 @@ def _load_json_file(path: str, what: str):
 
 def _cmd_design_delta(args, seed: int, threads: int, fmt: str):
     nu = gate_set_from_json(_load_json_file(args.gateset, "gate set file"))
-    # Refuse an over-cap t before computing any of the smaller orders.
-    _check_moment_args(nu.d, args.t, DEFAULT_DIM_CAP)
     records = []
-    for s in range(1, args.t + 1):
-        delta = delta_design(nu, s)
-        implied = _implied_eps(nu.d, delta)
+    for s, delta in enumerate(design_deltas(nu, args.t), start=1):
+        implied = _implied_eps(nu.d, delta, s)
         records.append(
             {
                 "s": s,

@@ -1,19 +1,16 @@
-"""Exact t-design diagnostics for small (d, t).
+"""Exact t-design diagnostics from irreducible blocks.
 
-delta(nu, t) is the spectral norm of T_nu - T_mu. At d = 2 it is taken
-from the irreducible blocks: U^{(x)t} (x) conj(U)^{(x)t} splits into the
-integer spins ell = 0..t, T_mu is the projector onto ell = 0, so delta is
-the largest LAPACK SVD norm of sum_k w_k D^ell(U_k) over ell = 1..t, with
-blocks of size 2 ell + 1 and no d^(2t) matrix (Gross, Audenaert and Eisert,
-J. Math. Phys. 48, 052104, 2007).
-
-For d >= 3 the dense path serves: the Haar moment operator is assembled
-exactly as the orthogonal projector onto the span of vectorized
-permutation operators (the Gram matrix G[sigma, tau] =
-d^#cycles(sigma tau^-1) is exact integer data, so no Monte Carlo error
-enters the baseline), and delta is computed by power iteration on the
-squared difference with fixed-seed restarts. The dense operators are also
-the test oracle for the d = 2 blocks.
+delta(nu, t) is the spectral norm of T_nu - T_mu on U^{(x)t} (x) conj(U)^{(x)t}.
+That space splits into the PU(d) irreps whose zero-sum labels have positive
+mass <= t, the rows of _projective_tuples(d, t); T_mu is the projector onto
+the trivial one. So delta is the largest LAPACK SVD norm of
+sum_k w_k pi_lambda(U_k) over the nontrivial labels, with blocks of size
+dim_lambda and no d^(2t) matrix. pi_lambda(U) = exp(i pi_lambda(G)) for a
+Hermitian log G of U, with pi_lambda built in the orthonormal
+Gelfand-Tsetlin basis (Molev, arXiv:math/0211289) and exponentiated by one
+batched eigh per irrep. At d = 2 the blocks are the spin-ell matrices
+D^ell, ell = 1..t (Gross, Audenaert and Eisert, J. Math. Phys. 48, 052104,
+2007).
 
 The net probe estimates the Haar-covered fraction of a finite support; for
 d = 2 the projective distance to a support element collapses to
@@ -23,11 +20,11 @@ product.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .lie_core import (
     InvalidParameterError,
@@ -37,28 +34,30 @@ from .lie_core import (
     _check_unitary,
 )
 from .montecarlo import McEstimate, RngStream, _dp_to_identity, _haar_su, _mc_run
+from .weights_chars import _append_column, _dim_array, _projective_count, _projective_tuples
 
 __all__ = [
-    "DEFAULT_DIM_CAP",
+    "BLOCK_BUDGET",
     "ResourceLimitError",
     "WeightedGateSet",
-    "MomentOperator",
     "NetProbeReport",
     "gate_set_from_json",
     "gate_set_to_json",
-    "haar_moment_projector",
-    "measure_moment",
     "delta_design",
+    "design_deltas",
     "net_probe",
 ]
 
-DEFAULT_DIM_CAP = 4096
+# Largest gates x sum of dim_lambda^3 one design_deltas call may spend: each
+# block costs a batched eigh over the gates and one SVD.
+BLOCK_BUDGET = 10**10
+_CHUNK = 1 << 20  # complex entries per (gates x dim x dim) array of _block_norm
 _UNITARY_TOL = 1e-10
 _WEIGHT_TOL = 1e-12
 
 
 class ResourceLimitError(RuntimeError):
-    """Moment dimension d^(2t) exceeds the configured cap."""
+    """The blocks of a design_deltas call exceed BLOCK_BUDGET."""
 
 
 @dataclass(frozen=True)
@@ -82,13 +81,6 @@ class WeightedGateSet:
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise InvalidParameterError(f"weights sum to {total!r}, expected 1")
         object.__setattr__(self, "elements", tuple(cleaned))
-
-
-@dataclass(frozen=True)
-class MomentOperator:
-    d: int
-    t: int
-    matrix: np.ndarray
 
 
 def gate_set_to_json(nu: WeightedGateSet) -> dict:
@@ -117,162 +109,157 @@ def gate_set_from_json(obj) -> WeightedGateSet:
     return WeightedGateSet(d=obj["d"], elements=tuple(elements))
 
 
-def _check_moment_args(d: int, t, dim_cap: int) -> int:
-    _check_dimension(d)
-    t = _check_int("t", t, 1)
-    dim = d ** (2 * t)
-    if dim > dim_cap:
-        raise ResourceLimitError(f"moment dimension d^(2t) = {dim} exceeds cap {dim_cap}")
-    return t
+def _check_budget(gates: int, cost: int) -> None:
+    if gates * cost > BLOCK_BUDGET:
+        raise ResourceLimitError(
+            f"gates x sum of block dim^3 >= {gates * cost:.4g} exceeds the budget {BLOCK_BUDGET:.4g}"
+        )
 
 
-def _cycle_count(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    cycles = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycles += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-    return cycles
+def _block_rows(d: int, t: int, gates: int) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, positive masses) of the blocks delta(nu, 1..t) needs.
 
-
-def _perm_matrix(d: int, sigma: tuple[int, ...]) -> np.ndarray:
-    """Permutation operator on (C^d)^{(x)t} sending digit tuple x to x o sigma."""
-    t = len(sigma)
-    n = d**t
-    digits = np.stack(np.unravel_index(np.arange(n), (d,) * t), axis=0)
-    target = np.ravel_multi_index(tuple(digits[list(sigma), :]), (d,) * t)
-    mat = np.zeros((n, n))
-    mat[target, np.arange(n)] = 1.0
-    return mat
-
-
-def haar_moment_projector(d: int, t: int, dim_cap: int = DEFAULT_DIM_CAP) -> MomentOperator:
-    """Orthogonal projector onto the span of vectorized permutation operators.
-
-    Rank equals the number of independent permutation operators; the Gram
-    pseudo-inverse (cutoff 1e-10 relative) absorbs the rank deficiency
-    that appears once t exceeds d.
+    The nontrivial rows of _projective_tuples(d, t), keeping one label of
+    each dual pair: pi of the dual label is the complex conjugate of pi, with
+    the same singular values. The budget is checked against two floors
+    before the rows are counted or built, then against the exact sum: the
+    self-dual labels (n, 0, ..., 0, -n), n = 1..t, have dim > n, and every
+    nontrivial block has dim >= d^2 - 1.
     """
-    t = _check_moment_args(d, t, dim_cap)
-    perms = list(itertools.permutations(range(t)))
-    cols = [_perm_matrix(d, s).ravel() for s in perms]
-    v = np.stack(cols, axis=1)
-    inverse = {s: tuple(np.argsort(s)) for s in perms}
-    gram = np.array(
-        [
-            [float(d ** _cycle_count(tuple(inverse[a][b[i]] for i in range(t)))) for b in perms]
-            for a in perms
-        ]
-    )
-    proj = v @ np.linalg.pinv(gram, rcond=1e-10, hermitian=True) @ v.T
-    mat = proj.astype(complex)
-    mat.setflags(write=False)
-    return MomentOperator(d=d, t=t, matrix=mat)
+    _check_budget(gates, (t * (t + 1) // 2) ** 2)
+    _check_budget(gates, (_projective_count(d, t) - 1) // 2 * (d * d - 1) ** 3)
+    rows = _projective_tuples(d, t)[1:]
+    keep = [r >= [-x for x in reversed(r)] for r in rows.tolist()]
+    rows = rows[keep]
+    _check_budget(gates, int(np.sum(np.rint(_dim_array(rows)) ** 3)))
+    return rows, np.maximum(rows, 0).sum(axis=1)
 
 
-def _kron_power(mat: np.ndarray, t: int) -> np.ndarray:
-    out = mat
-    for _ in range(t - 1):
-        out = np.kron(out, mat)
+def _gt_patterns(top: np.ndarray) -> np.ndarray:
+    """Gelfand-Tsetlin patterns with top row `top`, one per row.
+
+    The columns hold the pattern rows d, d - 1, ..., 1 in turn; row k - 1
+    interlaces row k: lam_{k,i} >= lam_{k-1,i} >= lam_{k,i+1}.
+    """
+    d = top.size
+    cols = [np.array([x]) for x in top]
+    above = 0  # first column of the row being interlaced
+    for k in range(d, 1, -1):
+        for i in range(k - 1):
+            cols, _ = _append_column(cols, cols[above + i + 1], cols[above + i])
+        above += k
+    return np.stack(cols, axis=1)
+
+
+def _gt_generators(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pi(E_kk) as a (d, dim) array of diagonals and pi(E_ij), i < j in
+    np.triu_indices order, as a (d(d-1)/2, dim, dim) real array, for the
+    irrep pi of U(d) with highest weight `top`, in the orthonormal
+    Gelfand-Tsetlin basis (Molev, arXiv:math/0211289, section 2).
+
+    E_kk acts by the row sums, sum_i lam_ki - sum_i lam_{k-1,i}, and
+    E_{k,k+1} xi_L = sum_i a_ki(L) xi_{L + delta_ki} with
+    a_ki = sqrt(-prod_j (l_ki - l_{k+1,j}) prod_j (l_ki - l_{k-1,j} + 1)
+                / prod_{j != i} (l_ki - l_kj)(l_ki - l_kj + 1)),
+    l_ki = lam_ki - i + 1. The coefficients are real, so E_{k+1,k} is the
+    transpose, and E_ij = [E_{i,j-1}, E_{j-1,j}] gives the rest.
+    """
+    pats = _gt_patterns(top)
+    dim, d = pats.shape[0], top.size
+    off = [(d * (d + 1) - k * (k + 1)) // 2 for k in range(d + 1)]  # first column of row k
+    pos = np.concatenate([np.arange(k) for k in range(d, 0, -1)])
+    ell = (pats - pos).astype(float)
+    sums = np.stack([pats[:, off[k] : off[k] + k].sum(axis=1) for k in range(d + 1)])
+    diag = np.diff(sums, axis=0).astype(float)
+    index = {p.tobytes(): n for n, p in enumerate(pats)}
+    slot = {pair: n for n, pair in enumerate(zip(*np.triu_indices(d, 1)))}
+    upper = np.zeros((len(slot), dim, dim))
+    for k in range(1, d):
+        raise_k = upper[slot[k - 1, k]]
+        up, down = ell[:, off[k + 1] : off[k + 1] + k + 1], ell[:, off[k - 1] : off[k - 1] + k - 1]
+        for i in range(k):
+            col = off[k] + i
+            # lam_ki + 1 must stay <= lam_{k+1,i} and <= lam_{k-1,i-1}
+            ok = pats[:, col] < pats[:, off[k + 1] + i]
+            if i > 0:
+                ok &= pats[:, col] < pats[:, off[k - 1] + i - 1]
+            src = np.nonzero(ok)[0]
+            li = ell[src, col][:, None]
+            same = ell[src][:, [off[k] + j for j in range(k) if j != i]]
+            num = -np.prod(li - up[src], axis=1) * np.prod(li - down[src] + 1.0, axis=1)
+            den = np.prod((li - same) * (li - same + 1.0), axis=1)
+            raised = pats[src]
+            raised[:, col] += 1
+            raise_k[[index[p.tobytes()] for p in raised], src] = np.sqrt(num / den)
+    for gap in range(2, d):
+        for i in range(d - gap):
+            a, b = upper[slot[i, i + gap - 1]], upper[slot[i + gap - 1, i + gap]]
+            upper[slot[i, i + gap]] = a @ b - b @ a
+    return diag, upper
+
+
+def _hermitian_logs(mats: np.ndarray) -> np.ndarray:
+    """Traceless Hermitian G with U = e^{i phi} exp(iG), one per U.
+
+    U is normal, so its complex Schur form U = Z T Z^dag has T diagonal up
+    to rounding, and G = Z diag(theta - mean theta) Z^dag with theta the
+    arguments of diag(T). This stays accurate at repeated eigenphases,
+    where an eigenvector basis is ill-conditioned.
+    """
+    out = np.empty_like(mats)
+    for k, u in enumerate(mats):
+        tri, z = scipy.linalg.schur(u, output="complex")
+        theta = np.angle(np.diagonal(tri))
+        out[k] = (z * (theta - theta.mean())) @ z.conj().T
     return out
 
 
-def measure_moment(nu: WeightedGateSet, t: int, dim_cap: int = DEFAULT_DIM_CAP) -> MomentOperator:
-    """T_{nu,t}: weighted sum of U^{(x)t} (x) conj(U)^{(x)t} over the gate set."""
-    t = _check_moment_args(nu.d, t, dim_cap)
-    dim = nu.d ** (2 * t)
+def _block_norm(weights: np.ndarray, logs: np.ndarray, top: np.ndarray) -> float:
+    """||sum_k w_k pi(U_k)||_2, pi(U_k) = exp(i pi(G_k)) by one batched eigh."""
+    diag, upper = _gt_generators(top)
+    d, dim = diag.shape
+    iu = np.triu_indices(d, 1)
+    flat = upper.reshape(len(upper), -1)
     total = np.zeros((dim, dim), dtype=complex)
-    for w, mat in nu.elements:
-        ut = _kron_power(mat, t)
-        total += w * np.kron(ut, ut.conj())
-    total.setflags(write=False)
-    return MomentOperator(d=nu.d, t=t, matrix=total)
+    step = max(1, _CHUNK // (dim * dim))
+    for lo in range(0, weights.size, step):
+        g = logs[lo : lo + step]
+        gu = g[:, iu[0], iu[1]]
+        # two real products: a complex one would copy the generators to complex
+        b = (gu.real @ flat + 1j * (gu.imag @ flat)).reshape(-1, dim, dim)
+        h = b + b.conj().transpose(0, 2, 1)
+        h[:, np.arange(dim), np.arange(dim)] += np.diagonal(g, axis1=1, axis2=2).real @ diag
+        lam, q = np.linalg.eigh(h)
+        # sum_k w_k Q_k diag(e^{i lam_k}) Q_k^dag as one product over (k, j)
+        cols = q.transpose(1, 0, 2).reshape(dim, -1)
+        total += (cols * (weights[lo : lo + step, None] * np.exp(1j * lam)).ravel()) @ cols.conj().T
+    return float(np.linalg.norm(total, 2))
 
 
-def _spectral_norm(mat: np.ndarray, tol: float = 1e-10, restarts: int = 3, max_iter: int = 20000) -> float:
-    """Largest singular value by power iteration on mat^dag mat, fixed seed."""
-    h = mat.conj().T @ mat
-    gen = np.random.default_rng(0)
-    best = 0.0
-    for _ in range(restarts):
-        v = gen.standard_normal(h.shape[0]) + 1j * gen.standard_normal(h.shape[0])
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(max_iter):
-            w = h @ v
-            norm_w = float(np.linalg.norm(w))
-            if norm_w <= tol * max(1.0, lam):
-                lam = max(lam, norm_w)
-                break
-            v = w / norm_w
-            if abs(norm_w - lam) <= tol * max(1.0, norm_w):
-                lam = norm_w
-                break
-            lam = norm_w
-        best = max(best, lam)
-    return math.sqrt(best)
+def design_deltas(nu: WeightedGateSet, t: int) -> list[float]:
+    """[delta(nu, 1), ..., delta(nu, t)] in one pass.
 
-
-def _spin_matrices(ell: int) -> np.ndarray:
-    """(J_x, J_y, J_z) of spin ell in the basis m = ell, ..., -ell."""
-    m = np.arange(ell, -ell - 1, -1, dtype=float)
-    raise_ = np.diag(np.sqrt(ell * (ell + 1) - m[1:] * (m[1:] + 1)), 1)
-    jx = 0.5 * (raise_ + raise_.T)
-    jy = -0.5j * (raise_ - raise_.T)
-    return np.stack([jx, jy, np.diag(m)])
-
-
-def _su2_axis_angles(mats: np.ndarray) -> np.ndarray:
-    """h = alpha * n with U / sqrt(det U) = exp(i alpha n.sigma), one row per U.
-
-    The sign of the root is immaterial for integer spin, and so is the
-    global phase. atan2 keeps alpha accurate near 0 and pi, where arccos
-    of the trace loses half the digits.
+    delta(nu, s) is the spectral norm of T_{nu,s} - T_{mu,s}. The irreps of
+    U^{(x)s} (x) conj(U)^{(x)s} are the projective labels of positive mass
+    <= s; T_mu is the projector onto the trivial one, where T_nu is the
+    identity, so delta(nu, s) is the largest LAPACK SVD norm of
+    sum_k w_k pi_lambda(U_k) over the nontrivial labels of mass <= s. The
+    running maximum makes delta exactly non-decreasing in s. Raises
+    ResourceLimitError, before any block is built, when gates x sum of
+    dim_lambda^3 exceeds BLOCK_BUDGET.
     """
-    v = mats / np.sqrt(np.linalg.det(mats))[:, None, None]
-    cos_a = 0.5 * (v[:, 0, 0] + v[:, 1, 1]).real
-    sin_n = np.stack(
-        [
-            0.5 * (v[:, 0, 1] + v[:, 1, 0]).imag,
-            0.5 * (v[:, 0, 1] - v[:, 1, 0]).real,
-            0.5 * (v[:, 0, 0] - v[:, 1, 1]).imag,
-        ],
-        axis=1,
-    )
-    sin_a = np.linalg.norm(sin_n, axis=1)
-    alpha = np.arctan2(sin_a, cos_a)
-    scale = np.divide(alpha, sin_a, out=np.zeros_like(alpha), where=sin_a > 0.0)
-    return sin_n * scale[:, None]
+    t = _check_int("t", t, 1)
+    rows, mass = _block_rows(nu.d, t, len(nu.elements))
+    weights = np.array([w for w, _ in nu.elements])
+    logs = _hermitian_logs(np.stack([mat for _, mat in nu.elements]))
+    best = np.zeros(t + 1)
+    np.maximum.at(best, mass, [_block_norm(weights, logs, top) for top in rows])
+    return np.maximum.accumulate(best)[1:].tolist()
 
 
-def _spin_block_norm(weights: np.ndarray, h: np.ndarray, ell: int) -> float:
-    """Spectral norm of sum_k w_k D^ell(U_k), D^ell(U) = exp(2i h.J)."""
-    gen = np.einsum("ka,aij->kij", 2.0 * h, _spin_matrices(ell))
-    lam, q = np.linalg.eigh(gen)
-    block = np.einsum("k,kij,kj,klj->il", weights, q, np.exp(1j * lam), q.conj())
-    return float(np.linalg.norm(block, 2))
-
-
-def delta_design(nu: WeightedGateSet, t: int, dim_cap: int = DEFAULT_DIM_CAP) -> float:
-    """delta(nu, t): spectral norm of T_{nu,t} - T_{mu,t}.
-
-    At d = 2 the moment space splits into spins ell = 0..t, each present;
-    T_mu projects onto ell = 0, where T_nu is the identity, so delta is the
-    largest norm of sum_k w_k D^ell(U_k) over ell = 1..t, taken by SVD.
-    Each block is computed alone, so delta(t) is non-decreasing in t.
-    """
-    t = _check_moment_args(nu.d, t, dim_cap)
-    if nu.d == 2:
-        weights = np.array([w for w, _ in nu.elements])
-        h = _su2_axis_angles(np.stack([mat for _, mat in nu.elements]))
-        return max(_spin_block_norm(weights, h, ell) for ell in range(1, t + 1))
-    diff = measure_moment(nu, t, dim_cap).matrix - haar_moment_projector(nu.d, t, dim_cap).matrix
-    return _spectral_norm(diff)
+def delta_design(nu: WeightedGateSet, t: int) -> float:
+    """delta(nu, t): spectral norm of T_{nu,t} - T_{mu,t}; see design_deltas."""
+    return design_deltas(nu, t)[-1]
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,17 @@ referee the package's array enumerators row for row. Running this file
 prints the frozen constants used in the tests together with internal
 consistency diagnostics (character series vs. Poisson lattice sums
 agreeing to ~20 digits).
+
+The dense moment operators at the end are the float oracle for the design
+tester: T_nu assembled as a d^(2t) matrix, the Haar projector as the
+orthogonal projector onto the vectorized permutation operators, and delta
+as the SVD norm of their difference.
 """
 
+import itertools
+
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 50
 
@@ -231,6 +239,70 @@ def application1_ell_mp(d, eps, delta):
         mp.log(1 / kappa_mp(d))
         + n * (mp.mpf(5) / 4 * mp.log(1 / eps) + mp.mpf(3) / 4 * mp.log(dcap * d))
     ) / mp.log(1 / delta)
+
+
+def _cycle_count(perm):
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycles += 1
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+    return cycles
+
+
+def _perm_matrix(d, sigma):
+    """Permutation operator on (C^d)^{(x)t} sending digit tuple x to x o sigma."""
+    t = len(sigma)
+    n = d**t
+    digits = np.stack(np.unravel_index(np.arange(n), (d,) * t), axis=0)
+    target = np.ravel_multi_index(tuple(digits[list(sigma), :]), (d,) * t)
+    mat = np.zeros((n, n))
+    mat[target, np.arange(n)] = 1.0
+    return mat
+
+
+def haar_moment_projector(d, t):
+    """T_mu: orthogonal projector onto the span of vectorized permutation
+    operators. The Gram matrix G[a, b] = d^#cycles(a^-1 b) is exact integer
+    data; its pseudo-inverse (cutoff 1e-10 relative) absorbs the rank
+    deficiency that appears once t exceeds d."""
+    perms = list(itertools.permutations(range(t)))
+    v = np.stack([_perm_matrix(d, s).ravel() for s in perms], axis=1)
+    inverse = {s: tuple(np.argsort(s)) for s in perms}
+    gram = np.array(
+        [
+            [float(d ** _cycle_count(tuple(inverse[a][b[i]] for i in range(t)))) for b in perms]
+            for a in perms
+        ]
+    )
+    return (v @ np.linalg.pinv(gram, rcond=1e-10, hermitian=True) @ v.T).astype(complex)
+
+
+def _kron_power(mat, t):
+    out = mat
+    for _ in range(t - 1):
+        out = np.kron(out, mat)
+    return out
+
+
+def measure_moment(nu, t):
+    """T_nu: weighted sum of U^{(x)t} (x) conj(U)^{(x)t} over a WeightedGateSet."""
+    dim = nu.d ** (2 * t)
+    total = np.zeros((dim, dim), dtype=complex)
+    for w, mat in nu.elements:
+        ut = _kron_power(mat, t)
+        total += w * np.kron(ut, ut.conj())
+    return total
+
+
+def dense_delta(nu, t):
+    """SVD norm of T_nu - T_mu, built densely."""
+    return float(np.linalg.norm(measure_moment(nu, t) - haar_moment_projector(nu.d, t), 2))
 
 
 def main():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,8 @@ import pytest
 
 import udnet
 import udnet.cli as cli
+import udnet.design_tester as design_tester
+from udnet import bounds
 from udnet.cli import main
 from udnet.design_tester import WeightedGateSet, gate_set_to_json
 from udnet.kernels import EvalResult, KernelParams, TruncationError, heat_pu_char
@@ -150,17 +153,36 @@ def test_design_delta_pauli(capsys, pauli_file):
     assert doc["config"]["d"] == 2
     rows = {r["s"]: r for r in doc["results"]}
     assert rows[1]["delta"] <= 1e-12
-    assert rows[1]["implied_eps"] == cli._implied_eps(2, rows[1]["delta"])
+    # delta = 0 meets every delta_max, but s = 1 is far below t_min(2, 2) = 253
+    assert rows[1]["implied_eps"] == "none"
     assert rows[2]["delta"] == pytest.approx(1.0, abs=1e-10)
     assert rows[2]["implied_eps"] == "none"
 
 
+def test_implied_eps_needs_both_theorem_conditions():
+    assert 253 < bounds.theorem1_t_min(2, 2.0) < 254
+    assert cli._implied_eps(2, 0.0, 253) is None
+    assert cli._implied_eps(2, 0.5, 10**9) is None  # above delta_max(2, 2)
+    # the reported eps meets both conditions and no smaller eps does
+    cases = ((0.0, 254, "s"), (1e-300, 1000, "s"), (math.exp(-20.0), 10**6, "delta"))
+    for delta, s, binding in cases:
+        eps = cli._implied_eps(2, delta, s)
+        log_delta = math.log(delta) if delta > 0 else -math.inf
+        assert bounds.theorem2_delta_max(2, eps) >= log_delta
+        assert s >= bounds.theorem1_t_min(2, eps)
+        below = eps * (1.0 - 1e-9)
+        if binding == "s":
+            assert s < bounds.theorem1_t_min(2, below)
+        else:
+            assert bounds.theorem2_delta_max(2, below) < log_delta
+
+
 def test_design_delta_resource_cap_exits_4(pauli_file, monkeypatch):
-    # The cap is checked for the largest t before any smaller order is computed.
-    calls = []
-    monkeypatch.setattr(cli, "delta_design", lambda nu, s: calls.append(s) or 0.0)
-    assert main(["design-delta", pauli_file, "--t", "7"]) == 4
-    assert calls == []
+    # The block budget is checked for the largest t before any block is built.
+    built = []
+    monkeypatch.setattr(design_tester, "_gt_generators", lambda top: built.append(top))
+    assert main(["design-delta", pauli_file, "--t", "200"]) == 4
+    assert built == []
 
 
 def test_design_delta_bad_json_exits_2(tmp_path):
@@ -226,6 +248,20 @@ def test_validate_skips_unsupported_dimension(capsys):
     _, rows = _parse_csv(capsys.readouterr().out)
     assert rows
     assert all(r["status"] == "skipped" for r in rows)
+
+
+def test_trimming_rows_never_pass_on_zero(capsys):
+    # trimming_error reads 0.0 when the whole tail is below its resolution;
+    # such a row is skipped with a note instead of passing
+    for d in (2, 3, 4):
+        assert main(["validate", "--suite", "trimming", "--d", str(d), "--n", "100"]) == 0
+        rows = _json_out(capsys)["results"]
+        assert rows
+        for r in rows:
+            assert r["status"] != "pass" or r["measured"] > 0.0
+            if r["measured"] == 0.0:
+                assert r["status"] == "skipped"
+                assert r["note"] == "below resolution sqrt(tail_tol) = 1e-06"
 
 
 def test_validate_rejects_tiny_n():

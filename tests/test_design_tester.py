@@ -1,33 +1,41 @@
-"""Moment projectors, design deltas for gate sets with known orders, and the
-net probe.
+"""Gelfand-Tsetlin blocks, design deltas for gate sets with known orders,
+and the net probe.
 
 Ground truths: the Pauli group is an exact 1-design and fails t = 2 with
 delta = 1; the 24-element single-qubit Clifford group (generated projectively
-by H and S) is an exact 3-design and fails t = 4; projector traces count
-pairs of standard Young tableaux with at most d rows.
+by H and S) is an exact 3-design and fails t = 4; the d = 3 Weyl-Heisenberg
+group is a 1-design with delta(2) = 1. The dense moment operators of
+tests/oracles.py referee delta; their projector traces count pairs of
+standard Young tableaux with at most d rows. The blocks are checked as a
+representation: commutation relations, pi(UV) = pi(U) pi(V) with pi(U) taken
+by scipy's expm, and traces against the character engine.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import udnet.design_tester as dt
 from udnet.design_tester import (
-    DEFAULT_DIM_CAP,
-    MomentOperator,
+    BLOCK_BUDGET,
     ResourceLimitError,
     WeightedGateSet,
     delta_design,
+    design_deltas,
     gate_set_from_json,
     gate_set_to_json,
-    haar_moment_projector,
-    measure_moment,
     net_probe,
 )
 from udnet.lie_core import InvalidParameterError
 from udnet.montecarlo import RngStream
+from udnet.weights_chars import _char_batch, _projective_tuples
+
+from oracles import dense_delta, haar_moment_projector, measure_moment
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -77,19 +85,45 @@ def _icosahedral_60() -> list[np.ndarray]:
     return _closure((quaternion(0.5, 0.5, 0.5, 0.5), quaternion(phi / 2, 0.5 / phi, 0.5, 0.0)))
 
 
-def _haar_u2(rng: np.random.Generator, k: int) -> np.ndarray:
-    """k Haar-random 2x2 unitaries: QR of a Ginibre draw, R diagonal made positive."""
-    z = rng.standard_normal((k, 2, 2)) + 1j * rng.standard_normal((k, 2, 2))
+def _haar_u(rng: np.random.Generator, k: int, d: int = 2) -> np.ndarray:
+    """k Haar-random d x d unitaries: QR of a Ginibre draw, R diagonal made positive."""
+    z = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=1, axis2=2)
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def _dense_delta(nu: WeightedGateSet, t: int) -> float:
-    """SVD norm of the dense moment difference: the oracle for delta_design."""
-    m = measure_moment(nu, t).matrix
-    p = haar_moment_projector(nu.d, t).matrix
-    return float(np.linalg.norm(m - p, 2))
+def _random_set(rng: np.random.Generator, k: int, d: int) -> WeightedGateSet:
+    """k Haar-random gates with random global phases and random weights."""
+    mats = _haar_u(rng, k, d) * np.exp(2j * math.pi * rng.random(k))[:, None, None]
+    weights = rng.random(k) + 0.05
+    return WeightedGateSet(d, tuple(zip(weights / weights.sum(), mats)))
+
+
+def _full_generators(top) -> np.ndarray:
+    """pi(E_ij) for all i, j as a (d, d, dim, dim) array."""
+    diag, upper = dt._gt_generators(np.asarray(top))
+    d, dim = diag.shape
+    e = np.zeros((d, d, dim, dim))
+    for k in range(d):
+        e[k, k] = np.diag(diag[k])
+    for p, (i, j) in enumerate(zip(*np.triu_indices(d, 1))):
+        e[i, j], e[j, i] = upper[p], upper[p].T
+    return e
+
+
+def _pi(top, mats) -> np.ndarray:
+    """pi(U) = expm(i pi(G)) for the Hermitian logs G of the design tester."""
+    e = _full_generators(top)
+    logs = dt._hermitian_logs(np.asarray(mats, dtype=complex))
+    return np.stack([scipy.linalg.expm(1j * np.einsum("ij,ijab->ab", g, e)) for g in logs])
+
+
+_LABELS = [tuple(r) for d in (2, 3, 4) for r in _projective_tuples(d, 2)[1:].tolist()] + [
+    (3, 0, -3),
+    (4, -2, -2),
+    (1, 1, 0, -1, -1),
+]
 
 
 def test_gate_set_validation():
@@ -107,21 +141,20 @@ def test_gate_set_validation():
 )
 def test_projector_trace_counts_tableau_pairs(d, t, trace):
     p = haar_moment_projector(d, t)
-    assert isinstance(p, MomentOperator)
-    assert p.matrix.shape == (d ** (2 * t), d ** (2 * t))
-    assert np.trace(p.matrix).real == pytest.approx(trace, abs=1e-9)
+    assert p.shape == (d ** (2 * t), d ** (2 * t))
+    assert np.trace(p).real == pytest.approx(trace, abs=1e-9)
 
 
 def test_projector_is_hermitian_idempotent():
-    p = haar_moment_projector(2, 2).matrix
+    p = haar_moment_projector(2, 2)
     assert abs(p - p.conj().T).max() < 1e-12
     assert abs(p @ p - p).max() < 1e-11
 
 
 def test_pauli_is_exact_one_design():
     nu = _pauli_set()
-    m = measure_moment(nu, 1).matrix
-    p = haar_moment_projector(2, 1).matrix
+    m = measure_moment(nu, 1)
+    p = haar_moment_projector(2, 1)
     assert abs(m - p).max() < 1e-12
     assert delta_design(nu, 1) <= 1e-12
 
@@ -148,11 +181,7 @@ def test_clifford_group_is_exact_three_design_not_four():
 def test_delta_matches_dense_operator_norm():
     # independent route: assemble M - P explicitly and take the SVD norm
     nu = _pauli_set()
-    t = 2
-    m = measure_moment(nu, t).matrix
-    p = haar_moment_projector(2, t).matrix
-    want = np.linalg.norm(m - p, 2)
-    assert delta_design(nu, t) == pytest.approx(want, abs=1e-9)
+    assert delta_design(nu, 2) == pytest.approx(dense_delta(nu, 2), abs=1e-13)
 
 
 def test_spin_blocks_match_dense_oracle():
@@ -165,14 +194,14 @@ def test_spin_blocks_match_dense_oracle():
     near_minus_i = -(math.cos(3e-8) * _I + 1j * math.sin(3e-8) * _Z)
     specials = (_X, -_I, 1j * _I, near_i, near_minus_i)
     for size in (1, 2, 3, 4, 5, 7, 9, 12, 16, 20, 25, 30):
-        mats = _haar_u2(rng, size) * np.exp(2j * math.pi * rng.random(size))[:, None, None]
+        mats = _haar_u(rng, size) * np.exp(2j * math.pi * rng.random(size))[:, None, None]
         for k, g in enumerate(specials[: max(0, size - 1)]):
             mats[k] = g
         weights = rng.random(size) + 0.05
         weights /= weights.sum()
         nu = WeightedGateSet(2, tuple(zip(weights, mats)))
         for t in (1, 2, 3, 4):
-            assert abs(delta_design(nu, t) - _dense_delta(nu, t)) <= 1e-13
+            assert abs(delta_design(nu, t) - dense_delta(nu, t)) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -183,7 +212,7 @@ def test_conjugated_group_designs_up_to_t6(group, strength):
     # A group average is a projector: delta is 0 up to the strength and 1 above.
     gates = group()
     assert len(gates) == {5: 60, 3: 24}[strength]
-    (v,) = _haar_u2(np.random.default_rng(strength), 1)
+    (v,) = _haar_u(np.random.default_rng(strength), 1)
     nu = WeightedGateSet(2, tuple((1.0 / len(gates), v @ g @ v.conj().T) for g in gates))
     for t in range(1, 7):
         want = 0.0 if t <= strength else 1.0
@@ -195,29 +224,77 @@ def test_random_sets_monotone_and_exact():
     # monotone order in s on about one set in six.
     rng = np.random.default_rng(24)
     for _ in range(20):
-        nu = WeightedGateSet(2, tuple((1.0 / 24.0, g) for g in _haar_u2(rng, 24)))
-        deltas = [delta_design(nu, s) for s in range(1, 7)]
+        nu = WeightedGateSet(2, tuple((1.0 / 24.0, g) for g in _haar_u(rng, 24)))
+        deltas = design_deltas(nu, 6)
         assert all(a <= b for a, b in zip(deltas, deltas[1:]))
+        assert deltas[-1] == delta_design(nu, 6)
         for s in (1, 2, 3, 4):
-            assert abs(deltas[s - 1] - _dense_delta(nu, s)) <= 1e-13
+            assert abs(deltas[s - 1] - dense_delta(nu, s)) <= 1e-13
 
 
-def test_dense_route_at_d3():
-    # d >= 3 keeps the dense operators: the Weyl-Heisenberg group is a
-    # 1-design and not a 2-design, and a random set matches the SVD norm.
+def test_blocks_match_dense_oracle_at_d3_d4():
+    # The Weyl-Heisenberg group is a 1-design and not a 2-design; random
+    # sets match the dense SVD norm, including a one-gate set (delta = 1).
     w = np.exp(2j * math.pi / 3)
     shift = np.roll(np.eye(3, dtype=complex), 1, axis=0)
     clock = np.diag([1, w, w * w])
     power = np.linalg.matrix_power
     weyl = [power(shift, a) @ power(clock, b) for a in range(3) for b in range(3)]
     nu = WeightedGateSet(3, tuple((1.0 / 9.0, g) for g in weyl))
-    assert delta_design(nu, 1) <= 1e-12
-    assert delta_design(nu, 2) == pytest.approx(1.0, abs=1e-10)
+    one, two = design_deltas(nu, 2)
+    assert one <= 1e-13
+    assert abs(two - 1.0) <= 1e-13
     rng = np.random.default_rng(3)
-    q, _ = np.linalg.qr(rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3)))
-    rand = WeightedGateSet(3, tuple((0.25, g) for g in q))
-    for t in (1, 2):
-        assert delta_design(rand, t) == pytest.approx(_dense_delta(rand, t), abs=1e-9)
+    for d, t, sizes in ((3, 3, (1, 2, 4, 9)), (4, 2, (1, 3, 6))):
+        for size in sizes:
+            rand = _random_set(rng, size, d)
+            deltas = design_deltas(rand, t)
+            assert all(a <= b for a, b in zip(deltas, deltas[1:]))
+            for s in range(1, t + 1):
+                assert abs(deltas[s - 1] - dense_delta(rand, s)) <= 1e-12
+
+
+def test_gate_chunks_sum_to_the_same_blocks(monkeypatch):
+    # _block_norm takes the gates in chunks of _CHUNK // dim^2; one gate
+    # per chunk gives the same deltas as one chunk for all
+    nu = _random_set(np.random.default_rng(8), 9, 3)
+    whole = design_deltas(nu, 3)
+    monkeypatch.setattr(dt, "_CHUNK", 1)
+    parts = design_deltas(nu, 3)
+    assert max(abs(a - b) for a, b in zip(whole, parts)) <= 1e-14
+
+
+@pytest.mark.parametrize("top", _LABELS)
+def test_gt_generators_satisfy_commutation_relations(top):
+    # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj for every index quadruple
+    e = _full_generators(top)
+    d = len(top)
+    eye = np.eye(d)
+    worst = 0.0
+    for i, j, k, l in itertools.product(range(d), repeat=4):
+        lhs = e[i, j] @ e[k, l] - e[k, l] @ e[i, j]
+        rhs = eye[j, k] * e[i, l] - eye[l, i] * e[k, j]
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("top", _LABELS)
+def test_gt_blocks_are_a_unitary_representation(top):
+    # pi(UV) = pi(U) pi(V), pi(U) unitary, tr pi(U) = chi_lambda(U); pi
+    # ignores global phases. Includes a gate near -I with repeated phases.
+    d = len(top)
+    rng = np.random.default_rng(sum(abs(x) for x in top) + 10 * d)
+    u, v = _haar_u(rng, 2, d)
+    near = -scipy.linalg.expm(1e-7j * np.diag(np.arange(d) - (d - 1) / 2.0)) * np.exp(0.3j)
+    p_u, p_v, p_uv, p_near = _pi(top, [u, v, u @ v, near])
+    dim = p_u.shape[0]
+    assert abs(p_uv - p_u @ p_v).max() <= 1e-12
+    for p in (p_u, p_near):
+        assert abs(p.conj().T @ p - np.eye(dim)).max() <= 1e-12
+    theta = np.angle(np.linalg.eigvals(np.stack([u, v, near])))
+    chars = _char_batch(np.array([top]), theta - theta.mean(axis=1, keepdims=True))[0]
+    traces = np.trace(np.stack([p_u, p_v, p_near]), axis1=1, axis2=2)
+    assert abs(traces - chars).max() <= 1e-12 * dim
 
 
 def test_delta_is_invariant_under_global_phases():
@@ -252,12 +329,29 @@ def test_gate_set_from_json_rejects_garbage():
         gate_set_from_json({"d": 2, "elements": []})
 
 
-def test_resource_cap():
-    assert DEFAULT_DIM_CAP == 4096
-    with pytest.raises(ResourceLimitError, match="exceeds cap"):
-        haar_moment_projector(2, 7)
-    with pytest.raises(ResourceLimitError):
-        delta_design(_pauli_set(), 3, dim_cap=32)
+def test_resource_cap(monkeypatch):
+    # gates x sum of dim_lambda^3 over the blocks; an over-budget call
+    # raises before any generator or block is built.
+    assert BLOCK_BUDGET == 10**10
+    built = []
+    monkeypatch.setattr(dt, "_gt_generators", lambda top: built.append(top))
+    # Pauli, t = 200: 4 x sum_ell (2 ell + 1)^3 = 1.3e10, found from the rows
+    with pytest.raises(ResourceLimitError, match="exceeds the budget"):
+        delta_design(_pauli_set(), 200)
+
+    # d = 5, t = 100: the row count alone rules it out; no row is built
+    def refuse(d, t):
+        raise AssertionError("rows counted or built")
+
+    monkeypatch.setattr(dt, "_projective_tuples", refuse)
+    nu = WeightedGateSet(5, ((1.0, np.eye(5, dtype=complex)),))
+    with pytest.raises(ResourceLimitError, match="exceeds the budget"):
+        design_deltas(nu, 100)
+    # t = 10^12: t alone rules it out; the rows are not even counted
+    monkeypatch.setattr(dt, "_projective_count", refuse)
+    with pytest.raises(ResourceLimitError, match="exceeds the budget"):
+        design_deltas(nu, 10**12)
+    assert built == []
 
 
 def test_net_probe_covered_and_uncovered():
