@@ -15,7 +15,11 @@ exp(-sigma*k) for value sums and exp(-2*sigma*k) for Plancherel sums.
 Lattice sums are cut at the smallest sup-norm radius K whose Gaussian shell
 envelope, multiplied by the assembled prefactor, drops below tail_tol.
 Both envelopes are log-concave in the shell index, so once consecutive
-shell ratios fall under 1/2 the remainder closes geometrically.
+shell ratios fall under 1/2 the remainder closes geometrically, and once a
+term past the peak underflows to 0.0 every later one adds exactly 0.0.
+Both cutoffs come from one walk (_envelope_cutoff) that evaluates each
+shell once and tries the cutoffs in increasing order, dropping a cutoff as
+soon as its partial tail is too large.
 
 Near-regular points (eigenphase gap below 1e-6) cancel catastrophically in
 the raw Poisson form; they are handled by a symmetric four-point jitter of
@@ -72,10 +76,11 @@ __all__ = [
 ]
 
 _LOG_TINY = -745.0
+_LOG_HALF = math.log(0.5)
 _JITTER_H = 1e-5
 _MAX_LATTICE_RADIUS = 512
-_SHELL_MEMO = 1 << 16
-_MAX_TERMS = 2_000_000  # weights a sum may enumerate unless told otherwise
+_MAX_WEIGHT_CUTOFF = 1 << 26
+_MAX_TERMS = 2_000_000  # weights one sum may enumerate
 
 
 class TruncationError(RuntimeError):
@@ -95,19 +100,16 @@ class KernelParams:
     """Evaluation controls shared by all kernel forms.
 
     trim_t = None means the untrimmed kernel; an integer restricts the
-    projective weight sum to one-norm <= 2*trim_t. lattice_radius = None
-    selects the sup-norm radius automatically so the dropped Poisson tail
-    stays below tail_tol; an explicit radius is honored as given and the
-    returned truncation_bound then reports whatever tail it implies.
-    max_terms caps the number of enumerated weights.
+    projective weight sum to one-norm <= 2*trim_t. The weight cutoff and
+    the Poisson lattice radius are the smallest whose dropped tail stays
+    below tail_tol; a character sum over more than 2,000,000 weights raises
+    TruncationError before any weight is enumerated.
     """
 
     d: int
     sigma: float
     trim_t: int | None = None
     tail_tol: float = 1e-12
-    lattice_radius: int | None = None
-    max_terms: int = _MAX_TERMS
 
     def __post_init__(self):
         _check_dimension(self.d)
@@ -115,9 +117,6 @@ class KernelParams:
         if self.trim_t is not None:
             _check_int("trim_t", self.trim_t)
         _check_unit_open("tail_tol", self.tail_tol)
-        if self.lattice_radius is not None:
-            _check_int("lattice_radius", self.lattice_radius, 1)
-        _check_int("max_terms", self.max_terms, 1)
 
 
 @dataclass(frozen=True)
@@ -132,31 +131,6 @@ def _check_point(p: KernelParams, x: TorusPoint) -> None:
         raise InvalidParameterError(f"expected a TorusPoint, got {type(x).__name__}")
     if x.d != p.d:
         raise InvalidParameterError(f"point dimension {x.d} does not match params d = {p.d}")
-
-
-def _env_tail(log_env, start: int, hard_cap: int = 5_000_000) -> float:
-    """Upper bound on sum_{j >= start} exp(log_env(j)) for concave log_env.
-
-    Walks shells until consecutive ratios drop under 1/2, then closes the
-    remainder geometrically; concavity makes later ratios no larger.
-    """
-    total = 0.0
-    j = start
-    g = log_env(j)
-    while True:
-        if g > _LOG_HUGE:
-            return math.inf
-        term = math.exp(g) if g > _LOG_TINY else 0.0
-        g2 = log_env(j + 1)
-        dg = g2 - g
-        if dg <= math.log(0.5):
-            r = math.exp(dg)
-            return total + term * (1.0 + r / (1.0 - r))
-        total += term
-        j += 1
-        g = g2
-        if j - start > hard_cap:
-            return math.inf
 
 
 def _pu_shell_log_env(d: int, sigma: float, rate: float, j: float) -> float:
@@ -178,59 +152,65 @@ def _su_shell_log_env(d: int, sigma: float, rate: float, s: float) -> float:
     )
 
 
-def _weight_cutoff(
-    shell_log_env, d: int, sigma: float, rate: float, tol: float, even: bool
-) -> tuple[int, float]:
-    """Smallest cutoff L (even if requested) whose envelope tail is below tol.
+def _envelope_cutoff(log_env, first: int, step: int, fits, limit: int) -> tuple[int, float]:
+    """Smallest cutoff L = first + k*step, at most limit, whose envelope tail fits.
 
-    shell_log_env is _pu_shell_log_env or _su_shell_log_env; rate is 1 for
-    value sums and 2 for Plancherel sums. Returns (L, tail beyond L).
+    The tail beyond L bounds sum_{j > L} exp(log_env(j)) for a concave
+    log_env. It is summed forward from L + 1 until consecutive shell ratios
+    drop under 1/2 and then closed geometrically, since concavity makes later
+    ratios no larger. A shell past the peak whose term underflows to 0.0 also
+    ends the sum: every later term adds exactly 0.0. fits(tail) must stay
+    False once False as the tail grows, so a cutoff is dropped as soon as its
+    partial sum is rejected. Each shell is evaluated once. Returns (L, tail);
+    raises TruncationError when no cutoff up to limit fits.
     """
-    # Each probe re-walks the shells past its start; evaluating each shell
-    # once keeps the floats, and so L and its tail, the same bit for bit.
-    log_env = functools.lru_cache(maxsize=_SHELL_MEMO)(
-        functools.partial(shell_log_env, d, sigma, rate)
-    )
+    logs = {}
 
-    @functools.cache
-    def tail(L):
-        return _env_tail(log_env, L + 1)
+    def g(j):
+        if j not in logs:
+            logs[j] = log_env(j)
+        return logs[j]
 
-    step = 2 if even else 1
-    if tail(0) < tol:
-        return 0, tail(0)
-    lo, hi = 0, step
-    while tail(hi) >= tol:
-        lo = hi
-        hi *= 2
-        if hi > (1 << 26):
+    L = first
+    while True:
+        total, j = 0.0, L + 1
+        while fits(total):
+            gj = g(j)
+            if gj > _LOG_HUGE:
+                total = math.inf
+                break
+            term = math.exp(gj) if gj > _LOG_TINY else 0.0
+            dg = g(j + 1) - gj
+            if dg <= _LOG_HALF:
+                r = math.exp(dg)
+                total += term * (1.0 + r / (1.0 - r))
+                break
+            if term == 0.0 and dg < 0.0:
+                break
+            total += term
+            j += 1
+        if fits(total):
+            return L, total
+        for k in range(L + 1, L + step + 1):
+            logs.pop(k, None)
+        L += step
+        if L > limit:
             raise TruncationError(
-                f"weight-sum cutoff exceeds {1 << 26}; required cutoff is at least {hi}",
-                required_cutoff=hi,
+                f"cutoff exceeds {limit}; required cutoff is at least {L}", required_cutoff=L
             )
-    while hi - lo > step:
-        mid = (lo + hi) // 2
-        mid -= mid % step
-        if mid <= lo:
-            mid = lo + step
-        if tail(mid) >= tol:
-            lo = mid
-        else:
-            hi = mid
-    return hi, tail(hi)
 
 
-def _label_rows(d: int, cutoff: int, projective: bool, max_terms: int, reason: str) -> np.ndarray:
+def _label_rows(d: int, cutoff: int, projective: bool, reason: str) -> np.ndarray:
     """Label rows up to cutoff (projective one-norm or SU level).
 
-    The rows are counted before any array is built; over max_terms this
+    The rows are counted before any array is built; over _MAX_TERMS this
     raises TruncationError carrying the cutoff.
     """
     count = _projective_count(d, cutoff // 2) if projective else _su_label_count(d, cutoff)
-    if count > max_terms:
+    if count > _MAX_TERMS:
         raise TruncationError(
             f"{reason} needs {count} weights, over the"
-            f" max_terms budget {max_terms}; required cutoff {cutoff}",
+            f" term budget {_MAX_TERMS}; required cutoff {cutoff}",
             required_cutoff=cutoff,
         )
     return _projective_tuples(d, cutoff // 2) if projective else _su_label_tuples(d, cutoff)
@@ -259,13 +239,14 @@ def _char_eval(
         cutoff = 2 * p.trim_t
         tail = 0.0
         skip_budget = 0.0
-    elif projective:
-        cutoff, tail = _weight_cutoff(_pu_shell_log_env, d, sigma, 1.0, 0.5 * p.tail_tol, even=True)
-        skip_budget = 0.4 * p.tail_tol
     else:
-        cutoff, tail = _weight_cutoff(_su_shell_log_env, d, sigma, 1.0, 0.5 * p.tail_tol, even=False)
+        env = functools.partial(_pu_shell_log_env if projective else _su_shell_log_env, d, sigma, 1.0)
+        tol = 0.5 * p.tail_tol
+        cutoff, tail = _envelope_cutoff(
+            env, 0, 2 if projective else 1, lambda tail: tail < tol, _MAX_WEIGHT_CUTOFF
+        )
         skip_budget = 0.4 * p.tail_tol
-    lams = _label_rows(d, cutoff, projective, p.max_terms, f"tail_tol = {p.tail_tol:g}")
+    lams = _label_rows(d, cutoff, projective, f"tail_tol = {p.tail_tol:g}")
 
     dims = _dim_array(lams)
     cas = _casimir_array(lams)
@@ -339,28 +320,16 @@ def _lattice_grid(d: int, radius: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _lattice_log_tail(d: int, sigma: float, radius: int) -> float:
-    """Log bound on the dropped lattice sum beyond sup-norm radius.
-
-    Valid for canonical angles |phi_i| <= pi: the extremal coordinate of a
-    shell-kappa lattice point keeps |phi + 2*pi*k| >= pi*(2*kappa - 1), and
-    the root-product is bounded by (d*pi*(2*kappa+1))^m over the shell.
-    """
+def _lattice_shell_log_env(d: int, sigma: float, kappa: float) -> float:
+    # valid for canonical angles |phi_i| <= pi: the extremal coordinate of a
+    # shell-kappa lattice point keeps |phi + 2*pi*k| >= pi*(2*kappa - 1), and
+    # the root-product is bounded by (d*pi*(2*kappa+1))^m over the shell
     m = d * (d - 1) // 2
-
-    def shell(kappa):
-        return (
-            math.log(2.0 * (d - 1)) if d > 2 else 0.0
-        ) + (d - 2) * math.log(2.0 * kappa + 1.0) + m * math.log(
-            d * math.pi * (2.0 * kappa + 1.0)
-        ) - d * math.pi**2 * (2.0 * kappa - 1.0) ** 2 / (2.0 * sigma)
-
-    val = _env_tail(shell, radius + 1)
-    if val == 0.0:
-        return -math.inf
-    if not math.isfinite(val):
-        return math.inf
-    return math.log(val)
+    return (
+        math.log(2.0 * (d - 1)) if d > 2 else 0.0
+    ) + (d - 2) * math.log(2.0 * kappa + 1.0) + m * math.log(
+        d * math.pi * (2.0 * kappa + 1.0)
+    ) - d * math.pi**2 * (2.0 * kappa - 1.0) ** 2 / (2.0 * sigma)
 
 
 def _poisson_su_core(p: KernelParams, x: TorusPoint) -> EvalResult:
@@ -381,22 +350,20 @@ def _poisson_su_core(p: KernelParams, x: TorusPoint) -> EvalResult:
             log_j += math.log(abs(v))
     log_pref = log_prefactor(d, sigma) + math.lgamma(d + 1) - log_j
 
-    if p.lattice_radius is not None:
-        radius = p.lattice_radius
-        log_tail = log_pref + _lattice_log_tail(d, sigma, radius)
-        bound = math.exp(log_tail) if log_tail < _LOG_HUGE else math.inf
-    else:
-        radius = None
-        for cand in range(1, _MAX_LATTICE_RADIUS + 1):
-            log_tail = log_pref + _lattice_log_tail(d, sigma, cand)
-            if log_tail < math.log(p.tail_tol):
-                radius = cand
-                bound = math.exp(log_tail)
-                break
-        if radius is None:
-            raise NumericalInstabilityError(
-                f"no lattice radius up to {_MAX_LATTICE_RADIUS} meets tail_tol = {p.tail_tol:g}"
-            )
+    def log_tail(tail):
+        return log_pref + (math.log(tail) if tail > 0.0 else -math.inf)
+
+    env = functools.partial(_lattice_shell_log_env, d, sigma)
+    log_tol = math.log(p.tail_tol)
+    try:
+        radius, tail = _envelope_cutoff(
+            env, 1, 1, lambda tail: log_tail(tail) < log_tol, _MAX_LATTICE_RADIUS
+        )
+    except TruncationError:
+        raise NumericalInstabilityError(
+            f"no lattice radius up to {_MAX_LATTICE_RADIUS} meets tail_tol = {p.tail_tol:g}"
+        ) from None
+    bound = math.exp(log_tail(tail))
 
     grid = _lattice_grid(d, radius)
     phi = np.asarray(x.phi, dtype=float)
@@ -486,17 +453,19 @@ def trimming_error(d: int, sigma: float, t: int, tail_tol: float = 1e-12) -> flo
     Square root of the Plancherel tail sum_{one-norm > 2t} d_lam^2
     exp(-2*sigma*k_lam); the omitted remainder of the squared sum is
     guaranteed below tail_tol. Raises TruncationError, before any weight is
-    enumerated, when the sum needs more than 2,000,000 weights (the
-    KernelParams.max_terms default); so do the two L2 norms below.
+    enumerated, when the sum needs more than 2,000,000 weights, the term
+    budget of every character and Plancherel sum; so do the two L2 norms
+    below.
     """
     _check_dimension(d)
     _check_positive("sigma", sigma)
     _check_int("t", t)
     _check_unit_open("tail_tol", tail_tol)
-    L, _ = _weight_cutoff(_pu_shell_log_env, d, sigma, 2.0, tail_tol, even=True)
+    env = functools.partial(_pu_shell_log_env, d, sigma, 2.0)
+    L, _ = _envelope_cutoff(env, 0, 2, lambda tail: tail < tail_tol, _MAX_WEIGHT_CUTOFF)
     if L <= 2 * t:
         return 0.0
-    lams = _label_rows(d, L, True, _MAX_TERMS, f"tail_tol = {tail_tol:g}")
+    lams = _label_rows(d, L, True, f"tail_tol = {tail_tol:g}")
     return math.sqrt(_plancherel_sq(sigma, lams[np.abs(lams).sum(axis=1) > 2 * t]))
 
 
@@ -505,7 +474,7 @@ def l2_norm_trimmed(d: int, sigma: float, t: int) -> float:
     _check_dimension(d)
     _check_positive("sigma", sigma)
     _check_int("t", t)
-    return math.sqrt(_plancherel_sq(sigma, _label_rows(d, 2 * t, True, _MAX_TERMS, f"t = {t}")))
+    return math.sqrt(_plancherel_sq(sigma, _label_rows(d, 2 * t, True, f"t = {t}")))
 
 
 def l2_norm_untrimmed(d: int, sigma: float, tail_tol: float = 1e-12) -> float:
@@ -513,6 +482,7 @@ def l2_norm_untrimmed(d: int, sigma: float, tail_tol: float = 1e-12) -> float:
     _check_dimension(d)
     _check_positive("sigma", sigma)
     _check_unit_open("tail_tol", tail_tol)
-    L, _ = _weight_cutoff(_pu_shell_log_env, d, sigma, 2.0, tail_tol, even=True)
-    lams = _label_rows(d, L, True, _MAX_TERMS, f"tail_tol = {tail_tol:g}")
+    env = functools.partial(_pu_shell_log_env, d, sigma, 2.0)
+    L, _ = _envelope_cutoff(env, 0, 2, lambda tail: tail < tail_tol, _MAX_WEIGHT_CUTOFF)
+    lams = _label_rows(d, L, True, f"tail_tol = {tail_tol:g}")
     return math.sqrt(_plancherel_sq(sigma, lams))

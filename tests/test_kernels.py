@@ -7,8 +7,11 @@ are quoted to full double precision.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,11 +30,12 @@ from udnet.kernels import (
     l2_norm_trimmed,
     l2_norm_untrimmed,
     trimming_error,
+    _envelope_cutoff,
+    _lattice_shell_log_env,
     _pu_shell_log_env,
     _su_shell_log_env,
-    _weight_cutoff,
 )
-from udnet.lie_core import InvalidParameterError, TorusPoint, _min_gaps
+from udnet.lie_core import _LOG_HUGE, InvalidParameterError, TorusPoint, _min_gaps, log_prefactor
 from udnet.montecarlo import RngStream, sample_haar_su
 from udnet.weights_chars import (
     _casimir_array,
@@ -247,8 +251,9 @@ def test_char_sum_matches_character_matrix_contraction(case):
     if trim_t is not None:
         cutoff = 2 * trim_t
     else:
-        env = _pu_shell_log_env if projective else _su_shell_log_env
-        cutoff, _ = _weight_cutoff(env, d, sigma, 1.0, 0.5 * p.tail_tol, even=projective)
+        env = functools.partial(_pu_shell_log_env if projective else _su_shell_log_env, d, sigma, 1.0)
+        tol = 0.5 * p.tail_tol
+        cutoff, _ = _envelope_cutoff(env, 0, 2 if projective else 1, lambda tail: tail < tol, 1 << 26)
     lams = _projective_tuples(d, cutoff // 2) if projective else _su_label_tuples(d, cutoff)
     dims = _dim_array(lams)
     coeff = dims * np.exp(-sigma * _casimir_array(lams))
@@ -305,14 +310,130 @@ def test_trimming_error_vanishes_numerically_at_high_order():
     assert trimming_error(2, 0.5, 60) < 1e-12
 
 
+# ------------------------------------------------------------ cutoff walk
+
+
+def _reference_tail(log_env, start, hard_cap=5_000_000):
+    # brute force: one full forward walk per start, to the first ratio under 1/2
+    total = 0.0
+    j = start
+    g = log_env(j)
+    while True:
+        if g > _LOG_HUGE:
+            return math.inf
+        term = math.exp(g) if g > -745.0 else 0.0
+        g2 = log_env(j + 1)
+        dg = g2 - g
+        if dg <= math.log(0.5):
+            r = math.exp(dg)
+            return total + term * (1.0 + r / (1.0 - r))
+        total += term
+        j += 1
+        g = g2
+        if j - start > hard_cap:
+            return math.inf
+
+
+def _reference_weight_cutoff(log_env, step, tol):
+    log_env = functools.cache(log_env)
+    L = 0
+    while True:
+        # a tail is at least its first term, so only cutoffs whose first
+        # dropped term is below tol need the full walk
+        if math.exp(min(log_env(L + 1), _LOG_HUGE)) < tol:
+            tail = _reference_tail(log_env, L + 1)
+            if tail < tol:
+                return L, tail
+        L += step
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_weight_cutoff_matches_linear_scan(d):
+    for sigma, rate, tol in itertools.product((0.005, 0.05, 0.5, 4.0), (1.0, 2.0), (1e-6, 0.5e-12, 1e-25)):
+        for shell, step in ((_pu_shell_log_env, 2), (_su_shell_log_env, 1)):
+            env = functools.partial(shell, d, sigma, rate)
+            got = _envelope_cutoff(env, 0, step, lambda tail: tail < tol, 1 << 26)
+            assert got == _reference_weight_cutoff(env, step, tol), (sigma, rate, tol, step)
+
+
+def _reference_poisson(d, sigma, phi, tol):
+    """(terms, bound) of one raw Poisson sum, from a direct scan of radii 1..8."""
+    th = TorusPoint(d, tuple(phi)).eigenphases()
+    log_j = 0.0
+    for i in range(d):
+        for j in range(i + 1, d):
+            log_j += math.log(abs(2.0 * math.sin(0.5 * (th[i] - th[j]))))
+    log_pref = log_prefactor(d, sigma) + math.lgamma(d + 1) - log_j
+    shell = functools.partial(_lattice_shell_log_env, d, sigma)
+    for radius in range(1, 9):
+        tail = _reference_tail(shell, radius + 1)
+        log_tail = log_pref + (math.log(tail) if tail > 0.0 else -math.inf)
+        if log_tail < math.log(tol):
+            return (2 * radius + 1) ** (d - 1), math.exp(log_tail)
+    pytest.fail("no radius up to 8 meets tol")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_lattice_radius_matches_direct_scan(d):
+    rng = np.random.default_rng(40 + d)
+    radii = set()
+    for sigma in (0.05, 0.5, 5.0, 20.0):
+        for _ in range(3):
+            phi = rng.uniform(-math.pi / d, math.pi / d, d - 1)
+            got = heat_su_poisson(KernelParams(d, sigma), TorusPoint(d, tuple(phi)))
+            assert (got.terms_used, got.truncation_bound) == _reference_poisson(d, sigma, phi, 1e-12)
+            radii.add(round(got.terms_used ** (1 / (d - 1))) // 2)
+        # a gap below 1e-6 takes the jittered Richardson average of four
+        # raw sums at 0.3 * tail_tol
+        phi = np.array([1.5e-7] if d == 2 else [0.4 + 3e-7] + [0.4] * (d - 2))
+        x = TorusPoint(d, tuple(phi))
+        assert x.min_gap() < 1e-6
+        got = heat_su_poisson(KernelParams(d, sigma), x)
+        step = 1e-5 * np.arange(1, d)
+        ref = {c: _reference_poisson(d, sigma, phi + c * step, 0.3e-12) for c in (1.0, -1.0, 0.5, -0.5)}
+        bound = (4.0 * max(ref[0.5][1], ref[-0.5][1]) + max(ref[1.0][1], ref[-1.0][1])) / 3.0
+        assert got.terms_used == sum(terms for terms, _ in ref.values())
+        assert got.truncation_bound == bound
+    assert len(radii) >= 3
+
+
+def test_weight_cutoff_evaluates_each_shell_once(monkeypatch):
+    import udnet.kernels as kernels
+
+    calls = Counter()
+
+    def counted(d, sigma, rate, j):
+        calls[j] += 1
+        return _pu_shell_log_env(d, sigma, rate, j)
+
+    monkeypatch.setattr(kernels, "_pu_shell_log_env", counted)
+    got = heat_pu_char(KernelParams(2, 1e-5), _pt(2, 0.1))
+    assert max(calls.values()) == 1
+    assert got.terms_used == 3295
+    assert got.truncation_bound == 4.896422363784987e-13
+
+
+def test_cutoff_limits_raise():
+    env = functools.partial(_pu_shell_log_env, 2, 0.05, 1.0)
+    with pytest.raises(TruncationError) as exc:
+        _envelope_cutoff(env, 0, 2, lambda t: t < 1e-12, 10)
+    assert exc.value.required_cutoff == 12
+    with pytest.raises(NumericalInstabilityError, match="no lattice radius up to 512"):
+        heat_su_poisson(KernelParams(2, 1e7), _pt(2, 0.3))
+
+
 # ------------------------------------------------------------------ errors
 
 
-def test_truncation_error_on_tiny_term_budget():
-    p = KernelParams(2, 0.05, max_terms=10)
+def test_truncation_error_over_term_budget(monkeypatch):
+    # d = 4, sigma = 0.05: the SU cutoff is level 540, 4,459,546 labels
+    import udnet.kernels as kernels
+
+    monkeypatch.setattr(kernels, "_su_label_tuples", lambda *args: pytest.fail("enumerated"))
     with pytest.raises(TruncationError) as exc:
-        heat_su_char(p, _pt(2, 0.3))
-    assert exc.value.required_cutoff > 10
+        heat_su_char(KernelParams(4, 0.05), _pt(4, 0.3, -0.1, 0.2))
+    assert "needs 4459546 weights" in str(exc.value)
+    assert exc.value.required_cutoff == 540
 
 
 def test_term_budget_checked_before_enumeration(monkeypatch):
@@ -325,8 +446,9 @@ def test_term_budget_checked_before_enumeration(monkeypatch):
         heat_pu_char(KernelParams(5, 0.2), _pt(5, 0.1, 0.2, -0.3, 0.05))
     assert "needs 2235417 weights" in str(exc.value)
     assert exc.value.required_cutoff == 192
-    with pytest.raises(TruncationError):
-        heat_su_char(KernelParams(2, 0.05, max_terms=10), _pt(2, 0.3))
+    with pytest.raises(TruncationError) as exc:
+        heat_su_char(KernelParams(4, 0.05), _pt(4, 0.3, -0.1, 0.2))
+    assert exc.value.required_cutoff == 540
     assert calls == []
 
 
@@ -358,12 +480,6 @@ def test_kernel_params_validation():
     with pytest.raises(InvalidParameterError):
         KernelParams(2, 0.5, tail_tol=0.0)
     with pytest.raises(InvalidParameterError):
-        KernelParams(2, 0.5, lattice_radius=0)
-    with pytest.raises(InvalidParameterError):
-        KernelParams(2, 0.5, max_terms=0)
-    with pytest.raises(InvalidParameterError):
-        KernelParams(2, 0.5, max_terms=True)
-    with pytest.raises(InvalidParameterError):
         KernelParams(2, 0.5, trim_t=True)
     # numpy integers are integers, as in the Monte Carlo estimators
     p = KernelParams(3, 0.1, trim_t=np.int64(3))
@@ -380,11 +496,3 @@ def test_dimension_mismatch_rejected():
 def test_error_taxonomy():
     assert issubclass(TruncationError, RuntimeError)
     assert issubclass(NumericalInstabilityError, RuntimeError)
-
-
-def test_explicit_lattice_radius_honored():
-    # radius 1 at moderate sigma already reproduces the automatic answer
-    x = _pt(2, 0.3)
-    auto = heat_su_poisson(KernelParams(2, 0.2), x)
-    fixed = heat_su_poisson(KernelParams(2, 0.2, lattice_radius=3), x)
-    assert fixed.value == pytest.approx(auto.value, rel=1e-12)
