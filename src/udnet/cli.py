@@ -76,6 +76,7 @@ _LN10 = math.log(10.0)
 _QUAD_DMAX = 3
 _TAIL_TOL = 1e-12  # squared-sum remainder left out of a trimming error
 _RETRY_SHIFT = 1_000_003
+_BELOW_RESOLUTION = f"below resolution sqrt(tail_tol) = {math.sqrt(_TAIL_TOL):g}"
 
 _log = logging.getLogger("udnet.cli")
 
@@ -168,24 +169,39 @@ def _render_csv(cfg: RunConfig, records: list[dict], fieldnames: list[str]) -> s
 # -- bounds ------------------------------------------------------------------
 
 
-def _cmd_bounds(args, seed: int, threads: int, fmt: str):
+# column name -> form of the design-to-net theorem's delta_max
+_DELTA_MAX_COLUMNS = {
+    f"log10_delta_max_{form}": form for form in ("theorem", "kappa", "exponential")
+}
+
+
+def _delta_max_columns(d: int, eps: float) -> dict:
+    return {
+        col: bounds.theorem2_delta_max(d, eps, form) / _LN10
+        for col, form in _DELTA_MAX_COLUMNS.items()
+    }
+
+
+def _cmd_bounds(args, seed: int, threads: int):
     d, eps = args.d, args.eps
-    row = {"t_min": bounds.theorem1_t_min(d, eps)}
-    for form in ("theorem", "kappa", "exponential"):
-        row[f"log10_delta_max_{form}"] = bounds.theorem2_delta_max(d, eps, form) / _LN10
+    row = {"t_min": bounds.theorem1_t_min(d, eps), **_delta_max_columns(d, eps)}
     row["sigma_star"] = bounds.sigma_star(d, eps)
     if args.delta is not None:
         row["ell"] = bounds.application1_ell(d, eps, args.delta)
     row["provenance"] = "closed-form"
-    params = {"d": d, "eps": eps, "delta": args.delta, "threads": threads}
-    cfg = RunConfig("bounds", params, seed, fmt, args.out)
-    return cfg, [row], list(row), EXIT_OK
+    return {"d": d, "eps": eps, "delta": args.delta}, [row], list(row), EXIT_OK
 
 
 # -- kernel ------------------------------------------------------------------
 
 
-def _cmd_kernel(args, seed: int, threads: int, fmt: str):
+def _rel_discrepancy(a: float, b: float) -> float:
+    """|a - b| relative to the larger magnitude; 0.0 when both are 0."""
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale > 0 else 0.0
+
+
+def _cmd_kernel(args, seed: int, threads: int):
     d = args.d
     phi = tuple(float(v) for v in args.phi)
     if len(phi) != d - 1:
@@ -198,47 +214,30 @@ def _cmd_kernel(args, seed: int, threads: int, fmt: str):
         )
     x = TorusPoint(d, phi)
     p = KernelParams(d, args.sigma, args.trim_t)
-    records: list[dict] = []
-    char_value = poisson_value = None
-    if args.form in ("char", "both"):
-        res = heat_pu_char(p, x)
-        char_value = res.value
-        records.append(
-            {
-                "form": "char",
-                "value": res.value,
-                "truncation_bound": res.truncation_bound,
-                "terms_used": res.terms_used,
-                "provenance": "plancherel",
-            }
-        )
-    if args.form in ("poisson", "both"):
-        res = heat_pu_poisson(p, x)
-        poisson_value = res.value
-        records.append(
-            {
-                "form": "poisson",
-                "value": res.value,
-                "truncation_bound": res.truncation_bound,
-                "terms_used": res.terms_used,
-                "provenance": "closed-form",
-            }
-        )
+    records = []
+    for form, kernel, provenance in (
+        ("char", heat_pu_char, "plancherel"),
+        ("poisson", heat_pu_poisson, "closed-form"),
+    ):
+        if args.form in (form, "both"):
+            res = kernel(p, x)
+            records.append(
+                {
+                    "form": form,
+                    "value": res.value,
+                    "truncation_bound": res.truncation_bound,
+                    "terms_used": res.terms_used,
+                    "provenance": provenance,
+                }
+            )
     if args.form == "both":
-        scale = max(abs(char_value), abs(poisson_value))
-        rel = abs(char_value - poisson_value) / scale if scale > 0 else 0.0
+        rel = _rel_discrepancy(records[0]["value"], records[1]["value"])
         for rec in records:
             rec["rel_discrepancy"] = rel
     params = {
-        "d": d,
-        "sigma": args.sigma,
-        "trim_t": args.trim_t,
-        "form": args.form,
-        "phi": list(phi),
-        "threads": threads,
+        "d": d, "sigma": args.sigma, "trim_t": args.trim_t, "form": args.form, "phi": list(phi)
     }
-    cfg = RunConfig("kernel", params, seed, fmt, args.out)
-    return cfg, records, list(records[0]), EXIT_OK
+    return params, records, list(records[0]), EXIT_OK
 
 
 # -- validate ----------------------------------------------------------------
@@ -288,6 +287,17 @@ def _skip(suite, check, provenance, note):
     return _record(suite, check, "skipped", None, None, None, None, provenance, note)
 
 
+def _bounded(suite, check, measured, bound, provenance, ok=True, n=None, trim_err=None):
+    """A row that passes when ok and measured <= bound. A row that rests on a
+    trimming error reading 0.0 checks nothing, since the whole tail lies below
+    what trimming_error resolves: it is skipped instead."""
+    if trim_err == 0.0:
+        status, note = "skipped", _BELOW_RESOLUTION
+    else:
+        status, note = ("pass" if ok and measured <= bound else "fail"), ""
+    return _record(suite, check, status, measured, bound, None, n, provenance, note)
+
+
 def _stat_check(ctx: _SuiteCtx, suite, check, trial, note=""):
     """trial(rng) -> (measured, bound, std_error, n, ok); one retry on failure."""
     sid = next(ctx.sid)
@@ -317,7 +327,7 @@ def _trim_check(d: int, sigma: float, t, gamma: float):
 def _pythagoras(d: int, sigma: float, t: int):
     """(trimming error, trimmed norm, untrimmed norm, relative residual of
     err^2 + trimmed^2 = untrimmed^2)."""
-    err = trimming_error(d, sigma, t)
+    err = trimming_error(d, sigma, t, _TAIL_TOL)
     l2t = l2_norm_trimmed(d, sigma, t)
     l2u = l2_norm_untrimmed(d, sigma)
     resid = abs(err * err + l2t * l2t - l2u * l2u) / max(l2u * l2u, 1e-300)
@@ -329,24 +339,9 @@ def _suite_trimming(ctx: _SuiteCtx) -> list[dict]:
     out = []
     for sigma in sigmas:
         t, err, rep = _trim_check(ctx.d, sigma, "auto", ctx.gamma)
-        status = "pass" if err <= rep.value_unchecked and rep.all_ok else "fail"
-        note = ""
-        if err == 0.0:
-            # the whole tail lies below what trimming_error resolves
-            status, note = "skipped", f"below resolution sqrt(tail_tol) = {math.sqrt(_TAIL_TOL):g}"
-        out.append(
-            _record(
-                "trimming",
-                f"sigma={sigma:g},t={t}",
-                status,
-                err,
-                rep.value_unchecked,
-                None,
-                None,
-                "plancherel",
-                note,
-            )
-        )
+        check = f"sigma={sigma:g},t={t}"
+        bound = rep.value_unchecked
+        out.append(_bounded("trimming", check, err, bound, "plancherel", rep.all_ok, trim_err=err))
     return out
 
 
@@ -363,19 +358,9 @@ def _suite_i0(ctx: _SuiteCtx) -> list[dict]:
         sigma = factor * et * et / 32.0
         rep = bounds.bound_I0(ctx.d, sigma, eps)
         val = numeric_I0(ctx.d, sigma, eps, grid)
-        status = "pass" if val <= rep.value_unchecked and rep.all_ok else "fail"
-        out.append(
-            _record(
-                "i0",
-                f"eps={eps:g},sigma={sigma:.4g},grid={grid}",
-                status,
-                val,
-                rep.value_unchecked,
-                None,
-                grid ** (ctx.d - 1),
-                "quadrature",
-            )
-        )
+        check = f"eps={eps:g},sigma={sigma:.4g},grid={grid}"
+        n = grid ** (ctx.d - 1)
+        out.append(_bounded("i0", check, val, rep.value_unchecked, "quadrature", rep.all_ok, n))
     return out
 
 
@@ -406,20 +391,9 @@ def _suite_l2(ctx: _SuiteCtx) -> list[dict]:
     else:
         pyth = [(1.0, 5)]
     for sigma, t in pyth:
-        resid = _pythagoras(ctx.d, sigma, t)[3]
-        status = "pass" if resid <= 1e-10 else "fail"
-        out.append(
-            _record(
-                "l2",
-                f"pythagoras sigma={sigma:g},t={t}",
-                status,
-                resid,
-                1e-10,
-                None,
-                None,
-                "plancherel",
-            )
-        )
+        err, _, _, resid = _pythagoras(ctx.d, sigma, t)
+        check = f"pythagoras sigma={sigma:g},t={t}"
+        out.append(_bounded("l2", check, resid, 1e-10, "plancherel", trim_err=err))
     if ctx.d > _QUAD_DMAX:
         out.append(_skip("l2", "simple-bound", "plancherel", "resource-capped"))
         return out
@@ -429,19 +403,8 @@ def _suite_l2(ctx: _SuiteCtx) -> list[dict]:
         t = math.ceil(bounds.t_star(ctx.d, sigma))
         l2t = l2_norm_trimmed(ctx.d, sigma, t)
         rep = bounds.bound_L2_simple(ctx.d, sigma)
-        status = "pass" if l2t <= rep.value_unchecked and rep.all_ok else "fail"
-        out.append(
-            _record(
-                "l2",
-                f"simple-bound sigma={sigma:.4g},t={t}",
-                status,
-                l2t,
-                rep.value_unchecked,
-                None,
-                None,
-                "plancherel",
-            )
-        )
+        check = f"simple-bound sigma={sigma:.4g},t={t}"
+        out.append(_bounded("l2", check, l2t, rep.value_unchecked, "plancherel", rep.all_ok))
     return out
 
 
@@ -486,19 +449,8 @@ def _suite_orthonormality(ctx: _SuiteCtx) -> list[dict]:
     chars = _char_batch(np.array([w.lam for w in ws]), theta)
     gram = (chars * weights) @ chars.conj().T
     dev = float(np.max(np.abs(gram - np.eye(len(ws)))))
-    status = "pass" if dev <= 1e-6 else "fail"
-    return [
-        _record(
-            "orthonormality",
-            f"gram l1<={2 * t_cap},grid={grid}",
-            status,
-            dev,
-            1e-6,
-            None,
-            len(weights),
-            "quadrature",
-        )
-    ]
+    check = f"gram l1<={2 * t_cap},grid={grid}"
+    return [_bounded("orthonormality", check, dev, 1e-6, "quadrature", n=len(weights))]
 
 
 def _suite_poisson_char(ctx: _SuiteCtx) -> list[dict]:
@@ -521,23 +473,8 @@ def _suite_poisson_char(ctx: _SuiteCtx) -> list[dict]:
         if x.min_gap() < 1e-4:
             continue
         points += 1
-        c = heat_pu_char(p, x).value
-        q = heat_pu_poisson(p, x).value
-        scale = max(abs(c), abs(q), 1e-300)
-        worst = max(worst, abs(c - q) / scale)
-    status = "pass" if worst <= 1e-7 else "fail"
-    return [
-        _record(
-            "poisson-char",
-            f"sigma={sigma:g},points=10",
-            status,
-            worst,
-            1e-7,
-            None,
-            10,
-            "plancherel",
-        )
-    ]
+        worst = max(worst, _rel_discrepancy(heat_pu_char(p, x).value, heat_pu_poisson(p, x).value))
+    return [_bounded("poisson-char", f"sigma={sigma:g},points=10", worst, 1e-7, "plancherel", n=10)]
 
 
 def _suite_normalization(ctx: _SuiteCtx) -> list[dict]:
@@ -568,7 +505,7 @@ _SUITES = {
 }
 
 
-def _cmd_validate(args, seed: int, threads: int, fmt: str):
+def _cmd_validate(args, seed: int, threads: int):
     eta = float(bounds.eta_min(args.d)) if args.eta is None else args.eta
     _check_int("n", args.n, 2)
     ctx = _SuiteCtx(args.d, args.n, seed, args.gamma, eta, threads, itertools.count())
@@ -577,16 +514,8 @@ def _cmd_validate(args, seed: int, threads: int, fmt: str):
     for name in names:
         records.extend(_SUITES[name](ctx))
     failed = any(rec["status"] == "fail" for rec in records)
-    params = {
-        "suite": args.suite,
-        "d": args.d,
-        "n": args.n,
-        "gamma": args.gamma,
-        "eta": eta,
-        "threads": threads,
-    }
-    cfg = RunConfig("validate", params, seed, fmt, args.out)
-    return cfg, records, list(_CHECK_FIELDS), EXIT_CHECK_FAILED if failed else EXIT_OK
+    params = {"suite": args.suite, "d": args.d, "n": args.n, "gamma": args.gamma, "eta": eta}
+    return params, records, list(_CHECK_FIELDS), EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 # -- design-delta ------------------------------------------------------------
@@ -623,7 +552,7 @@ def _load_json_file(path: str, what: str):
             raise InvalidParameterError(f"{what} is not valid JSON: {exc}") from None
 
 
-def _cmd_design_delta(args, seed: int, threads: int, fmt: str):
+def _cmd_design_delta(args, seed: int, threads: int):
     nu = gate_set_from_json(_load_json_file(args.gateset, "gate set file"))
     records = []
     for s, delta in enumerate(design_deltas(nu, args.t), start=1):
@@ -636,9 +565,7 @@ def _cmd_design_delta(args, seed: int, threads: int, fmt: str):
                 "provenance": "closed-form",
             }
         )
-    params = {"gateset": args.gateset, "t": args.t, "d": nu.d, "threads": threads}
-    cfg = RunConfig("design-delta", params, seed, fmt, args.out)
-    return cfg, records, list(records[0]), EXIT_OK
+    return {"gateset": args.gateset, "t": args.t, "d": nu.d}, records, list(records[0]), EXIT_OK
 
 
 # -- sweep -------------------------------------------------------------------
@@ -663,11 +590,7 @@ def _sweep_row_trimming_error(p: dict) -> dict:
 
 def _sweep_row_theorem2(p: dict) -> dict:
     d, eps = p["d"], p["eps"]
-    row = {"d": d, "eps": eps}
-    for form in ("theorem", "kappa", "exponential"):
-        row[f"log10_delta_max_{form}"] = bounds.theorem2_delta_max(d, eps, form) / _LN10
-    row["provenance"] = "closed-form"
-    return row
+    return {"d": d, "eps": eps, **_delta_max_columns(d, eps), "provenance": "closed-form"}
 
 
 def _sweep_row_t_min(p: dict) -> dict:
@@ -718,12 +641,7 @@ _SWEEP_TARGETS = {
     "theorem2_delta_max": {
         "params": ("d", "eps"),
         "defaults": {},
-        "columns": (
-            "log10_delta_max_theorem",
-            "log10_delta_max_kappa",
-            "log10_delta_max_exponential",
-            "provenance",
-        ),
+        "columns": (*_DELTA_MAX_COLUMNS, "provenance"),
         "row": _sweep_row_theorem2,
     },
     "t_min": {
@@ -810,7 +728,7 @@ def _parse_sweep_spec(spec: dict):
     return target, entry, axis_names, axis_values, base
 
 
-def _cmd_sweep(args, seed: int, threads: int, fmt: str):
+def _cmd_sweep(args, seed: int, threads: int):
     spec = _load_json_file(args.spec, "sweep spec")
     target, entry, axis_names, axis_values, base = _parse_sweep_spec(spec)
     grid = []
@@ -831,22 +749,11 @@ def _cmd_sweep(args, seed: int, threads: int, fmt: str):
         "target": target,
         "axes": {name: axes for name, axes in zip(axis_names, axis_values)},
         "fixed": {k: base[k] for k in sorted(base)},
-        "threads": threads,
     }
-    cfg = RunConfig("sweep", params, seed, fmt, args.out)
-    return cfg, records, fieldnames, EXIT_OK
+    return params, records, fieldnames, EXIT_OK
 
 
 # -- entry point --------------------------------------------------------------
-
-_COMMANDS = {
-    "bounds": _cmd_bounds,
-    "kernel": _cmd_kernel,
-    "validate": _cmd_validate,
-    "design-delta": _cmd_design_delta,
-    "sweep": _cmd_sweep,
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -865,6 +772,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--d", type=int, required=True)
     b.add_argument("--eps", type=float, required=True)
     b.add_argument("--delta", type=float, default=None, help="also report the net size exponent for this delta")
+    b.set_defaults(run=_cmd_bounds)
 
     k = sub.add_parser("kernel", parents=[common], help="evaluate the projective heat kernel at a torus point")
     k.add_argument("--d", type=int, required=True)
@@ -872,6 +780,7 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("--trim-t", dest="trim_t", type=int, default=None)
     k.add_argument("--form", choices=("char", "poisson", "both"), default="char")
     k.add_argument("--phi", type=float, nargs="+", required=True, help="d-1 torus coordinates")
+    k.set_defaults(run=_cmd_kernel)
 
     v = sub.add_parser("validate", parents=[common], help="run internal consistency suites")
     v.add_argument("--suite", choices=tuple(_SUITES) + ("all",), required=True)
@@ -879,13 +788,16 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int, default=100_000, help="Monte Carlo sample count per check")
     v.add_argument("--gamma", type=float, default=0.5)
     v.add_argument("--eta", type=float, default=None, help="default: the smallest admissible value for d")
+    v.set_defaults(run=_cmd_validate)
 
     dd = sub.add_parser("design-delta", parents=[common], help="measure delta(nu, s) for a gate set")
     dd.add_argument("gateset", help="path to a gate-set JSON file")
     dd.add_argument("--t", type=int, required=True)
+    dd.set_defaults(run=_cmd_design_delta)
 
     sw = sub.add_parser("sweep", parents=[common], help="tabulate a target quantity over a parameter grid")
     sw.add_argument("spec", help="path to a sweep spec JSON file")
+    sw.set_defaults(run=_cmd_sweep)
     return ap
 
 
@@ -902,8 +814,9 @@ def main(argv: list[str] | None = None) -> int:
         seed = _resolve_seed(args.seed)
         threads = _resolve_threads(args.threads)
         fmt = args.format or ("csv" if args.command == "sweep" else "json")
-        cfg, records, fieldnames, code = _COMMANDS[args.command](args, seed, threads, fmt)
-        if cfg.output_format == "json":
+        params, records, fieldnames, code = args.run(args, seed, threads)
+        cfg = RunConfig(args.command, {**params, "threads": threads}, seed, fmt, args.out)
+        if fmt == "json":
             text = _render_json(cfg, records)
         else:
             text = _render_csv(cfg, records, fieldnames)

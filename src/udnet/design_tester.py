@@ -73,7 +73,10 @@ class WeightedGateSet:
             raise InvalidParameterError("gate set must be non-empty")
         cleaned = []
         for k, (w, mat) in enumerate(self.elements):
-            w = float(w)
+            try:
+                w = float(w)
+            except (TypeError, ValueError):
+                raise InvalidParameterError(f"weight {k} must be a number, got {w!r}") from None
             if not math.isfinite(w) or w <= 0.0:
                 raise InvalidParameterError(f"weight {k} must be positive")
             cleaned.append((w, _check_unitary(mat, self.d, _UNITARY_TOL, f"element {k}")))
@@ -96,6 +99,8 @@ def gate_set_from_json(obj) -> WeightedGateSet:
     """Parse and validate the schema produced by gate_set_to_json."""
     if not isinstance(obj, dict) or "d" not in obj or "elements" not in obj:
         raise InvalidParameterError("expected an object with keys 'd' and 'elements'")
+    if not isinstance(obj["elements"], list):
+        raise InvalidParameterError("'elements' must be a list")
     elements = []
     for k, entry in enumerate(obj["elements"]):
         if not isinstance(entry, dict) or "weight" not in entry or "matrix" not in entry:
@@ -103,7 +108,8 @@ def gate_set_from_json(obj) -> WeightedGateSet:
         rows = entry["matrix"]
         try:
             mat = np.array([[complex(c[0], c[1]) for c in row] for row in rows])
-        except (TypeError, IndexError) as exc:
+        except (TypeError, IndexError, ValueError) as exc:
+            # ValueError: ragged rows, which numpy will not make an array of
             raise InvalidParameterError(f"element {k}: malformed matrix") from exc
         elements.append((entry["weight"], mat))
     return WeightedGateSet(d=obj["d"], elements=tuple(elements))
