@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -755,7 +756,10 @@ def _cmd_sweep(args, seed: int, threads: int):
 
 # -- entry point --------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser unchanged, and the
+    # commands look up the kernels and bounds they call at call time.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default: UDNET_SEED or 0)")
     common.add_argument("--threads", type=int, default=None, help="worker pool size (default: machine parallelism)")

@@ -29,8 +29,10 @@ space with signs tracked separately.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,6 +54,7 @@ from .weights_chars import (
     _casimir_array,
     _char_batch,
     _char_sum,
+    _char_sum_plan,
     _dim_array,
     _projective_count,
     _projective_tuples,
@@ -81,6 +84,7 @@ _JITTER_H = 1e-5
 _MAX_LATTICE_RADIUS = 512
 _MAX_WEIGHT_CUTOFF = 1 << 26
 _MAX_TERMS = 2_000_000  # weights one sum may enumerate
+_PLAN_CACHE_BYTES = 64 << 20  # character plans kept between calls
 
 
 class TruncationError(RuntimeError):
@@ -216,27 +220,52 @@ def _label_rows(d: int, cutoff: int, projective: bool, reason: str) -> np.ndarra
     return _projective_tuples(d, cutoff // 2) if projective else _su_label_tuples(d, cutoff)
 
 
-def _char_eval(
-    p: KernelParams, theta_rows: np.ndarray, projective: bool
-) -> tuple[np.ndarray, float, int]:
-    """Character-form kernel at many eigenphase rows.
+@dataclass(frozen=True, eq=False)
+class _CharPlan:
+    """What a character-form kernel needs before it sees a point.
 
-    Returns (values, truncation_bound, terms_used). Weights whose worst-case
-    contribution d_lam^2 exp(-sigma*k) cannot reach a share of the tail
-    budget are skipped and charged to the bound. The trivial weight is
-    added exactly, as 1 * c_0, so the normalization stays exact.
+    base is the trivial weight's exact term; kept (n, d) and coeff (n,) are
+    the other weights the sum keeps and their coefficients d_lam
+    exp(-sigma*k_lam); heads and rows are their _char_sum_plan (None when n
+    is 0). bound is the cutoff tail plus the mass of the skipped weights, and
+    terms counts the kept weights, the trivial one included. The arrays are
+    read-only, since one plan serves every later call with its parameters.
+    """
 
-    Regular points go through _char_sum, which evaluates the one Laurent
-    polynomial sum_w c_w z^mu_w and divides by the Vandermonde once, so no
-    (weights x points) character matrix is built. Its cost follows the
-    widest label and the number of label prefixes, plus per-weight grouping.
-    Skipped weights lie in the outer shells, where labels are widest, so
-    skipping narrows the polynomial as well as shortening the grouping. At
-    d = 3, sigma = 0.02 it keeps 5,730 of 8,450 weights, and a regular-point
-    query takes 2.7-3.2 ms against 3.7-4.1 ms without skipping (best of
-    7 x 100 points, 1 BLAS thread, 2-vCPU Intel Xeon). At sigma = 0.1
-    (1,011 of 1,513 kept) the two times are within noise. Points with an
-    eigenphase gap below GAP_TOL take the confluent form through _char_batch.
+    base: float
+    kept: np.ndarray
+    coeff: np.ndarray
+    heads: np.ndarray | None
+    rows: np.ndarray | None
+    bound: float
+    terms: int
+
+    def __post_init__(self):
+        for a in self.arrays():
+            a.flags.writeable = False
+
+    def arrays(self) -> list[np.ndarray]:
+        return [a for a in (self.kept, self.coeff, self.heads, self.rows) if a is not None]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self.arrays())
+
+
+def _build_char_plan(p: KernelParams, projective: bool) -> _CharPlan:
+    """Cutoff, labels, coefficients and skip mask for one (p, projective).
+
+    Weights whose worst-case contribution d_lam^2 exp(-sigma*k_lam) cannot
+    reach a share of the tail budget are skipped and charged to the bound.
+    The trivial weight is added exactly, as 1 * c_0, so the normalization
+    stays exact. Skipped weights lie in the outer shells, where labels are
+    widest, so skipping narrows the polynomial of _char_sum as well as
+    shortening its grouping. At d = 3, sigma = 0.02 it keeps 5,730 of 8,450
+    weights, and a cold regular-point query (plan included) takes 2.7-3.2 ms
+    against 3.7-4.1 ms without skipping (best of 7 x 100 points, 1 BLAS
+    thread, 2-vCPU Intel Xeon). At sigma = 0.1 (1,011 of 1,513 kept) the two
+    times are within noise. Raises TruncationError before any label row is
+    built when the cutoff needs more than _MAX_TERMS weights.
     """
     d, sigma = p.d, p.sigma
     if projective and p.trim_t is not None:
@@ -265,21 +294,78 @@ def _char_eval(
         keep = (worst >= cut) | trivial
         skipped = float(worst[~keep].sum())
 
-    vals = np.full(len(theta_rows), coeff[trivial].sum(), dtype=complex)
     kept, c = lams[keep & ~trivial], coeff[keep & ~trivial]
-    regular = _min_gaps(theta_rows) >= GAP_TOL
-    if len(kept):
-        vals[regular] += _char_sum(kept, c, theta_rows[regular])
+    heads, rows = _char_sum_plan(kept, c) if len(kept) else (None, None)
+    return _CharPlan(coeff[trivial].sum(), kept, c, heads, rows, tail + skipped, int(keep.sum()))
+
+
+class _PlanCache:
+    """Least recently used character plans, at most _PLAN_CACHE_BYTES in all.
+
+    Keyed on (d, sigma, trim_t, tail_tol, projective). A plan over the cap is
+    returned but not kept, and a build that raises keeps nothing. The lock
+    guards the table, not the build: Monte Carlo chunks on several threads
+    may build one plan twice on a cold start, and the first one stored wins.
+    """
+
+    def __init__(self):
+        self._plans: collections.OrderedDict[tuple, _CharPlan] = collections.OrderedDict()
+        self._lock = threading.Lock()
+        self.nbytes = 0
+
+    def get(self, p: KernelParams, projective: bool) -> _CharPlan:
+        key = (p.d, p.sigma, p.trim_t, p.tail_tol, projective)
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is not None:
+                self._plans.move_to_end(key)
+                return plan
+        plan = _build_char_plan(p, projective)
+        with self._lock:
+            if key in self._plans:
+                return self._plans[key]
+            if plan.nbytes <= _PLAN_CACHE_BYTES:
+                self._plans[key] = plan
+                self.nbytes += plan.nbytes
+                while self.nbytes > _PLAN_CACHE_BYTES:
+                    self.nbytes -= self._plans.popitem(last=False)[1].nbytes
+        return plan
+
+
+_PLANS = _PlanCache()
+
+
+def _char_eval(
+    p: KernelParams, theta_rows: np.ndarray, projective: bool
+) -> tuple[np.ndarray, float, int]:
+    """Character-form kernel at many eigenphase rows.
+
+    Returns (values, truncation_bound, terms_used). Everything that depends
+    only on (p, projective) is the plan of _build_char_plan, built on the
+    first call and kept in _PLANS; a later call pays only for its points.
+    Regular points go through _char_sum, which evaluates the one Laurent
+    polynomial of the plan and divides by the Vandermonde once, so no
+    (weights x points) character matrix is built. Points with an eigenphase
+    gap below GAP_TOL take the confluent form through _char_batch. At d = 3
+    a warm regular-point query takes 0.23 ms at sigma = 0.02 and 0.20-0.22
+    ms at sigma = 0.1, against 2.7-3.1 ms and 1.36-1.41 ms cold (best of
+    7 x 100 queries, 1 BLAS thread, 2-vCPU Intel Xeon, 2 runs). The
+    imaginary residue is checked on every call.
+    """
+    plan = _PLANS.get(p, projective)
+    vals = np.full(len(theta_rows), plan.base, dtype=complex)
+    if plan.heads is not None:
+        regular = _min_gaps(theta_rows) >= GAP_TOL
+        vals[regular] += _char_sum(plan.heads, plan.rows, theta_rows[regular])
         if not regular.all():
-            vals[~regular] += c @ _char_batch(kept, theta_rows[~regular])
-    bound = tail + skipped
-    resid = np.max(np.abs(vals.imag)) if vals.size else 0.0
-    ceiling = 1e-9 * max(1.0, float(np.max(np.abs(vals.real)))) + bound
+            vals[~regular] += plan.coeff @ _char_batch(plan.kept, theta_rows[~regular])
+    resid = float(np.max(np.abs(vals.imag), initial=0.0))
+    ceiling = 1e-9 * max(1.0, float(np.max(np.abs(vals.real), initial=0.0))) + plan.bound
     if not np.all(np.isfinite(vals.real)) or resid > ceiling:
         raise NumericalInstabilityError(
             f"character sum lost significance: imaginary residue {resid:.3e}"
         )
-    return vals.real.astype(float), bound, int(keep.sum())
+    return vals.real.astype(float), plan.bound, plan.terms
 
 
 def heat_su_char(p: KernelParams, x: TorusPoint) -> EvalResult:

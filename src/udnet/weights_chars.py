@@ -345,32 +345,22 @@ def _char_batch(lams: np.ndarray, theta: np.ndarray) -> np.ndarray:
 _BLOCK = 1 << 16  # complex entries per (group x point) array of _char_sum
 
 
-def _char_sum(lams: np.ndarray, coeff: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """sum_w coeff_w chi_w at regular torus points (every gap >= GAP_TOL),
-    for at least one weight.
+def _char_sum_plan(lams: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The point-independent half of _char_sum, for at least one weight.
 
     With mu = lam - lam_d + rho the last exponent is 0, so the alternant
-    numerator of the sum is sum_sigma sgn(sigma) P(x_sigma(1), ...,
-    x_sigma(d-1)) for the one Laurent polynomial P = sum_w coeff_w z^mu_w in
-    d - 1 variables (Fulton-Harris, Representation Theory, section 24).
-    P is grouped by its first d - 2 exponents; each group is a dense row of
-    coefficients in the last variable, evaluated at all d eigenvalues by one
-    real matmul against the power tables. Points run in blocks, so no array
-    holds more than about _BLOCK entries or grows with the weight count.
-    Returns (np,) complex; the Vandermonde is divided out once per point.
+    numerator of sum_w coeff_w chi_w is sum_sigma sgn(sigma) P(x_sigma(1),
+    ..., x_sigma(d-1)) for the one Laurent polynomial P = sum_w coeff_w
+    z^mu_w in d - 1 variables (Fulton-Harris, Representation Theory,
+    section 24). P is grouped by its first d - 2 exponents, the G rows of
+    heads (G, d - 2); row g of rows (G, width) holds the group's dense
+    coefficients in the last variable. At d = 2 there is one group with no
+    head, and its row is P itself.
     """
     mu = _laurent_exponents(lams)
-    theta = np.asarray(theta, dtype=float)
     d = mu.shape[1]
     if d == 2:
-        # P(z) = sum_m a_m z^m by Horner at both eigenvalues
-        a = np.bincount(mu[:, 0], weights=coeff)
-        x = np.exp(1j * theta)
-        p = np.zeros_like(x)
-        for a_m in a[::-1]:
-            p *= x
-            p += a_m
-        return (p[:, 0] - p[:, 1]) / (x[:, 0] - x[:, 1])
+        return np.zeros((1, 0), dtype=np.int64), np.bincount(mu[:, 0], weights=coeff)[None, :]
     k_max = int(mu[:, 0].max()) + 1
     key = np.ravel_multi_index(tuple(mu[:, : d - 2].T), (k_max,) * (d - 2))
     _, first, group = np.unique(key, return_index=True, return_inverse=True)
@@ -379,6 +369,36 @@ def _char_sum(lams: np.ndarray, coeff: np.ndarray, theta: np.ndarray) -> np.ndar
     rows = np.bincount(
         group * width + mu[:, d - 2], weights=coeff, minlength=len(heads) * width
     ).reshape(len(heads), width)
+    return heads, rows
+
+
+def _char_sum(heads: np.ndarray, rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """sum_w coeff_w chi_w at regular torus points (every gap >= GAP_TOL),
+    from the (heads, rows) of _char_sum_plan.
+
+    Each group's row is evaluated at all d eigenvalues by one real matmul
+    against the power tables (by Horner at d = 2). Points run in blocks, so
+    no array holds more than about _BLOCK entries or grows with the weight
+    count. Returns (np,) complex; the Vandermonde is divided out once per
+    point. The cost is the power tables, the matmul and the alternant's d!
+    terms over the G groups: at d = 3 a one-point call takes 0.11-0.13 ms
+    at sigma = 0.02 (194 groups) and 0.10-0.12 ms at sigma = 0.1 (80),
+    against 2.6-2.9 ms and 0.8-1.0 ms for the whole plan of the kernel
+    (best of 7 x 100 calls, 1 BLAS thread, 2-vCPU Intel Xeon, 2 runs).
+    """
+    theta = np.asarray(theta, dtype=float)
+    d = heads.shape[1] + 2
+    if d == 2:
+        # P(z) = sum_m a_m z^m by Horner at both eigenvalues
+        x = np.exp(1j * theta)
+        p = np.zeros_like(x)
+        for a_m in rows[0, ::-1]:
+            p *= x
+            p += a_m
+        return (p[:, 0] - p[:, 1]) / (x[:, 0] - x[:, 1])
+    # mu[:, 0] is each weight's largest exponent, and heads[:, 0] shares it
+    k_max = int(heads[:, 0].max()) + 1
+    width = rows.shape[1]
     block = max(1, _BLOCK // max(len(heads), k_max))
     out = np.empty(len(theta), dtype=complex)
     for lo in range(0, len(theta), block):

@@ -144,6 +144,37 @@ def test_kernel_truncation_maps_to_exit_3(monkeypatch):
     assert code == 3
 
 
+_KERNEL_ARGV = ["kernel", "--d", "3", "--sigma", "0.1", "--phi", "0.3", "-0.2", "--form", "both"]
+
+
+def test_parser_built_once_gives_fresh_output(capsys):
+    cli._build_parser.cache_clear()
+    assert main(_KERNEL_ARGV) == 0
+    fresh = capsys.readouterr().out
+    parser = cli._build_parser()
+    assert main(["kernel", "--d", "3", "--sigma", "0.1", "--phi", "0.3"]) == 2
+    assert main(["kernel", "--d", "3", "--sigma", "0.1", "--phi", "0.3", "x"]) == 2
+    assert main(["bounds", "--d", "2", "--eps", "0.1", "--delta", "0.01"]) == 0
+    capsys.readouterr()
+    assert main(_KERNEL_ARGV) == 0
+    assert capsys.readouterr().out == fresh
+    assert cli._build_parser() is parser
+
+
+def test_patched_kernel_takes_effect_after_first_call(capsys, monkeypatch):
+    assert main(_KERNEL_ARGV) == 0
+    capsys.readouterr()
+
+    def fixed(p, x):
+        return EvalResult(0.25, 0.0, 1)
+
+    monkeypatch.setattr(cli, "heat_pu_char", fixed)
+    monkeypatch.setattr(cli, "heat_pu_poisson", fixed)
+    assert main(_KERNEL_ARGV) == 0
+    rows = _json_out(capsys)["results"]
+    assert [r["value"] for r in rows] == [0.25, 0.25]
+
+
 # ----------------------------------------------------------- design-delta
 
 

@@ -422,6 +422,133 @@ def test_cutoff_limits_raise():
         heat_su_poisson(KernelParams(2, 1e7), _pt(2, 0.3))
 
 
+# ---------------------------------------------------------- character plans
+
+
+def _bits(result):
+    if isinstance(result, EvalResult):
+        return (result.value.hex(), result.truncation_bound.hex(), result.terms_used)
+    vals, bound, terms = result
+    return ([v.hex() for v in vals.tolist()], bound.hex(), terms)
+
+
+def test_warm_call_enumerates_nothing(monkeypatch):
+    import udnet.kernels as kernels
+
+    theta = np.vstack([_haar_rows(3, 20, seed=8), _confluent_rows(3)])
+    x = _pt(3, 0.4, -0.2)
+    calls = [
+        lambda: heat_pu_char(KernelParams(3, 0.05), x),
+        lambda: heat_su_char(KernelParams(3, 0.3), x),
+        lambda: heat_pu_char(KernelParams(3, 0.05, trim_t=4), x),
+        lambda: heat_pu_char_batch(KernelParams(3, 0.05), theta),
+        lambda: heat_su_char_batch(KernelParams(3, 0.3), theta),
+    ]
+    cold = [_bits(call()) for call in calls]
+    for name in ("_projective_tuples", "_su_label_tuples"):
+        monkeypatch.setattr(kernels, name, lambda *args: pytest.fail("enumerated on a warm call"))
+    assert [_bits(call()) for call in calls] == cold
+
+
+def test_plans_are_keyed_on_every_input():
+    import udnet.kernels as kernels
+
+    x = _pt(2, 0.3)
+    for p in (
+        KernelParams(2, 0.05),
+        KernelParams(2, 0.05, tail_tol=1e-8),
+        KernelParams(2, 0.05, trim_t=3),
+        KernelParams(2, 0.05, trim_t=3, tail_tol=1e-8),
+        KernelParams(2, 0.06),
+    ):
+        heat_pu_char(p, x)
+    heat_su_char(KernelParams(2, 0.05), x)
+    plans = kernels._PLANS._plans
+    assert len(plans) == 6
+    assert len({id(plan) for plan in plans.values()}) == 6
+    assert (2, 0.05, None, 1e-12, True) in plans and (2, 0.05, None, 1e-12, False) in plans
+    loose, tight = plans[(2, 0.05, None, 1e-8, True)], plans[(2, 0.05, None, 1e-12, True)]
+    assert loose.terms < tight.terms
+    assert plans[(2, 0.05, 3, 1e-12, True)].terms == 4  # one-norm <= 6 at d = 2
+    assert kernels._PLANS.nbytes == sum(plan.nbytes for plan in plans.values())
+
+
+def test_plan_arrays_are_read_only():
+    import udnet.kernels as kernels
+
+    plan = kernels._PLANS.get(KernelParams(3, 0.1), True)
+    assert len(plan.arrays()) == 4
+    for a in plan.arrays():
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
+
+
+def test_plan_cache_stays_under_its_byte_cap(monkeypatch):
+    import udnet.kernels as kernels
+
+    cap = 200_000
+    monkeypatch.setattr(kernels, "_PLAN_CACHE_BYTES", cap)
+    cache = kernels._PLANS
+    x = _pt(3, 0.4, -0.2)
+    sizes = []
+    for sigma in np.geomspace(0.05, 2.0, 12):
+        heat_pu_char(KernelParams(3, float(sigma)), x)
+        sizes.append(kernels._build_char_plan(KernelParams(3, float(sigma)), True).nbytes)
+        assert cache.nbytes == sum(plan.nbytes for plan in cache._plans.values()) <= cap
+    assert sum(sizes) > cap  # some plans were evicted
+    # the most recent plans are the ones kept
+    kept = [key[1] for key in cache._plans]
+    assert kept == [float(s) for s in np.geomspace(0.05, 2.0, 12)][-len(kept) :]
+    # a warm call makes its plan the most recent, so the next one evicted is
+    # the oldest of the others
+    heat_pu_char(KernelParams(3, kept[0]), x)
+    heat_pu_char(KernelParams(3, 0.06), x)
+    assert [key[1] for key in cache._plans][-2:] == [kept[0], 0.06]
+    assert kept[1] not in [key[1] for key in cache._plans]
+    # a plan over the cap is used but not kept
+    big = KernelParams(3, 0.02)
+    assert kernels._build_char_plan(big, True).nbytes > cap
+    before = dict(cache._plans)
+    assert heat_pu_char(big, x).terms_used == 5730
+    assert cache._plans == before
+
+
+def test_plan_cache_is_consistent_under_threads(monkeypatch):
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    import udnet.kernels as kernels
+
+    monkeypatch.setattr(kernels, "_PLAN_CACHE_BYTES", 150_000)
+    theta = _haar_rows(3, 16, seed=11)
+    params = [KernelParams(3, s) for s in (0.05, 0.07, 0.1, 0.2, 0.5, 1.0)] * 4
+    expected = {p: _bits(heat_pu_char_batch(p, theta)) for p in params}
+    monkeypatch.setattr(kernels, "_PLANS", kernels._PlanCache())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = list(pool.map(lambda p: _bits(heat_pu_char_batch(p, theta)), params, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [expected[p] for p in params]
+    cache = kernels._PLANS
+    assert cache.nbytes == sum(plan.nbytes for plan in cache._plans.values()) <= 150_000
+
+
+def test_empty_eigenphase_batch():
+    empty = np.empty((0, 3))
+    for batch, p in (
+        (heat_pu_char_batch, KernelParams(3, 0.1)),
+        (heat_su_char_batch, KernelParams(3, 0.1)),
+        (heat_pu_char_batch, KernelParams(3, 0.1, trim_t=0)),
+    ):
+        vals, bound, terms = batch(p, empty)
+        assert vals.shape == (0,) and vals.dtype == float
+        _, ref_bound, ref_terms = batch(p, _haar_rows(3, 2, seed=1))
+        assert (bound, terms) == (ref_bound, ref_terms)
+
+
 # ------------------------------------------------------------------ errors
 
 

@@ -144,6 +144,14 @@ def test_mc_normalization_untrimmed_near_one():
     assert est.std_error > 0.0
 
 
+def test_mc_normalization_threads_share_one_plan_exactly():
+    # 70,000 samples run as several chunks; at two workers they share one
+    # character plan across threads and must give the same bits as one worker
+    one = mc_normalization(3, 0.2, None, 70_000, RngStream(1), workers=1)
+    two = mc_normalization(3, 0.2, None, 70_000, RngStream(1), workers=2)
+    assert (two.mean, two.std_error, two.n) == (one.mean, one.std_error, one.n)
+
+
 def test_mc_outside_ball_at_diameter_is_zero():
     est = mc_outside_ball(2, 0.5, None, 2.0, 1_000, RngStream(5))
     assert est.mean == 0.0 and est.std_error == 0.0
