@@ -297,7 +297,10 @@ def net_probe(support, eps: float, n: int, rng: RngStream) -> NetProbeReport:
     """
     if len(support) == 0:
         raise InvalidParameterError("support must be non-empty")
-    d = np.asarray(support[0]).shape[0]
+    first = np.asarray(support[0])
+    if first.ndim != 2:
+        raise InvalidParameterError("support element 0 must be a d x d matrix")
+    d = _check_dimension(first.shape[0])
     stack = np.stack([_check_unitary(u, d, 1e-8, f"support element {k}") for k, u in enumerate(support)])
     eps = _check_eps(eps)
     worst = 0.0

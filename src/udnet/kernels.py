@@ -46,13 +46,11 @@ from .lie_core import (
     _check_int,
     _check_positive,
     _check_unit_open,
-    _min_gaps,
     log_prefactor,
 )
 from .weights_chars import (
     GAP_TOL,
     _casimir_array,
-    _char_batch,
     _char_sum,
     _char_sum_plan,
     _dim_array,
@@ -224,17 +222,15 @@ def _label_rows(d: int, cutoff: int, projective: bool, reason: str) -> np.ndarra
 class _CharPlan:
     """What a character-form kernel needs before it sees a point.
 
-    base is the trivial weight's exact term; kept (n, d) and coeff (n,) are
-    the other weights the sum keeps and their coefficients d_lam
-    exp(-sigma*k_lam); heads and rows are their _char_sum_plan (None when n
-    is 0). bound is the cutoff tail plus the mass of the skipped weights, and
-    terms counts the kept weights, the trivial one included. The arrays are
-    read-only, since one plan serves every later call with its parameters.
+    base is the trivial weight's exact term; heads and rows are the
+    _char_sum_plan of the other weights the sum keeps, with coefficients
+    d_lam exp(-sigma*k_lam) (None when there are none). bound is the cutoff
+    tail plus the mass of the skipped weights, and terms counts the kept
+    weights, the trivial one included. The arrays are read-only, since one
+    plan serves every later call with its parameters.
     """
 
     base: float
-    kept: np.ndarray
-    coeff: np.ndarray
     heads: np.ndarray | None
     rows: np.ndarray | None
     bound: float
@@ -245,7 +241,7 @@ class _CharPlan:
             a.flags.writeable = False
 
     def arrays(self) -> list[np.ndarray]:
-        return [a for a in (self.kept, self.coeff, self.heads, self.rows) if a is not None]
+        return [a for a in (self.heads, self.rows) if a is not None]
 
     @property
     def nbytes(self) -> int:
@@ -264,8 +260,11 @@ def _build_char_plan(p: KernelParams, projective: bool) -> _CharPlan:
     weights, and a cold regular-point query (plan included) takes 2.7-3.2 ms
     against 3.7-4.1 ms without skipping (best of 7 x 100 points, 1 BLAS
     thread, 2-vCPU Intel Xeon). At sigma = 0.1 (1,011 of 1,513 kept) the two
-    times are within noise. Raises TruncationError before any label row is
-    built when the cutoff needs more than _MAX_TERMS weights.
+    times are within noise. The plan keeps only the grouped polynomial
+    (heads, rows), which serves regular and confluent points alike: 253 kB
+    at d = 3, sigma = 0.02 (194 groups) and 44 kB at sigma = 0.1 (80).
+    Raises TruncationError before any label row is built when the cutoff
+    needs more than _MAX_TERMS weights.
     """
     d, sigma = p.d, p.sigma
     if projective and p.trim_t is not None:
@@ -294,9 +293,9 @@ def _build_char_plan(p: KernelParams, projective: bool) -> _CharPlan:
         keep = (worst >= cut) | trivial
         skipped = float(worst[~keep].sum())
 
-    kept, c = lams[keep & ~trivial], coeff[keep & ~trivial]
-    heads, rows = _char_sum_plan(kept, c) if len(kept) else (None, None)
-    return _CharPlan(coeff[trivial].sum(), kept, c, heads, rows, tail + skipped, int(keep.sum()))
+    others = keep & ~trivial
+    heads, rows = _char_sum_plan(lams[others], coeff[others]) if others.any() else (None, None)
+    return _CharPlan(coeff[trivial].sum(), heads, rows, tail + skipped, int(keep.sum()))
 
 
 class _PlanCache:
@@ -343,22 +342,19 @@ def _char_eval(
     Returns (values, truncation_bound, terms_used). Everything that depends
     only on (p, projective) is the plan of _build_char_plan, built on the
     first call and kept in _PLANS; a later call pays only for its points.
-    Regular points go through _char_sum, which evaluates the one Laurent
-    polynomial of the plan and divides by the Vandermonde once, so no
-    (weights x points) character matrix is built. Points with an eigenphase
-    gap below GAP_TOL take the confluent form through _char_batch. At d = 3
-    a warm regular-point query takes 0.23 ms at sigma = 0.02 and 0.20-0.22
-    ms at sigma = 0.1, against 2.7-3.1 ms and 1.36-1.41 ms cold (best of
-    7 x 100 queries, 1 BLAS thread, 2-vCPU Intel Xeon, 2 runs). The
-    imaginary residue is checked on every call.
+    All points go through one _char_sum call, which evaluates the one
+    Laurent polynomial of the plan, through the alternant ratio at regular
+    points and the Jacobi-Trudi form at eigenphase gaps below GAP_TOL, so no
+    (weights x points) character matrix is built. At d = 3 a warm query
+    takes 0.13-0.17 ms at a regular point and 0.14-0.18 ms at a confluent
+    one, at sigma = 0.02 and 0.1 alike, against 2.7-3.1 ms and 1.36-1.41 ms
+    cold (best of 7 x 100 queries, 1 BLAS thread, 2-vCPU Intel Xeon, 2
+    runs). The imaginary residue is checked on every call.
     """
     plan = _PLANS.get(p, projective)
     vals = np.full(len(theta_rows), plan.base, dtype=complex)
     if plan.heads is not None:
-        regular = _min_gaps(theta_rows) >= GAP_TOL
-        vals[regular] += _char_sum(plan.heads, plan.rows, theta_rows[regular])
-        if not regular.all():
-            vals[~regular] += plan.coeff @ _char_batch(plan.kept, theta_rows[~regular])
+        vals += _char_sum(plan.heads, plan.rows, theta_rows)
     resid = float(np.max(np.abs(vals.imag), initial=0.0))
     ceiling = 1e-9 * max(1.0, float(np.max(np.abs(vals.real), initial=0.0))) + plan.bound
     if not np.all(np.isfinite(vals.real)) or resid > ceiling:
@@ -388,6 +384,8 @@ def _check_rows(p: KernelParams, theta_rows) -> np.ndarray:
     theta_rows = np.asarray(theta_rows, dtype=float)
     if theta_rows.ndim != 2 or theta_rows.shape[1] != p.d:
         raise InvalidParameterError(f"expected eigenphase rows of shape (n, {p.d})")
+    if not np.all(np.isfinite(theta_rows)):
+        raise InvalidParameterError("eigenphase rows must be finite")
     return theta_rows
 
 

@@ -5,20 +5,19 @@ Labels are stored as non-increasing integer vectors of length d. Projective
 lambda_d = 0 convention and convert to zero-sum form by subtracting
 sum(lambda)/d, defined only when d divides the sum.
 
-Characters are evaluated through the Weyl alternant ratio at regular torus
-points and through a Jacobi-Trudi determinant in complete homogeneous
-symmetric polynomials when two eigenphases come within 1e-6 of each other;
-the latter is the confluent (divided-difference) form of the same ratio and
-stays finite at coincident eigenphases.
-
-At regular points the alternant is read as a Laurent polynomial: with
-mu = lam - lam_d + rho the last exponent is 0, so a sum sum_w c_w chi_w has
-the numerator sum_sigma sgn(sigma) P(x_sigma(1), ..., x_sigma(d-1)) for one
-polynomial P = sum_w c_w z^mu_w in d - 1 variables. _char_sum evaluates P
-(by Horner at d = 2, by real matmuls over power tables at d >= 3) and
-divides by the Vandermonde once; _char_batch keeps one row per weight,
-each alternant term a product of power-table entries. No complex exp is
-taken per weight.
+Characters are evaluated by one engine, _char_sum, from a grouped Laurent
+polynomial. With mu = lam - lam_d + rho the last exponent is 0, so a sum
+sum_w c_w chi_w has the alternant numerator sum_sigma sgn(sigma)
+P(x_sigma(1), ..., x_sigma(d-1)) for one polynomial P = sum_w c_w z^mu_w in
+d - 1 variables. At regular torus points _char_sum evaluates P (by Horner
+at d = 2, by real matmuls over power tables at d >= 3) and divides by the
+Vandermonde once. When two eigenphases come within GAP_TOL = 1e-6 of each
+other it reads the same polynomial through the Jacobi-Trudi determinant in
+complete homogeneous symmetric polynomials, the confluent
+(divided-difference) form of the same ratio, which stays finite at
+coincident eigenphases; its h tables come from the power tables by
+cumulative sums. No complex exp is taken per weight, and a per-weight
+character (_char_batch) is a one-weight polynomial.
 """
 
 from __future__ import annotations
@@ -218,35 +217,6 @@ def _casimir_array(lams: np.ndarray) -> np.ndarray:
     return main / (2.0 * d) - (s * s) / (2.0 * d * d)
 
 
-def _chars_confluent(parts: np.ndarray, theta_row: np.ndarray) -> np.ndarray:
-    """Characters of many partition-form labels at ONE torus point via the
-    Jacobi-Trudi determinant in complete homogeneous polynomials.
-
-    This is the confluent (divided-difference) form of the alternant ratio:
-    finite and stable when eigenphases coincide. Determinant entry growth
-    restricts it to parts[:, 0] up to a few hundred, ample for every regime
-    reached near the singular set.
-    """
-    nw, d = parts.shape
-    xs = np.exp(1j * np.asarray(theta_row, dtype=float))
-    e = np.zeros(d + 1, dtype=complex)
-    e[0] = 1.0
-    for x in xs:
-        e[1:] = e[1:] + x * e[:d]
-    kmax = int(parts[:, 0].max()) + d
-    h = np.zeros(kmax + 2, dtype=complex)
-    h[0] = 1.0
-    for k in range(1, kmax + 1):
-        acc = 0.0 + 0.0j
-        for j in range(1, min(d, k) + 1):
-            acc += (-1) ** (j - 1) * e[j] * h[k - j]
-        h[k] = acc
-    idx = parts[:, :, None] - np.arange(d)[None, :, None] + np.arange(d)[None, None, :]
-    valid = (idx >= 0) & (idx <= kmax)
-    mats = np.where(valid, h[np.clip(idx, 0, kmax + 1)], 0.0)
-    return np.linalg.det(mats)
-
-
 def _laurent_exponents(lams) -> np.ndarray:
     """mu = lam - lam_d + rho for each label row, rho = (d-1, ..., 1, 0); the
     last column is 0. Shifting by lam_d is exact on SU(d), where det = 1."""
@@ -287,21 +257,22 @@ def _alternant_terms(d):
     )
 
 
-def _alternant(tab: np.ndarray, heads: np.ndarray, last) -> np.ndarray:
-    """Alternant numerators det[f_j(x_i)] for G column sets at n points.
+def _alternant(tab, heads: np.ndarray, last, terms) -> np.ndarray:
+    """Sum over G column sets of the determinants det[f_j(x_b)] at n points.
 
-    Column j < d-2 of set g is x^heads[g, j] (read from the power tables tab),
-    column d-2 is a polynomial whose values at x_b are last[b] (G, n), and
-    column d-1 is x^0 = 1. Returns (G, n).
+    Column j < d-2 of set g is tab[b][heads[g, j]], column d-2 is a
+    polynomial whose values at x_b are last[b] (G, n), and column d-1 is
+    tab[b][0]. terms lists the (perm, sign) pairs of _alternant_terms that
+    can be nonzero. Returns (n,).
     """
-    d = tab.shape[0]
+    d = len(terms[0][0])
     num = np.zeros(last[0].shape, dtype=complex)
-    for perm, sign in _alternant_terms(d):
+    for perm, sign in terms:
         term = last[perm[d - 2]]
         for j in range(d - 2):
             term = term * tab[perm[j]][heads[:, j]]
         (np.add if sign > 0 else np.subtract)(num, term, out=num)
-    return num
+    return num.sum(axis=0)
 
 
 def _vandermonde(tab: np.ndarray) -> np.ndarray:
@@ -312,34 +283,6 @@ def _vandermonde(tab: np.ndarray) -> np.ndarray:
         for j in range(i + 1, d):
             vdm *= tab[i, 1] - tab[j, 1]
     return vdm
-
-
-def _char_batch(lams: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Characters of many weights at many torus points.
-
-    lams: (nw, d) integer labels, arbitrary non-increasing rows; internally
-    shifted by their last entry to partition form (exact on SU(d), det = 1).
-    theta: (np, d) full eigenphase rows.
-    Returns (nw, np) complex array.
-
-    Regular points go through the alternant ratio, each of its d! terms a
-    product of d - 1 entries of the power tables; points with an eigenphase
-    gap below GAP_TOL use the confluent form. Sums of characters with fixed
-    coefficients go through _char_sum, which builds no such matrix.
-    """
-    mu = _laurent_exponents(lams)
-    theta = np.asarray(theta, dtype=float)
-    nw, d = mu.shape
-    out = np.empty((nw, theta.shape[0]), dtype=complex)
-    good = _min_gaps(theta) >= GAP_TOL
-    if good.any():
-        tab = _power_tables(theta[good], int(mu[:, 0].max()) + 1)
-        last = [t[mu[:, d - 2]] for t in tab]
-        out[:, good] = _alternant(tab, mu[:, : d - 2], last) / _vandermonde(tab)
-    parts = mu - np.arange(d - 1, -1, -1, dtype=np.int64)
-    for p in np.nonzero(~good)[0]:
-        out[:, p] = _chars_confluent(parts, theta[p])
-    return out
 
 
 _BLOCK = 1 << 16  # complex entries per (group x point) array of _char_sum
@@ -355,7 +298,9 @@ def _char_sum_plan(lams: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, np.
     section 24). P is grouped by its first d - 2 exponents, the G rows of
     heads (G, d - 2); row g of rows (G, width) holds the group's dense
     coefficients in the last variable. At d = 2 there is one group with no
-    head, and its row is P itself.
+    head, and its row is P itself. The Jacobi-Trudi determinant
+    det[h_{mu_i - (d-1) + j}] is multilinear in its rows as the alternant
+    is, so the same grouping serves confluent points.
     """
     mu = _laurent_exponents(lams)
     d = mu.shape[1]
@@ -372,41 +317,90 @@ def _char_sum_plan(lams: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, np.
     return heads, rows
 
 
-def _char_sum(heads: np.ndarray, rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """sum_w coeff_w chi_w at regular torus points (every gap >= GAP_TOL),
-    from the (heads, rows) of _char_sum_plan.
+def _horner_ratio(coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The alternant ratio at d = 2: P(z) = sum_m a_m z^m by Horner at both
+    eigenvalues, divided by their difference."""
+    x = np.exp(1j * theta)
+    p = np.zeros_like(x)
+    for a_m in coeffs[::-1]:
+        p *= x
+        p += a_m
+    return (p[:, 0] - p[:, 1]) / (x[:, 0] - x[:, 1])
 
-    Each group's row is evaluated at all d eigenvalues by one real matmul
-    against the power tables (by Horner at d = 2). Points run in blocks, so
-    no array holds more than about _BLOCK entries or grows with the weight
-    count. Returns (np,) complex; the Vandermonde is divided out once per
-    point. The cost is the power tables, the matmul and the alternant's d!
-    terms over the G groups: at d = 3 a one-point call takes 0.11-0.13 ms
-    at sigma = 0.02 (194 groups) and 0.10-0.12 ms at sigma = 0.1 (80),
-    against 2.6-2.9 ms and 0.8-1.0 ms for the whole plan of the kernel
-    (best of 7 x 100 calls, 1 BLAS thread, 2-vCPU Intel Xeon, 2 runs).
+
+def _alternant_ratio(tab: np.ndarray, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The alternant numerator over the power tables x_b^m, divided by the
+    Vandermonde once per point."""
+    # (G, width) @ (width, 2n) on the interleaved real view of (width, n)
+    last = [(rows @ t[: rows.shape[1]].view(float)).view(complex) for t in tab]
+    return _alternant(tab, heads, last, _alternant_terms(len(tab))) / _vandermonde(tab)
+
+
+def _jacobi_trudi(tab: np.ndarray, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The Jacobi-Trudi form, finite at coincident eigenphases: the table
+    h[j][m] = h_{m - (d-1) + j}(x) replaces x_j^m. One cumulative sum per
+    further variable gives h_k(x_1..x_i) = x_i^k sum_{a <= k} conj(x_i^a)
+    h_a(x_1..x_{i-1}) from the power tables. As h[j][0] = [j = d-1], only
+    the terms with perm[d-1] = d-1 survive, and nothing is divided."""
+    d, size, n = tab.shape
+    h = tab[0]
+    for x in tab[1:]:
+        h = x * np.cumsum(x.conj() * h, axis=0)
+    pad = np.zeros((d - 1 + size, n), dtype=complex)
+    pad[d - 1 :] = h
+    h = [pad[j : j + size] for j in range(d)]
+    last = [(rows @ t[: rows.shape[1]].view(float)).view(complex) for t in h[: d - 1]]
+    terms = [(perm, sign) for perm, sign in _alternant_terms(d) if perm[d - 1] == d - 1]
+    return _alternant(h, heads, last, terms)
+
+
+def _char_sum(heads: np.ndarray, rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """sum_w coeff_w chi_w at torus points, from the (heads, rows) of
+    _char_sum_plan. Returns (np,) complex.
+
+    Points with every eigenphase gap >= GAP_TOL take the alternant ratio
+    (_horner_ratio at d = 2, _alternant_ratio at d >= 3), the others
+    _jacobi_trudi. Points run in blocks, so no array holds more than about
+    _BLOCK entries or grows with the weight count. The cost is the power
+    tables, one real matmul per eigenvalue and the alternant's d! terms
+    over the G groups; the confluent form adds d - 1 cumulative sums and
+    keeps (d-1)! terms. At d = 3 a one-point call takes 0.11-0.13 ms at
+    sigma = 0.02 (194 groups) and 0.10-0.12 ms at sigma = 0.1 (80) at a
+    regular point and 0.12-0.15 ms at a confluent one, against 2.6-2.9 ms
+    and 0.8-1.0 ms for the whole plan of the kernel (best of 7 x 100 calls,
+    1 BLAS thread, 2-vCPU Intel Xeon, 2 runs).
     """
     theta = np.asarray(theta, dtype=float)
-    d = heads.shape[1] + 2
-    if d == 2:
-        # P(z) = sum_m a_m z^m by Horner at both eigenvalues
-        x = np.exp(1j * theta)
-        p = np.zeros_like(x)
-        for a_m in rows[0, ::-1]:
-            p *= x
-            p += a_m
-        return (p[:, 0] - p[:, 1]) / (x[:, 0] - x[:, 1])
     # mu[:, 0] is each weight's largest exponent, and heads[:, 0] shares it
-    k_max = int(heads[:, 0].max()) + 1
-    width = rows.shape[1]
+    k_max = int(heads[:, 0].max()) + 1 if heads.shape[1] else rows.shape[1]
     block = max(1, _BLOCK // max(len(heads), k_max))
     out = np.empty(len(theta), dtype=complex)
-    for lo in range(0, len(theta), block):
-        tab = _power_tables(theta[lo : lo + block], k_max)
-        # (G, width) @ (width, 2n) on the interleaved real view of (width, n)
-        last = [(rows @ t[:width].view(float)).view(complex) for t in tab]
-        out[lo : lo + block] = _alternant(tab, heads, last).sum(axis=0) / _vandermonde(tab)
+    regular = _min_gaps(theta) >= GAP_TOL
+    routes = [(_jacobi_trudi, ~regular)]
+    if heads.shape[1]:
+        routes.append((_alternant_ratio, regular))
+    else:
+        out[regular] = _horner_ratio(rows[0], theta[regular])
+    for route, where in routes:
+        pts = theta[where]
+        vals = np.empty(len(pts), dtype=complex)
+        for lo in range(0, len(pts), block):
+            # Each block's tables stay referenced until the next block's are
+            # built. Freed at the end of each block, their pages went back to
+            # the system and were faulted in again: 7x the page faults and
+            # 1.5x the time on a d = 3 batch of 5,000 points.
+            tab = _power_tables(pts[lo : lo + block], k_max)
+            vals[lo : lo + block] = route(tab, heads, rows)
+        out[where] = vals
     return out
+
+
+def _char_batch(lams, theta: np.ndarray) -> np.ndarray:
+    """Characters of many weights at many torus points, (nw, np) complex,
+    one one-weight _char_sum per label row (partition form by its last
+    entry, exact on SU(d)). For callers that need each character on its
+    own; a sum with fixed coefficients is one _char_sum call."""
+    return np.array([_char_sum(*_char_sum_plan([lam], np.ones(1)), theta) for lam in lams])
 
 
 def character(w: HighestWeight, x: TorusPoint) -> complex:

@@ -9,6 +9,10 @@ prints the frozen constants used in the tests together with internal
 consistency diagnostics (character series vs. Poisson lattice sums
 agreeing to ~20 digits).
 
+Two float oracles stand beside them. char_matrix is the per-weight
+character matrix the package's grouped sums once contracted: the alternant
+ratio by LU at regular points and the Jacobi-Trudi determinant in complete
+homogeneous polynomials (_chars_confluent) at eigenphase gaps below 1e-6.
 The dense moment operators at the end are the float oracle for the design
 tester: T_nu assembled as a d^(2t) matrix, the Haar projector as the
 orthogonal projector onto the vectorized permutation operators, and delta
@@ -16,6 +20,7 @@ as the SVD norm of their difference.
 """
 
 import itertools
+import math
 
 import mpmath as mp
 import numpy as np
@@ -40,17 +45,59 @@ def log_prefactor_mp(d, sigma):
     )
 
 
+def _split_ties(phis_full):
+    """Eigenphases as mpf, each exact repeat of an earlier one moved by a
+    further 1e-20, and the working precision that keeps 50 digits through
+    the alternant's cancellation: 20 more per tied pair."""
+    phis, ties = [], 0
+    for p in phis_full:
+        repeats = sum(q == p for q in phis_full[: len(phis)])
+        ties += repeats
+        phis.append(mp.mpf(p) + repeats * mp.mpf("1e-20"))
+    return phis, mp.mp.dps + 20 * ties
+
+
 def schur_mp(lam, phis_full):
-    """Schur polynomial at unit-circle points, via the alternant ratio."""
+    """Schur polynomial at unit-circle points, via the alternant ratio;
+    exactly tied eigenphases are split by 1e-20 (_split_ties)."""
     d = len(lam)
-    xs = [mp.expjpi(mp.mpf(p) / mp.pi) for p in phis_full]
-    num = mp.matrix(d, d)
-    den = mp.matrix(d, d)
-    for i in range(d):
-        for j in range(d):
-            num[i, j] = xs[i] ** (lam[j] + d - 1 - j)
-            den[i, j] = xs[i] ** (d - 1 - j)
-    return mp.det(num) / mp.det(den)
+    phis, dps = _split_ties(phis_full)
+    with mp.workdps(dps):
+        xs = [mp.expjpi(p / mp.pi) for p in phis]
+        num = mp.matrix(d, d)
+        den = mp.matrix(d, d)
+        for i in range(d):
+            for j in range(d):
+                num[i, j] = xs[i] ** (lam[j] + d - 1 - j)
+                den[i, j] = xs[i] ** (d - 1 - j)
+        return mp.det(num) / mp.det(den)
+
+
+def char_sum_mp(heads, rows, phis_full):
+    """sum_w c_w chi_w at one torus point from a grouped polynomial (heads,
+    rows) as built by the package's _char_sum_plan: entry rows[g, m] is the
+    coefficient of z^mu for mu = (heads[g], m, 0). Each group's row is
+    evaluated at every eigenvalue, the alternant numerator is antisymmetrized
+    over all d! permutations and divided by the Vandermonde, with ties split
+    as in schur_mp."""
+    heads = np.asarray(heads).tolist()
+    d = len(heads[0]) + 2
+    perms = [
+        (perm, (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
+        for perm in itertools.permutations(range(d))
+    ]
+    phis, dps = _split_ties(phis_full)
+    with mp.workdps(dps):
+        xs = [mp.expjpi(p / mp.pi) for p in phis]
+        k_max = max([h[0] + 1 for h in heads if h] + [np.shape(rows)[1]])
+        pw = [[x**k for k in range(k_max)] for x in xs]
+        num = mp.mpc(0)
+        for head, row in zip(heads, rows):
+            ms = np.nonzero(row)[0].tolist()
+            last = [mp.fsum(mp.mpf(float(row[m])) * pw[b][m] for m in ms) for b in range(d)]
+            for perm, sign in perms:
+                num += sign * last[perm[d - 2]] * mp.fprod(pw[perm[j]][head[j]] for j in range(d - 2))
+        return num / mp.fprod(xs[i] - xs[j] for i in range(d) for j in range(i + 1, d))
 
 
 def dim_weyl(lam):
@@ -129,6 +176,55 @@ def heat_pu_char_mp(d, sigma, phi, jmax):
         dl = dim_weyl(lam)
         total += dl * mp.e ** (-sigma * casimir_mp(lam)) * schur_mp(shifted, phis_full)
     return total
+
+
+def _chars_confluent(parts: np.ndarray, theta_row: np.ndarray) -> np.ndarray:
+    """Characters of many partition-form labels at ONE torus point via the
+    Jacobi-Trudi determinant in complete homogeneous polynomials.
+
+    This is the confluent (divided-difference) form of the alternant ratio:
+    finite and stable when eigenphases coincide. Determinant entry growth
+    restricts it to parts[:, 0] up to a few hundred, ample for every regime
+    reached near the singular set.
+    """
+    nw, d = parts.shape
+    xs = np.exp(1j * np.asarray(theta_row, dtype=float))
+    e = np.zeros(d + 1, dtype=complex)
+    e[0] = 1.0
+    for x in xs:
+        e[1:] = e[1:] + x * e[:d]
+    kmax = int(parts[:, 0].max()) + d
+    h = np.zeros(kmax + 2, dtype=complex)
+    h[0] = 1.0
+    for k in range(1, kmax + 1):
+        acc = 0.0 + 0.0j
+        for j in range(1, min(d, k) + 1):
+            acc += (-1) ** (j - 1) * e[j] * h[k - j]
+        h[k] = acc
+    idx = parts[:, :, None] - np.arange(d)[None, :, None] + np.arange(d)[None, None, :]
+    valid = (idx >= 0) & (idx <= kmax)
+    mats = np.where(valid, h[np.clip(idx, 0, kmax + 1)], 0.0)
+    return np.linalg.det(mats)
+
+
+def char_matrix(lams, theta):
+    """Float characters of each label row at each eigenphase row, (nw, np):
+    det[x_j^mu_i] / det[x_j^rho_i] by LU, mu = lam - lam_d + rho, at points
+    whose eigenphase gaps are all >= 1e-6, and _chars_confluent elsewhere."""
+    lams = np.asarray(lams, dtype=np.int64)
+    d = lams.shape[1]
+    rho = np.arange(d - 1, -1, -1)
+    parts = lams - lams[:, -1:]
+    out = np.empty((len(lams), len(theta)), dtype=complex)
+    for p, row in enumerate(np.asarray(theta, dtype=float)):
+        gap = min(abs(math.remainder(a - b, 2 * math.pi)) for a, b in itertools.combinations(row, 2))
+        if gap < 1e-6:
+            out[:, p] = _chars_confluent(parts, row)
+        else:
+            powers = np.exp(1j * np.arange(parts[:, 0].max() + d)[:, None] * row[None, :])
+            num = np.linalg.det(powers[(parts + rho)[:, :, None], np.arange(d)])
+            out[:, p] = num / np.linalg.det(powers[rho[:, None], np.arange(d)])
+    return out
 
 
 def _lattice(d1, K):

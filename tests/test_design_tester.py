@@ -31,7 +31,7 @@ from udnet.design_tester import (
     gate_set_to_json,
     net_probe,
 )
-from udnet.lie_core import InvalidParameterError
+from udnet.lie_core import InvalidDimensionError, InvalidParameterError
 from udnet.montecarlo import RngStream
 from udnet.weights_chars import _char_batch, _projective_tuples
 
@@ -372,3 +372,12 @@ def test_net_probe_deterministic():
     b = net_probe([_I, _X], 0.8, 300, RngStream(4))
     assert a.estimate.mean == b.estimate.mean
     assert a.worst_distance == b.worst_distance
+
+
+def test_net_probe_checks_the_support_dimension():
+    with pytest.raises(InvalidDimensionError):
+        net_probe([np.eye(1, dtype=complex)], 0.5, 10, RngStream(1))
+    with pytest.raises(InvalidParameterError, match="d x d matrix"):
+        net_probe([np.complex128(1.0)], 0.5, 10, RngStream(1))
+    with pytest.raises(InvalidParameterError, match="2x2 matrix"):
+        net_probe([_I, np.eye(3)], 0.5, 10, RngStream(1))

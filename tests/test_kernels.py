@@ -39,11 +39,13 @@ from udnet.lie_core import _LOG_HUGE, InvalidParameterError, TorusPoint, _min_ga
 from udnet.montecarlo import RngStream, sample_haar_su
 from udnet.weights_chars import (
     _casimir_array,
-    _char_batch,
+    _char_sum,
     _dim_array,
     _projective_tuples,
     _su_label_tuples,
 )
+
+from oracles import char_matrix, char_sum_mp
 
 
 def _pt(d, *phi):
@@ -55,14 +57,14 @@ def _haar_rows(d, n, seed):
 
 
 def _confluent_rows(d):
-    """Rows with an eigenphase gap below 1e-6, including an exact tie and a
-    pair straddling -pi, all routed to the confluent form."""
+    """Rows with an eigenphase gap below 1e-6, including an exact tie, a
+    pair straddling -pi and the identity, all routed to the confluent form."""
     if d == 2:
         rows = [[1.5e-7, -1.5e-7], [0.0, 0.0], [math.pi - 1e-7, -math.pi + 1e-7]]
     else:
         pairs = ((0.4, 0.4 + 3e-7), (1.1, 1.1), (math.pi - 1e-7, -math.pi + 1e-7))
         rows = [[a, b] + [-0.9] * (d - 3) for a, b in pairs]
-        rows = [phi + [-sum(phi)] for phi in rows]
+        rows = [phi + [-sum(phi)] for phi in rows] + [[0.0] * d]
     rows = np.array(rows)
     assert np.all(_min_gaps(rows) < 1e-6)
     return rows
@@ -257,8 +259,25 @@ def test_char_sum_matches_character_matrix_contraction(case):
     lams = _projective_tuples(d, cutoff // 2) if projective else _su_label_tuples(d, cutoff)
     dims = _dim_array(lams)
     coeff = dims * np.exp(-sigma * _casimir_array(lams))
-    ref = (coeff @ _char_batch(lams, theta)).real
+    ref = (coeff @ char_matrix(lams, theta)).real
     np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12 * float(coeff @ dims))
+
+
+@pytest.mark.parametrize("d,sigma", [(2, 0.01), (3, 0.1), (4, 1.0)])
+def test_char_sum_matches_mpmath_at_confluent_points(d, sigma):
+    # the kernel's own grouped coefficients, summed at the confluent rows
+    # against 50-digit mpmath; the scale is sum_w |c_w| dim_w, as above
+    import udnet.kernels as kernels
+
+    plan = kernels._PLANS.get(KernelParams(d, sigma), True)
+    g, m = np.nonzero(plan.rows)
+    mu = np.column_stack([plan.heads[g], m, np.zeros_like(m)])
+    scale = float(np.abs(plan.rows[g, m]) @ _dim_array(mu - np.arange(d - 1, -1, -1)))
+    theta = _confluent_rows(d)
+    got = _char_sum(plan.heads, plan.rows, theta)
+    for row, value in zip(theta, got):
+        ref = complex(char_sum_mp(plan.heads, plan.rows, row.tolist()))
+        assert abs(value - ref) <= 1e-12 * scale, (row, value, ref)
 
 
 def test_char_batch_memory_does_not_grow_with_weight_count():
@@ -477,7 +496,7 @@ def test_plan_arrays_are_read_only():
     import udnet.kernels as kernels
 
     plan = kernels._PLANS.get(KernelParams(3, 0.1), True)
-    assert len(plan.arrays()) == 4
+    assert len(plan.arrays()) == 2
     for a in plan.arrays():
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1
@@ -547,6 +566,13 @@ def test_empty_eigenphase_batch():
         assert vals.shape == (0,) and vals.dtype == float
         _, ref_bound, ref_terms = batch(p, _haar_rows(3, 2, seed=1))
         assert (bound, terms) == (ref_bound, ref_terms)
+
+
+def test_non_finite_eigenphase_rows_rejected():
+    for batch in (heat_pu_char_batch, heat_su_char_batch):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                batch(KernelParams(3, 0.1), [[bad, 0.0, 0.0]])
 
 
 # ------------------------------------------------------------------ errors

@@ -35,6 +35,7 @@ from udnet.weights_chars import (
 )
 
 from oracles import projective_tuples, schur_mp, su_label_tuples
+from test_kernels import _confluent_rows
 
 
 def test_highest_weight_validation():
@@ -270,6 +271,24 @@ def test_char_batch_matches_mpmath_alternant(d):
                 for b in range(a + 1, d)
             )
             tol = 4.0 * 2.0**-53 * math.factorial(d) * (part[0] + d) / vdm
+            assert abs(got[i, j] - ref) <= tol, (lam, j, got[i, j], ref)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_char_batch_matches_mpmath_at_confluent_points(d):
+    labels = _ORACLE_LABELS[d]
+    theta = _confluent_rows(d)
+    got = _char_batch(np.array(labels), theta)
+    for i, lam in enumerate(labels):
+        part = [x - lam[-1] for x in lam]
+        mu = [p + d - 1 - j for j, p in enumerate(part)]
+        # rounding model: (d-1)! Jacobi-Trudi terms, each a product of d - 1
+        # complete homogeneous polynomials h_k, |h_k| <= C(k + d - 1, d - 1)
+        # on the unit circle, summed up to degree mu[0] + d
+        size = math.factorial(d - 1) * math.prod(math.comb(m + d - 1, d - 1) for m in mu[: d - 1])
+        tol = 4.0 * 2.0**-53 * (mu[0] + d) * size
+        for j, row in enumerate(theta):
+            ref = complex(schur_mp(part, row.tolist()))
             assert abs(got[i, j] - ref) <= tol, (lam, j, got[i, j], ref)
 
 
