@@ -13,8 +13,9 @@ parameter, 3 kernel truncation or numerical-instability failure, 4 resource
 cap exceeded. Logs go to stderr, data to stdout or ``--out``.
 
 Seed resolution: ``--seed`` flag, else the UDNET_SEED environment variable,
-else 0. Monte Carlo checks draw from numbered substreams of that seed and are
-retried once with a shifted seed before being declared failed.
+else 0; a seed outside [0, 2^64), the range RngStream takes, exits 2. Monte
+Carlo checks draw from numbered substreams of that seed and are retried once
+with a shifted seed before being declared failed.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ from .lie_core import (
     InvalidParameterError,
     TorusPoint,
     _check_int,
+    _check_positive,
+    _check_unit_open,
     _is_int,
     eps_tilde,
 )
@@ -104,17 +107,17 @@ class RunConfig:
 
 
 def _resolve_seed(flag: int | None) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get("UDNET_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise InvalidParameterError(
-            f"UDNET_SEED must be an integer, got {env!r}"
-        ) from None
+    if flag is None:
+        env = os.environ.get("UDNET_SEED")
+        if env is None:
+            return 0
+        try:
+            flag = int(env)
+        except ValueError:
+            raise InvalidParameterError(
+                f"UDNET_SEED must be an integer, got {env!r}"
+            ) from None
+    return RngStream(flag).seed
 
 
 def _resolve_threads(flag: int | None) -> int:
@@ -507,7 +510,8 @@ _SUITES = {
 
 
 def _cmd_validate(args, seed: int, threads: int):
-    eta = float(bounds.eta_min(args.d)) if args.eta is None else args.eta
+    _check_unit_open("gamma", args.gamma)
+    eta = float(bounds.eta_min(args.d)) if args.eta is None else _check_positive("eta", args.eta)
     _check_int("n", args.n, 2)
     ctx = _SuiteCtx(args.d, args.n, seed, args.gamma, eta, threads, itertools.count())
     names = tuple(_SUITES) if args.suite == "all" else (args.suite,)

@@ -43,7 +43,6 @@ __all__ = [
     "NetProbeReport",
     "gate_set_from_json",
     "gate_set_to_json",
-    "delta_design",
     "design_deltas",
     "net_probe",
 ]
@@ -261,11 +260,6 @@ def design_deltas(nu: WeightedGateSet, t: int) -> list[float]:
     best = np.zeros(t + 1)
     np.maximum.at(best, mass, [_block_norm(weights, logs, top) for top in rows])
     return np.maximum.accumulate(best)[1:].tolist()
-
-
-def delta_design(nu: WeightedGateSet, t: int) -> float:
-    """delta(nu, t): spectral norm of T_{nu,t} - T_{mu,t}; see design_deltas."""
-    return design_deltas(nu, t)[-1]
 
 
 @dataclass(frozen=True)

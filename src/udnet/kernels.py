@@ -1,17 +1,17 @@
-"""Heat kernels on SU(d) and PU(d): character form, Poisson form, trimming.
+"""Heat kernels on PU(d): character form, Poisson form, trimming.
 
 Two evaluation routes for the same function. The character route sums
-d_lam * exp(-sigma*k_lam) * chi_lam over highest weights with a guaranteed
-tail bound; the Poisson route sums Gaussians over the coweight lattice
-k in Z^{d-1} after Poisson summation. On the projective group the weight
-sum runs over zero-sum labels and the lattice form is averaged over the
-d center shifts phi -> phi + (2*pi*r/d) * (1, ..., 1).
+d_lam * exp(-sigma*k_lam) * chi_lam over the zero-sum highest weights with
+a guaranteed tail bound; the Poisson route sums Gaussians over the
+coweight lattice k in Z^{d-1} after Poisson summation, which gives the
+SU(d) kernel, and averages it over the d center shifts
+phi -> phi + (2*pi*r/d) * (1, ..., 1).
 
 Truncation policy. Weight sums are cut at the smallest even one-norm L
-(smallest integer coordinate sum for SU labels) whose shell-count envelope
-tail drops below tail_tol; the envelope combines the dimension bound
-(1+j)^{d(d-1)/2}, the shell count, and the Casimir lower bound, with decay
-exp(-sigma*k) for value sums and exp(-2*sigma*k) for Plancherel sums.
+whose shell-count envelope tail drops below tail_tol; the envelope
+combines the dimension bound (1+j)^{d(d-1)/2}, the shell count, and the
+Casimir lower bound, with decay exp(-sigma*k) for value sums and
+exp(-2*sigma*k) for Plancherel sums.
 Lattice sums are cut at the smallest sup-norm radius K whose Gaussian shell
 envelope, multiplied by the assembled prefactor, drops below tail_tol.
 Both envelopes are log-concave in the shell index, so once consecutive
@@ -56,8 +56,6 @@ from .weights_chars import (
     _dim_array,
     _projective_count,
     _projective_tuples,
-    _su_label_count,
-    _su_label_tuples,
 )
 
 __all__ = [
@@ -65,11 +63,8 @@ __all__ = [
     "EvalResult",
     "TruncationError",
     "NumericalInstabilityError",
-    "heat_su_char",
     "heat_pu_char",
-    "heat_su_char_batch",
     "heat_pu_char_batch",
-    "heat_su_poisson",
     "heat_pu_poisson",
     "trimming_error",
     "l2_norm_trimmed",
@@ -144,16 +139,6 @@ def _pu_shell_log_env(d: int, sigma: float, rate: float, j: float) -> float:
     )
 
 
-def _su_shell_log_env(d: int, sigma: float, rate: float, s: float) -> float:
-    # count(sum = s, lam_d = 0) <= (1+s)^{d-2}; dim^2 <= (1+s)^{d(d-1)};
-    # zero-sum one-norm >= 2s/d gives Casimir >= 2s^2/d^4 + s/(2d)
-    return (
-        (d - 2) * math.log1p(s)
-        + d * (d - 1) * math.log1p(s)
-        - rate * sigma * (2.0 * s * s / d**4 + s / (2.0 * d))
-    )
-
-
 def _envelope_cutoff(log_env, first: int, step: int, fits, limit: int) -> tuple[int, float]:
     """Smallest cutoff L = first + k*step, at most limit, whose envelope tail fits.
 
@@ -202,20 +187,20 @@ def _envelope_cutoff(log_env, first: int, step: int, fits, limit: int) -> tuple[
             )
 
 
-def _label_rows(d: int, cutoff: int, projective: bool, reason: str) -> np.ndarray:
-    """Label rows up to cutoff (projective one-norm or SU level).
+def _label_rows(d: int, cutoff: int, reason: str) -> np.ndarray:
+    """Zero-sum label rows up to one-norm cutoff.
 
     The rows are counted before any array is built; over _MAX_TERMS this
     raises TruncationError carrying the cutoff.
     """
-    count = _projective_count(d, cutoff // 2) if projective else _su_label_count(d, cutoff)
+    count = _projective_count(d, cutoff // 2)
     if count > _MAX_TERMS:
         raise TruncationError(
             f"{reason} needs {count} weights, over the"
             f" term budget {_MAX_TERMS}; required cutoff {cutoff}",
             required_cutoff=cutoff,
         )
-    return _projective_tuples(d, cutoff // 2) if projective else _su_label_tuples(d, cutoff)
+    return _projective_tuples(d, cutoff // 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,8 +233,8 @@ class _CharPlan:
         return sum(a.nbytes for a in self.arrays())
 
 
-def _build_char_plan(p: KernelParams, projective: bool) -> _CharPlan:
-    """Cutoff, labels, coefficients and skip mask for one (p, projective).
+def _build_char_plan(p: KernelParams) -> _CharPlan:
+    """Cutoff, labels, coefficients and skip mask for one p.
 
     Weights whose worst-case contribution d_lam^2 exp(-sigma*k_lam) cannot
     reach a share of the tail budget are skipped and charged to the bound.
@@ -267,18 +252,16 @@ def _build_char_plan(p: KernelParams, projective: bool) -> _CharPlan:
     needs more than _MAX_TERMS weights.
     """
     d, sigma = p.d, p.sigma
-    if projective and p.trim_t is not None:
+    if p.trim_t is not None:
         cutoff = 2 * p.trim_t
         tail = 0.0
         skip_budget = 0.0
     else:
-        env = functools.partial(_pu_shell_log_env if projective else _su_shell_log_env, d, sigma, 1.0)
+        env = functools.partial(_pu_shell_log_env, d, sigma, 1.0)
         tol = 0.5 * p.tail_tol
-        cutoff, tail = _envelope_cutoff(
-            env, 0, 2 if projective else 1, lambda tail: tail < tol, _MAX_WEIGHT_CUTOFF
-        )
+        cutoff, tail = _envelope_cutoff(env, 0, 2, lambda tail: tail < tol, _MAX_WEIGHT_CUTOFF)
         skip_budget = 0.4 * p.tail_tol
-    lams = _label_rows(d, cutoff, projective, f"tail_tol = {p.tail_tol:g}")
+    lams = _label_rows(d, cutoff, f"tail_tol = {p.tail_tol:g}")
 
     dims = _dim_array(lams)
     cas = _casimir_array(lams)
@@ -301,7 +284,7 @@ def _build_char_plan(p: KernelParams, projective: bool) -> _CharPlan:
 class _PlanCache:
     """Least recently used character plans, at most _PLAN_CACHE_BYTES in all.
 
-    Keyed on (d, sigma, trim_t, tail_tol, projective). A plan over the cap is
+    Keyed on (d, sigma, trim_t, tail_tol). A plan over the cap is
     returned but not kept, and a build that raises keeps nothing. The lock
     guards the table, not the build: Monte Carlo chunks on several threads
     may build one plan twice on a cold start, and the first one stored wins.
@@ -312,14 +295,14 @@ class _PlanCache:
         self._lock = threading.Lock()
         self.nbytes = 0
 
-    def get(self, p: KernelParams, projective: bool) -> _CharPlan:
-        key = (p.d, p.sigma, p.trim_t, p.tail_tol, projective)
+    def get(self, p: KernelParams) -> _CharPlan:
+        key = (p.d, p.sigma, p.trim_t, p.tail_tol)
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
                 self._plans.move_to_end(key)
                 return plan
-        plan = _build_char_plan(p, projective)
+        plan = _build_char_plan(p)
         with self._lock:
             if key in self._plans:
                 return self._plans[key]
@@ -334,13 +317,11 @@ class _PlanCache:
 _PLANS = _PlanCache()
 
 
-def _char_eval(
-    p: KernelParams, theta_rows: np.ndarray, projective: bool
-) -> tuple[np.ndarray, float, int]:
+def _char_eval(p: KernelParams, theta_rows: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Character-form kernel at many eigenphase rows.
 
     Returns (values, truncation_bound, terms_used). Everything that depends
-    only on (p, projective) is the plan of _build_char_plan, built on the
+    only on p is the plan of _build_char_plan, built on the
     first call and kept in _PLANS; a later call pays only for its points.
     All points go through one _char_sum call, which evaluates the one
     Laurent polynomial of the plan, through the alternant ratio at regular
@@ -351,7 +332,7 @@ def _char_eval(
     cold (best of 7 x 100 queries, 1 BLAS thread, 2-vCPU Intel Xeon, 2
     runs). The imaginary residue is checked on every call.
     """
-    plan = _PLANS.get(p, projective)
+    plan = _PLANS.get(p)
     vals = np.full(len(theta_rows), plan.base, dtype=complex)
     if plan.heads is not None:
         vals += _char_sum(plan.heads, plan.rows, theta_rows)
@@ -364,19 +345,10 @@ def _char_eval(
     return vals.real.astype(float), plan.bound, plan.terms
 
 
-def heat_su_char(p: KernelParams, x: TorusPoint) -> EvalResult:
-    """Full SU(d) heat kernel as a character sum with guaranteed tail."""
-    _check_point(p, x)
-    if p.trim_t is not None:
-        raise InvalidParameterError("heat_su_char evaluates the untrimmed kernel; trim_t must be None")
-    vals, bound, n = _char_eval(p, np.array([x.eigenphases()]), projective=False)
-    return EvalResult(float(vals[0]), bound, n)
-
-
 def heat_pu_char(p: KernelParams, x: TorusPoint) -> EvalResult:
     """PU(d) heat kernel (trimmed when trim_t is set) as a character sum."""
     _check_point(p, x)
-    vals, bound, n = _char_eval(p, np.array([x.eigenphases()]), projective=True)
+    vals, bound, n = _char_eval(p, np.array([x.eigenphases()]))
     return EvalResult(float(vals[0]), bound, n)
 
 
@@ -389,17 +361,9 @@ def _check_rows(p: KernelParams, theta_rows) -> np.ndarray:
     return theta_rows
 
 
-def heat_su_char_batch(p: KernelParams, theta_rows: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Vector heat_su_char over rows of full eigenphases, shape (n, d)."""
-    theta_rows = _check_rows(p, theta_rows)
-    if p.trim_t is not None:
-        raise InvalidParameterError("heat_su_char_batch evaluates the untrimmed kernel; trim_t must be None")
-    return _char_eval(p, theta_rows, projective=False)
-
-
 def heat_pu_char_batch(p: KernelParams, theta_rows: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Vector heat_pu_char over rows of full eigenphases, shape (n, d)."""
-    return _char_eval(p, _check_rows(p, theta_rows), projective=True)
+    return _char_eval(p, _check_rows(p, theta_rows))
 
 
 def _lattice_grid(d: int, radius: int) -> np.ndarray:
@@ -500,14 +464,6 @@ def _poisson_su(p: KernelParams, x: TorusPoint) -> EvalResult:
     return EvalResult(value, bound, terms)
 
 
-def heat_su_poisson(p: KernelParams, x: TorusPoint) -> EvalResult:
-    """SU(d) heat kernel through Poisson summation over the coweight lattice."""
-    _check_point(p, x)
-    if p.trim_t is not None:
-        raise InvalidParameterError("the Poisson form has no trimmed variant; trim_t must be None")
-    return _poisson_su(p, x)
-
-
 def heat_pu_poisson(p: KernelParams, x: TorusPoint) -> EvalResult:
     """PU(d) heat kernel: center-average of d Poisson-form SU evaluations."""
     _check_point(p, x)
@@ -553,7 +509,7 @@ def trimming_error(d: int, sigma: float, t: int, tail_tol: float = 1e-12) -> flo
     L, _ = _envelope_cutoff(env, 0, 2, lambda tail: tail < tail_tol, _MAX_WEIGHT_CUTOFF)
     if L <= 2 * t:
         return 0.0
-    lams = _label_rows(d, L, True, f"tail_tol = {tail_tol:g}")
+    lams = _label_rows(d, L, f"tail_tol = {tail_tol:g}")
     return math.sqrt(_plancherel_sq(sigma, lams[np.abs(lams).sum(axis=1) > 2 * t]))
 
 
@@ -562,7 +518,7 @@ def l2_norm_trimmed(d: int, sigma: float, t: int) -> float:
     _check_dimension(d)
     _check_positive("sigma", sigma)
     _check_int("t", t)
-    return math.sqrt(_plancherel_sq(sigma, _label_rows(d, 2 * t, True, f"t = {t}")))
+    return math.sqrt(_plancherel_sq(sigma, _label_rows(d, 2 * t, f"t = {t}")))
 
 
 def l2_norm_untrimmed(d: int, sigma: float, tail_tol: float = 1e-12) -> float:
@@ -572,5 +528,5 @@ def l2_norm_untrimmed(d: int, sigma: float, tail_tol: float = 1e-12) -> float:
     _check_unit_open("tail_tol", tail_tol)
     env = functools.partial(_pu_shell_log_env, d, sigma, 2.0)
     L, _ = _envelope_cutoff(env, 0, 2, lambda tail: tail < tail_tol, _MAX_WEIGHT_CUTOFF)
-    lams = _label_rows(d, L, True, f"tail_tol = {tail_tol:g}")
+    lams = _label_rows(d, L, f"tail_tol = {tail_tol:g}")
     return math.sqrt(_plancherel_sq(sigma, lams))

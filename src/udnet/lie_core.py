@@ -109,12 +109,6 @@ def group_constants(d: int) -> GroupConstants:
     )
 
 
-def weyl_vector_diag(d: int) -> list[Fraction]:
-    """Diagonal of X_delta / i: entries (d+1)/(4d) - k/(2d) for k = 1..d."""
-    _check_dimension(d)
-    return [Fraction(d + 1, 4 * d) - Fraction(k, 2 * d) for k in range(1, d + 1)]
-
-
 def _wrap_angle(x: float) -> float:
     """Map a finite angle to (-pi, pi]."""
     y = math.remainder(x, TWO_PI)
@@ -154,9 +148,6 @@ class TorusPoint:
         """Smallest pairwise circular distance between eigenphases."""
         return float(_min_gaps(np.array([self.eigenphases()]))[0])
 
-    def is_regular(self, tol: float = 0.0) -> bool:
-        return self.min_gap() > tol
-
 
 def _min_gaps(theta: np.ndarray) -> np.ndarray:
     """Minimum pairwise circular eigenphase gap, per row of theta (n, d).
@@ -195,24 +186,6 @@ def log_prefactor(d: int, sigma: float) -> float:
             -(n / 2.0) * math.log(4.0 * math.pi * s),
         ]
     )
-
-
-def killing_norm_sq(d: int, phi: TorusPoint, k=None) -> float:
-    """||X_phi + X_k||^2 = 2d (sum_j (phi_j + 2 pi k_j)^2 + (sum_j ...)^2),
-    where X_k is the coroot-lattice element for the integer vector k."""
-    _check_dimension(d)
-    if phi.d != d:
-        raise InvalidParameterError(f"TorusPoint has d={phi.d}, expected {d}")
-    if k is None:
-        psi = phi.phi
-    else:
-        kk = tuple(k)
-        if len(kk) != d - 1 or not all(_is_int(v) for v in kk):
-            raise InvalidParameterError("k must be an integer vector of length d-1")
-        psi = tuple(p + TWO_PI * v for p, v in zip(phi.phi, kk))
-    sq = math.fsum(p * p for p in psi)
-    tot = math.fsum(psi)
-    return 2.0 * d * (sq + tot * tot)
 
 
 def eps_tilde(eps: float) -> float:

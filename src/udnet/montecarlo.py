@@ -32,16 +32,14 @@ from scipy import integrate
 from scipy.special import logsumexp
 
 from .bounds import t_star
-from .kernels import KernelParams, heat_pu_char_batch, heat_su_char_batch
+from .kernels import KernelParams, heat_pu_char_batch
 from .lie_core import (
     TWO_PI,
     InvalidDimensionError,
     InvalidParameterError,
-    TorusPoint,
     _check_dimension,
     _check_eps,
     _check_int,
-    _check_unitary,
     _is_int,
     eps_tilde,
     log_prefactor,
@@ -50,21 +48,15 @@ from .lie_core import (
 __all__ = [
     "RngStream",
     "McEstimate",
-    "sample_haar_su",
-    "sample_gue_traceless",
-    "projective_distance",
     "gue_tail_mc",
     "gue_opnorm_cdf",
     "mc_normalization",
     "mc_outside_ball",
-    "mc_outside_ball_su",
     "torus_grid",
-    "torus_quadrature",
     "numeric_I0",
 ]
 
 _CHUNK = 1 << 15
-_UNITARY_TOL = 1e-8
 
 
 @dataclass
@@ -113,27 +105,11 @@ def _haar_su(d: int, n: int, gen: np.random.Generator) -> np.ndarray:
     return q * np.exp(-1j * np.angle(det) / d)[:, None, None]
 
 
-def sample_haar_su(d: int, rng: RngStream, size: int | None = None) -> np.ndarray:
-    """Haar draw from SU(d): one (d, d) matrix, or (size, d, d) when size is set."""
-    _check_dimension(d)
-    if size is None:
-        return _haar_su(d, 1, rng.generator())[0]
-    return _haar_su(d, _check_int("size", size, 1), rng.generator())
-
-
 def _gue_traceless(d: int, n: int, gen: np.random.Generator) -> np.ndarray:
     g = gen.standard_normal((n, d, d)) + 1j * gen.standard_normal((n, d, d))
     a = (g + np.conj(np.swapaxes(g, 1, 2))) / (2.0 * math.sqrt(2.0))
     tr = np.trace(a, axis1=1, axis2=2).real / d
     return a - tr[:, None, None] * np.eye(d)[None, :, :]
-
-
-def sample_gue_traceless(d: int, rng: RngStream, size: int | None = None) -> np.ndarray:
-    """Traceless GUE draw with density exp(-Tr A^2) conditioned on Tr A = 0."""
-    _check_dimension(d)
-    if size is None:
-        return _gue_traceless(d, 1, rng.generator())[0]
-    return _gue_traceless(d, _check_int("size", size, 1), rng.generator())
 
 
 def _dp_to_identity(theta: np.ndarray, d: int) -> np.ndarray:
@@ -142,16 +118,6 @@ def _dp_to_identity(theta: np.ndarray, d: int) -> np.ndarray:
     diff = theta[:, None, :] - shifts[None, :, None]
     dist = 2.0 * np.abs(np.sin(diff / 2.0))
     return dist.max(axis=2).min(axis=1)
-
-
-def projective_distance(u: np.ndarray, v: np.ndarray, d: int) -> float:
-    """d_P(U, V): operator-norm distance minimized over the d center phases."""
-    _check_dimension(d)
-    _check_unitary(u, d, _UNITARY_TOL, "U")
-    _check_unitary(v, d, _UNITARY_TOL, "V")
-    w = np.asarray(u) @ np.asarray(v).conj().T
-    theta = np.angle(np.linalg.eigvals(w))
-    return float(_dp_to_identity(theta[None, :], d)[0])
 
 
 def _mc_run(n: int, rng: RngStream, chunk_vals, workers: int | None = 1) -> McEstimate:
@@ -251,24 +217,6 @@ def mc_outside_ball(d: int, sigma: float, trim_t: int | None, eps: float, n: int
     return _mc_run(n, rng, chunk, workers=workers)
 
 
-def mc_outside_ball_su(d: int, sigma: float, eps: float, n: int, rng: RngStream, *, workers: int | None = 1) -> McEstimate:
-    """Mass of |untrimmed SU kernel| outside the eps-ball at identity.
-
-    Companion estimate to mc_outside_ball: the projective integral is
-    bounded by this one because the ball preimage contains the SU ball.
-    """
-    eps = _check_eps(eps)
-    p = KernelParams(d=d, sigma=sigma)
-
-    def chunk(gen, m):
-        theta = _eigenphase_rows(_haar_su(d, m, gen))
-        vals, _, _ = heat_su_char_batch(p, theta)
-        dist = 2.0 * np.abs(np.sin(theta / 2.0)).max(axis=1)
-        return np.abs(vals) * (dist > eps)
-
-    return _mc_run(n, rng, chunk, workers=workers)
-
-
 def _check_grid(d, grid_n) -> tuple[int, int]:
     d = _check_dimension(d)
     if d > 3:
@@ -289,18 +237,6 @@ def torus_grid(d: int, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
             density *= 4.0 * np.sin((theta[:, i] - theta[:, j]) / 2.0) ** 2
     weights = density / (math.factorial(d) * grid_n ** (d - 1))
     return phi, weights
-
-
-def torus_quadrature(d: int, grid_n: int, f) -> float:
-    """Integral of a class function against Haar measure via the Weyl formula.
-
-    f is called once per node with a TorusPoint; complex values are allowed
-    and the real part of the weighted sum is returned (the integrals of
-    interest are real, with imaginary residue at rounding level).
-    """
-    phi, weights = torus_grid(d, grid_n)
-    vals = np.array([f(TorusPoint(d, tuple(row))) for row in phi])
-    return float(np.real(np.sum(weights * vals)))
 
 
 def numeric_I0(d: int, sigma: float, eps: float, grid_n: int) -> float:

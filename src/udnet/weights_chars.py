@@ -1,9 +1,9 @@
-"""Highest weights of SU(d)/PU(d) and stable character evaluation.
+"""Highest weights of PU(d) and stable character evaluation.
 
-Labels are stored as non-increasing integer vectors of length d. Projective
-(PU) weights are the zero-sum ones; general SU(d) labels live in the
-lambda_d = 0 convention and convert to zero-sum form by subtracting
-sum(lambda)/d, defined only when d divides the sum.
+Labels are stored as non-increasing integer vectors of length d. The PU(d)
+weights are the zero-sum ones, which the enumerator lists;
+HighestWeight.from_su_label converts a lambda_d = 0 label to zero-sum form
+by subtracting sum(lambda)/d, defined only when d divides the sum.
 
 Characters are evaluated by one engine, _char_sum, from a grouped Laurent
 polynomial. With mu = lam - lam_d + rho the last exponent is 0, so a sum
@@ -32,7 +32,6 @@ from fractions import Fraction
 import numpy as np
 
 from .lie_core import (
-    TWO_PI,
     InvalidParameterError,
     TorusPoint,
     _check_dimension,
@@ -116,18 +115,6 @@ def _projective_tuples(d, t):
     return np.stack(cols + [-psum], axis=1)
 
 
-def _su_label_tuples(d, s_max):
-    """lambda_d = 0 dominant labels with sum(lambda) <= s_max, as a (n, d)
-    int64 array in lexicographic row order."""
-    first = np.arange(s_max + 1, dtype=np.int64)
-    cols, psum = [first], first
-    for _ in range(1, d - 1):
-        hi = np.minimum(cols[-1], s_max - psum)
-        cols, parent = _append_column(cols, np.zeros_like(hi), hi)
-        psum = psum[parent] + cols[-1]
-    return np.stack(cols + [np.zeros_like(psum)], axis=1)
-
-
 def _partition_counts(n_max, parts):
     """Yield c for n = 0..n_max, where c[a] is the number of partitions of n
     into exactly a parts, a = 0..parts."""
@@ -157,24 +144,12 @@ def _projective_count(d, t):
     return total
 
 
-def _su_label_count(d, s_max):
-    """len(_su_label_tuples(d, s_max)) without building the rows."""
-    return sum(sum(c) for c in _partition_counts(s_max, d - 1))
-
-
 def enumerate_projective_weights(d: int, t: int) -> list[HighestWeight]:
     """All zero-sum non-increasing integer vectors with 1-norm <= 2t,
     sorted lexicographically."""
     _check_dimension(d)
     t = _check_int("t", t)
     return [HighestWeight(d, lam) for lam in _projective_tuples(d, t).tolist()]
-
-
-def enumerate_su_labels(d: int, s_max: int) -> list[HighestWeight]:
-    """All lambda_d = 0 dominant labels with sum(lambda) <= s_max."""
-    _check_dimension(d)
-    s_max = _check_int("s_max", s_max)
-    return [HighestWeight(d, lam) for lam in _su_label_tuples(d, s_max).tolist()]
 
 
 def dim(w: HighestWeight) -> int:
@@ -409,29 +384,3 @@ def character(w: HighestWeight, x: TorusPoint) -> complex:
         raise InvalidParameterError(f"weight has d={w.d}, point has d={x.d}")
     theta = np.asarray(x.eigenphases(), dtype=float)[None, :]
     return complex(_char_batch([w.lam], theta)[0, 0])
-
-
-def j_function(d: int, x: TorusPoint) -> complex:
-    """Weyl denominator j = (2i)^m prod_{i<j} sin((theta_i - theta_j)/2)."""
-    _check_dimension(d)
-    if x.d != d:
-        raise InvalidParameterError(f"TorusPoint has d={x.d}, expected {d}")
-    th = x.eigenphases()
-    m = d * (d - 1) // 2
-    prod = 1.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            prod *= math.sin((th[i] - th[j]) / 2.0)
-    return (2j) ** m * prod
-
-
-def center_average_character(w: HighestWeight, x: TorusPoint) -> complex:
-    """(1/d) sum_k chi_lambda(gamma_k x) over the d center representatives
-    gamma_k = e^{2 pi i k / d} I. Projects onto PU(d) characters: equals
-    chi_lambda(x) when d | sum(lambda) and 0 otherwise."""
-    if w.d != x.d:
-        raise InvalidParameterError(f"weight has d={w.d}, point has d={x.d}")
-    d = w.d
-    shifted = [TorusPoint(d, tuple(p + TWO_PI * k / d for p in x.phi)) for k in range(d)]
-    chi = _char_batch([w.lam], np.array([y.eigenphases() for y in shifted]))
-    return complex(chi[0].sum()) / d

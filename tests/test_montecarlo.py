@@ -16,18 +16,17 @@ from udnet.lie_core import InvalidDimensionError, InvalidParameterError
 from udnet.montecarlo import (
     McEstimate,
     RngStream,
+    _gue_traceless,
+    _haar_su,
     gue_opnorm_cdf,
     gue_tail_mc,
     mc_normalization,
     mc_outside_ball,
-    mc_outside_ball_su,
     numeric_I0,
-    projective_distance,
-    sample_gue_traceless,
-    sample_haar_su,
     torus_grid,
-    torus_quadrature,
 )
+
+from oracles import projective_distance, torus_quadrature
 
 
 def test_rng_stream_validation():
@@ -41,7 +40,7 @@ def test_rng_stream_validation():
 
 def test_haar_samples_lie_in_su_d():
     for d in (2, 3):
-        u = sample_haar_su(d, RngStream(3), size=200)
+        u = _haar_su(d, 200, RngStream(3).generator())
         assert u.shape == (200, d, d)
         eye = np.eye(d)
         assert abs(np.einsum("nij,nkj->nik", u, u.conj()) - eye).max() < 1e-12
@@ -49,14 +48,14 @@ def test_haar_samples_lie_in_su_d():
 
 
 def test_haar_first_moment_of_abs_trace_squared():
-    u = sample_haar_su(2, RngStream(17), size=40_000)
+    u = _haar_su(2, 40_000, RngStream(17).generator())
     vals = np.abs(np.einsum("nii->n", u)) ** 2
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - 1.0) < 5.0 * se
 
 
 def test_gue_traceless_structure_and_second_moment():
-    a = sample_gue_traceless(3, RngStream(0), size=20_000)
+    a = _gue_traceless(3, 20_000, RngStream(0).generator())
     assert abs(a - a.conj().transpose(0, 2, 1)).max() == 0.0
     assert abs(np.trace(a, axis1=1, axis2=2)).max() < 1e-12
     tr2 = np.einsum("nij,nji->n", a, a).real
@@ -76,7 +75,7 @@ def test_projective_distance_reference_points():
 
 def test_projective_distance_triangle_inequality():
     rng = RngStream(9)
-    u = sample_haar_su(3, rng, size=30)
+    u = _haar_su(3, 30, rng.generator())
     for i in range(0, 30, 3):
         a, b, c = u[i], u[i + 1], u[i + 2]
         dab = projective_distance(a, b, 3)
@@ -160,8 +159,8 @@ def test_mc_outside_ball_at_diameter_is_zero():
 def test_mc_outside_ball_monotone_in_eps_on_shared_stream():
     # same seed resamples the same points, so the indicator mass is pointwise
     # monotone in the radius
-    lo = mc_outside_ball_su(2, 0.3, 0.4, 4_000, RngStream(6))
-    hi = mc_outside_ball_su(2, 0.3, 1.2, 4_000, RngStream(6))
+    lo = mc_outside_ball(2, 0.3, None, 0.4, 4_000, RngStream(6))
+    hi = mc_outside_ball(2, 0.3, None, 1.2, 4_000, RngStream(6))
     assert hi.mean <= lo.mean
 
 

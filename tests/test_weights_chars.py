@@ -17,24 +17,18 @@ import numpy as np
 import pytest
 
 from udnet.lie_core import InvalidParameterError, TorusPoint, _min_gaps
-from udnet.montecarlo import torus_quadrature
 from udnet.weights_chars import (
     HighestWeight,
     casimir,
-    center_average_character,
     character,
     dim,
     enumerate_projective_weights,
-    enumerate_su_labels,
-    j_function,
     _char_batch,
     _projective_count,
     _projective_tuples,
-    _su_label_count,
-    _su_label_tuples,
 )
 
-from oracles import projective_tuples, schur_mp, su_label_tuples
+from oracles import center_average_character, projective_tuples, schur_mp, torus_quadrature
 from test_kernels import _confluent_rows
 
 
@@ -91,8 +85,6 @@ def test_label_arrays_match_partition_oracle_row_for_row(d):
     for t in range(9):
         got = _projective_tuples(d, t)
         assert np.array_equal(np.asarray(got), np.array(projective_tuples(d, t)))
-        got = _su_label_tuples(d, t)
-        assert np.array_equal(np.asarray(got), np.array(su_label_tuples(d, t)))
 
 
 @pytest.mark.parametrize("d", range(2, 7))
@@ -101,31 +93,16 @@ def test_label_counts_match_enumerators(d):
         lams = _projective_tuples(d, t)
         assert lams.dtype == np.int64 and lams.shape[1] == d
         assert _projective_count(d, t) == len(lams)
-        labels = _su_label_tuples(d, t)
-        assert labels.dtype == np.int64 and labels.shape[1] == d
-        assert _su_label_count(d, t) == len(labels)
 
 
 def test_enumerate_projective_weights_d2_count():
     # d=2: (a, -a) with a = 0..t
     assert len(enumerate_projective_weights(2, 4)) == 5
     assert len(enumerate_projective_weights(2, 0)) == 1
-
-
-def test_enumerate_su_labels():
-    labels = enumerate_su_labels(2, 3)
-    assert [w.lam for w in labels] == [(0, 0), (1, 0), (2, 0), (3, 0)]
-    got = {w.lam for w in enumerate_su_labels(3, 2)}
-    assert got == {(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0)}
-    with pytest.raises(InvalidParameterError):
-        enumerate_su_labels(2, -1)
-    with pytest.raises(InvalidParameterError):
-        enumerate_projective_weights(2, 1.5)
-    with pytest.raises(InvalidParameterError):
-        enumerate_projective_weights(2, True)
-    with pytest.raises(InvalidParameterError):
-        enumerate_su_labels(2, True)
     assert len(enumerate_projective_weights(2, np.int64(4))) == 5
+    for bad in (-1, 1.5, True):
+        with pytest.raises(InvalidParameterError):
+            enumerate_projective_weights(2, bad)
 
 
 @pytest.mark.parametrize(
@@ -295,18 +272,6 @@ def test_char_batch_matches_mpmath_at_confluent_points(d):
 def test_character_dimension_mismatch():
     with pytest.raises(InvalidParameterError):
         character(HighestWeight(2, (1, 0)), TorusPoint(3, (0.1, 0.2)))
-
-
-def test_j_function_su2():
-    x = TorusPoint(2, (0.8,))
-    # theta = (0.8, -0.8): j = 2i sin(0.8)
-    assert j_function(2, x) == pytest.approx(2j * math.sin(0.8), rel=1e-12)
-    with pytest.raises(InvalidParameterError):
-        j_function(3, x)
-
-
-def test_j_function_vanishes_on_singular_set():
-    assert j_function(3, TorusPoint(3, (0.4, 0.4))) == 0
 
 
 def test_weyl_integration_orthonormality_d2():
