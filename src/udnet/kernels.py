@@ -2,10 +2,9 @@
 
 Two evaluation routes for the same function. The character route sums
 d_lam * exp(-sigma*k_lam) * chi_lam over the zero-sum highest weights with
-a guaranteed tail bound; the Poisson route sums Gaussians over the
-coweight lattice k in Z^{d-1} after Poisson summation, which gives the
-SU(d) kernel, and averages it over the d center shifts
-phi -> phi + (2*pi*r/d) * (1, ..., 1).
+a guaranteed tail bound; the Poisson route is one Gaussian sum over the
+PU(d) coweight lattice, the d cosets Z^{d-1} + (r/d) * (1, ..., 1),
+after Poisson summation.
 
 Truncation policy. Weight sums are cut at the smallest even one-norm L
 whose shell-count envelope tail drops below tail_tol; the envelope
@@ -23,8 +22,9 @@ soon as its partial tail is too large.
 
 Near-regular points (eigenphase gap below 1e-6) cancel catastrophically in
 the raw Poisson form; they are handled by a symmetric four-point jitter of
-base size 1e-5 with one Richardson step. All exponentials assemble in log
-space with signs tracked separately.
+base size 1e-5 with one Richardson step, refused when that step is too large
+a share of the value. All exponentials assemble in log space with signs
+tracked separately.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ _MAX_LATTICE_RADIUS = 512
 _MAX_WEIGHT_CUTOFF = 1 << 26
 _MAX_TERMS = 2_000_000  # weights one sum may enumerate
 _PLAN_CACHE_BYTES = 64 << 20  # character plans kept between calls
+_RESIDUE_CEILING = 1e-9  # share of a value that a char residue or Richardson step may reach
 
 
 class TruncationError(RuntimeError):
@@ -337,7 +338,7 @@ def _char_eval(p: KernelParams, theta_rows: np.ndarray) -> tuple[np.ndarray, flo
     if plan.heads is not None:
         vals += _char_sum(plan.heads, plan.rows, theta_rows)
     resid = float(np.max(np.abs(vals.imag), initial=0.0))
-    ceiling = 1e-9 * max(1.0, float(np.max(np.abs(vals.real), initial=0.0))) + plan.bound
+    ceiling = _RESIDUE_CEILING * max(1.0, float(np.max(np.abs(vals.real), initial=0.0))) + plan.bound
     if not np.all(np.isfinite(vals.real)) or resid > ceiling:
         raise NumericalInstabilityError(
             f"character sum lost significance: imaginary residue {resid:.3e}"
@@ -384,23 +385,32 @@ def _lattice_shell_log_env(d: int, sigma: float, kappa: float) -> float:
     ) - d * math.pi**2 * (2.0 * kappa - 1.0) ** 2 / (2.0 * sigma)
 
 
-def _poisson_su_core(p: KernelParams, x: TorusPoint) -> EvalResult:
-    """Poisson-form SU(d) kernel at a regular point."""
+def _poisson_core(p: KernelParams, x: TorusPoint) -> EvalResult:
+    """Poisson-form PU(d) kernel at a regular point: one coweight lattice sum.
+
+    Coset r of the lattice, Z^{d-1} + (r/d)(1, ..., 1), is read at the center
+    shift phi + 2*pi*r/d, wrapped as TorusPoint wraps it, and its rows carry
+    sign(j_r) |j_min| / |j_r|, with j_r the Weyl denominator of that shift's
+    own eigenphases. The cosets share one envelope, so one walk under the
+    largest prefactor (the smallest |j_r|) gives the radius and the bound.
+    """
     d, sigma = p.d, p.sigma
-    th = x.eigenphases()
-    log_j = 0.0
-    sign_j = 1.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            v = 2.0 * math.sin(0.5 * (th[i] - th[j]))
-            if v == 0.0:
-                raise NumericalInstabilityError(
-                    "coincident eigenphases reached the raw Poisson form"
-                )
-            if v < 0.0:
-                sign_j = -sign_j
-            log_j += math.log(abs(v))
-    log_pref = log_prefactor(d, sigma) + math.lgamma(d + 1) - log_j
+    shifts = [TorusPoint(d, tuple(v + TWO_PI * r / d for v in x.phi)) for r in range(d)]
+    log_j, sign_j = [0.0] * d, [1.0] * d
+    for r, y in enumerate(shifts):
+        th = y.eigenphases()
+        for i in range(d):
+            for j in range(i + 1, d):
+                v = 2.0 * math.sin(0.5 * (th[i] - th[j]))
+                if v == 0.0:
+                    raise NumericalInstabilityError(
+                        "coincident eigenphases reached the raw Poisson form"
+                    )
+                if v < 0.0:
+                    sign_j[r] = -sign_j[r]
+                log_j[r] += math.log(abs(v))
+    weights = np.array([sign * math.exp(min(log_j) - lj) for sign, lj in zip(sign_j, log_j)])
+    log_pref = log_prefactor(d, sigma) + math.lgamma(d + 1) - min(log_j)
 
     def log_tail(tail):
         return log_pref + (math.log(tail) if tail > 0.0 else -math.inf)
@@ -418,10 +428,10 @@ def _poisson_su_core(p: KernelParams, x: TorusPoint) -> EvalResult:
     bound = math.exp(log_tail(tail))
 
     grid = _lattice_grid(d, radius)
-    phi = np.asarray(x.phi, dtype=float)
-    psi = phi[None, :] + TWO_PI * grid
+    phis = np.array([y.phi for y in shifts])
+    psi = (phis[:, None, :] + TWO_PI * grid).reshape(-1, d - 1)
     full = np.concatenate([psi, -psi.sum(axis=1, keepdims=True)], axis=1)
-    root_prod = np.ones(len(grid))
+    root_prod = np.repeat(weights, len(grid))
     for i in range(d):
         for j in range(i + 1, d):
             root_prod = root_prod * (full[:, i] - full[:, j])
@@ -435,13 +445,16 @@ def _poisson_su_core(p: KernelParams, x: TorusPoint) -> EvalResult:
     log_abs = log_pref + peak + math.log(abs(s))
     if log_abs > _LOG_HUGE:
         raise NumericalInstabilityError("Poisson prefactor overflowed")
-    value = sign_j * math.copysign(1.0, s) * math.exp(log_abs)
-    return EvalResult(value, bound, len(grid))
+    return EvalResult(math.copysign(math.exp(log_abs), s) / d, bound, len(psi))
 
 
-def _poisson_su(p: KernelParams, x: TorusPoint) -> EvalResult:
+def heat_pu_poisson(p: KernelParams, x: TorusPoint) -> EvalResult:
+    """PU(d) heat kernel as one Gaussian sum over the PU coweight lattice."""
+    _check_point(p, x)
+    if p.trim_t is not None:
+        raise InvalidParameterError("the Poisson form has no trimmed variant; trim_t must be None")
     if x.min_gap() >= GAP_TOL:
-        return _poisson_su_core(p, x)
+        return _poisson_core(p, x)
     # Jittered Richardson average: the direction (1, 2, ..., d-1) separates
     # every eigenphase pair at unit rate or faster, so the half-step points
     # stay clear of the 1e-6 gap threshold.
@@ -452,35 +465,21 @@ def _poisson_su(p: KernelParams, x: TorusPoint) -> EvalResult:
     evals = {}
     for c in (1.0, -1.0, 0.5, -0.5):
         y = TorusPoint(d, tuple(phi + c * _JITTER_H * direction))
-        evals[c] = _poisson_su_core(inner, y)
+        evals[c] = _poisson_core(inner, y)
     coarse = 0.5 * (evals[1.0].value + evals[-1.0].value)
     fine = 0.5 * (evals[0.5].value + evals[-0.5].value)
     value = (4.0 * fine - coarse) / 3.0
+    if (fine - coarse) ** 2 > _RESIDUE_CEILING * max(1.0, abs(value)) * abs(value):
+        raise NumericalInstabilityError(
+            f"jittered Poisson average lost significance: Richardson step"
+            f" {fine - coarse:.3e} on value {value:.3e}"
+        )
     bound = (
         4.0 * max(evals[0.5].truncation_bound, evals[-0.5].truncation_bound)
         + max(evals[1.0].truncation_bound, evals[-1.0].truncation_bound)
     ) / 3.0
     terms = sum(r.terms_used for r in evals.values())
     return EvalResult(value, bound, terms)
-
-
-def heat_pu_poisson(p: KernelParams, x: TorusPoint) -> EvalResult:
-    """PU(d) heat kernel: center-average of d Poisson-form SU evaluations."""
-    _check_point(p, x)
-    if p.trim_t is not None:
-        raise InvalidParameterError("the Poisson form has no trimmed variant; trim_t must be None")
-    d = p.d
-    phi = np.asarray(x.phi, dtype=float)
-    total = 0.0
-    bound = 0.0
-    terms = 0
-    for r in range(d):
-        y = TorusPoint(d, tuple(phi + TWO_PI * r / d))
-        res = _poisson_su(p, y)
-        total += res.value
-        bound += res.truncation_bound
-        terms += res.terms_used
-    return EvalResult(total / d, bound / d, terms)
 
 
 def _plancherel_sq(sigma: float, lams: np.ndarray) -> float:

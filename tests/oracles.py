@@ -466,6 +466,7 @@ def main():
     show("heat_su(2, 0.2, [0.3]) char", a)
     show("heat_su(2, 0.2, [0.3]) poisson", b)
     show("  rel diff", abs(a - b) / abs(b))
+    show("heat_pu(2, 0.2, [0.3]) poisson", heat_pu_poisson_mp(2, mp.mpf("0.2"), [mp.mpf("0.3")], 8))
 
     a3 = heat_su_char_mp(3, mp.mpf("0.5"), [mp.mpf("0.7"), mp.mpf("-0.4")], 70)
     b3 = heat_su_poisson_mp(3, mp.mpf("0.5"), [mp.mpf("0.7"), mp.mpf("-0.4")], 7)
@@ -484,6 +485,8 @@ def main():
     show("heat_su(4, 0.8, [0.5,-0.3,0.9]) char", a4)
     show("heat_su(4, 0.8, [0.5,-0.3,0.9]) poisson", b4)
     show("  rel diff", abs(a4 - b4) / abs(b4))
+    q4 = heat_pu_poisson_mp(4, mp.mpf("0.8"), [mp.mpf("0.5"), mp.mpf("-0.3"), mp.mpf("0.9")], 5)
+    show("heat_pu(4, 0.8, [0.5,-0.3,0.9]) poisson", q4)
 
     b3s = heat_su_poisson_mp(3, mp.mpf("0.05"), [mp.mpf("0.4"), mp.mpf("-0.15")], 4)
     show("heat_su(3, 0.05, [0.4,-0.15]) poisson", b3s)

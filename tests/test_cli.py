@@ -144,6 +144,14 @@ def test_kernel_truncation_maps_to_exit_3(monkeypatch):
     assert code == 3
 
 
+def test_kernel_poisson_lost_jitter_exits_3(capsys):
+    # the jittered identity at sigma = 1e-12 once printed 1.29e-3 with
+    # bound 0.0 and exit 0; the kernel there is near 5e18
+    argv = ["kernel", "--d", "2", "--sigma", "1e-12", "--phi", "0", "--form", "poisson"]
+    assert main(argv) == 3
+    assert capsys.readouterr().out == ""
+
+
 _KERNEL_ARGV = ["kernel", "--d", "3", "--sigma", "0.1", "--phi", "0.3", "-0.2", "--form", "both"]
 
 

@@ -13,6 +13,7 @@ import math
 import tracemalloc
 from collections import Counter
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -29,7 +30,6 @@ from udnet.kernels import (
     trimming_error,
     _envelope_cutoff,
     _lattice_shell_log_env,
-    _poisson_su,
     _pu_shell_log_env,
 )
 from udnet.lie_core import _LOG_HUGE, InvalidParameterError, TorusPoint, _min_gaps, log_prefactor
@@ -41,7 +41,7 @@ from udnet.weights_chars import (
     _projective_tuples,
 )
 
-from oracles import char_matrix, char_sum_mp
+from oracles import char_matrix, char_sum_mp, heat_pu_poisson_mp
 
 
 def _pt(d, *phi):
@@ -72,35 +72,25 @@ def _confluent_rows(d):
 @pytest.mark.parametrize(
     "d,sigma,phi,expected",
     [
-        (2, 0.2, (0.3,), 47.43854205730573754),
-        (3, 0.5, (0.7, -0.4), 993.37854676591078918),
-        (4, 0.8, (0.5, -0.3, 0.9), 3098.0147613156998561),
+        (2, 0.2, (0.3,), 23.71927102865286877),
+        (3, 0.5, (0.7, -0.4), 331.12618225530359639),
+        (4, 0.8, (0.5, -0.3, 0.9), 774.50369032892520691),
     ],
 )
-def test_heat_su_reference_values_both_routes(d, sigma, phi, expected):
-    # the SU(d) lattice sum that heat_pu_poisson averages over center shifts;
-    # the references are the mpmath character series and lattice sum
-    r = _poisson_su(KernelParams(d, sigma), _pt(d, *phi))
-    assert isinstance(r, EvalResult)
-    assert r.value == pytest.approx(expected, rel=1e-12)
-    assert r.terms_used > 0
-    assert 0.0 <= r.truncation_bound < 1e-10
-
-
-def test_heat_pu_reference_value_both_routes():
-    p = KernelParams(3, 0.5)
-    x = _pt(3, 0.7, -0.4)
-    expected = 331.12618225530359639
-    assert heat_pu_char(p, x).value == pytest.approx(expected, rel=1e-12)
-    assert heat_pu_poisson(p, x).value == pytest.approx(expected, rel=1e-12)
+def test_pu_reference_values_d2_to_d4_both_routes(d, sigma, phi, expected):
+    # the references are oracles.heat_pu_poisson_mp, the mpmath lattice sum
+    p, x = KernelParams(d, sigma), _pt(d, *phi)
+    for r in (heat_pu_char(p, x), heat_pu_poisson(p, x)):
+        assert isinstance(r, EvalResult)
+        assert r.value == pytest.approx(expected, rel=1e-12)
+        assert r.terms_used > 0
+        assert 0.0 <= r.truncation_bound < 1e-10
 
 
 def test_small_sigma_reference_values_poisson():
     # sigma = 0.05 needs thousands of character terms but only a handful of
     # lattice terms; the char route must still agree
-    su = _poisson_su(KernelParams(3, 0.05), _pt(3, 0.4, -0.15))
     pu = heat_pu_poisson(KernelParams(3, 0.05), _pt(3, 0.4, -0.15))
-    assert su.value == pytest.approx(47514.97992882820572, rel=1e-12)
     assert pu.value == pytest.approx(15838.32664294273524, rel=1e-12)
     assert heat_pu_char(KernelParams(3, 0.05), _pt(3, 0.4, -0.15)).value == pytest.approx(
         15838.32664294273524, rel=1e-9
@@ -160,6 +150,72 @@ def test_poisson_handles_singular_points_via_jitter():
         assert b.value == pytest.approx(a.value, rel=1e-7)
 
 
+@pytest.mark.parametrize("d,sigma", [(2, 1e-6), (2, 1e-8), (2, 1e-12), (3, 1e-6), (5, 2.0)])
+def test_jittered_poisson_refuses_a_lost_value(d, sigma):
+    # at the identity the four jittered sums lose the value: at d = 2,
+    # sigma = 1e-12 the average read 1.29e-3 against a kernel near 5e18,
+    # and at d = 5, sigma = 2 it read 26,865.6 against 26,999.2, each with a
+    # bound near 0
+    e = _pt(d, *((0.0,) * (d - 1)))
+    with pytest.raises(NumericalInstabilityError, match="lost significance"):
+        heat_pu_poisson(KernelParams(d, sigma), e)
+
+
+def _poisson_families(d, sigma, rng):
+    """Points of five kinds: random, a pair straddling -pi, near a center
+    element omega^r, near the identity, and a gap below 1e-6 (jittered)."""
+    near = 0.05 * 10.0 ** -rng.integers(0, 3)
+    straddle = rng.uniform(-1.0, 1.0, d - 1)
+    straddle[0] = math.pi - rng.uniform(0.01, 0.2)
+    if d > 2:
+        straddle[1] = -math.pi + rng.uniform(0.01, 0.2)
+    gap = rng.uniform(-1.0, 1.0, d - 1) * math.sqrt(sigma)
+    if d == 2:
+        gap[0] = rng.choice([-1.0, 1.0]) * rng.uniform(1e-8, 4e-7)
+    else:
+        gap[1] = gap[0] + rng.uniform(1e-8, 5e-7)
+    return [
+        rng.uniform(-math.pi, math.pi, d - 1),
+        straddle,
+        2.0 * math.pi * rng.integers(1, d) / d + rng.uniform(-near, near, d - 1),
+        rng.uniform(-near, near, d - 1),
+        gap,
+    ]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_poisson_matches_mpmath_lattice_sum(d):
+    rng = np.random.default_rng(70 + d)
+    for sigma in (0.1, 0.3, 0.6):
+        # radius 1 drops lattice terms below exp(-d*pi^2/(2*sigma))
+        radius = 1 if d * math.pi**2 / (2.0 * sigma) > 40.0 else 2
+        for phi in _poisson_families(d, sigma, rng):
+            x = TorusPoint(d, tuple(phi))
+            got = heat_pu_poisson(KernelParams(d, sigma), x).value
+            ref = heat_pu_poisson_mp(d, mp.mpf(sigma), [mp.mpf(v) for v in x.phi], radius)
+            rel = 1e-12 if x.min_gap() >= 1e-6 else 1e-10
+            assert abs(got - ref) <= rel * abs(ref), (sigma, x.phi)
+
+
+def test_poisson_walks_one_radius_per_lattice_sum(monkeypatch):
+    import udnet.kernels as kernels
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return _envelope_cutoff(*args)
+
+    monkeypatch.setattr(kernels, "_envelope_cutoff", counted)
+    for d in (2, 3, 5):
+        p = KernelParams(d, 0.3)
+        regular = tuple(0.4 - 0.3 * i for i in range(d - 1))
+        for phi, walks in ((regular, 1), ((0.0,) * (d - 1), 4)):
+            calls.clear()
+            heat_pu_poisson(p, TorusPoint(d, phi))
+            assert calls == [(1, 1)] * walks
+
+
 # ------------------------------------------------------------- symmetries
 
 
@@ -197,7 +253,6 @@ def test_positivity_near_identity():
     p = KernelParams(2, 0.2)
     for _ in range(20):
         x = _pt(2, float(rng.uniform(-0.4, 0.4)))
-        assert _poisson_su(p, x).value > 0.0
         assert heat_pu_poisson(p, x).value > 0.0
 
 
@@ -366,19 +421,26 @@ def test_weight_cutoff_matches_linear_scan(d):
 
 
 def _reference_poisson(d, sigma, phi, tol):
-    """(terms, bound) of one raw Poisson sum, from a direct scan of radii 1..8."""
-    th = TorusPoint(d, tuple(phi)).eigenphases()
-    log_j = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            log_j += math.log(abs(2.0 * math.sin(0.5 * (th[i] - th[j]))))
+    """(terms, bound) of one PU lattice sum, from a direct scan of radii 1..8.
+
+    The prefactor is the largest of the d center shifts phi + 2*pi*r/d,
+    each with the Weyl denominator of its own eigenphases.
+    """
+    log_j = math.inf
+    for r in range(d):
+        th = TorusPoint(d, tuple(np.asarray(phi) + 2.0 * math.pi * r / d)).eigenphases()
+        log_j_r = 0.0
+        for i in range(d):
+            for j in range(i + 1, d):
+                log_j_r += math.log(abs(2.0 * math.sin(0.5 * (th[i] - th[j]))))
+        log_j = min(log_j, log_j_r)
     log_pref = log_prefactor(d, sigma) + math.lgamma(d + 1) - log_j
     shell = functools.partial(_lattice_shell_log_env, d, sigma)
     for radius in range(1, 9):
         tail = _reference_tail(shell, radius + 1)
         log_tail = log_pref + (math.log(tail) if tail > 0.0 else -math.inf)
         if log_tail < math.log(tol):
-            return (2 * radius + 1) ** (d - 1), math.exp(log_tail)
+            return d * (2 * radius + 1) ** (d - 1), math.exp(log_tail)
     pytest.fail("no radius up to 8 meets tol")
 
 
@@ -389,15 +451,21 @@ def test_lattice_radius_matches_direct_scan(d):
     for sigma in (0.05, 0.5, 5.0, 20.0):
         for _ in range(3):
             phi = rng.uniform(-math.pi / d, math.pi / d, d - 1)
-            got = _poisson_su(KernelParams(d, sigma), TorusPoint(d, tuple(phi)))
+            got = heat_pu_poisson(KernelParams(d, sigma), TorusPoint(d, tuple(phi)))
             assert (got.terms_used, got.truncation_bound) == _reference_poisson(d, sigma, phi, 1e-12)
-            radii.add(round(got.terms_used ** (1 / (d - 1))) // 2)
+            radii.add(round((got.terms_used / d) ** (1 / (d - 1))) // 2)
         # a gap below 1e-6 takes the jittered Richardson average of four
-        # raw sums at 0.3 * tail_tol
+        # lattice sums at 0.3 * tail_tol
         phi = np.array([1.5e-7] if d == 2 else [0.4 + 3e-7] + [0.4] * (d - 2))
         x = TorusPoint(d, tuple(phi))
         assert x.min_gap() < 1e-6
-        got = _poisson_su(KernelParams(d, sigma), x)
+        if (d, sigma) in {(4, 20.0), (5, 5.0), (5, 20.0)}:
+            # a triple tie at large sigma: the Richardson step outgrows the
+            # value (15.6 against 1.0000003 at d = 4), which is refused
+            with pytest.raises(NumericalInstabilityError, match="lost significance"):
+                heat_pu_poisson(KernelParams(d, sigma), x)
+            continue
+        got = heat_pu_poisson(KernelParams(d, sigma), x)
         step = 1e-5 * np.arange(1, d)
         ref = {c: _reference_poisson(d, sigma, phi + c * step, 0.3e-12) for c in (1.0, -1.0, 0.5, -0.5)}
         bound = (4.0 * max(ref[0.5][1], ref[-0.5][1]) + max(ref[1.0][1], ref[-1.0][1])) / 3.0
