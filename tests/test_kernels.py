@@ -41,7 +41,7 @@ from udnet.weights_chars import (
     _projective_tuples,
 )
 
-from oracles import char_matrix, char_sum_mp, heat_pu_poisson_mp
+from oracles import char_matrix, char_sum_mp, heat_pu_poisson_mp, heat_su_poisson_mp
 
 
 def _pt(d, *phi):
@@ -85,6 +85,37 @@ def test_pu_reference_values_d2_to_d4_both_routes(d, sigma, phi, expected):
         assert r.value == pytest.approx(expected, rel=1e-12)
         assert r.terms_used > 0
         assert 0.0 <= r.truncation_bound < 1e-10
+
+
+@pytest.mark.parametrize(
+    "d,sigma,phi,expected",
+    [
+        (2, 0.2, (0.3,), 47.43854205730573754),
+        (3, 0.5, (0.7, -0.4), 993.37854676591078918),
+        (4, 0.8, (0.5, -0.3, 0.9), 3098.0147613156998561),
+    ],
+)
+def test_heat_su_reference_values_both_routes(d, sigma, phi, expected):
+    # the SU(d) kernel under the PU references: the mpmath lattice sum gives
+    # the SU constant, and both PU routes return its average over the d
+    # center shifts phi + 2*pi*r/d
+    mphi = [mp.mpf(v) for v in phi]
+    su = [
+        heat_su_poisson_mp(d, mp.mpf(sigma), [v + 2 * mp.pi * r / d for v in mphi], 3)
+        for r in range(d)
+    ]
+    assert float(su[0]) == pytest.approx(expected, rel=1e-12)
+    p, x = KernelParams(d, sigma), _pt(d, *phi)
+    for r in (heat_pu_char(p, x), heat_pu_poisson(p, x)):
+        assert r.value == pytest.approx(float(mp.fsum(su) / d), rel=1e-12)
+
+
+def test_heat_pu_reference_value_both_routes():
+    p = KernelParams(3, 0.5)
+    x = _pt(3, 0.7, -0.4)
+    expected = 331.12618225530359639
+    assert heat_pu_char(p, x).value == pytest.approx(expected, rel=1e-12)
+    assert heat_pu_poisson(p, x).value == pytest.approx(expected, rel=1e-12)
 
 
 def test_small_sigma_reference_values_poisson():
