@@ -42,7 +42,9 @@ from .kernels import (
     NumericalInstabilityError,
     TruncationError,
     heat_pu_char,
+    heat_pu_char_batch,
     heat_pu_poisson,
+    heat_pu_poisson_batch,
     l2_norm_trimmed,
     l2_norm_untrimmed,
     trimming_error,
@@ -470,14 +472,14 @@ def _suite_poisson_char(ctx: _SuiteCtx) -> list[dict]:
     # torus the character sum sits on its float cancellation floor and a
     # relative comparison against the lattice form is meaningless.
     box = min(math.sqrt(sigma), math.pi)
-    worst = 0.0
-    points = 0
-    while points < 10:
+    theta = []
+    while len(theta) < 10:
         x = TorusPoint(ctx.d, tuple(gen.uniform(-box, box, ctx.d - 1)))
-        if x.min_gap() < 1e-4:
-            continue
-        points += 1
-        worst = max(worst, _rel_discrepancy(heat_pu_char(p, x).value, heat_pu_poisson(p, x).value))
+        if x.min_gap() >= 1e-4:
+            theta.append(x.eigenphases())
+    char, _, _ = heat_pu_char_batch(p, theta)
+    lattice, _, _ = heat_pu_poisson_batch(p, theta)
+    worst = max(_rel_discrepancy(c, q) for c, q in zip(char.tolist(), lattice.tolist()))
     return [_bounded("poisson-char", f"sigma={sigma:g},points=10", worst, 1e-7, "plancherel", n=10)]
 
 

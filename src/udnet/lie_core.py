@@ -146,7 +146,17 @@ class TorusPoint:
 
     def min_gap(self) -> float:
         """Smallest pairwise circular distance between eigenphases."""
-        return float(_min_gaps(np.array([self.eigenphases()]))[0])
+        return _min_gap(self.eigenphases())
+
+
+def _min_gap(theta) -> float:
+    """_min_gaps of one row of eigenphases, in Python floats, bit for bit."""
+    best = math.inf
+    for i in range(len(theta)):
+        for j in range(i + 1, len(theta)):
+            r = abs(math.fmod(theta[i] - theta[j], TWO_PI))
+            best = min(best, r, TWO_PI - r)
+    return best
 
 
 def _min_gaps(theta: np.ndarray) -> np.ndarray:

@@ -16,10 +16,14 @@ homogeneous polynomials (_chars_confluent) at eigenphase gaps below 1e-6.
 The dense moment operators are the float oracle for the design tester:
 T_nu assembled as a d^(2t) matrix, the Haar projector as the orthogonal
 projector onto the vectorized permutation operators, and delta as the SVD
-norm of their difference. Last come four helpers that the package no
+norm of their difference. poisson_reference is the Poisson route as one
+call per lattice sum, each with its own radius walk
+(envelope_cutoff_restarting, which restarts the tail sum of every rejected
+cutoff) and its own grid. Last come four helpers that the package no
 longer exports, which the tests use to reach package code.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -27,9 +31,17 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from udnet.lie_core import TorusPoint, _check_unitary
+from udnet.kernels import (
+    _MAX_LATTICE_RADIUS,
+    EvalResult,
+    KernelParams,
+    NumericalInstabilityError,
+    TruncationError,
+    _lattice_shell_log_env,
+)
+from udnet.lie_core import _LOG_HUGE, TorusPoint, _check_unitary, log_prefactor
 from udnet.montecarlo import _dp_to_identity, torus_grid
-from udnet.weights_chars import _char_batch
+from udnet.weights_chars import GAP_TOL, _char_batch
 
 mp.mp.dps = 50
 
@@ -231,6 +243,126 @@ def char_matrix(lams, theta):
             num = np.linalg.det(powers[(parts + rho)[:, :, None], np.arange(d)])
             out[:, p] = num / np.linalg.det(powers[rho[:, None], np.arange(d)])
     return out
+
+
+def envelope_cutoff_restarting(log_env, first, step, fits, limit):
+    """The cutoff walk as udnet.kernels had it before its one forward walk.
+
+    Each cutoff L sums its own tail forward from L + 1, left to right, and
+    stops as soon as fits rejects the partial sum; a rejected cutoff's sum is
+    not reused, so the next cutoff restarts from its own first shell. Each
+    shell's log is evaluated once. Returns (L, tail) or raises
+    TruncationError, as kernels._envelope_cutoff does.
+    """
+    logs = {}
+
+    def g(j):
+        if j not in logs:
+            logs[j] = log_env(j)
+        return logs[j]
+
+    L = first
+    while True:
+        total, j = 0.0, L + 1
+        while fits(total):
+            gj = g(j)
+            if gj > _LOG_HUGE:
+                total = math.inf
+                break
+            term = math.exp(gj) if gj > -745.0 else 0.0
+            dg = g(j + 1) - gj
+            if dg <= math.log(0.5):
+                r = math.exp(dg)
+                total += term * (1.0 + r / (1.0 - r))
+                break
+            if term == 0.0 and dg < 0.0:
+                break
+            total += term
+            j += 1
+        if fits(total):
+            return L, total
+        L += step
+        if L > limit:
+            raise TruncationError(
+                f"cutoff exceeds {limit}; required cutoff is at least {L}", required_cutoff=L
+            )
+
+
+def _poisson_core_reference(p, x):
+    """One PU coweight lattice sum at a regular point, with its own radius walk and grid."""
+    d, sigma = p.d, p.sigma
+    shifts = [TorusPoint(d, tuple(v + 2.0 * math.pi * r / d for v in x.phi)) for r in range(d)]
+    log_j, sign_j = [0.0] * d, [1.0] * d
+    for r, y in enumerate(shifts):
+        th = y.eigenphases()
+        for i in range(d):
+            for j in range(i + 1, d):
+                v = 2.0 * math.sin(0.5 * (th[i] - th[j]))
+                if v == 0.0:
+                    raise NumericalInstabilityError("coincident eigenphases reached the raw Poisson form")
+                if v < 0.0:
+                    sign_j[r] = -sign_j[r]
+                log_j[r] += math.log(abs(v))
+    weights = np.array([sign * math.exp(min(log_j) - lj) for sign, lj in zip(sign_j, log_j)])
+    log_pref = log_prefactor(d, sigma) + math.lgamma(d + 1) - min(log_j)
+
+    def log_tail(tail):
+        return log_pref + (math.log(tail) if tail > 0.0 else -math.inf)
+
+    env = functools.partial(_lattice_shell_log_env, d, sigma)
+    log_tol = math.log(p.tail_tol)
+    try:
+        radius, tail = envelope_cutoff_restarting(
+            env, 1, 1, lambda tail: log_tail(tail) < log_tol, _MAX_LATTICE_RADIUS
+        )
+    except TruncationError:
+        raise NumericalInstabilityError("no lattice radius meets tail_tol") from None
+    bound = math.exp(log_tail(tail))
+
+    axis = np.arange(-radius, radius + 1)
+    grid = np.stack([g.ravel() for g in np.meshgrid(*([axis] * (d - 1)), indexing="ij")], axis=1)
+    phis = np.array([y.phi for y in shifts])
+    psi = (phis[:, None, :] + 2.0 * math.pi * grid).reshape(-1, d - 1)
+    full = np.concatenate([psi, -psi.sum(axis=1, keepdims=True)], axis=1)
+    root_prod = np.repeat(weights, len(grid))
+    for i in range(d):
+        for j in range(i + 1, d):
+            root_prod = root_prod * (full[:, i] - full[:, j])
+    quad = np.square(psi).sum(axis=1) + np.square(psi.sum(axis=1))
+    expo = -(d / (2.0 * sigma)) * quad
+    peak = float(expo.max())
+    with np.errstate(under="ignore"):
+        s = float((root_prod * np.exp(expo - peak)).sum())
+    if s == 0.0 or not math.isfinite(s):
+        raise NumericalInstabilityError("lattice sum cancelled to zero significance")
+    log_abs = log_pref + peak + math.log(abs(s))
+    return EvalResult(math.copysign(math.exp(log_abs), s) / d, bound, len(psi))
+
+
+def poisson_reference(p, x):
+    """heat_pu_poisson as one call per lattice sum, as udnet.kernels had it
+    before its lattice plans: each sum walks its own radius and builds its
+    own grid, and a gap below 1e-6 takes four such sums, jittered along
+    (1, 2, ..., d-1) at 1e-5 * (1, -1, 1/2, -1/2) and 0.3 * tail_tol, with
+    one Richardson step. Neither significance guard is applied.
+    """
+    if x.min_gap() >= GAP_TOL:
+        return _poisson_core_reference(p, x)
+    direction = np.arange(1, p.d, dtype=float)
+    inner = KernelParams(p.d, p.sigma, tail_tol=0.3 * p.tail_tol)
+    phi = np.asarray(x.phi, dtype=float)
+    evals = {
+        c: _poisson_core_reference(inner, TorusPoint(p.d, tuple(phi + c * 1e-5 * direction)))
+        for c in (1.0, -1.0, 0.5, -0.5)
+    }
+    coarse = 0.5 * (evals[1.0].value + evals[-1.0].value)
+    fine = 0.5 * (evals[0.5].value + evals[-0.5].value)
+    bound = (
+        4.0 * max(evals[0.5].truncation_bound, evals[-0.5].truncation_bound)
+        + max(evals[1.0].truncation_bound, evals[-1.0].truncation_bound)
+    ) / 3.0
+    terms = sum(r.terms_used for r in evals.values())
+    return EvalResult((4.0 * fine - coarse) / 3.0, bound, terms)
 
 
 def _lattice(d1, K):

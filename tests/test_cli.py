@@ -152,6 +152,15 @@ def test_kernel_poisson_lost_jitter_exits_3(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_kernel_poisson_cancelled_lattice_sum_exits_3(capsys):
+    # a regular point near the identity at d = 5, sigma = 5 once printed
+    # -10.98 with bound 1.5e-47 and exit 0; mpmath gives 9.2535
+    argv = ["kernel", "--d", "5", "--sigma", "5", "--form", "poisson",
+            "--phi", "-0.000849", "-0.000322", "-0.000709", "-0.000192"]
+    assert main(argv) == 3
+    assert capsys.readouterr().out == ""
+
+
 _KERNEL_ARGV = ["kernel", "--d", "3", "--sigma", "0.1", "--phi", "0.3", "-0.2", "--form", "both"]
 
 
@@ -299,13 +308,13 @@ def test_validate_single_suite_passes(capsys):
 
 
 def test_validate_failure_exits_1(capsys, monkeypatch):
-    from udnet.kernels import heat_pu_poisson as real
+    from udnet.kernels import heat_pu_poisson_batch as real
 
-    def off(p, x):
-        r = real(p, x)
-        return EvalResult(r.value * 1.5, r.truncation_bound, r.terms_used)
+    def off(p, theta):
+        vals, bounds, terms = real(p, theta)
+        return vals * 1.5, bounds, terms
 
-    monkeypatch.setattr(cli, "heat_pu_poisson", off)
+    monkeypatch.setattr(cli, "heat_pu_poisson_batch", off)
     code = main(["validate", "--suite", "poisson-char", "--d", "2", "--n", "100", "--format", "csv"])
     assert code == 1
     _, rows = _parse_csv(capsys.readouterr().out)

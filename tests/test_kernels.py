@@ -25,6 +25,7 @@ from udnet.kernels import (
     heat_pu_char,
     heat_pu_char_batch,
     heat_pu_poisson,
+    heat_pu_poisson_batch,
     l2_norm_trimmed,
     l2_norm_untrimmed,
     trimming_error,
@@ -41,7 +42,14 @@ from udnet.weights_chars import (
     _projective_tuples,
 )
 
-from oracles import char_matrix, char_sum_mp, heat_pu_poisson_mp, heat_su_poisson_mp
+from oracles import (
+    char_matrix,
+    char_sum_mp,
+    envelope_cutoff_restarting,
+    heat_pu_poisson_mp,
+    heat_su_poisson_mp,
+    poisson_reference,
+)
 
 
 def _pt(d, *phi):
@@ -228,23 +236,209 @@ def test_poisson_matches_mpmath_lattice_sum(d):
             assert abs(got - ref) <= rel * abs(ref), (sigma, x.phi)
 
 
-def test_poisson_walks_one_radius_per_lattice_sum(monkeypatch):
+def test_lattice_sum_refuses_a_cancelled_regular_value():
+    # phases within 1e-3 of the identity at d = 5, sigma = 5: the lattice sum
+    # cancels down to a Weyl denominator near 5.6e-32, and the value read
+    # -10.98 with bound 1.5e-47 where the mpmath lattice sum gives 9.2535
+    x = _pt(5, -0.000849, -0.000322, -0.000709, -0.000192)
+    assert x.min_gap() >= 1e-6
+    with pytest.raises(NumericalInstabilityError, match="lattice sum lost significance"):
+        heat_pu_poisson(KernelParams(5, 5.0), x)
+    # the same point at sigma = 1 keeps its value
+    ref = heat_pu_poisson_mp(5, mp.mpf(1), [mp.mpf(v) for v in x.phi], 2)
+    assert heat_pu_poisson(KernelParams(5, 1.0), x).value == pytest.approx(float(ref), rel=1e-12)
+
+
+def _plan_points(d, n, seed):
+    """n regular points and n points with a gap below 1e-6 (jittered)."""
+    rng = np.random.default_rng(seed)
+    regular = [TorusPoint(d, tuple(rng.uniform(-1.0, 1.0, d - 1))) for _ in range(n)]
+    tied = []
+    for _ in range(n):
+        phi = rng.uniform(-1.0, 1.0, d - 1)
+        if d == 2:
+            phi[0] = rng.uniform(1e-8, 4e-7)
+        else:
+            phi[1] = phi[0] + rng.uniform(1e-8, 5e-7)
+        tied.append(TorusPoint(d, tuple(phi)))
+    assert all(x.min_gap() >= 1e-6 for x in regular) and all(x.min_gap() < 1e-6 for x in tied)
+    return regular, tied
+
+
+def test_lattice_plan_cold_key_walks_once(monkeypatch):
     import udnet.kernels as kernels
 
-    calls = []
+    walks = []
 
-    def counted(*args):
-        calls.append(args[1:3])
-        return _envelope_cutoff(*args)
+    class Counted(kernels._ShellTails):
+        def __init__(self, *args):
+            walks.append(args[1:])
+            super().__init__(*args)
 
-    monkeypatch.setattr(kernels, "_envelope_cutoff", counted)
+    shells = Counter()
+
+    def env(d, sigma, kappa):
+        shells[(d, sigma, kappa)] += 1
+        return _lattice_shell_log_env(d, sigma, kappa)
+
+    monkeypatch.setattr(kernels, "_ShellTails", Counted)
+    monkeypatch.setattr(kernels, "_lattice_shell_log_env", env)
     for d in (2, 3, 5):
         p = KernelParams(d, 0.3)
-        regular = tuple(0.4 - 0.3 * i for i in range(d - 1))
-        for phi, walks in ((regular, 1), ((0.0,) * (d - 1), 4)):
-            calls.clear()
-            heat_pu_poisson(p, TorusPoint(d, phi))
-            assert calls == [(1, 1)] * walks
+        regular, tied = _plan_points(d, 5, seed=d)
+        walks.clear()
+        shells.clear()
+        for x in regular:
+            heat_pu_poisson(p, x)
+        assert walks == [(1, 1, 512)]  # one walk for the key, shared by its points
+        assert max(shells.values()) == 1
+        # the jittered sums run at 0.3 * tail_tol, which is one more key
+        shells.clear()
+        for x in tied:
+            heat_pu_poisson(p, x)
+        assert len(walks) == 2
+        assert max(shells.values()) == 1
+
+
+def test_lattice_plan_warm_queries_walk_nothing(monkeypatch):
+    import udnet.kernels as kernels
+
+    for d in (2, 3, 4):
+        regular, tied = _plan_points(d, 6, seed=20 + d)
+        p = KernelParams(d, 0.1 * d)
+        theta = [x.eigenphases() for x in regular + tied]
+        cold = [_bits(heat_pu_poisson(p, x)) for x in regular + tied]
+        cold_batch = _batch_bits(heat_pu_poisson_batch(p, theta))
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_lattice_shell_log_env", lambda *args: pytest.fail("walked on a warm call"))
+            m.setattr(kernels, "_lattice_grid", lambda *args: pytest.fail("built a grid on a warm call"))
+            assert [_bits(heat_pu_poisson(p, x)) for x in regular + tied] == cold
+            assert _batch_bits(heat_pu_poisson_batch(p, theta)) == cold_batch
+        assert cold_batch == [list(col) for col in zip(*cold)]
+
+
+def test_lattice_plans_are_keyed_on_every_input():
+    import udnet.kernels as kernels
+
+    x = _pt(2, 0.3)
+    params = [
+        KernelParams(2, 0.05),
+        KernelParams(2, 0.05, tail_tol=1e-8),
+        KernelParams(2, 0.06),
+        KernelParams(3, 0.05),
+    ]
+    for p in params:
+        heat_pu_poisson(p, x if p.d == 2 else _pt(3, 0.3, -0.2))
+    plans = kernels._PLANS._plans
+    keys = [("lattice", p.d, p.sigma, p.tail_tol) for p in params]
+    assert list(plans) == keys
+    assert len({id(plan) for plan in plans.values()}) == 4
+    # a jittered point adds the key of its inner sums, and a char call its own plan
+    heat_pu_poisson(KernelParams(2, 0.05), _pt(2, 2e-7))
+    heat_pu_char(KernelParams(2, 0.05), x)
+    assert list(plans)[-2:] == [("lattice", 2, 0.05, 0.3 * 1e-12), (2, 0.05, None, 1e-12)]
+    assert kernels._PLANS.nbytes == sum(plan.nbytes for plan in plans.values())
+    # the Poisson form has no trimmed variant, and refuses before any plan is made
+    with pytest.raises(InvalidParameterError, match="trim_t"):
+        heat_pu_poisson(KernelParams(2, 0.07, trim_t=3), x)
+    assert not any(key[2] == 0.07 for key in plans)
+
+
+def test_lattice_plan_arrays_are_read_only():
+    import udnet.kernels as kernels
+
+    heat_pu_poisson(KernelParams(3, 0.5), _pt(3, 0.7, -0.4))
+    heat_pu_poisson(KernelParams(3, 0.5), _pt(3, 0.0, 0.0))
+    (plan,) = [plan for key, plan in kernels._PLANS._plans.items() if key == ("lattice", 3, 0.5, 1e-12)]
+    assert plan.arrays()
+    for a in plan.arrays():
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+
+
+def test_plan_cache_stays_under_its_byte_cap_with_lattice_plans(monkeypatch):
+    import udnet.kernels as kernels
+
+    cap = 200_000
+    monkeypatch.setattr(kernels, "_PLAN_CACHE_BYTES", cap)
+    cache = kernels._PLANS
+    rng = np.random.default_rng(4)
+
+    def check():
+        assert cache.nbytes == sum(plan.nbytes for plan in cache._plans.values()) <= cap
+        assert cache.nbytes == sum(cache._sizes.values())
+
+    kinds, seen = set(), set()
+    for sigma in np.geomspace(0.05, 2.0, 8):
+        sigma = float(sigma)
+        heat_pu_char(KernelParams(3, sigma), _pt(3, 0.4, -0.2))
+        check()
+        # d = 5 grids grow with the radius each prefactor needs: 20 kB at
+        # radius 2, 77 kB at 3
+        for _ in range(3):
+            heat_pu_poisson(KernelParams(5, sigma), TorusPoint(5, tuple(rng.uniform(-1.0, 1.0, 4))))
+            check()
+        kinds |= {type(plan).__name__ for plan in cache._plans.values()}
+        seen |= set(cache._plans)
+    assert kinds == {"_CharPlan", "_LatticePlan"}
+    assert seen - set(cache._plans)  # some plans were evicted
+    # a lattice plan whose grid outgrows the cap is used but not kept
+    monkeypatch.setattr(kernels, "_PLAN_CACHE_BYTES", 2_000)
+    got = heat_pu_poisson(KernelParams(5, 1.0), _pt(5, 1.1, -0.7, 0.9, 2.3))
+    assert got.terms_used // 5 * 4 * 8 > 2_000  # the grid's bytes
+    assert ("lattice", 5, 1.0, 1e-12) not in cache._plans
+    assert cache.nbytes == sum(plan.nbytes for plan in cache._plans.values()) <= 2_000
+
+
+def test_lattice_plans_are_consistent_under_threads(monkeypatch):
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    import udnet.kernels as kernels
+
+    monkeypatch.setattr(kernels, "_PLAN_CACHE_BYTES", 100_000)
+    regular, tied = _plan_points(4, 6, seed=9)
+    theta = [x.eigenphases() for x in regular + tied]
+    params = [KernelParams(4, s) for s in (0.1, 0.3, 0.8, 2.0)] * 5
+    expected = {p: _batch_bits(heat_pu_poisson_batch(p, theta)) for p in params}
+    monkeypatch.setattr(kernels, "_PLANS", kernels._PlanCache())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = list(pool.map(lambda p: _batch_bits(heat_pu_poisson_batch(p, theta)), params, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [expected[p] for p in params]
+    cache = kernels._PLANS
+    assert cache.nbytes == sum(plan.nbytes for plan in cache._plans.values()) <= 100_000
+
+
+def test_lattice_plan_matches_per_call_reference():
+    # the per-call route (its own radius walk and grid for every lattice
+    # sum) against the plan, at regular and jittered points
+    compared = jittered = 0
+    for d in (2, 3, 4, 5):
+        rng = np.random.default_rng(90 + d)
+        for sigma in (0.02, 0.05, 0.1, 0.3, 0.8, 2.0):
+            p = KernelParams(d, sigma)
+            for phi in itertools.chain.from_iterable(_poisson_families(d, sigma, rng) for _ in range(5)):
+                x = TorusPoint(d, tuple(phi))
+                ref = poisson_reference(p, x)
+                try:
+                    got = heat_pu_poisson(p, x)
+                except NumericalInstabilityError as exc:
+                    # the new guard may refuse; the per-call route had none
+                    assert "lost significance" in str(exc)
+                    continue
+                assert (got.terms_used, got.truncation_bound) == (ref.terms_used, ref.truncation_bound)
+                if x.min_gap() >= 1e-6:
+                    assert got.value == ref.value, (d, sigma, x.phi)
+                else:
+                    assert got.value == pytest.approx(ref.value, rel=1e-14, abs=0.0)
+                    jittered += 1
+                compared += 1
+    assert compared >= 500 and jittered >= 100
 
 
 # ------------------------------------------------------------- symmetries
@@ -300,6 +494,32 @@ def test_char_batch_matches_scalar_calls():
         assert v == pytest.approx(heat_pu_char(p, TorusPoint(3, t)).value, rel=1e-12)
     assert bound >= 0.0 and terms > 0
     assert vals[0] == pytest.approx(331.12618225530359639, rel=1e-12)
+
+
+def test_poisson_batch_matches_scalar_calls():
+    for d in (2, 3, 4):
+        regular, tied = _plan_points(d, 4, seed=30 + d)
+        points = regular[:2] + tied[:1] + regular[2:] + [_pt(d, *([0.0] * (d - 1)))]
+        p = KernelParams(d, 0.3)
+        vals, bounds, terms = heat_pu_poisson_batch(p, [x.eigenphases() for x in points])
+        assert vals.shape == bounds.shape == terms.shape == (len(points),)
+        for k, x in enumerate(points):
+            assert _bits(EvalResult(float(vals[k]), float(bounds[k]), int(terms[k]))) == _bits(heat_pu_poisson(p, x))
+        # a row is read up to a global phase, as a PU(d) class
+        shifted, _, _ = heat_pu_poisson_batch(p, [np.add(x.eigenphases(), 0.7) for x in regular])
+        for v, x in zip(shifted, regular):
+            assert v == pytest.approx(heat_pu_poisson(p, x).value, rel=1e-12)
+
+
+def test_poisson_batch_rows_are_checked():
+    p = KernelParams(3, 0.1)
+    vals, bounds, terms = heat_pu_poisson_batch(p, np.empty((0, 3)))
+    assert vals.shape == bounds.shape == terms.shape == (0,)
+    for bad in ([[0.1, 0.2]], [[math.nan, 0.0, 0.0]], [0.1, 0.2, -0.3]):
+        with pytest.raises(InvalidParameterError):
+            heat_pu_poisson_batch(p, bad)
+    with pytest.raises(InvalidParameterError, match="trim_t"):
+        heat_pu_poisson_batch(KernelParams(3, 0.1, trim_t=2), [[0.1, 0.2, -0.3]])
 
 
 # (d, sigma, trim_t) -> (truncation_bound, terms_used), as computed by the
@@ -480,8 +700,14 @@ def test_lattice_radius_matches_direct_scan(d):
     rng = np.random.default_rng(40 + d)
     radii = set()
     for sigma in (0.05, 0.5, 5.0, 20.0):
-        for _ in range(3):
+        for k in range(3):
             phi = rng.uniform(-math.pi / d, math.pi / d, d - 1)
+            if (d, sigma, k) == (5, 20.0, 1):
+                # the lattice sum cancels: it read 1.000001017977 against
+                # the char route's 1.000001014842, with bound 3.7e-33
+                with pytest.raises(NumericalInstabilityError, match="lost significance"):
+                    heat_pu_poisson(KernelParams(d, sigma), TorusPoint(d, tuple(phi)))
+                continue
             got = heat_pu_poisson(KernelParams(d, sigma), TorusPoint(d, tuple(phi)))
             assert (got.terms_used, got.truncation_bound) == _reference_poisson(d, sigma, phi, 1e-12)
             radii.add(round((got.terms_used / d) ** (1 / (d - 1))) // 2)
@@ -490,9 +716,10 @@ def test_lattice_radius_matches_direct_scan(d):
         phi = np.array([1.5e-7] if d == 2 else [0.4 + 3e-7] + [0.4] * (d - 2))
         x = TorusPoint(d, tuple(phi))
         assert x.min_gap() < 1e-6
-        if (d, sigma) in {(4, 20.0), (5, 5.0), (5, 20.0)}:
-            # a triple tie at large sigma: the Richardson step outgrows the
-            # value (15.6 against 1.0000003 at d = 4), which is refused
+        if (d, sigma) in {(4, 5.0), (4, 20.0), (5, 5.0), (5, 20.0)}:
+            # a triple tie at large sigma: the jittered sums cancel (the
+            # average read 15.6 against 1.0000003 at d = 4, sigma = 20, and
+            # 7e-7 off the char route at sigma = 5), which is refused
             with pytest.raises(NumericalInstabilityError, match="lost significance"):
                 heat_pu_poisson(KernelParams(d, sigma), x)
             continue
@@ -503,6 +730,54 @@ def test_lattice_radius_matches_direct_scan(d):
         assert got.terms_used == sum(terms for terms, _ in ref.values())
         assert got.truncation_bound == bound
     assert len(radii) >= 3
+
+
+def test_weight_cutoff_work_grows_linearly(monkeypatch):
+    # each cutoff once restarted its own tail sum, so near the answer every
+    # rejected cutoff re-summed the shells the one before had summed: at
+    # d = 2, sigma = 1e-7, 531,933 fits calls over 250,278 shells
+    for sigma in (1e-6, 1e-7):
+        calls = Counter()
+
+        def env(j):
+            calls["shells"] = max(calls["shells"], j)
+            return _pu_shell_log_env(2, sigma, 1.0, j)
+
+        def fits(tail):
+            calls["fits"] += 1
+            return tail < 0.5e-12
+
+        L, tail = _envelope_cutoff(env, 0, 2, fits, 1 << 26)
+        assert (L, tail) == envelope_cutoff_restarting(
+            functools.partial(_pu_shell_log_env, 2, sigma, 1.0), 0, 2, lambda t: t < 0.5e-12, 1 << 26
+        )
+        # one fits call per shell walked, and at most three per cutoff tried
+        assert calls["fits"] <= calls["shells"] + 3 * (L // 2 + 1), (sigma, calls)
+
+
+def test_shared_lattice_tails_match_fresh_walks():
+    # a lattice plan serves every point from one _ShellTails: each point's
+    # radius and tail equal a fresh restarting walk under its own prefactor
+    import udnet.kernels as kernels
+
+    rng = np.random.default_rng(12)
+    for d in (2, 3, 5):
+        for sigma in (0.02, 0.3, 5.0, 300.0, 1e7):
+            env = functools.partial(_lattice_shell_log_env, d, sigma)
+            tails = kernels._ShellTails(env, 1, 1, 512)
+            for log_pref in rng.uniform(-60.0, 400.0, 40):
+                def fits(tail):
+                    return log_pref + (math.log(tail) if tail > 0.0 else -math.inf) < math.log(1e-12)
+
+                try:
+                    ref = envelope_cutoff_restarting(env, 1, 1, fits, 512)
+                except TruncationError as exc:
+                    ref = exc.required_cutoff
+                try:
+                    got = tails.cutoff(fits)
+                except TruncationError as exc:
+                    got = exc.required_cutoff
+                assert got == ref, (d, sigma, log_pref)
 
 
 def test_weight_cutoff_evaluates_each_shell_once(monkeypatch):
@@ -538,6 +813,11 @@ def _bits(result):
         return (result.value.hex(), result.truncation_bound.hex(), result.terms_used)
     vals, bound, terms = result
     return ([v.hex() for v in vals.tolist()], bound.hex(), terms)
+
+
+def _batch_bits(result):
+    vals, bounds, terms = result
+    return [[v.hex() for v in vals.tolist()], [b.hex() for b in bounds.tolist()], terms.tolist()]
 
 
 def test_warm_call_enumerates_nothing(monkeypatch):

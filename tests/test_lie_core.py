@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from udnet.lie_core import (
@@ -15,6 +16,8 @@ from udnet.lie_core import (
     InvalidDimensionError,
     InvalidParameterError,
     TorusPoint,
+    _min_gap,
+    _min_gaps,
     eps_tilde,
     group_constants,
     log_prefactor,
@@ -134,6 +137,21 @@ def test_eps_tilde_values_and_domain():
     for bad in (0.0, -0.5, 2.0000001, math.nan):
         with pytest.raises(InvalidParameterError):
             eps_tilde(bad)
+
+
+def test_min_gap_of_one_row_matches_the_array_form():
+    # the one-row Python loop and the array form agree bit for bit, on
+    # random rows, near-ties, pairs straddling -pi and unwrapped phases
+    rng = np.random.default_rng(6)
+    for d in (2, 3, 5):
+        rows = rng.uniform(-math.pi, math.pi, (300, d))
+        rows[100:200, 1] = rows[100:200, 0] + rng.uniform(-1e-6, 1e-6, 100)
+        rows[200:250, :2] = [math.pi - 1e-7, -math.pi + 1e-7]
+        rows[250:] *= 7.0
+        assert [_min_gap(row) for row in rows.tolist()] == _min_gaps(rows).tolist()
+        for row in rows[:20].tolist():
+            x = TorusPoint(d, tuple(row[:-1]))
+            assert x.min_gap() == _min_gaps(np.array([x.eigenphases()]))[0]
 
 
 def test_error_taxonomy():
