@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .lie_core import (
     _LOG_HUGE,
@@ -430,6 +429,9 @@ class AuxReport:
 
 
 def _upper_incomplete_gamma(s: float, x: float) -> float:
+    # scipy is imported here so that importing udnet loads none of it
+    from scipy.integrate import quad
+
     # defining integral, adaptive quadrature; substitution keeps it proper
     val, err = quad(lambda u: u ** (s - 1.0) * math.exp(-u), x, math.inf, epsrel=1e-10)
     return val

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .lie_core import (
     InvalidParameterError,
@@ -209,8 +208,11 @@ def _hermitian_logs(mats: np.ndarray) -> np.ndarray:
     U is normal, so its complex Schur form U = Z T Z^dag has T diagonal up
     to rounding, and G = Z diag(theta - mean theta) Z^dag with theta the
     arguments of diag(T). This stays accurate at repeated eigenphases,
-    where an eigenvector basis is ill-conditioned.
+    where an eigenvector basis is ill-conditioned. scipy.linalg is imported
+    here, once per call, so that importing udnet loads no scipy.
     """
+    import scipy.linalg
+
     out = np.empty_like(mats)
     for k, u in enumerate(mats):
         tri, z = scipy.linalg.schur(u, output="complex")

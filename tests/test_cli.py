@@ -594,3 +594,58 @@ def test_python_m_udnet_runs_without_warnings():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["results"][0]["t_min"] == pytest.approx(8821.801219593926)
+
+
+# ---------------------------------------------------------- scipy imports
+
+_LOADED_SCIPY = """
+import contextlib, io, json, sys
+import udnet.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(udnet.cli.main(argv))
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def _scipy_loaded_by(argvs):
+    """Exit codes and the scipy modules loaded by udnet.cli.main(argv) calls in a fresh interpreter."""
+    src = str(Path(udnet.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_SCIPY, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    return doc["codes"], doc["scipy"]
+
+
+def test_commands_without_matrix_logs_load_no_scipy(tmp_path):
+    spec = _write_spec(
+        tmp_path, "th2.json", {"target": "theorem2_delta_max", "axes": {"eps": [0.1, 0.3]}, "fixed": {"d": 2}}
+    )
+    validate = ["validate", "--suite", "all", "--n", "2000", "--seed", "1", "--threads", "1"]
+    codes, loaded = _scipy_loaded_by(
+        [
+            ["bounds", "--d", "2", "--eps", "0.1"],
+            ["kernel", "--d", "3", "--sigma", "0.05", "--form", "both", "--phi", "0.1", "0.2"],
+            validate + ["--d", "2"],
+            validate + ["--d", "3"],
+            ["sweep", spec],
+        ]
+    )
+    assert codes == [0] * 5
+    assert loaded == []
+
+
+def test_design_delta_loads_only_scipy_linalg(pauli_file):
+    codes, loaded = _scipy_loaded_by([["design-delta", pauli_file, "--t", "2"]])
+    assert codes == [0]
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.integrate", "scipy.special"))]

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from udnet.lie_core import InvalidDimensionError, InvalidParameterError
 from udnet.montecarlo import (
@@ -18,6 +20,7 @@ from udnet.montecarlo import (
     RngStream,
     _gue_traceless,
     _haar_su,
+    _logsumexp,
     gue_opnorm_cdf,
     gue_tail_mc,
     mc_normalization,
@@ -89,8 +92,19 @@ def test_gue_opnorm_cdf_limits_and_monotonicity():
     assert gue_opnorm_cdf(2, 50.0) == pytest.approx(1.0, abs=1e-12)
     grid = [gue_opnorm_cdf(2, r) for r in (0.5, 1.0, 2.0, 3.0, 5.0)]
     assert grid == sorted(grid)
-    # quadrature rounding may poke a few ulp above 1
+    # rounding may poke a few ulp above 1
     assert all(0.0 <= v <= 1.0 + 1e-12 for v in grid)
+
+
+@pytest.mark.parametrize("r", [0.1, 0.5, 1.5, 2.0, 3.0, 5.0])
+def test_gue_opnorm_cdf_matches_mpmath(r):
+    with mp.workdps(40):
+        density = lambda y: y * y * mp.exp(-2 * y * y) * 16 / mp.sqrt(2 * mp.pi)
+        cdf = float(mp.quad(density, [0, r]))
+        tail = float(mp.quad(density, [r, mp.inf]))
+    got = gue_opnorm_cdf(2, r)
+    assert abs(got - cdf) <= 1e-16
+    assert abs((1.0 - got) - tail) <= 1e-16
 
 
 def test_gue_tail_mc_matches_cdf():
@@ -128,6 +142,41 @@ def test_numeric_I0_reference_value():
     # sharp box cut leave percent-level error at this resolution
     got = numeric_I0(2, 0.02, 0.8, 32_768)
     assert got == pytest.approx(3.1823207830049371142e-29, rel=0.2)
+
+
+def _logsumexp_cases():
+    rng = np.random.default_rng(20240611)
+    for k in range(400):
+        n = int(rng.integers(1, 300))
+        a = rng.normal(scale=[1e-3, 1.0, 40.0, 700.0][k % 4], size=n)
+        if k % 5 == 1:
+            a[rng.integers(0, n, size=max(1, n // 4))] = a.max()
+        elif k % 5 == 2:
+            a = np.full(n, a[0])
+        elif k % 5 == 3:
+            a = np.round(a, 1)
+        elif k % 5 == 4:
+            a = a[:1]
+        yield a
+
+
+def test_logsumexp_is_bit_identical_to_scipy():
+    for a in _logsumexp_cases():
+        assert _logsumexp(a) == float(logsumexp(a)), a
+
+
+@pytest.mark.parametrize(
+    "args, bits",
+    [
+        ((2, 0.02, 0.8, 4096), "0x1.44b0c0d3db440p-95"),
+        ((2, 0.05, 1e-9, 8192), "0x1.0000000000000p+0"),
+        ((3, 0.05, 0.3, 96), "0x1.446b163ea53e6p-2"),
+        ((3, 0.1, 0.5, 128), "0x1.4ef8ca541c679p-4"),
+    ],
+)
+def test_numeric_I0_bits_are_pinned(args, bits):
+    # the bits numeric_I0 gave when it summed with scipy.special.logsumexp
+    assert numeric_I0(*args).hex() == bits
 
 
 def test_mc_normalization_trim_zero_is_exact():
