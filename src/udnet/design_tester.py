@@ -10,7 +10,11 @@ Hermitian log G of U, with pi_lambda built in the orthonormal
 Gelfand-Tsetlin basis (Molev, arXiv:math/0211289) and exponentiated by one
 batched eigh per irrep. At d = 2 the blocks are the spin-ell matrices
 D^ell, ell = 1..t (Gross, Audenaert and Eisert, J. Math. Phys. 48, 052104,
-2007).
+2007). The logs of all gates come from one batched Cayley transform, and
+the generators of each label are built once per process and kept,
+read-only, in the kernels' plan LRU. Gate sets and net supports are
+checked as one stack: finite entries and unitarity, in one batched
+product. No scipy module is imported.
 
 The net probe estimates the Haar-covered fraction of a finite support; for
 d = 2 the projective distance to a support element collapses to
@@ -20,17 +24,20 @@ product.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .lie_core import (
     InvalidParameterError,
     _check_dimension,
     _check_eps,
     _check_int,
-    _check_unitary,
+    _check_unitaries,
 )
 from .montecarlo import McEstimate, RngStream, _dp_to_identity, _haar_su, _mc_run
 from .weights_chars import _append_column, _dim_array, _projective_count, _projective_tuples
@@ -69,19 +76,22 @@ class WeightedGateSet:
         _check_dimension(self.d)
         if not self.elements:
             raise InvalidParameterError("gate set must be non-empty")
-        cleaned = []
-        for k, (w, mat) in enumerate(self.elements):
+        weights = []
+        for k, (w, _) in enumerate(self.elements):
             try:
+                if isinstance(w, (bool, np.bool_)):  # JSON true is not a weight
+                    raise TypeError
                 w = float(w)
             except (TypeError, ValueError):
                 raise InvalidParameterError(f"weight {k} must be a number, got {w!r}") from None
             if not math.isfinite(w) or w <= 0.0:
                 raise InvalidParameterError(f"weight {k} must be positive")
-            cleaned.append((w, _check_unitary(mat, self.d, _UNITARY_TOL, f"element {k}")))
-        total = math.fsum(w for w, _ in cleaned)
+            weights.append(w)
+        mats = _check_unitaries([mat for _, mat in self.elements], self.d, _UNITARY_TOL, "element")
+        total = math.fsum(weights)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise InvalidParameterError(f"weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "elements", tuple(cleaned))
+        object.__setattr__(self, "elements", tuple(zip(weights, mats)))
 
 
 def gate_set_to_json(nu: WeightedGateSet) -> dict:
@@ -103,12 +113,14 @@ def gate_set_from_json(obj) -> WeightedGateSet:
     for k, entry in enumerate(obj["elements"]):
         if not isinstance(entry, dict) or "weight" not in entry or "matrix" not in entry:
             raise InvalidParameterError(f"element {k} needs 'weight' and 'matrix'")
-        rows = entry["matrix"]
         try:
-            mat = np.array([[complex(c[0], c[1]) for c in row] for row in rows])
-        except (TypeError, IndexError, ValueError) as exc:
-            # ValueError: ragged rows, which numpy will not make an array of
-            raise InvalidParameterError(f"element {k}: malformed matrix") from exc
+            pairs = np.asarray(entry["matrix"])
+            if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
+                raise ValueError
+        except ValueError:
+            # ragged rows, entries that are not numbers, or not [re, im] pairs
+            raise InvalidParameterError(f"element {k}: malformed matrix") from None
+        mat = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
         elements.append((entry["weight"], mat))
     return WeightedGateSet(d=obj["d"], elements=tuple(elements))
 
@@ -155,11 +167,29 @@ def _gt_patterns(top: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _gt_generators(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _Generators(NamedTuple):
+    """Read-only Gelfand-Tsetlin generators of one irrep (_build_gt_generators)."""
+
+    diag: np.ndarray
+    upper: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.diag.nbytes + self.upper.nbytes
+
+
+def _gt_generators(top: np.ndarray) -> _Generators:
+    """_build_gt_generators(top), kept in the kernels' plan LRU by label."""
+    key = ("gt",) + tuple(top.tolist())
+    return kernels._PLANS.fetch(key, functools.partial(_build_gt_generators, top))
+
+
+def _build_gt_generators(top: np.ndarray) -> _Generators:
     """pi(E_kk) as a (d, dim) array of diagonals and pi(E_ij), i < j in
     np.triu_indices order, as a (d(d-1)/2, dim, dim) real array, for the
     irrep pi of U(d) with highest weight `top`, in the orthonormal
-    Gelfand-Tsetlin basis (Molev, arXiv:math/0211289, section 2).
+    Gelfand-Tsetlin basis (Molev, arXiv:math/0211289, section 2). Both
+    arrays are read-only.
 
     E_kk acts by the row sums, sum_i lam_ki - sum_i lam_{k-1,i}, and
     E_{k,k+1} xi_L = sum_i a_ki(L) xi_{L + delta_ki} with
@@ -199,26 +229,37 @@ def _gt_generators(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for i in range(d - gap):
             a, b = upper[slot[i, i + gap - 1]], upper[slot[i + gap - 1, i + gap]]
             upper[slot[i, i + gap]] = a @ b - b @ a
-    return diag, upper
+    diag.setflags(write=False)
+    upper.setflags(write=False)
+    return _Generators(diag, upper)
 
 
 def _hermitian_logs(mats: np.ndarray) -> np.ndarray:
-    """Traceless Hermitian G with U = e^{i phi} exp(iG), one per U.
+    """Traceless Hermitian G with U = e^{i phi} exp(iG), one per U, batched.
 
-    U is normal, so its complex Schur form U = Z T Z^dag has T diagonal up
-    to rounding, and G = Z diag(theta - mean theta) Z^dag with theta the
-    arguments of diag(T). This stays accurate at repeated eigenphases,
-    where an eigenvector basis is ill-conditioned. scipy.linalg is imported
-    here, once per call, so that importing udnet loads no scipy.
+    One eigvals call finds the largest gap between each U's eigenphases,
+    at least 2 pi/d wide, and a phase turns U into V with -1 at the gap's
+    midpoint, so every eigenphase of V lies within pi - pi/d of 0. The
+    Cayley transform H = i(I - V)(I + V)^-1 is then Hermitian with
+    eigenvalues tan(theta/2) and ||(I + V)^-1|| <= 1/sin(pi/2d); it comes
+    from one batched solve, symmetrised. One batched eigh of H gives
+    theta = 2 arctan(lam) and G = Q diag(theta - mean theta) Q^dag. Tied
+    eigenphases are tied eigenvalues of a Hermitian matrix, which eigh
+    resolves to an orthonormal basis, so G stays accurate at repeated
+    eigenphases where an eigenvector basis of U is ill-conditioned.
     """
-    import scipy.linalg
-
-    out = np.empty_like(mats)
-    for k, u in enumerate(mats):
-        tri, z = scipy.linalg.schur(u, output="complex")
-        theta = np.angle(np.diagonal(tri))
-        out[k] = (z * (theta - theta.mean())) @ z.conj().T
-    return out
+    k, d, _ = mats.shape
+    phases = np.sort(np.angle(np.linalg.eigvals(mats)), axis=1)
+    gaps = np.diff(phases, axis=1, append=phases[:, :1] + 2.0 * np.pi)
+    widest = (np.arange(k), np.argmax(gaps, axis=1))
+    mid = phases[widest] + 0.5 * gaps[widest]
+    v = mats * np.exp(1j * (np.pi - mid))[:, None, None]
+    eye = np.eye(d)
+    h = 1j * np.linalg.solve(eye + v, eye - v)
+    lam, q = np.linalg.eigh(0.5 * (h + h.conj().transpose(0, 2, 1)))
+    theta = 2.0 * np.arctan(lam)
+    theta -= theta.mean(axis=1, keepdims=True)
+    return (q * theta[:, None, :]) @ q.conj().transpose(0, 2, 1)
 
 
 def _block_norm(weights: np.ndarray, logs: np.ndarray, top: np.ndarray) -> float:
@@ -297,7 +338,7 @@ def net_probe(support, eps: float, n: int, rng: RngStream) -> NetProbeReport:
     if first.ndim != 2:
         raise InvalidParameterError("support element 0 must be a d x d matrix")
     d = _check_dimension(first.shape[0])
-    stack = np.stack([_check_unitary(u, d, 1e-8, f"support element {k}") for k, u in enumerate(support)])
+    stack = _check_unitaries(support, d, 1e-8, "support element")
     eps = _check_eps(eps)
     worst = 0.0
 

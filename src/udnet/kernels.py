@@ -24,9 +24,11 @@ Plans. Everything a kernel needs before it sees a point is kept in one
 least-recently-used cache (_PLANS, 64 MiB): a character plan per
 (d, sigma, trim_t, tail_tol), and a lattice plan per (d, sigma, tail_tol),
 which holds the envelope tails of the radius walk and the lattice grid of
-each radius served. A point only moves the lattice prefactor, so a warm
-Poisson query compares it with the kept tails and sums over the kept grid,
-and the rows of a batch that share a radius are one array sum. At d = 3
+each radius served; the design tester keeps the Gelfand-Tsetlin
+generators of each irrep label there too. A point only moves the lattice
+prefactor, so a warm Poisson query compares it with the kept tails and sums
+over the kept grid, and the rows of a batch that share a radius are one
+array sum. At d = 3
 (sigma = 0.02 and 0.1, 1 BLAS thread, 2-vCPU Intel Xeon, best of 7 x 200
 queries) a warm query takes 0.075-0.095 ms at a regular point and
 0.19-0.21 ms at a jittered one, against 0.13-0.21 ms and 0.60-0.78 ms when
@@ -97,7 +99,7 @@ _JITTER_H = 1e-5
 _MAX_LATTICE_RADIUS = 512
 _MAX_WEIGHT_CUTOFF = 1 << 26
 _MAX_TERMS = 2_000_000  # weights one sum may enumerate
-_PLAN_CACHE_BYTES = 64 << 20  # character plans kept between calls
+_PLAN_CACHE_BYTES = 64 << 20  # plans kept between calls
 _RESIDUE_CEILING = 1e-9  # share of a value that a char residue or Richardson step may reach
 
 
@@ -403,11 +405,13 @@ def _build_char_plan(p: KernelParams) -> _CharPlan:
 
 
 class _PlanCache:
-    """Least recently used kernel plans, at most _PLAN_CACHE_BYTES in all.
+    """Least recently used plans, at most _PLAN_CACHE_BYTES in all.
 
     Character plans are keyed on (d, sigma, trim_t, tail_tol) and lattice
-    plans on ("lattice", d, sigma, tail_tol). A plan over the cap is returned
-    but not kept, and a build that raises keeps nothing. A lattice plan grows
+    plans on ("lattice", d, sigma, tail_tol); the design tester keeps its
+    read-only Gelfand-Tsetlin generators under ("gt", *label) through
+    fetch(). Each plan has an nbytes. A plan over the cap is returned but
+    not kept, and a build that raises keeps nothing. A lattice plan grows
     by a grid for each new radius it serves; grew() counts that while the
     plan is kept, and evicts to the cap. The lock guards the table, not the
     build: Monte Carlo chunks on several threads may build one plan twice on
@@ -422,13 +426,14 @@ class _PlanCache:
 
     def get(self, p: KernelParams) -> _CharPlan:
         key = (p.d, p.sigma, p.trim_t, p.tail_tol)
-        return self._get(key, functools.partial(_build_char_plan, p))
+        return self.fetch(key, functools.partial(_build_char_plan, p))
 
     def lattice(self, p: KernelParams) -> _LatticePlan:
         key = ("lattice", p.d, p.sigma, p.tail_tol)
-        return self._get(key, functools.partial(_LatticePlan, key, p))
+        return self.fetch(key, functools.partial(_LatticePlan, key, p))
 
-    def _get(self, key: tuple, build):
+    def fetch(self, key: tuple, build):
+        """The plan kept under key, else build() (kept if it fits the cap)."""
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:

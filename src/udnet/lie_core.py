@@ -61,15 +61,23 @@ def _check_eps(eps) -> float:
     return e
 
 
-def _check_unitary(mat, d: int, tol: float, what: str) -> np.ndarray:
-    """Read-only complex copy of mat after checking it is a d x d unitary to tol."""
-    arr = np.array(mat, dtype=complex)
-    if arr.shape != (d, d):
-        raise InvalidParameterError(f"{what} must be a {d}x{d} matrix")
-    if np.abs(arr.conj().T @ arr - np.eye(d)).max() > tol:
-        raise InvalidParameterError(f"{what} is not unitary to {tol:g}")
-    arr.setflags(write=False)
-    return arr
+def _check_unitaries(mats, d: int, tol: float, what: str) -> np.ndarray:
+    """Read-only complex (k, d, d) stack of mats after checking, in one
+    batched product, that each is a finite d x d unitary to tol. Errors
+    name the first bad matrix as f"{what} {k}"."""
+    arrs = [np.asarray(m, dtype=complex) for m in mats]
+    for k, arr in enumerate(arrs):
+        if arr.shape != (d, d):
+            raise InvalidParameterError(f"{what} {k} must be a {d}x{d} matrix")
+    stack = np.array(arrs).reshape(len(arrs), d, d)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise InvalidParameterError(f"{what} {np.argmin(finite)} has a non-finite entry")
+    err = np.abs(stack.conj().transpose(0, 2, 1) @ stack - np.eye(d)).max(axis=(1, 2))
+    if (err > tol).any():
+        raise InvalidParameterError(f"{what} {np.argmax(err > tol)} is not unitary to {tol:g}")
+    stack.setflags(write=False)
+    return stack
 
 
 def _check_positive(name: str, value) -> float:

@@ -9,15 +9,16 @@ prints the frozen constants used in the tests together with internal
 consistency diagnostics (character series vs. Poisson lattice sums
 agreeing to ~20 digits).
 
-Two float oracles stand beside them. char_matrix is the per-weight
+Float oracles stand beside them. char_matrix is the per-weight
 character matrix the package's grouped sums once contracted: the alternant
 ratio by LU at regular points and the Jacobi-Trudi determinant in complete
 homogeneous polynomials (_chars_confluent) at eigenphase gaps below 1e-6.
 The dense moment operators are the float oracle for the design tester:
 T_nu assembled as a d^(2t) matrix, the Haar projector as the orthogonal
 projector onto the vectorized permutation operators, and delta as the SVD
-norm of their difference. poisson_reference is the Poisson route as one
-call per lattice sum, each with its own radius walk
+norm of their difference; hermitian_logs_schur takes the Hermitian log of
+each gate from its complex Schur form. poisson_reference is the Poisson
+route as one call per lattice sum, each with its own radius walk
 (envelope_cutoff_restarting, which restarts the tail sum of every rejected
 cutoff) and its own grid. Last come four helpers that the package no
 longer exports, which the tests use to reach package code.
@@ -39,7 +40,7 @@ from udnet.kernels import (
     TruncationError,
     _lattice_shell_log_env,
 )
-from udnet.lie_core import _LOG_HUGE, TorusPoint, _check_unitary, log_prefactor
+from udnet.lie_core import _LOG_HUGE, TorusPoint, _check_unitaries, log_prefactor
 from udnet.montecarlo import _dp_to_identity, torus_grid
 from udnet.weights_chars import GAP_TOL, _char_batch
 
@@ -539,6 +540,21 @@ def dense_delta(nu, t):
     return float(np.linalg.norm(measure_moment(nu, t) - haar_moment_projector(nu.d, t), 2))
 
 
+def hermitian_logs_schur(mats):
+    """Traceless Hermitian G with U = e^{i phi} exp(iG), one per U, by the
+    complex Schur form: U is normal, so U = Z T Z^dag with T diagonal up to
+    rounding, and G = Z diag(theta - mean theta) Z^dag with theta the
+    arguments of diag(T). Reference for design_tester._hermitian_logs."""
+    import scipy.linalg
+
+    out = np.empty_like(mats)
+    for k, u in enumerate(mats):
+        tri, z = scipy.linalg.schur(u, output="complex")
+        theta = np.angle(np.diagonal(tri))
+        out[k] = (z * (theta - theta.mean())) @ z.conj().T
+    return out
+
+
 # Helpers the package no longer exports. Each drives package code that the
 # tests check: the Weyl density of torus_grid, the eigenphase distance
 # _dp_to_identity, the per-weight characters of _char_batch, and the
@@ -552,8 +568,7 @@ def weyl_vector_diag(d):
 
 def projective_distance(u, v, d):
     """d_P(U, V): operator-norm distance minimized over the d center phases."""
-    _check_unitary(u, d, 1e-8, "U")
-    _check_unitary(v, d, 1e-8, "V")
+    _check_unitaries([u, v], d, 1e-8, "matrix")
     w = np.asarray(u) @ np.asarray(v).conj().T
     theta = np.angle(np.linalg.eigvals(w))
     return float(_dp_to_identity(theta[None, :], d)[0])

@@ -34,7 +34,7 @@ from udnet.lie_core import InvalidDimensionError, InvalidParameterError
 from udnet.montecarlo import RngStream
 from udnet.weights_chars import _char_batch, _projective_tuples
 
-from oracles import dense_delta, haar_moment_projector, measure_moment
+from oracles import dense_delta, haar_moment_projector, hermitian_logs_schur, measure_moment
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -111,10 +111,10 @@ def _full_generators(top) -> np.ndarray:
     return e
 
 
-def _pi(top, mats) -> np.ndarray:
-    """pi(U) = expm(i pi(G)) for the Hermitian logs G of the design tester."""
+def _pi(top, mats, hermitian_logs=dt._hermitian_logs) -> np.ndarray:
+    """pi(U) = expm(i pi(G)) for Hermitian logs G of the gates, by default the design tester's."""
     e = _full_generators(top)
-    logs = dt._hermitian_logs(np.asarray(mats, dtype=complex))
+    logs = hermitian_logs(np.asarray(mats, dtype=complex))
     return np.stack([scipy.linalg.expm(1j * np.einsum("ij,ijab->ab", g, e)) for g in logs])
 
 
@@ -130,8 +130,21 @@ def test_gate_set_validation():
         WeightedGateSet(2, ((0.5, _I), (0.6, _X)))
     with pytest.raises(InvalidParameterError, match="must be positive"):
         WeightedGateSet(2, ((-0.25, _I), (1.25, _X)))
-    with pytest.raises(InvalidParameterError, match="not unitary"):
+    with pytest.raises(InvalidParameterError, match="element 0 is not unitary"):
         WeightedGateSet(2, ((1.0, np.array([[1, 1], [0, 1]], dtype=complex)),))
+    with pytest.raises(InvalidParameterError, match="element 2 is not unitary"):
+        WeightedGateSet(2, ((0.25, _I), (0.25, _X), (0.25, 2 * _Y), (0.25, 3 * _Z)))
+    with pytest.raises(InvalidParameterError, match="element 1 must be a 2x2 matrix"):
+        WeightedGateSet(2, ((0.5, _I), (0.5, np.eye(3))))
+    # NaN > tol is False, so a NaN entry passed a plain unitarity test
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        mat = _X.copy()
+        mat[1, 0] = bad
+        with pytest.raises(InvalidParameterError, match="element 1 has a non-finite entry"):
+            WeightedGateSet(2, ((0.5, _I), (0.5, mat)))
+    for flag in (True, np.True_):
+        with pytest.raises(InvalidParameterError, match="weight 0 must be a number"):
+            WeightedGateSet(2, ((flag, _I),))
 
 
 @pytest.mark.parametrize(
@@ -295,6 +308,64 @@ def test_gt_blocks_are_a_unitary_representation(top):
     assert abs(traces - chars).max() <= 1e-12 * dim
 
 
+def _log_families(d: int) -> dict[str, np.ndarray]:
+    """Gates whose Hermitian logs are checked: Haar-random ones, tied
+    eigenphases diag(1, ..., 1, omega) conjugated, a gate near -I with
+    phases 1e-7 apart, and evenly spread eigenphases, whose largest gap
+    is exactly 2 pi/d (the Cayley transform's worst case)."""
+    rng = np.random.default_rng(100 + d)
+    conj = _haar_u(rng, 3, d)
+
+    def conjugated(phases):
+        return np.stack([v @ np.diag(np.exp(1j * np.asarray(phases))) @ v.conj().T for v in conj])
+
+    tied = [conjugated([0.0] * (d - 1) + [w]) for w in (2.0, -3.1, 1e-6)]
+    spread = [conjugated(2 * math.pi * np.arange(d) / d + c) for c in (0.0, 0.4, math.pi / d)]
+    near = -scipy.linalg.expm(1e-7j * np.diag(np.arange(d) - (d - 1) / 2.0)) * np.exp(0.3j)
+    return {
+        "haar": _haar_u(rng, 6, d) * np.exp(2j * math.pi * rng.random(6))[:, None, None],
+        "tied": np.concatenate(tied),
+        "near -I": np.stack([near, conj[0] @ near @ conj[0].conj().T]),
+        "spread": np.concatenate(spread),
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_hermitian_logs_match_the_schur_route(d):
+    # G is Hermitian and traceless, exp(iG) is U up to a phase, and the
+    # pi_lambda blocks equal those of the Schur logs (the logs themselves may
+    # differ by a center element, which pi_lambda does not see).
+    tops = [(1,) + (0,) * (d - 2) + (-1,), (2,) + (0,) * (d - 2) + (-2,)]
+    for family, mats in _log_families(d).items():
+        logs = dt._hermitian_logs(mats)
+        assert abs(logs - logs.conj().transpose(0, 2, 1)).max() <= 1e-14, family
+        assert abs(np.trace(logs, axis1=1, axis2=2)).max() <= 1e-13, family
+        for u, g in zip(mats, logs):
+            e = scipy.linalg.expm(1j * g)
+            phase = np.trace(e.conj().T @ u) / d
+            assert abs(e * (phase / abs(phase)) - u).max() <= 1e-13, family
+        for top in tops:
+            diff = _pi(top, mats) - _pi(top, mats, hermitian_logs_schur)
+            assert abs(diff).max() <= 1e-12, (family, top)
+
+
+def test_gt_generators_are_cached_read_only(monkeypatch):
+    # Each label's generators are built once per process and kept read-only
+    # in the plan LRU; a second call on the same labels builds none.
+    built = []
+    build = dt._build_gt_generators
+    monkeypatch.setattr(dt, "_build_gt_generators", lambda top: built.append(tuple(top)) or build(top))
+    nu = _random_set(np.random.default_rng(5), 6, 3)
+    first = design_deltas(nu, 3)
+    labels = [tuple(r) for r in dt._block_rows(3, 3, 6)[0].tolist()]
+    assert built == labels
+    assert design_deltas(nu, 3) == first
+    assert built == labels
+    for arr in dt._gt_generators(np.array(labels[0])):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 1.0
+
+
 def test_delta_is_invariant_under_global_phases():
     rng = np.random.default_rng(12)
     base = _pauli_set()
@@ -325,11 +396,32 @@ def test_gate_set_from_json_rejects_garbage():
         gate_set_from_json({"d": 2})
     with pytest.raises(InvalidParameterError):
         gate_set_from_json({"d": 2, "elements": []})
+    identity = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    with pytest.raises(InvalidParameterError, match="weight 0 must be a number"):
+        gate_set_from_json({"d": 2, "elements": [{"weight": True, "matrix": identity}]})
+    for bad in (math.nan, math.inf, -math.inf):
+        matrix = [[[1, 0], [0, 0]], [[0, 0], [1, bad]]]
+        with pytest.raises(InvalidParameterError, match="element 0 has a non-finite entry"):
+            gate_set_from_json({"d": 2, "elements": [{"weight": 1.0, "matrix": matrix}]})
+    malformed = (
+        [[["1", "0"], [0, 0]], [[0, 0], [1, 0]]],  # strings are not numbers
+        [[[1, 0], [0, None]], [[0, 0], [1, 0]]],
+        [[[True, False], [False, False]], [[False, False], [True, False]]],
+        [[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]],  # not [re, im] pairs
+        [[1, 0], [0, 1]],
+        [[[1, 0], [0, 0]], [[0, 0]]],  # ragged
+        [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]],
+        "identity",
+        [],
+    )
+    for matrix in malformed:
+        with pytest.raises(InvalidParameterError, match="element 0: malformed matrix"):
+            gate_set_from_json({"d": 2, "elements": [{"weight": 1.0, "matrix": matrix}]})
 
 
 def test_resource_cap(monkeypatch):
     # gates x sum of dim_lambda^3 over the blocks; an over-budget call
-    # raises before any generator or block is built.
+    # raises before any generator is fetched or built, or any block is built.
     assert BLOCK_BUDGET == 10**10
     built = []
     monkeypatch.setattr(dt, "_gt_generators", lambda top: built.append(top))
@@ -379,3 +471,8 @@ def test_net_probe_checks_the_support_dimension():
         net_probe([np.complex128(1.0)], 0.5, 10, RngStream(1))
     with pytest.raises(InvalidParameterError, match="2x2 matrix"):
         net_probe([_I, np.eye(3)], 0.5, 10, RngStream(1))
+    for bad in (np.nan, np.inf):
+        mat = _Z.copy()
+        mat[0, 1] = bad
+        with pytest.raises(InvalidParameterError, match="support element 1 has a non-finite entry"):
+            net_probe([_I, mat], 0.5, 10, RngStream(1))
