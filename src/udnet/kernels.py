@@ -13,17 +13,18 @@ Casimir lower bound, with decay exp(-sigma*k) for value sums and
 exp(-2*sigma*k) for Plancherel sums.
 Lattice sums are cut at the smallest sup-norm radius K whose Gaussian shell
 envelope, multiplied by the assembled prefactor, drops below tail_tol.
-Both envelopes are log-concave in the shell index, so once consecutive
-shell ratios fall under 1/2 the remainder closes geometrically, and once a
-term past the peak underflows to 0.0 every later one adds exactly 0.0.
-Both cutoffs come from one forward walk over the shells (_ShellTails) that
-evaluates each shell once and tries the cutoffs in increasing order,
-dropping a cutoff as soon as a lower bound of its tail is too large.
+Both log-envelopes are g(j) = h(j) - b*j^2 with h concave, so past the peak
+the tail from shell a is at most exp(g(a)) * (1 + min(sqrt(pi/b)/2,
+1/|g'(a)|)), in closed form and non-increasing in the cutoff. A weight
+cutoff comes from one bisection over that bound; a cutoff before the peak
+never fits, since the envelope there is at least its value 1 at j = 0. A
+lattice radius before the peak adds the shells up to the peak to the bound
+from there.
 
 Plans. Everything a kernel needs before it sees a point is kept in one
 least-recently-used cache (_PLANS, 64 MiB): a character plan per
 (d, sigma, trim_t, tail_tol), and a lattice plan per (d, sigma, tail_tol),
-which holds the envelope tails of the radius walk and the lattice grid of
+which holds the envelope tail of each radius tried and the lattice grid of
 each radius served; the design tester keeps the Gelfand-Tsetlin
 generators of each irrep label there too. A point only moves the lattice
 prefactor, so a warm Poisson query compares it with the kept tails and sums
@@ -46,6 +47,7 @@ assemble in log space with signs tracked separately.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import itertools
@@ -92,8 +94,6 @@ __all__ = [
     "l2_norm_untrimmed",
 ]
 
-_LOG_TINY = -745.0
-_LOG_HALF = math.log(0.5)
 _UNIT_ROUNDOFF = 2.0**-53
 _JITTER_H = 1e-5
 _MAX_LATTICE_RADIUS = 512
@@ -162,152 +162,45 @@ def _pu_shell_log_env(d: int, sigma: float, rate: float, j: float) -> float:
     )
 
 
-class _SumQueue:
-    """Sum of a sliding window of nonnegative floats, kept as a two-stack queue.
+def _pu_shell_slope(d: int, sigma: float, rate: float, j: float) -> float:
+    # derivative of _pu_shell_log_env in j
+    return 2.0 * (d - 1) / (1.0 + 2.0 * j) + d * (d - 1) / (1.0 + j) - rate * sigma * (j / (d * d) + 0.25)
 
-    Each value enters one running sum and, at most once, one run of suffix
-    sums, so a push or a pop costs O(1) amortised and nothing is subtracted.
+
+def _tangent_log_tail(log_env: float, slope: float, b: float) -> float:
+    """log of a bound on sum_{k >= 0} exp(g(a + k)) from g(a), g'(a) and b; inf if g'(a) > 0.
+
+    g = h - b*j^2 with h concave, so g(a + k) <= g(a) + g'(a)*k - b*k^2, and
+    past the peak the terms past k = 0 of that bound sum to at most the
+    integral over k > 0 of exp(g'(a)*k) or of exp(-b*k^2), whichever is smaller.
     """
-
-    def __init__(self):
-        self._older = []  # suffix sums of the older values, the oldest last
-        self._newer = []
-        self._newer_sum = 0.0
-
-    def push(self, v: float) -> float:
-        """Append v and return the new lower()."""
-        self._newer.append(v)
-        self._newer_sum += v
-        return self.lower()
-
-    def pop(self) -> None:
-        if not self._older:
-            acc = 0.0
-            for v in reversed(self._newer):
-                acc += v
-                self._older.append(acc)
-            self._newer, self._newer_sum = [], 0.0
-        self._older.pop()
-
-    def lower(self) -> float:
-        """A lower bound of the window's sum taken left to right in floats.
-
-        Both this sum and the left-to-right one are within (n-1)*u of the
-        exact sum of n nonnegative values (Higham, Accuracy and Stability of
-        Numerical Algorithms, ch. 4), so 4*n*u covers both and the product.
-        """
-        older = self._older
-        n = len(older) + len(self._newer)
-        return ((older[-1] if older else 0.0) + self._newer_sum) * (1.0 - 4.0 * n * _UNIT_ROUNDOFF)
+    if slope > 0.0:
+        return math.inf
+    width = 0.5 * math.sqrt(math.pi / b)
+    return log_env + math.log1p(min(width, -1.0 / slope) if slope < 0.0 else width)
 
 
-class _ShellTails:
-    """Envelope tails beyond the cutoffs L = first, first + step, ..., up to limit.
+def _weight_cutoff(d: int, sigma: float, rate: float, tol: float) -> tuple[int, float]:
+    """Smallest even one-norm L whose envelope tail at this rate is below tol; returns (L, tail).
 
-    The tail beyond L bounds sum_{j > L} exp(log_env(j)) for a concave
-    log_env. It is summed forward from L + 1, left to right, until consecutive
-    shell ratios drop under 1/2, and then closed geometrically, since
-    concavity makes later ratios no larger. A shell past the peak whose term
-    underflows to 0.0 also ends the sum: every later term adds exactly 0.0.
-    Each shell's summand is evaluated once and kept, so a later cutoff
-    search, under another fits, reads what an earlier one found. So does
-    each cutoff's tail, or the lower bound of it that rejected the cutoff.
+    The tangent bound of the tail past L is non-increasing in L, so one
+    bisection over the cutoffs up to _MAX_WEIGHT_CUTOFF finds L, each shell
+    evaluated once. A cutoff before the envelope's peak never fits: the
+    concave log-envelope, 0 at j = 0, is still rising there, so the tail is
+    at least 1. Raises TruncationError when no L up to _MAX_WEIGHT_CUTOFF fits.
     """
+    b = rate * sigma / (2.0 * d * d)
 
-    def __init__(self, log_env, first: int, step: int, limit: int):
-        self._log_env = log_env
-        self.first, self.step, self.limit = first, step, limit
-        self._vals = []  # summand of shell first + 1 + i; None until evaluated
-        self._stops = set()  # shells whose summand closes every tail that reaches them
-        self._ahead_j, self._ahead_g = None, 0.0  # log_env(j), read while shell j - 1 was summed
-        self._tails = {}  # cutoff -> (tail, exact); inexact is a lower bound
+    @functools.cache
+    def log_tail(k: int) -> float:  # past cutoff 2k
+        j = 2 * k + 1
+        return _tangent_log_tail(_pu_shell_log_env(d, sigma, rate, j), _pu_shell_slope(d, sigma, rate, j), b)
 
-    def _summand(self, j: int) -> float:
-        vals = self._vals
-        i = j - self.first - 1
-        if i < len(vals):
-            if vals[i] is not None:
-                return vals[i]
-        elif i > len(vals):
-            vals.extend([None] * (i - len(vals)))
-        gj = self._ahead_g if self._ahead_j == j else self._log_env(j)
-        stop = True
-        if gj > _LOG_HUGE:
-            v = math.inf
-        else:
-            v = math.exp(gj) if gj > _LOG_TINY else 0.0
-            g_next = self._ahead_g = self._log_env(j + 1)
-            self._ahead_j = j + 1
-            dg = g_next - gj
-            if dg <= _LOG_HALF:
-                r = math.exp(dg)
-                v *= 1.0 + r / (1.0 - r)
-            elif v != 0.0 or dg >= 0.0:
-                stop = False
-        if i < len(vals):
-            vals[i] = v
-        else:
-            vals.append(v)
-        if stop:
-            self._stops.add(j)
-        return v
-
-    def cutoff(self, fits) -> tuple[int, float]:
-        """Smallest cutoff L whose tail fits; returns (L, tail).
-
-        fits(tail) must stay False once False as the tail grows. One forward
-        walk serves every cutoff: a window over the shells from L + 1 grows
-        until fits rejects a lower bound of its sum or the window reaches the
-        shell that closes the tail, and then drops its first shells to serve
-        the next cutoff. Only a closed window that fits is summed exactly, left
-        to right; that is the cutoff returned, or one within rounding of it.
-        So the work grows with the shells walked, not with their product by
-        the cutoffs tried. Raises TruncationError when no cutoff up to limit
-        fits.
-        """
-        window, lo, hi = None, 0, 0  # the window holds shells lo .. hi - 1
-        L = self.first
-        while L <= self.limit:
-            tail, exact = self._tails.get(L, (0.0, False))
-            fitting = fits(tail)
-            if fitting and exact:
-                return L, tail
-            if exact or not fitting:
-                L += self.step
-                continue
-            if window is None or hi <= L + 1:
-                window, lo, hi = _SumQueue(), L + 1, L + 1
-            while lo < L + 1:
-                window.pop()
-                lo += 1
-            closed = hi > lo and hi - 1 in self._stops
-            lower = window.lower()
-            while not closed and fits(lower):
-                lower = window.push(self._summand(hi))
-                closed = hi in self._stops
-                hi += 1
-            if not fits(lower):
-                self._tails[L] = (lower, False)
-            else:
-                tail = 0.0
-                for v in self._vals[lo - self.first - 1 : hi - self.first - 1]:
-                    tail += v
-                self._tails[L] = (tail, True)
-                if fits(tail):
-                    return L, tail
-            L += self.step
-        raise TruncationError(
-            f"cutoff exceeds {self.limit}; required cutoff is at least {L}", required_cutoff=L
-        )
-
-
-def _envelope_cutoff(log_env, first: int, step: int, fits, limit: int) -> tuple[int, float]:
-    """Smallest cutoff L = first + k*step, at most limit, whose envelope tail fits.
-
-    One walk of _ShellTails: returns (L, tail), or raises TruncationError
-    when no cutoff up to limit fits.
-    """
-    return _ShellTails(log_env, first, step, limit).cutoff(fits)
+    top = _MAX_WEIGHT_CUTOFF // 2
+    k = bisect.bisect_left(range(top + 1), True, key=lambda k: log_tail(k) < math.log(tol))
+    if k > top:
+        raise TruncationError(f"cutoff exceeds {2 * top}", required_cutoff=2 * top + 2)
+    return 2 * k, math.exp(log_tail(k))
 
 
 def _label_rows(d: int, cutoff: int, reason: str) -> np.ndarray:
@@ -359,6 +252,8 @@ class _CharPlan:
 def _build_char_plan(p: KernelParams) -> _CharPlan:
     """Cutoff, labels, coefficients and skip mask for one p.
 
+    The cutoff of an untrimmed kernel is the smallest even one-norm whose
+    envelope tail is below half of tail_tol (_weight_cutoff, one bisection).
     Weights whose worst-case contribution d_lam^2 exp(-sigma*k_lam) cannot
     reach a share of the tail budget are skipped and charged to the bound.
     The trivial weight is added exactly, as 1 * c_0, so the normalization
@@ -380,9 +275,7 @@ def _build_char_plan(p: KernelParams) -> _CharPlan:
         tail = 0.0
         skip_budget = 0.0
     else:
-        env = functools.partial(_pu_shell_log_env, d, sigma, 1.0)
-        tol = 0.5 * p.tail_tol
-        cutoff, tail = _envelope_cutoff(env, 0, 2, lambda tail: tail < tol, _MAX_WEIGHT_CUTOFF)
+        cutoff, tail = _weight_cutoff(d, sigma, 1.0, 0.5 * p.tail_tol)
         skip_budget = 0.4 * p.tail_tol
     lams = _label_rows(d, cutoff, f"tail_tol = {p.tail_tol:g}")
 
@@ -521,15 +414,21 @@ def _lattice_grid(d: int, radius: int) -> np.ndarray:
 
 
 def _lattice_shell_log_env(d: int, sigma: float, kappa: float) -> float:
-    # valid for canonical angles |phi_i| <= pi: the extremal coordinate of a
-    # shell-kappa lattice point keeps |phi + 2*pi*k| >= pi*(2*kappa - 1), and
-    # the root-product is bounded by (d*pi*(2*kappa+1))^m over the shell
+    # valid for canonical angles |phi_i| <= pi: shell kappa of Z^{d-1} has at
+    # most 2(d-1)(2*kappa+1)^{d-2} points, the extremal coordinate of each keeps
+    # |phi + 2*pi*k| >= pi*(2*kappa - 1), and the root-product is bounded by
+    # (d*pi*(2*kappa+1))^m over the shell
     m = d * (d - 1) // 2
-    return (
-        math.log(2.0 * (d - 1)) if d > 2 else 0.0
-    ) + (d - 2) * math.log(2.0 * kappa + 1.0) + m * math.log(
+    return math.log(2.0 * (d - 1)) + (d - 2) * math.log(2.0 * kappa + 1.0) + m * math.log(
         d * math.pi * (2.0 * kappa + 1.0)
     ) - d * math.pi**2 * (2.0 * kappa - 1.0) ** 2 / (2.0 * sigma)
+
+
+def _lattice_shell_slope(d: int, sigma: float, kappa: float) -> float:
+    # derivative of _lattice_shell_log_env in kappa; its quadratic part is
+    # -b*kappa^2 with b = 2*d*pi^2/sigma
+    b = 2.0 * d * math.pi**2 / sigma
+    return 2.0 * (d - 2 + d * (d - 1) // 2) / (2.0 * kappa + 1.0) - b * (2.0 * kappa - 1.0)
 
 
 class _LatticePlan:
@@ -537,12 +436,16 @@ class _LatticePlan:
 
     log_base is log(C(d, sigma)/|W|) + log(d!), the log-prefactor before the
     point's Weyl denominator. A point only shifts the prefactor, which
-    changes which envelope tail fits, so one _ShellTails of the lattice shell
-    envelope serves the radius of every point: its tails, and the lower
-    bounds that rejected radii, are kept, and a warm point compares its
-    log-prefactor with them. grids holds the read-only offsets 2*pi*Z^{d-1}
-    of sup-norm radius R for each R served, (2R+1)^{d-1} rows each. The lock
-    guards the tails and the grids, which points on several threads share.
+    changes which envelope tail fits, so one list of log-tails of the lattice
+    shell envelope serves the radius of every point: entry R - 1 bounds the
+    shells past radius R, and a point's radius is the first entry under
+    log(tail_tol) minus its log-prefactor. The list is non-increasing. It
+    starts with the radii before the envelope's peak, each of which adds its
+    own first shell to the tail of the next, and grows lazily, radius by
+    radius, past the peak, so a warm point evaluates no envelope.
+    grids holds the read-only offsets 2*pi*Z^{d-1} of sup-norm radius R for
+    each R served, (2R+1)^{d-1} rows each. The lock guards the tails and the
+    grids, which points on several threads share.
     """
 
     def __init__(self, key: tuple, p: KernelParams):
@@ -550,11 +453,17 @@ class _LatticePlan:
         self.tail_tol = p.tail_tol
         self.log_tol = math.log(p.tail_tol)
         self.log_base = log_prefactor(p.d, p.sigma) + math.lgamma(p.d + 1)
-        env = functools.partial(_lattice_shell_log_env, p.d, p.sigma)
-        self._tails = _ShellTails(env, 1, 1, _MAX_LATTICE_RADIUS)
+        self.d, self.sigma = p.d, p.sigma
         self._grids: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
-        self.d = p.d
+        peak = 2  # the first shell from 2 on where the envelope stops rising
+        while _lattice_shell_slope(p.d, p.sigma, peak) > 0.0:
+            peak += 1
+        tails = [self._tangent_tail(peak - 1)]
+        for kappa in range(peak - 1, 1, -1):
+            g = _lattice_shell_log_env(p.d, p.sigma, kappa)
+            tails.append(max(g, tails[-1]) + math.log1p(math.exp(-abs(g - tails[-1]))))
+        self._log_tails = tails[::-1][:_MAX_LATTICE_RADIUS]
 
     def arrays(self) -> list[np.ndarray]:
         return list(self._grids.values())
@@ -563,20 +472,28 @@ class _LatticePlan:
     def nbytes(self) -> int:
         return sum(a.nbytes for a in self.arrays())
 
+    def _tangent_tail(self, radius: int) -> float:
+        kappa = radius + 1
+        return _tangent_log_tail(
+            _lattice_shell_log_env(self.d, self.sigma, kappa),
+            _lattice_shell_slope(self.d, self.sigma, kappa),
+            2.0 * self.d * math.pi**2 / self.sigma,
+        )
+
     def radius(self, log_pref: float) -> tuple[int, float]:
         """Smallest radius whose tail times exp(log_pref) is below tail_tol, and that bound."""
-
-        def log_tail(tail):
-            return log_pref + (math.log(tail) if tail > 0.0 else -math.inf)
-
-        try:
-            with self._lock:
-                radius, tail = self._tails.cutoff(lambda tail: log_tail(tail) < self.log_tol)
-        except TruncationError:
-            raise NumericalInstabilityError(
-                f"no lattice radius up to {_MAX_LATTICE_RADIUS} meets tail_tol = {self.tail_tol:g}"
-            ) from None
-        return radius, math.exp(log_tail(tail))
+        bar = self.log_tol - log_pref
+        with self._lock:
+            tails = self._log_tails
+            while tails[-1] >= bar and len(tails) < _MAX_LATTICE_RADIUS:
+                # the min keeps the list non-increasing through rounding, for the bisection
+                tails.append(min(tails[-1], self._tangent_tail(len(tails) + 1)))
+            k = bisect.bisect_right(tails, -bar, key=lambda v: -v)
+            if k == len(tails):
+                raise NumericalInstabilityError(
+                    f"no lattice radius up to {_MAX_LATTICE_RADIUS} meets tail_tol = {self.tail_tol:g}"
+                )
+            return k + 1, math.exp(log_pref + tails[k])
 
     def grid(self, radius: int) -> np.ndarray:
         with self._lock:
@@ -722,12 +639,12 @@ def _poisson_eval(p: KernelParams, phis: list) -> list[EvalResult]:
 def heat_pu_poisson(p: KernelParams, x: TorusPoint) -> EvalResult:
     """PU(d) heat kernel as one Gaussian sum over the PU coweight lattice.
 
-    The radius walk and the grid depend only on (d, sigma, tail_tol), so they
+    The radius tails and the grid depend only on (d, sigma, tail_tol), so they
     are a _LatticePlan kept in _PLANS: a warm query compares its prefactor
     with the plan's tails and sums over the plan's grid, and a jittered one
     makes one four-row call. At d = 3 a warm query takes 0.075-0.095 ms at a
     regular point and 0.19-0.21 ms at a jittered one; a cold one, which
-    walks the radius and builds the grid, 0.14-0.20 ms and 0.26-0.32 ms
+    fills the plan's tails and builds the grid, 0.14-0.20 ms and 0.26-0.32 ms
     (1 BLAS thread, 2-vCPU Intel Xeon, best of 7 x 200 queries). Raises
     NumericalInstabilityError when the sum lost its value to cancellation.
     """
@@ -766,6 +683,16 @@ def _plancherel_sq(sigma: float, lams: np.ndarray) -> float:
         return float(np.sum(np.square(dims) * np.exp(-2.0 * sigma * cas)))
 
 
+def _plancherel_beyond(d: int, sigma: float, norm: int, tail_tol: float) -> float:
+    """Plancherel sum over the weights of one-norm above norm, up to the cutoff
+    whose rate-2 envelope tail is below tail_tol (0.0 when that is norm or less)."""
+    L, _ = _weight_cutoff(d, sigma, 2.0, tail_tol)
+    if L <= norm:
+        return 0.0
+    lams = _label_rows(d, L, f"tail_tol = {tail_tol:g}")
+    return _plancherel_sq(sigma, lams[np.abs(lams).sum(axis=1) > norm])
+
+
 def trimming_error(d: int, sigma: float, t: int, tail_tol: float = 1e-12) -> float:
     """L2 distance between the PU kernel and its trim at parameter t.
 
@@ -780,12 +707,7 @@ def trimming_error(d: int, sigma: float, t: int, tail_tol: float = 1e-12) -> flo
     _check_positive("sigma", sigma)
     _check_int("t", t)
     _check_unit_open("tail_tol", tail_tol)
-    env = functools.partial(_pu_shell_log_env, d, sigma, 2.0)
-    L, _ = _envelope_cutoff(env, 0, 2, lambda tail: tail < tail_tol, _MAX_WEIGHT_CUTOFF)
-    if L <= 2 * t:
-        return 0.0
-    lams = _label_rows(d, L, f"tail_tol = {tail_tol:g}")
-    return math.sqrt(_plancherel_sq(sigma, lams[np.abs(lams).sum(axis=1) > 2 * t]))
+    return math.sqrt(_plancherel_beyond(d, sigma, 2 * t, tail_tol))
 
 
 def l2_norm_trimmed(d: int, sigma: float, t: int) -> float:
@@ -801,7 +723,4 @@ def l2_norm_untrimmed(d: int, sigma: float, tail_tol: float = 1e-12) -> float:
     _check_dimension(d)
     _check_positive("sigma", sigma)
     _check_unit_open("tail_tol", tail_tol)
-    env = functools.partial(_pu_shell_log_env, d, sigma, 2.0)
-    L, _ = _envelope_cutoff(env, 0, 2, lambda tail: tail < tail_tol, _MAX_WEIGHT_CUTOFF)
-    lams = _label_rows(d, L, f"tail_tol = {tail_tol:g}")
-    return math.sqrt(_plancherel_sq(sigma, lams))
+    return math.sqrt(_plancherel_beyond(d, sigma, -1, tail_tol))

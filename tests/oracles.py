@@ -18,13 +18,14 @@ T_nu assembled as a d^(2t) matrix, the Haar projector as the orthogonal
 projector onto the vectorized permutation operators, and delta as the SVD
 norm of their difference; hermitian_logs_schur takes the Hermitian log of
 each gate from its complex Schur form. poisson_reference is the Poisson
-route as one call per lattice sum, each with its own radius walk
-(envelope_cutoff_restarting, which restarts the tail sum of every rejected
-cutoff) and its own grid. Last come four helpers that the package no
-longer exports, which the tests use to reach package code.
+route as one call per lattice sum, each with its own scan of radii
+(lattice_log_tail_scan, the plan's tail rule computed afresh for each
+radius) and its own grid. pu_envelope_tail_mp and lattice_envelope_tails_mp
+sum the two shell envelopes exactly, from above, for the cutoff tests. Last
+come four helpers that the package no longer exports, which the tests use
+to reach package code.
 """
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -37,10 +38,11 @@ from udnet.kernels import (
     EvalResult,
     KernelParams,
     NumericalInstabilityError,
-    TruncationError,
     _lattice_shell_log_env,
+    _lattice_shell_slope,
+    _tangent_log_tail,
 )
-from udnet.lie_core import _LOG_HUGE, TorusPoint, _check_unitaries, log_prefactor
+from udnet.lie_core import TorusPoint, _check_unitaries, log_prefactor
 from udnet.montecarlo import _dp_to_identity, torus_grid
 from udnet.weights_chars import GAP_TOL, _char_batch
 
@@ -246,47 +248,94 @@ def char_matrix(lams, theta):
     return out
 
 
-def envelope_cutoff_restarting(log_env, first, step, fits, limit):
-    """The cutoff walk as udnet.kernels had it before its one forward walk.
+def lattice_log_tail_scan(d, sigma, radius):
+    """The log-tail that kernels._LatticePlan keeps for one radius, written out.
 
-    Each cutoff L sums its own tail forward from L + 1, left to right, and
-    stops as soon as fits rejects the partial sum; a rejected cutoff's sum is
-    not reused, so the next cutoff restarts from its own first shell. Each
-    shell's log is evaluated once. Returns (L, tail) or raises
-    TruncationError, as kernels._envelope_cutoff does.
+    The shells past the radius that come before the envelope's peak are added
+    one at a time, from the peak down, onto the tangent bound from the first
+    shell past the peak; a radius past the peak takes the tangent bound alone.
     """
-    logs = {}
+    kappa, before = radius + 1, []
+    while _lattice_shell_slope(d, sigma, kappa) > 0.0:
+        before.append(_lattice_shell_log_env(d, sigma, kappa))
+        kappa += 1
+    acc = _tangent_log_tail(
+        _lattice_shell_log_env(d, sigma, kappa),
+        _lattice_shell_slope(d, sigma, kappa),
+        2.0 * d * math.pi**2 / sigma,
+    )
+    for g in reversed(before):
+        acc = max(g, acc) + math.log1p(math.exp(-abs(g - acc)))
+    return acc
 
-    def g(j):
-        if j not in logs:
-            logs[j] = log_env(j)
-        return logs[j]
 
-    L = first
+def pu_envelope_tail_mp(d, sigma, rate, L):
+    """An upper bound, within 2^-40 of it, on the PU shell envelope's tail past L.
+
+    The envelope is (1+2j)^{d-1} (1+j)^{d(d-1)} exp(-rate*sigma*(j^2/(2d^2) + j/4)),
+    summed over j > L, with L past its peak. The Gaussian factor advances by
+    one multiplication per shell in exact integer fixed point, rounded up,
+    after 50-digit seeds, so the sum errs high. It stops once the shells left,
+    at most a geometric series since the envelope is log-concave, are below
+    2^-40 of it.
+    """
+    c = mp.mpf(rate) * mp.mpf(sigma)
+    bits = 192
+    one = 1 << bits
+    j = L + 1
+
+    def fixed(x):
+        return int(mp.ceil(x * one))
+
+    head = mp.exp(-c * (mp.mpf(j) ** 2 / (2 * d * d) + mp.mpf(j) / 4))
+    step = fixed(mp.exp(-c * (mp.mpf(2 * j + 1) / (2 * d * d) + mp.mpf(1) / 4)))
+    q = fixed(mp.exp(-c / (d * d)))
+    gauss = one  # exp(-c*(j^2/(2d^2) + j/4)) / head
+    total = prev = 0
     while True:
-        total, j = 0.0, L + 1
-        while fits(total):
-            gj = g(j)
-            if gj > _LOG_HUGE:
-                total = math.inf
+        term = (1 + 2 * j) ** (d - 1) * (1 + j) ** (d * (d - 1)) * gauss
+        if prev > term and (term << 40) < total * (prev - term) // prev:
+            # later ratios are at most term / prev
+            rest = -(-term * prev // (prev - term))
+            return head * mp.mpf(total + rest) / one
+        total += term
+        prev = term
+        gauss = -(-gauss * step >> bits)
+        step = -(-step * q >> bits)
+        j += 1
+
+
+def lattice_envelope_tails_mp(d, sigma, radius_max):
+    """The lattice shell envelope's tails past radii 1..radius_max, at 50 digits.
+
+    Each is an upper bound within 2^-40 of the exact tail: the shells are
+    summed until, past the peak, the rest (at most a geometric series, the
+    envelope being log-concave) is below 2^-40 of the tail past radius_max.
+    """
+    sigma = mp.mpf(sigma)
+    m = d * (d - 1) // 2
+    terms, last = [], 0
+    kappa = 2
+    while True:
+        term = mp.exp(
+            mp.log(2 * (d - 1))
+            + (d - 2) * mp.log(2 * kappa + 1)
+            + m * mp.log(d * mp.pi * (2 * kappa + 1))
+            - d * mp.pi**2 * (2 * kappa - 1) ** 2 / (2 * sigma)
+        )
+        if kappa > radius_max + 1 and term < terms[-1]:
+            rest = term / (1 - term / terms[-1])
+            if rest < mp.mpf(2) ** -40 * last:
                 break
-            term = math.exp(gj) if gj > -745.0 else 0.0
-            dg = g(j + 1) - gj
-            if dg <= math.log(0.5):
-                r = math.exp(dg)
-                total += term * (1.0 + r / (1.0 - r))
-                break
-            if term == 0.0 and dg < 0.0:
-                break
-            total += term
-            j += 1
-        if fits(total):
-            return L, total
-        L += step
-        if L > limit:
-            raise TruncationError(
-                f"cutoff exceeds {limit}; required cutoff is at least {L}", required_cutoff=L
-            )
+        terms.append(term)
+        if kappa > radius_max:
+            last += term
+        kappa += 1
+    tails, acc = [], rest
+    for term in reversed(terms):
+        acc += term
+        tails.append(acc)
+    return tails[::-1][:radius_max]
 
 
 def _poisson_core_reference(p, x):
@@ -307,18 +356,14 @@ def _poisson_core_reference(p, x):
     weights = np.array([sign * math.exp(min(log_j) - lj) for sign, lj in zip(sign_j, log_j)])
     log_pref = log_prefactor(d, sigma) + math.lgamma(d + 1) - min(log_j)
 
-    def log_tail(tail):
-        return log_pref + (math.log(tail) if tail > 0.0 else -math.inf)
-
-    env = functools.partial(_lattice_shell_log_env, d, sigma)
     log_tol = math.log(p.tail_tol)
-    try:
-        radius, tail = envelope_cutoff_restarting(
-            env, 1, 1, lambda tail: log_tail(tail) < log_tol, _MAX_LATTICE_RADIUS
-        )
-    except TruncationError:
-        raise NumericalInstabilityError("no lattice radius meets tail_tol") from None
-    bound = math.exp(log_tail(tail))
+    for radius in range(1, _MAX_LATTICE_RADIUS + 1):
+        log_tail = log_pref + lattice_log_tail_scan(d, sigma, radius)
+        if log_tail < log_tol:
+            break
+    else:
+        raise NumericalInstabilityError("no lattice radius meets tail_tol")
+    bound = math.exp(log_tail)
 
     axis = np.arange(-radius, radius + 1)
     grid = np.stack([g.ravel() for g in np.meshgrid(*([axis] * (d - 1)), indexing="ij")], axis=1)

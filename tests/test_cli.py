@@ -371,7 +371,7 @@ _SUITE_ALL_ROWS = {
         ("outside-ball", "sigma=0.01,eps=0.5,t=77", "pass"),
         ("l2", "pythagoras sigma=0.05,t=31", _SKIP_RES),
         ("l2", "pythagoras sigma=0.2,t=14", _SKIP_RES),
-        ("l2", "pythagoras sigma=1,t=5", _SKIP_RES),
+        ("l2", "pythagoras sigma=1,t=5", "pass"),
         ("l2", "simple-bound sigma=0.2164,t=13", "pass"),
         ("l2", "simple-bound sigma=0.7213,t=6", "pass"),
         ("gue", "tail r=4.24264", "pass"),

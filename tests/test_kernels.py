@@ -29,11 +29,16 @@ from udnet.kernels import (
     l2_norm_trimmed,
     l2_norm_untrimmed,
     trimming_error,
-    _envelope_cutoff,
+    _coset_denominators,
+    _lattice_grid,
     _lattice_shell_log_env,
+    _LatticePlan,
     _pu_shell_log_env,
+    _pu_shell_slope,
+    _tangent_log_tail,
+    _weight_cutoff,
 )
-from udnet.lie_core import _LOG_HUGE, InvalidParameterError, TorusPoint, _min_gaps, log_prefactor
+from udnet.lie_core import InvalidParameterError, TorusPoint, _min_gaps, log_prefactor
 from udnet.montecarlo import RngStream, _haar_su
 from udnet.weights_chars import (
     _casimir_array,
@@ -45,10 +50,12 @@ from udnet.weights_chars import (
 from oracles import (
     char_matrix,
     char_sum_mp,
-    envelope_cutoff_restarting,
     heat_pu_poisson_mp,
     heat_su_poisson_mp,
+    lattice_envelope_tails_mp,
+    lattice_log_tail_scan,
     poisson_reference,
+    pu_envelope_tail_mp,
 )
 
 
@@ -268,36 +275,40 @@ def _plan_points(d, n, seed):
 def test_lattice_plan_cold_key_walks_once(monkeypatch):
     import udnet.kernels as kernels
 
-    walks = []
-
-    class Counted(kernels._ShellTails):
-        def __init__(self, *args):
-            walks.append(args[1:])
-            super().__init__(*args)
-
     shells = Counter()
 
     def env(d, sigma, kappa):
         shells[(d, sigma, kappa)] += 1
         return _lattice_shell_log_env(d, sigma, kappa)
 
-    monkeypatch.setattr(kernels, "_ShellTails", Counted)
     monkeypatch.setattr(kernels, "_lattice_shell_log_env", env)
-    for d in (2, 3, 5):
-        p = KernelParams(d, 0.3)
+    monkeypatch.setattr(kernels, "_PLANS", kernels._PlanCache())
+
+    def query(p, x):
+        try:
+            heat_pu_poisson(p, x)
+        except NumericalInstabilityError as exc:
+            assert "lost significance" in str(exc)  # refused after its radius was found
+
+    # at d = 3, sigma = 200 the envelope peaks past the first shells, so the
+    # plan also sums the shells before the peak
+    for d, sigma in ((2, 0.3), (3, 0.3), (5, 0.3), (3, 200.0)):
+        p = KernelParams(d, sigma)
         regular, tied = _plan_points(d, 5, seed=d)
-        walks.clear()
         shells.clear()
         for x in regular:
-            heat_pu_poisson(p, x)
-        assert walks == [(1, 1, 512)]  # one walk for the key, shared by its points
-        assert max(shells.values()) == 1
+            query(p, x)
+        # one envelope call per shell for the key, shared by its points
+        assert shells and max(shells.values()) == 1, (d, sigma)
         # the jittered sums run at 0.3 * tail_tol, which is one more key
         shells.clear()
         for x in tied:
-            heat_pu_poisson(p, x)
-        assert len(walks) == 2
-        assert max(shells.values()) == 1
+            query(p, x)
+        assert shells and max(shells.values()) == 1, (d, sigma)
+        shells.clear()
+        for x in regular + tied:
+            query(p, x)
+        assert not shells
 
 
 def test_lattice_plan_warm_queries_walk_nothing(monkeypatch):
@@ -311,6 +322,7 @@ def test_lattice_plan_warm_queries_walk_nothing(monkeypatch):
         cold_batch = _batch_bits(heat_pu_poisson_batch(p, theta))
         with monkeypatch.context() as m:
             m.setattr(kernels, "_lattice_shell_log_env", lambda *args: pytest.fail("walked on a warm call"))
+            m.setattr(kernels, "_lattice_shell_slope", lambda *args: pytest.fail("walked on a warm call"))
             m.setattr(kernels, "_lattice_grid", lambda *args: pytest.fail("built a grid on a warm call"))
             assert [_bits(heat_pu_poisson(p, x)) for x in regular + tied] == cold
             assert _batch_bits(heat_pu_poisson_batch(p, theta)) == cold_batch
@@ -522,17 +534,18 @@ def test_poisson_batch_rows_are_checked():
         heat_pu_poisson_batch(KernelParams(3, 0.1, trim_t=2), [[0.1, 0.2, -0.3]])
 
 
-# (d, sigma, trim_t) -> (truncation_bound, terms_used), as computed by the
-# per-weight character matrix the sum engine replaced; the pins at
-# (2, 0.05), (3, 0.3) and (4, 1.0) come from the sum engine itself
+# (d, sigma, trim_t) -> (truncation_bound, terms_used); the term counts were
+# computed by the per-weight character matrix the sum engine replaced (those
+# at (2, 0.05), (3, 0.3) and (4, 1.0) by the sum engine itself), and the
+# bounds carry the closed-form envelope tail
 _CONTRACTION_CASES = {
-    (2, 0.01, None): (3.721864350347674e-13, 93),
-    (2, 0.05, None): (1.3190126318770647e-13, 41),
-    (3, 0.05, None): (1.3443486306775798e-13, 2140),
-    (3, 0.3, None): (1.855137332078611e-14, 303),
+    (2, 0.01, None): (4.39018249404837e-13, 93),
+    (2, 0.05, None): (1.6718380611176322e-13, 41),
+    (3, 0.05, None): (1.6668228490378478e-13, 2140),
+    (3, 0.3, None): (2.214538166484805e-14, 303),
     (3, 0.05, 78): (0.0, 3121),
-    (4, 0.5, None): (8.526467900182773e-14, 2799),
-    (4, 1.0, None): (1.0169981480286075e-14, 833),
+    (4, 0.5, None): (1.0924375390737765e-13, 2799),
+    (4, 1.0, None): (1.187441916315941e-14, 833),
     (4, 0.4, 6): (0.0, 58),
 }
 
@@ -550,9 +563,7 @@ def test_char_sum_matches_character_matrix_contraction(case):
     if trim_t is not None:
         cutoff = 2 * trim_t
     else:
-        env = functools.partial(_pu_shell_log_env, d, sigma, 1.0)
-        tol = 0.5 * p.tail_tol
-        cutoff, _ = _envelope_cutoff(env, 0, 2, lambda tail: tail < tol, 1 << 26)
+        cutoff, _ = _weight_cutoff(d, sigma, 1.0, 0.5 * p.tail_tol)
     lams = _projective_tuples(d, cutoff // 2)
     dims = _dim_array(lams)
     coeff = dims * np.exp(-sigma * _casimir_array(lams))
@@ -626,49 +637,100 @@ def test_trimming_error_vanishes_numerically_at_high_order():
     assert trimming_error(2, 0.5, 60) < 1e-12
 
 
-# ------------------------------------------------------------ cutoff walk
+# ---------------------------------------------------------- cutoff search
 
 
-def _reference_tail(log_env, start, hard_cap=5_000_000):
-    # brute force: one full forward walk per start, to the first ratio under 1/2
-    total = 0.0
-    j = start
-    g = log_env(j)
-    while True:
-        if g > _LOG_HUGE:
-            return math.inf
-        term = math.exp(g) if g > -745.0 else 0.0
-        g2 = log_env(j + 1)
-        dg = g2 - g
-        if dg <= math.log(0.5):
-            r = math.exp(dg)
-            return total + term * (1.0 + r / (1.0 - r))
-        total += term
-        j += 1
-        g = g2
-        if j - start > hard_cap:
-            return math.inf
+@pytest.mark.parametrize("rate", [1.0, 2.0])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_pu_envelope_dominates_shell_sums(d, rate):
+    # the premise of every weight cutoff: the Plancherel-type shell sum
+    # sum_{one-norm = j} d_lam^2 exp(-rate*sigma*k_lam) stays under the shell
+    # envelope (equal at j = 0, the trivial weight alone; log 5 below it at
+    # d = 2, j = 2 and further below elsewhere)
+    top = {2: 80, 3: 40, 4: 24, 5: 18, 6: 14}[d]
+    lams = _projective_tuples(d, top // 2)
+    norms = np.abs(lams).sum(axis=1)
+    for sigma in (0.01, 0.3, 2.0):
+        logs = 2.0 * np.log(_dim_array(lams)) - rate * sigma * _casimir_array(lams)
+        for j in range(0, top + 1, 2):
+            shell = np.logaddexp.reduce(logs[norms == j])
+            assert shell <= _pu_shell_log_env(d, sigma, rate, j), (sigma, j)
 
 
-def _reference_weight_cutoff(log_env, step, tol):
-    log_env = functools.cache(log_env)
-    L = 0
-    while True:
-        # a tail is at least its first term, so only cutoffs whose first
-        # dropped term is below tol need the full walk
-        if math.exp(min(log_env(L + 1), _LOG_HUGE)) < tol:
-            tail = _reference_tail(log_env, L + 1)
-            if tail < tol:
-                return L, tail
-        L += step
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_lattice_envelope_dominates_shell_sums(d):
+    # the premise of every lattice radius: coset r of a lattice sum adds
+    # |j_min / j_r| |prod(psi_i - psi_j)| exp(-d |psi|^2 / (2 sigma)) over the
+    # grid points k of sup-norm kappa, psi = shift_r + 2*pi*k, and the value
+    # divides the sum over the d cosets by d; so each coset's shell sum must
+    # stay under exp(_lattice_shell_log_env(kappa))
+    radius = {2: 40, 3: 12, 4: 5, 5: 3}[d]
+    grid = _lattice_grid(d, radius)
+    shells = np.abs(grid).max(axis=1)
+    rng = np.random.default_rng(70 + d)
+    for sigma in (0.05, 0.5, 5.0, 50.0, 500.0, 5000.0):
+        env = [_lattice_shell_log_env(d, sigma, kappa) for kappa in range(1, radius + 1)]
+        for _ in range(3):
+            phi = tuple(rng.uniform(-math.pi, math.pi, d - 1))
+            shifts, log_j, _ = _coset_denominators(d, phi)
+            for shift, lj in zip(shifts, log_j):
+                psi = np.asarray(shift) + 2.0 * math.pi * grid
+                full = np.column_stack([psi, -psi.sum(axis=1)])
+                logs = (min(log_j) - lj) - d / (2.0 * sigma) * np.square(full).sum(axis=1)
+                for i, j in itertools.combinations(range(d), 2):
+                    logs = logs + np.log(np.abs(full[:, i] - full[:, j]))
+                for kappa in range(1, radius + 1):
+                    assert np.logaddexp.reduce(logs[shells == kappa]) <= env[kappa - 1], (sigma, phi, kappa)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_weight_cutoff_tails_bound_the_exact_envelope_tail(d):
+    # every tail a weight cutoff returns is at least the envelope's exact tail
+    # sum past it, from 192-bit integer arithmetic on 50-digit seeds; no tolerance
+    for sigma in (1e-8, 1e-5, 1e-2, 0.3, 4.0):
+        for rate, tol in ((1.0, 0.5e-12), (2.0, 1e-12)):
+            L, tail = _weight_cutoff(d, sigma, rate, tol)
+            assert tail < tol
+            assert tail >= pu_envelope_tail_mp(d, sigma, rate, L), (sigma, rate, L)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_lattice_tails_bound_the_exact_envelope_tail(d):
+    # every log-tail a lattice plan keeps, filled as far as prefactors up to
+    # e^400 need, is at least the log of the envelope's exact tail past its
+    # radius (50 digits); no tolerance. At sigma = 300 and up the first radii
+    # lie before the envelope's peak; at 1e7 the peak is past radius 356 and no
+    # radius up to 512 fits.
+    for sigma in (0.02, 0.3, 5.0, 20.0, 300.0, 1e4, 1e7):
+        plan = _LatticePlan(("lattice", d, sigma, 1e-12), KernelParams(d, sigma))
+        for log_pref in (-60.0, 0.0, 100.0, 400.0):
+            try:
+                radius, bound = plan.radius(log_pref)
+            except NumericalInstabilityError:
+                continue
+            assert bound < 1e-12
+        tails = plan._log_tails
+        assert len(tails) == 512 if sigma == 1e7 else 1 <= len(tails) < 512
+        assert tails == sorted(tails, reverse=True)
+        exact = lattice_envelope_tails_mp(d, sigma, len(tails))
+        for radius, (log_tail, ref) in enumerate(zip(tails, exact), start=1):
+            assert log_tail >= mp.log(ref), (sigma, radius)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_weight_cutoff_matches_linear_scan(d):
+    # the bisection returns the first even cutoff of a scan of the same rule:
+    # the tangent bound from shell L + 1, inf before the envelope's peak
+    def log_tail(sigma, rate, L):
+        g = _pu_shell_log_env(d, sigma, rate, L + 1)
+        return _tangent_log_tail(g, _pu_shell_slope(d, sigma, rate, L + 1), rate * sigma / (2.0 * d * d))
+
     for sigma, rate, tol in itertools.product((0.005, 0.05, 0.5, 4.0), (1.0, 2.0), (1e-6, 0.5e-12, 1e-25)):
-        env = functools.partial(_pu_shell_log_env, d, sigma, rate)
-        got = _envelope_cutoff(env, 0, 2, lambda tail: tail < tol, 1 << 26)
-        assert got == _reference_weight_cutoff(env, 2, tol), (sigma, rate, tol)
+        L = 0
+        while log_tail(sigma, rate, L) >= math.log(tol):
+            L += 2
+        ref = (L, math.exp(log_tail(sigma, rate, L)))
+        assert _weight_cutoff(d, sigma, rate, tol) == ref, (sigma, rate, tol)
 
 
 def _reference_poisson(d, sigma, phi, tol):
@@ -686,10 +748,8 @@ def _reference_poisson(d, sigma, phi, tol):
                 log_j_r += math.log(abs(2.0 * math.sin(0.5 * (th[i] - th[j]))))
         log_j = min(log_j, log_j_r)
     log_pref = log_prefactor(d, sigma) + math.lgamma(d + 1) - log_j
-    shell = functools.partial(_lattice_shell_log_env, d, sigma)
     for radius in range(1, 9):
-        tail = _reference_tail(shell, radius + 1)
-        log_tail = log_pref + (math.log(tail) if tail > 0.0 else -math.inf)
+        log_tail = log_pref + lattice_log_tail_scan(d, sigma, radius)
         if log_tail < math.log(tol):
             return d * (2 * radius + 1) ** (d - 1), math.exp(log_tail)
     pytest.fail("no radius up to 8 meets tol")
@@ -732,51 +792,45 @@ def test_lattice_radius_matches_direct_scan(d):
     assert len(radii) >= 3
 
 
-def test_weight_cutoff_work_grows_linearly(monkeypatch):
-    # each cutoff once restarted its own tail sum, so near the answer every
-    # rejected cutoff re-summed the shells the one before had summed: at
-    # d = 2, sigma = 1e-7, 531,933 fits calls over 250,278 shells
-    for sigma in (1e-6, 1e-7):
-        calls = Counter()
+def test_weight_cutoff_needs_few_envelope_evaluations(monkeypatch):
+    # the forward walk this search replaced evaluated 250,278 shells at
+    # sigma = 1e-7 and ran on to the underflow shell; the bisection takes 25
+    # envelope values and 25 slopes at sigma = 1e-8, with L = 242,724
+    import udnet.kernels as kernels
 
-        def env(j):
-            calls["shells"] = max(calls["shells"], j)
-            return _pu_shell_log_env(2, sigma, 1.0, j)
+    calls = Counter()
 
-        def fits(tail):
-            calls["fits"] += 1
-            return tail < 0.5e-12
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
 
-        L, tail = _envelope_cutoff(env, 0, 2, fits, 1 << 26)
-        assert (L, tail) == envelope_cutoff_restarting(
-            functools.partial(_pu_shell_log_env, 2, sigma, 1.0), 0, 2, lambda t: t < 0.5e-12, 1 << 26
-        )
-        # one fits call per shell walked, and at most three per cutoff tried
-        assert calls["fits"] <= calls["shells"] + 3 * (L // 2 + 1), (sigma, calls)
+        return wrapped
+
+    monkeypatch.setattr(kernels, "_pu_shell_log_env", counted("env", _pu_shell_log_env))
+    monkeypatch.setattr(kernels, "_pu_shell_slope", counted("slope", _pu_shell_slope))
+    L, tail = _weight_cutoff(2, 1e-8, 1.0, 0.5e-12)
+    assert L == 242_724 and tail < 0.5e-12
+    assert calls["env"] + calls["slope"] <= 100, calls
 
 
 def test_shared_lattice_tails_match_fresh_walks():
-    # a lattice plan serves every point from one _ShellTails: each point's
-    # radius and tail equal a fresh restarting walk under its own prefactor
-    import udnet.kernels as kernels
-
+    # a lattice plan serves every point from one list of tails: each point's
+    # radius and bound equal a fresh scan of the tail rule under its own
+    # prefactor, also where the first radii lie before the envelope's peak
     rng = np.random.default_rng(12)
+    log_tol = math.log(1e-12)
     for d in (2, 3, 5):
         for sigma in (0.02, 0.3, 5.0, 300.0, 1e7):
-            env = functools.partial(_lattice_shell_log_env, d, sigma)
-            tails = kernels._ShellTails(env, 1, 1, 512)
+            plan = _LatticePlan(("lattice", d, sigma, 1e-12), KernelParams(d, sigma))
+            scan = functools.cache(functools.partial(lattice_log_tail_scan, d, sigma))
             for log_pref in rng.uniform(-60.0, 400.0, 40):
-                def fits(tail):
-                    return log_pref + (math.log(tail) if tail > 0.0 else -math.inf) < math.log(1e-12)
-
+                fits = [r for r in range(1, 513) if log_pref + scan(r) < log_tol]
+                ref = (fits[0], math.exp(log_pref + scan(fits[0]))) if fits else None
                 try:
-                    ref = envelope_cutoff_restarting(env, 1, 1, fits, 512)
-                except TruncationError as exc:
-                    ref = exc.required_cutoff
-                try:
-                    got = tails.cutoff(fits)
-                except TruncationError as exc:
-                    got = exc.required_cutoff
+                    got = plan.radius(log_pref)
+                except NumericalInstabilityError:
+                    got = None
                 assert got == ref, (d, sigma, log_pref)
 
 
@@ -793,14 +847,17 @@ def test_weight_cutoff_evaluates_each_shell_once(monkeypatch):
     got = heat_pu_char(KernelParams(2, 1e-5), _pt(2, 0.1))
     assert max(calls.values()) == 1
     assert got.terms_used == 3295
-    assert got.truncation_bound == 4.896422363784987e-13
+    assert got.truncation_bound == 4.980056582329669e-13
 
 
-def test_cutoff_limits_raise():
-    env = functools.partial(_pu_shell_log_env, 2, 0.05, 1.0)
+def test_cutoff_limits_raise(monkeypatch):
+    import udnet.kernels as kernels
+
+    monkeypatch.setattr(kernels, "_MAX_WEIGHT_CUTOFF", 10)
     with pytest.raises(TruncationError) as exc:
-        _envelope_cutoff(env, 0, 2, lambda t: t < 1e-12, 10)
+        _weight_cutoff(2, 0.05, 1.0, 1e-12)
     assert exc.value.required_cutoff == 12
+    monkeypatch.undo()
     with pytest.raises(NumericalInstabilityError, match="no lattice radius up to 512"):
         heat_pu_poisson(KernelParams(2, 1e7), _pt(2, 0.3))
 
