@@ -18,8 +18,8 @@ the tail from shell a is at most exp(g(a)) * (1 + min(sqrt(pi/b)/2,
 1/|g'(a)|)), in closed form and non-increasing in the cutoff. A weight
 cutoff comes from one bisection over that bound; a cutoff before the peak
 never fits, since the envelope there is at least its value 1 at j = 0. A
-lattice radius before the peak adds the shells up to the peak to the bound
-from there.
+lattice radius before the peak adds the shells up to the peak, or up to the
+radius cap when the peak lies past it, to the bound from there.
 
 Plans. Everything a kernel needs before it sees a point is kept in one
 least-recently-used cache (_PLANS, 64 MiB): a character plan per
@@ -29,12 +29,7 @@ each radius served; the design tester keeps the Gelfand-Tsetlin
 generators of each irrep label there too. A point only moves the lattice
 prefactor, so a warm Poisson query compares it with the kept tails and sums
 over the kept grid, and the rows of a batch that share a radius are one
-array sum. At d = 3
-(sigma = 0.02 and 0.1, 1 BLAS thread, 2-vCPU Intel Xeon, best of 7 x 200
-queries) a warm query takes 0.075-0.095 ms at a regular point and
-0.19-0.21 ms at a jittered one, against 0.13-0.21 ms and 0.60-0.78 ms when
-every query walked its own radius and built its own grid; a cold one, plan
-included, 0.14-0.20 ms and 0.26-0.32 ms.
+array sum (heat_pu_poisson gives the times).
 
 Near-regular points (eigenphase gap below 1e-6) cancel catastrophically in
 the raw Poisson form; they are handled by a symmetric four-point jitter of
@@ -168,15 +163,19 @@ def _pu_shell_slope(d: int, sigma: float, rate: float, j: float) -> float:
 
 
 def _tangent_log_tail(log_env: float, slope: float, b: float) -> float:
-    """log of a bound on sum_{k >= 0} exp(g(a + k)) from g(a), g'(a) and b; inf if g'(a) > 0.
+    """log of a bound on sum_{k >= 0} exp(g(a + k)) from g(a), g'(a) and b.
 
-    g = h - b*j^2 with h concave, so g(a + k) <= g(a) + g'(a)*k - b*k^2, and
-    past the peak the terms past k = 0 of that bound sum to at most the
-    integral over k > 0 of exp(g'(a)*k) or of exp(-b*k^2), whichever is smaller.
+    g = h - b*j^2 with h concave, so g(a + k) <= g(a) + g'(a)*k - b*k^2. Past
+    the peak the terms past k = 0 of that bound sum to at most the integral
+    over k > 0 of exp(g'(a)*k) or of exp(-b*k^2), whichever is smaller. Before
+    it the bound is a Gaussian of height exp(g(a) + g'(a)^2/(4b)), whose sum
+    over the integers is at most that height times 1 + sqrt(pi/b).
     """
-    if slope > 0.0:
+    if b == 0.0:  # sigma so small that the Gaussian rate underflowed
         return math.inf
     width = 0.5 * math.sqrt(math.pi / b)
+    if slope > 0.0:
+        return log_env + slope * slope / (4.0 * b) + math.log1p(2.0 * width)
     return log_env + math.log1p(min(width, -1.0 / slope) if slope < 0.0 else width)
 
 
@@ -440,9 +439,10 @@ class _LatticePlan:
     shell envelope serves the radius of every point: entry R - 1 bounds the
     shells past radius R, and a point's radius is the first entry under
     log(tail_tol) minus its log-prefactor. The list is non-increasing. It
-    starts with the radii before the envelope's peak, each of which adds its
-    own first shell to the tail of the next, and grows lazily, radius by
-    radius, past the peak, so a warm point evaluates no envelope.
+    starts with the radii before the envelope's peak, at most
+    _MAX_LATTICE_RADIUS of them, each of which adds its own first shell to the
+    tail of the next, and grows lazily, radius by radius, past the peak, so a
+    warm point evaluates no envelope.
     grids holds the read-only offsets 2*pi*Z^{d-1} of sup-norm radius R for
     each R served, (2R+1)^{d-1} rows each. The lock guards the tails and the
     grids, which points on several threads share.
@@ -456,14 +456,14 @@ class _LatticePlan:
         self.d, self.sigma = p.d, p.sigma
         self._grids: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
-        peak = 2  # the first shell from 2 on where the envelope stops rising
-        while _lattice_shell_slope(p.d, p.sigma, peak) > 0.0:
+        peak = 2  # the first shell from 2 on where the envelope stops rising, or the cap's next
+        while peak <= _MAX_LATTICE_RADIUS and _lattice_shell_slope(p.d, p.sigma, peak) > 0.0:
             peak += 1
         tails = [self._tangent_tail(peak - 1)]
         for kappa in range(peak - 1, 1, -1):
             g = _lattice_shell_log_env(p.d, p.sigma, kappa)
             tails.append(max(g, tails[-1]) + math.log1p(math.exp(-abs(g - tails[-1]))))
-        self._log_tails = tails[::-1][:_MAX_LATTICE_RADIUS]
+        self._log_tails = tails[::-1]
 
     def arrays(self) -> list[np.ndarray]:
         return list(self._grids.values())

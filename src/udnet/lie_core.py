@@ -194,6 +194,8 @@ def log_prefactor(d: int, sigma: float) -> float:
     m = d * (d - 1) // 2
     n = d * d - 1
     log_fact = math.fsum(math.lgamma(k + 1) for k in range(1, d + 1))
+    # 4*pi*s overflows from s = 1.4e307 on
+    log_4pi_s = math.log(4.0 * math.pi * s) if s < 1e307 else math.log(4.0 * math.pi) + math.log(s)
     return math.fsum(
         [
             0.5 * math.log(d),
@@ -201,7 +203,7 @@ def log_prefactor(d: int, sigma: float) -> float:
             -log_fact,
             (d - 1 + m) * math.log(TWO_PI),
             (n / 24.0) * s,
-            -(n / 2.0) * math.log(4.0 * math.pi * s),
+            -(n / 2.0) * log_4pi_s,
         ]
     )
 

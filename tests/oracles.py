@@ -254,9 +254,11 @@ def lattice_log_tail_scan(d, sigma, radius):
     The shells past the radius that come before the envelope's peak are added
     one at a time, from the peak down, onto the tangent bound from the first
     shell past the peak; a radius past the peak takes the tangent bound alone.
+    When the envelope still rises at shell _MAX_LATTICE_RADIUS + 1, the
+    shells from there on take the tangent bound from that shell.
     """
     kappa, before = radius + 1, []
-    while _lattice_shell_slope(d, sigma, kappa) > 0.0:
+    while kappa <= _MAX_LATTICE_RADIUS and _lattice_shell_slope(d, sigma, kappa) > 0.0:
         before.append(_lattice_shell_log_env(d, sigma, kappa))
         kappa += 1
     acc = _tangent_log_tail(

@@ -32,7 +32,9 @@ from udnet.kernels import (
     _coset_denominators,
     _lattice_grid,
     _lattice_shell_log_env,
+    _lattice_shell_slope,
     _LatticePlan,
+    _MAX_LATTICE_RADIUS,
     _pu_shell_log_env,
     _pu_shell_slope,
     _tangent_log_tail,
@@ -699,8 +701,8 @@ def test_lattice_tails_bound_the_exact_envelope_tail(d):
     # every log-tail a lattice plan keeps, filled as far as prefactors up to
     # e^400 need, is at least the log of the envelope's exact tail past its
     # radius (50 digits); no tolerance. At sigma = 300 and up the first radii
-    # lie before the envelope's peak; at 1e7 the peak is past radius 356 and no
-    # radius up to 512 fits.
+    # lie before the envelope's peak; at 1e7 the peak is near shell 356 at
+    # d = 2 and past the radius cap at d = 3..5, and no radius up to 512 fits.
     for sigma in (0.02, 0.3, 5.0, 20.0, 300.0, 1e4, 1e7):
         plan = _LatticePlan(("lattice", d, sigma, 1e-12), KernelParams(d, sigma))
         for log_pref in (-60.0, 0.0, 100.0, 400.0):
@@ -720,7 +722,7 @@ def test_lattice_tails_bound_the_exact_envelope_tail(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_weight_cutoff_matches_linear_scan(d):
     # the bisection returns the first even cutoff of a scan of the same rule:
-    # the tangent bound from shell L + 1, inf before the envelope's peak
+    # the tangent bound from shell L + 1
     def log_tail(sigma, rate, L):
         g = _pu_shell_log_env(d, sigma, rate, L + 1)
         return _tangent_log_tail(g, _pu_shell_slope(d, sigma, rate, L + 1), rate * sigma / (2.0 * d * d))
@@ -834,6 +836,44 @@ def test_shared_lattice_tails_match_fresh_walks():
                 assert got == ref, (d, sigma, log_pref)
 
 
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("sigma", [1e20, 1.7e308])
+def test_lattice_plan_past_the_cap_sums_at_most_the_capped_shells(d, sigma, monkeypatch):
+    # at sigma = 1e20 the envelope's peak lies near shell 1.1e9 (d = 2) and
+    # 2.6e9 (d = 5); the plan walks no shell past the radius cap, evaluating
+    # each one's envelope and slope at most once, and refuses the point, as a
+    # walk up to the peak could not. At 1.7e308, 4*pi*sigma overflows, and
+    # the prefactor must still be finite
+    assert 0.0 < log_prefactor(d, sigma) < math.inf
+    import udnet.kernels as kernels
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(kernels, "_lattice_shell_log_env", counted("env", _lattice_shell_log_env))
+    monkeypatch.setattr(kernels, "_lattice_shell_slope", counted("slope", _lattice_shell_slope))
+    with pytest.raises(NumericalInstabilityError, match="no lattice radius up to 512"):
+        heat_pu_poisson(KernelParams(d, sigma), _pt(d, *(0.3 * k for k in range(1, d))))
+    assert max(calls["env"], calls["slope"]) <= _MAX_LATTICE_RADIUS + 1, calls
+
+
+def test_lattice_plan_past_the_cap_matches_the_scan():
+    # d = 5, sigma = 1e7: the envelope still rises at shell 513 (its peak is
+    # near 812), so every kept tail ends in the tangent bound from shell 513,
+    # a Gaussian about the top of the tangent parabola
+    plan = _LatticePlan(("lattice", 5, 1e7, 1e-12), KernelParams(5, 1e7))
+    assert _lattice_shell_slope(5, 1e7, 513) > 0.0
+    assert len(plan._log_tails) == 512
+    for radius in (1, 2, 100, 511, 512):
+        assert plan._log_tails[radius - 1] == pytest.approx(lattice_log_tail_scan(5, 1e7, radius), rel=1e-12)
+
+
 def test_weight_cutoff_evaluates_each_shell_once(monkeypatch):
     import udnet.kernels as kernels
 
@@ -858,6 +898,8 @@ def test_cutoff_limits_raise(monkeypatch):
         _weight_cutoff(2, 0.05, 1.0, 1e-12)
     assert exc.value.required_cutoff == 12
     monkeypatch.undo()
+    with pytest.raises(TruncationError):  # the Gaussian rate sigma/(2d^2) underflows to 0
+        heat_pu_char(KernelParams(2, 5e-324), _pt(2, 0.3))
     with pytest.raises(NumericalInstabilityError, match="no lattice radius up to 512"):
         heat_pu_poisson(KernelParams(2, 1e7), _pt(2, 0.3))
 
