@@ -16,7 +16,9 @@ read-only, in the kernels' plan LRU. Gate sets and net supports are
 checked as one stack: finite entries and unitarity, in one batched
 product. No scipy module is imported.
 
-The net probe estimates the Haar-covered fraction of a finite support; for
+The net probe estimates the Haar-covered fraction of a finite support. Its
+probes are Haar matrices (_haar_su), since the distance to a support
+element needs the probe itself, not only its eigenphases; for
 d = 2 the projective distance to a support element collapses to
 sqrt(2 - |Re Tr(U V^dag)|), turning the hot loop into a single matrix
 product.
@@ -39,7 +41,7 @@ from .lie_core import (
     _check_int,
     _check_unitaries,
 )
-from .montecarlo import McEstimate, RngStream, _dp_to_identity, _haar_su, _mc_run
+from .montecarlo import McEstimate, RngStream, _dp_to_identity, _mc_run
 from .weights_chars import _append_column, _dim_array, _projective_count, _projective_tuples
 
 __all__ = [
@@ -311,6 +313,18 @@ class NetProbeReport:
 
     estimate: McEstimate
     worst_distance: float
+
+
+def _haar_su(d: int, n: int, gen: np.random.Generator) -> np.ndarray:
+    """n Haar-random SU(d) matrices: complex Ginibre draws, a QR
+    factorization whose R diagonal is rotated positive, and a global phase
+    pulling the determinant to 1."""
+    z = gen.standard_normal((n, d, d)) + 1j * gen.standard_normal((n, d, d))
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (diag / np.abs(diag))[:, None, :]
+    det = np.linalg.det(q)
+    return q * np.exp(-1j * np.angle(det) / d)[:, None, None]
 
 
 def _min_dist_to_support(probes: np.ndarray, support: np.ndarray, d: int) -> np.ndarray:

@@ -223,10 +223,10 @@ class _CharPlan:
     """What a character-form kernel needs before it sees a point.
 
     base is the trivial weight's exact term; heads and rows are the
-    _char_sum_plan of the other weights the sum keeps, with coefficients
-    d_lam exp(-sigma*k_lam) (None when there are none). bound is the cutoff
-    tail plus the mass of the skipped weights, and terms counts the kept
-    weights, the trivial one included. The arrays are read-only, since one
+    one-column _char_sum_plan of the other weights the sum keeps, with
+    coefficients d_lam exp(-sigma*k_lam) (None when there are none). bound
+    is the cutoff tail plus the mass of the skipped weights, and terms
+    counts the kept weights, the trivial one included. The arrays are read-only, since one
     plan serves every later call with its parameters.
     """
 
@@ -292,7 +292,7 @@ def _build_char_plan(p: KernelParams) -> _CharPlan:
         skipped = float(worst[~keep].sum())
 
     others = keep & ~trivial
-    heads, rows = _char_sum_plan(lams[others], coeff[others]) if others.any() else (None, None)
+    heads, rows = _char_sum_plan(lams[others], coeff[None, others]) if others.any() else (None, None)
     return _CharPlan(coeff[trivial].sum(), heads, rows, tail + skipped, int(keep.sum()))
 
 
@@ -363,10 +363,10 @@ def _char_eval(p: KernelParams, theta_rows: np.ndarray) -> tuple[np.ndarray, flo
     Returns (values, truncation_bound, terms_used). Everything that depends
     only on p is the plan of _build_char_plan, built on the
     first call and kept in _PLANS; a later call pays only for its points.
-    All points go through one _char_sum call, which evaluates the one
-    Laurent polynomial of the plan, through the alternant ratio at regular
-    points and the Jacobi-Trudi form at eigenphase gaps below GAP_TOL, so no
-    (weights x points) character matrix is built. At d = 3 a warm query
+    All points go through one one-column _char_sum call, which evaluates
+    the one Laurent polynomial of the plan, through the alternant ratio at
+    regular points and the Jacobi-Trudi form at eigenphase gaps below
+    GAP_TOL, so no (weights x points) character matrix is built. At d = 3 a warm query
     takes 0.13-0.17 ms at a regular point and 0.14-0.18 ms at a confluent
     one, at sigma = 0.02 and 0.1 alike, against 2.7-3.1 ms and 1.36-1.41 ms
     cold (best of 7 x 100 queries, 1 BLAS thread, 2-vCPU Intel Xeon, 2
@@ -375,7 +375,7 @@ def _char_eval(p: KernelParams, theta_rows: np.ndarray) -> tuple[np.ndarray, flo
     plan = _PLANS.get(p)
     vals = np.full(len(theta_rows), plan.base, dtype=complex)
     if plan.heads is not None:
-        vals += _char_sum(plan.heads, plan.rows, theta_rows)
+        vals += _char_sum(plan.heads, plan.rows, theta_rows)[0]
     resid = float(np.max(np.abs(vals.imag), initial=0.0))
     ceiling = _RESIDUE_CEILING * max(1.0, float(np.max(np.abs(vals.real), initial=0.0))) + plan.bound
     if not np.all(np.isfinite(vals.real)) or resid > ceiling:
@@ -538,9 +538,15 @@ def _lattice_sums(p: KernelParams, phis: list) -> list[EvalResult]:
     picks the radius from the plan's tails, and gives the bound. Rows of one
     radius are summed as one array over the plan's grid. A sum whose rounding
     u * sum|term| exceeds _RESIDUE_CEILING of |sum| has lost the value to
-    cancellation, and is refused.
+    cancellation, and is refused. So is a sigma so small that the Gaussian
+    rate d/(2 sigma), or the exponent of a row's largest term, overflows
+    (sigma below about 1e-307): no float subtraction then recovers the
+    terms' ratios.
     """
     d, sigma = p.d, p.sigma
+    rate = d / (2.0 * sigma)
+    if not math.isfinite(rate):
+        raise NumericalInstabilityError(f"sigma = {sigma:g} is too small for the Poisson form: d/(2 sigma) overflows")
     plan = _PLANS.lattice(p)
     shifts = np.empty((len(phis), d, d - 1))
     weights = np.empty((len(phis), d))
@@ -571,8 +577,14 @@ def _lattice_sums(p: KernelParams, phis: list) -> list[EvalResult]:
             for j in range(i + 1, d):
                 root_prod = root_prod * (psi[..., i] - (psi[..., j] if j < d - 1 else last))
         quad = np.add.reduce(np.square(psi), axis=3) + np.square(total)
-        expo = (-(d / (2.0 * sigma)) * quad).reshape(len(rows), -1)
+        with np.errstate(over="ignore"):
+            # an exponent past -1.8e308 is a term below the float range
+            expo = (-rate * quad).reshape(len(rows), -1)
         peaks = np.maximum.reduce(expo, axis=1)
+        if not np.all(np.isfinite(peaks)):
+            raise NumericalInstabilityError(
+                f"sigma = {sigma:g} is too small for the Poisson form: the largest term's exponent overflows"
+            )
         with np.errstate(under="ignore"):
             terms = root_prod.reshape(len(rows), -1) * np.exp(expo - peaks[:, None])
         sums = np.add.reduce(terms, axis=1)

@@ -16,8 +16,12 @@ other it reads the same polynomial through the Jacobi-Trudi determinant in
 complete homogeneous symmetric polynomials, the confluent
 (divided-difference) form of the same ratio, which stays finite at
 coincident eigenphases; its h tables come from the power tables by
-cumulative sums. No complex exp is taken per weight, and a per-weight
-character (_char_batch) is a one-weight polynomial.
+cumulative sums. No complex exp is taken per weight. One call evaluates k
+polynomials on one grouping (rows of shape (k, G, width)): the power
+tables and the real matmul per eigenvalue are shared by all k, and points
+run in blocks of _BLOCK // max(k G, k_max). A kernel is one column; the
+per-weight characters of _char_batch are k one-weight polynomials, the
+identity coefficients on the union of their labels.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import numpy as np
 
 from .lie_core import (
     InvalidParameterError,
-    TorusPoint,
     _check_dimension,
     _check_int,
     _is_int,
@@ -233,12 +236,13 @@ def _alternant_terms(d):
 
 
 def _alternant(tab, heads: np.ndarray, last, terms) -> np.ndarray:
-    """Sum over G column sets of the determinants det[f_j(x_b)] at n points.
+    """Sum over G column sets of the determinants det[f_j(x_b)] at n points,
+    for k polynomials at once.
 
     Column j < d-2 of set g is tab[b][heads[g, j]], column d-2 is a
-    polynomial whose values at x_b are last[b] (G, n), and column d-1 is
+    polynomial whose values at x_b are last[b] (k, G, n), and column d-1 is
     tab[b][0]. terms lists the (perm, sign) pairs of _alternant_terms that
-    can be nonzero. Returns (n,).
+    can be nonzero. Returns (k, n).
     """
     d = len(terms[0][0])
     num = np.zeros(last[0].shape, dtype=complex)
@@ -247,7 +251,7 @@ def _alternant(tab, heads: np.ndarray, last, terms) -> np.ndarray:
         for j in range(d - 2):
             term = term * tab[perm[j]][heads[:, j]]
         (np.add if sign > 0 else np.subtract)(num, term, out=num)
-    return num.sum(axis=0)
+    return num.sum(axis=1)
 
 
 def _vandermonde(tab: np.ndarray) -> np.ndarray:
@@ -260,7 +264,16 @@ def _vandermonde(tab: np.ndarray) -> np.ndarray:
     return vdm
 
 
-_BLOCK = 1 << 16  # complex entries per (group x point) array of _char_sum
+def _last_column(rows: np.ndarray, tables) -> list[np.ndarray]:
+    """Each table's (k, G, n) values of the k x G rows (k, G, width): one
+    real matmul (k G, width) @ (width, 2n) on the interleaved real view of
+    the table's first width powers (width, n)."""
+    k, groups, width = rows.shape
+    flat = rows.reshape(k * groups, width)
+    return [(flat @ t[:width].view(float)).view(complex).reshape(k, groups, -1) for t in tables]
+
+
+_BLOCK = 1 << 16  # complex entries per (sum x group x point) array of _char_sum
 
 
 def _char_sum_plan(lams: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -276,38 +289,42 @@ def _char_sum_plan(lams: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, np.
     head, and its row is P itself. The Jacobi-Trudi determinant
     det[h_{mu_i - (d-1) + j}] is multilinear in its rows as the alternant
     is, so the same grouping serves confluent points.
+
+    coeff (k, nw) holds k polynomials, which share the grouping of the
+    union of their weights: rows has shape (k, G, width).
     """
     mu = _laurent_exponents(lams)
     d = mu.shape[1]
     if d == 2:
-        return np.zeros((1, 0), dtype=np.int64), np.bincount(mu[:, 0], weights=coeff)[None, :]
-    k_max = int(mu[:, 0].max()) + 1
-    key = np.ravel_multi_index(tuple(mu[:, : d - 2].T), (k_max,) * (d - 2))
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    heads = mu[first, : d - 2]
+        group = np.zeros(len(mu), dtype=np.int64)
+        heads = np.zeros((1, 0), dtype=np.int64)
+    else:
+        k_max = int(mu[:, 0].max()) + 1
+        key = np.ravel_multi_index(tuple(mu[:, : d - 2].T), (k_max,) * (d - 2))
+        _, first, group = np.unique(key, return_index=True, return_inverse=True)
+        heads = mu[first, : d - 2]
     width = int(mu[:, d - 2].max()) + 1
-    rows = np.bincount(
-        group * width + mu[:, d - 2], weights=coeff, minlength=len(heads) * width
-    ).reshape(len(heads), width)
-    return heads, rows
+    cells = group * width + mu[:, d - 2]
+    rows = np.stack([np.bincount(cells, weights=c, minlength=len(heads) * width) for c in coeff])
+    return heads, rows.reshape(len(coeff), len(heads), width)
 
 
 def _horner_ratio(coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The alternant ratio at d = 2: P(z) = sum_m a_m z^m by Horner at both
-    eigenvalues, divided by their difference."""
+    """The alternant ratio at d = 2 for k polynomials: P(z) = sum_m a_m z^m
+    of each row of coeffs (k, width) by Horner at both eigenvalues, divided
+    by their difference. Returns (k, n)."""
     x = np.exp(1j * theta)
-    p = np.zeros_like(x)
-    for a_m in coeffs[::-1]:
+    p = np.zeros((len(coeffs),) + x.shape, dtype=complex)
+    for a_m in coeffs.T[::-1]:
         p *= x
-        p += a_m
-    return (p[:, 0] - p[:, 1]) / (x[:, 0] - x[:, 1])
+        p += a_m[:, None, None]
+    return (p[..., 0] - p[..., 1]) / (x[:, 0] - x[:, 1])
 
 
 def _alternant_ratio(tab: np.ndarray, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The alternant numerator over the power tables x_b^m, divided by the
     Vandermonde once per point."""
-    # (G, width) @ (width, 2n) on the interleaved real view of (width, n)
-    last = [(rows @ t[: rows.shape[1]].view(float)).view(complex) for t in tab]
+    last = _last_column(rows, tab)
     return _alternant(tab, heads, last, _alternant_terms(len(tab))) / _vandermonde(tab)
 
 
@@ -324,63 +341,60 @@ def _jacobi_trudi(tab: np.ndarray, heads: np.ndarray, rows: np.ndarray) -> np.nd
     pad = np.zeros((d - 1 + size, n), dtype=complex)
     pad[d - 1 :] = h
     h = [pad[j : j + size] for j in range(d)]
-    last = [(rows @ t[: rows.shape[1]].view(float)).view(complex) for t in h[: d - 1]]
+    last = _last_column(rows, h[: d - 1])
     terms = [(perm, sign) for perm, sign in _alternant_terms(d) if perm[d - 1] == d - 1]
     return _alternant(h, heads, last, terms)
 
 
 def _char_sum(heads: np.ndarray, rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """sum_w coeff_w chi_w at torus points, from the (heads, rows) of
-    _char_sum_plan. Returns (np,) complex.
+    """k sums sum_w coeff_w chi_w at torus points, from the (heads, rows) of
+    _char_sum_plan with rows (k, G, width). Returns (k, np) complex.
 
     Points with every eigenphase gap >= GAP_TOL take the alternant ratio
     (_horner_ratio at d = 2, _alternant_ratio at d >= 3), the others
-    _jacobi_trudi. Points run in blocks, so no array holds more than about
-    _BLOCK entries or grows with the weight count. The cost is the power
-    tables, one real matmul per eigenvalue and the alternant's d! terms
-    over the G groups; the confluent form adds d - 1 cumulative sums and
-    keeps (d-1)! terms. At d = 3 a one-point call takes 0.11-0.13 ms at
+    _jacobi_trudi. One set of power tables and one real matmul per
+    eigenvalue serve all k sums. Points run in blocks of
+    _BLOCK // max(k G, k_max), so no (k, G, points) array holds more than
+    about _BLOCK entries or grows with the weight count. The cost is the
+    power tables, the matmuls and the alternant's d! terms over the k G
+    rows; the confluent form adds d - 1 cumulative sums and keeps (d-1)!
+    terms. At d = 3 a one-point, one-sum call takes 0.11-0.13 ms at
     sigma = 0.02 (194 groups) and 0.10-0.12 ms at sigma = 0.1 (80) at a
     regular point and 0.12-0.15 ms at a confluent one, against 2.6-2.9 ms
     and 0.8-1.0 ms for the whole plan of the kernel (best of 7 x 100 calls,
-    1 BLAS thread, 2-vCPU Intel Xeon, 2 runs).
+    1 BLAS thread, 2-vCPU Intel Xeon, 2 runs). The 5 characters of
+    one-norm <= 4 at d = 3 on the 16,384 nodes of a 128^2 torus grid take
+    26 ms as one 5-column call, against 57 ms as 5 one-column calls (best
+    of 7).
     """
     theta = np.asarray(theta, dtype=float)
+    k, groups, _ = rows.shape
     # mu[:, 0] is each weight's largest exponent, and heads[:, 0] shares it
-    k_max = int(heads[:, 0].max()) + 1 if heads.shape[1] else rows.shape[1]
-    block = max(1, _BLOCK // max(len(heads), k_max))
-    out = np.empty(len(theta), dtype=complex)
+    k_max = int(heads[:, 0].max()) + 1 if heads.shape[1] else rows.shape[2]
+    block = max(1, _BLOCK // max(k * groups, k_max))
+    out = np.empty((k, len(theta)), dtype=complex)
     regular = _min_gaps(theta) >= GAP_TOL
     routes = [(_jacobi_trudi, ~regular)]
     if heads.shape[1]:
         routes.append((_alternant_ratio, regular))
     else:
-        out[regular] = _horner_ratio(rows[0], theta[regular])
+        out[:, regular] = _horner_ratio(rows[:, 0], theta[regular])
     for route, where in routes:
         pts = theta[where]
-        vals = np.empty(len(pts), dtype=complex)
+        vals = np.empty((k, len(pts)), dtype=complex)
         for lo in range(0, len(pts), block):
             # Each block's tables stay referenced until the next block's are
             # built. Freed at the end of each block, their pages went back to
             # the system and were faulted in again: 7x the page faults and
             # 1.5x the time on a d = 3 batch of 5,000 points.
             tab = _power_tables(pts[lo : lo + block], k_max)
-            vals[lo : lo + block] = route(tab, heads, rows)
-        out[where] = vals
+            vals[:, lo : lo + block] = route(tab, heads, rows)
+        out[:, where] = vals
     return out
 
 
 def _char_batch(lams, theta: np.ndarray) -> np.ndarray:
-    """Characters of many weights at many torus points, (nw, np) complex,
-    one one-weight _char_sum per label row (partition form by its last
-    entry, exact on SU(d)). For callers that need each character on its
-    own; a sum with fixed coefficients is one _char_sum call."""
-    return np.array([_char_sum(*_char_sum_plan([lam], np.ones(1)), theta) for lam in lams])
-
-
-def character(w: HighestWeight, x: TorusPoint) -> complex:
-    """Character value at a torus point (continuous extension everywhere)."""
-    if w.d != x.d:
-        raise InvalidParameterError(f"weight has d={w.d}, point has d={x.d}")
-    theta = np.asarray(x.eigenphases(), dtype=float)[None, :]
-    return complex(_char_batch([w.lam], theta)[0, 0])
+    """Characters of many weights at many torus points, (nw, np) complex:
+    one nw-column _char_sum with identity coefficients (partition form by
+    each label's last entry, exact on SU(d))."""
+    return _char_sum(*_char_sum_plan(lams, np.eye(len(lams))), theta)

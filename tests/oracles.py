@@ -22,8 +22,9 @@ route as one call per lattice sum, each with its own scan of radii
 (lattice_log_tail_scan, the plan's tail rule computed afresh for each
 radius) and its own grid. pu_envelope_tail_mp and lattice_envelope_tails_mp
 sum the two shell envelopes exactly, from above, for the cutoff tests. Last
-come four helpers that the package no longer exports, which the tests use
-to reach package code.
+come the helpers that the package no longer has or exports, which the tests
+use as oracles or to reach package code: the per-weight character, and the
+matrix samplers that the eigenvalue samplers of montecarlo replaced.
 """
 
 import itertools
@@ -33,6 +34,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
+from udnet.design_tester import _haar_su
 from udnet.kernels import (
     _MAX_LATTICE_RADIUS,
     EvalResult,
@@ -42,7 +44,7 @@ from udnet.kernels import (
     _lattice_shell_slope,
     _tangent_log_tail,
 )
-from udnet.lie_core import TorusPoint, _check_unitaries, log_prefactor
+from udnet.lie_core import InvalidParameterError, TorusPoint, _check_unitaries, log_prefactor
 from udnet.montecarlo import _dp_to_identity, torus_grid
 from udnet.weights_chars import GAP_TOL, _char_batch
 
@@ -602,10 +604,34 @@ def hermitian_logs_schur(mats):
     return out
 
 
-# Helpers the package no longer exports. Each drives package code that the
-# tests check: the Weyl density of torus_grid, the eigenphase distance
-# _dp_to_identity, the per-weight characters of _char_batch, and the
-# Weyl-vector norm of group_constants.
+# Helpers the package no longer has or exports. Each drives package code
+# that the tests check: the Weyl density of torus_grid, the eigenphase
+# distance _dp_to_identity, the per-weight characters of _char_batch, and the
+# Weyl-vector norm of group_constants. The matrix samplers below are the
+# references for montecarlo's eigenvalue samplers.
+
+
+def character(w, x):
+    """Character value of a HighestWeight at a TorusPoint, from _char_batch."""
+    if w.d != x.d:
+        raise InvalidParameterError(f"weight has d={w.d}, point has d={x.d}")
+    theta = np.asarray(x.eigenphases(), dtype=float)[None, :]
+    return complex(_char_batch([w.lam], theta)[0, 0])
+
+
+def haar_eigenphases_qr(d, n, gen):
+    """Eigenphase rows (n, d), each in (-pi, pi], of Haar SU(d) matrices
+    drawn by QR (_haar_su)."""
+    return np.angle(np.linalg.eigvals(_haar_su(d, n, gen)))
+
+
+def gue_traceless(d, n, gen):
+    """n traceless GUE matrices of density exp(-Tr A^2): a complex Ginibre
+    draw made Hermitian, minus its trace part."""
+    g = gen.standard_normal((n, d, d)) + 1j * gen.standard_normal((n, d, d))
+    a = (g + np.conj(np.swapaxes(g, 1, 2))) / (2.0 * math.sqrt(2.0))
+    tr = np.trace(a, axis1=1, axis2=2).real / d
+    return a - tr[:, None, None] * np.eye(d)[None, :, :]
 
 
 def weyl_vector_diag(d):

@@ -36,11 +36,10 @@ from udnet.montecarlo import (
 from udnet.weights_chars import (
     HighestWeight,
     _char_batch,
-    character,
     enumerate_projective_weights,
 )
 
-from oracles import center_average_character
+from oracles import center_average_character, character
 
 _T_MIN_REF = 8821.8012195939272822
 _DELTA_MAX_REF = 8.0543540037763218739e-11

@@ -161,6 +161,18 @@ def test_kernel_poisson_cancelled_lattice_sum_exits_3(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma, phi", [("5e-324", "0.3"), ("1e-310", "0.3"), ("1e-308", "1.5707963")])
+def test_kernel_poisson_tiny_sigma_exits_3(capsys, sigma, phi):
+    # at sigma = 5e-324 the lattice sum warned "invalid value encountered in
+    # subtract" on its way to a refusal, so under -W error it exited 1; at
+    # 1e-308 the rate d/(2 sigma) is finite, but the exponent of the largest
+    # term overflows
+    argv = ["kernel", "--d", "2", "--sigma", sigma, "--phi", phi, "--form", "poisson"]
+    assert main(argv) == 3
+    assert capsys.readouterr().out == ""
+
+
 _KERNEL_ARGV = ["kernel", "--d", "3", "--sigma", "0.1", "--phi", "0.3", "-0.2", "--form", "both"]
 
 

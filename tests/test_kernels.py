@@ -41,7 +41,7 @@ from udnet.kernels import (
     _weight_cutoff,
 )
 from udnet.lie_core import InvalidParameterError, TorusPoint, _min_gaps, log_prefactor
-from udnet.montecarlo import RngStream, _haar_su
+from udnet.montecarlo import RngStream
 from udnet.weights_chars import (
     _casimir_array,
     _char_sum,
@@ -52,6 +52,7 @@ from udnet.weights_chars import (
 from oracles import (
     char_matrix,
     char_sum_mp,
+    haar_eigenphases_qr,
     heat_pu_poisson_mp,
     heat_su_poisson_mp,
     lattice_envelope_tails_mp,
@@ -66,7 +67,7 @@ def _pt(d, *phi):
 
 
 def _haar_rows(d, n, seed):
-    return np.angle(np.linalg.eigvals(_haar_su(d, n, RngStream(seed).generator())))
+    return haar_eigenphases_qr(d, n, RngStream(seed).generator())
 
 
 def _confluent_rows(d):
@@ -580,33 +581,54 @@ def test_char_sum_matches_mpmath_at_confluent_points(d, sigma):
     import udnet.kernels as kernels
 
     plan = kernels._PLANS.get(KernelParams(d, sigma))
-    g, m = np.nonzero(plan.rows)
+    rows = plan.rows[0]
+    g, m = np.nonzero(rows)
     mu = np.column_stack([plan.heads[g], m, np.zeros_like(m)])
-    scale = float(np.abs(plan.rows[g, m]) @ _dim_array(mu - np.arange(d - 1, -1, -1)))
+    scale = float(np.abs(rows[g, m]) @ _dim_array(mu - np.arange(d - 1, -1, -1)))
     theta = _confluent_rows(d)
-    got = _char_sum(plan.heads, plan.rows, theta)
+    got = _char_sum(plan.heads, plan.rows, theta)[0]
     for row, value in zip(theta, got):
-        ref = complex(char_sum_mp(plan.heads, plan.rows, row.tolist()))
+        ref = complex(char_sum_mp(plan.heads, rows, row.tolist()))
         assert abs(value - ref) <= 1e-12 * scale, (row, value, ref)
 
 
-def test_char_batch_memory_does_not_grow_with_weight_count():
+def test_char_batch_memory_does_not_grow_with_weight_count(monkeypatch):
     # 3,121 weights at 32,768 points: a (weights x points) complex matrix
-    # would take 1.6 GB; the sum engine works in point blocks
+    # would take 1.6 GB; the sum engine works in point blocks, and k sums on
+    # one grouping in blocks of _BLOCK // max(k G, k_max) points
+    import udnet.weights_chars as wc
+
     theta = _haar_rows(3, 1 << 15, seed=5)
+    theta[:64, 1:] = theta[:64, :1] * [1.0, -2.0]  # a tied share for the Jacobi-Trudi route
+    sizes = []
+
+    def alternant(tab, heads, last, terms):
+        sizes.extend(a.size for a in last)
+        return real_alternant(tab, heads, last, terms)
+
+    real_alternant = wc._alternant
+    monkeypatch.setattr(wc, "_alternant", alternant)
     p = KernelParams(3, 0.05, trim_t=78)
+    lams = _projective_tuples(3, 78)
+    dims = _dim_array(lams)
+    coeff = np.array([dims * np.exp(-s * _casimir_array(lams)) for s in (0.05, 0.1, 0.2, 0.4)])
+    heads, rows = wc._char_sum_plan(lams, coeff)
     tracemalloc.start()
     try:
         vals, _, terms = heat_pu_char_batch(p, theta)
+        many = _char_sum(heads, rows, theta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert terms == 3121 and vals.shape == (1 << 15,)
+    assert terms == 3121 and vals.shape == (1 << 15,) and many.shape == (4, 1 << 15)
     assert peak < 256 * 2**20
+    assert sizes and max(sizes) <= wc._BLOCK
     # the last point block agrees with the same points evaluated on their own
     scale = heat_pu_char(p, _pt(3, 0.0, 0.0)).value
     tail, _, _ = heat_pu_char_batch(p, theta[-8:])
     np.testing.assert_allclose(vals[-8:], tail, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(many[0].real, vals, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(many[:, -8:], _char_sum(heads, rows, theta[-8:]), rtol=0, atol=1e-12 * scale)
 
 
 # ---------------------------------------------------------------- L2 norms
@@ -872,6 +894,17 @@ def test_lattice_plan_past_the_cap_matches_the_scan():
     assert len(plan._log_tails) == 512
     for radius in (1, 2, 100, 511, 512):
         assert plan._log_tails[radius - 1] == pytest.approx(lattice_log_tail_scan(5, 1e7, radius), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_poisson_refuses_an_overflowing_rate_before_planning():
+    # d/(2 sigma) = inf at sigma = 5e-324; the refusal comes before the
+    # lattice plan is built and before any exponent is formed
+    import udnet.kernels as kernels
+
+    with pytest.raises(NumericalInstabilityError, match=r"d/\(2 sigma\) overflows"):
+        heat_pu_poisson(KernelParams(2, 5e-324), _pt(2, 0.3))
+    assert not [key for key in kernels._PLANS._plans if key[0] == "lattice"]
 
 
 def test_weight_cutoff_evaluates_each_shell_once(monkeypatch):

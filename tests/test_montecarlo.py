@@ -2,7 +2,10 @@
 
 Statistical assertions use 5 standard errors around exact first moments
 (E|Tr U|^2 = 1 on SU(d), E Tr A^2 = (d^2-1)/2 for the traceless GUE), so
-spurious failures sit at the 1e-6 level.
+spurious failures sit at the 1e-6 level. The eigenvalue samplers are also
+checked on every power moment E|Tr U^k|^2 = min(k, d) (4 standard errors
+each), and against their matrix oracles by two-sample Kolmogorov-Smirnov
+tests whose p-values must exceed 1e-6.
 """
 
 from __future__ import annotations
@@ -13,13 +16,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import logsumexp
+from scipy.stats import ks_2samp
 
-from udnet.lie_core import InvalidDimensionError, InvalidParameterError
+from udnet.design_tester import _haar_su
+from udnet.lie_core import TWO_PI, InvalidDimensionError, InvalidParameterError, _min_gaps
 from udnet.montecarlo import (
     McEstimate,
     RngStream,
-    _gue_traceless,
-    _haar_su,
+    _dp_to_identity,
+    _gue_eigenvalues,
+    _haar_eigenphases,
     _logsumexp,
     gue_opnorm_cdf,
     gue_tail_mc,
@@ -29,7 +35,7 @@ from udnet.montecarlo import (
     torus_grid,
 )
 
-from oracles import projective_distance, torus_quadrature
+from oracles import gue_traceless, haar_eigenphases_qr, projective_distance, torus_quadrature
 
 
 def test_rng_stream_validation():
@@ -58,12 +64,58 @@ def test_haar_first_moment_of_abs_trace_squared():
 
 
 def test_gue_traceless_structure_and_second_moment():
-    a = _gue_traceless(3, 20_000, RngStream(0).generator())
+    a = gue_traceless(3, 20_000, RngStream(0).generator())
     assert abs(a - a.conj().transpose(0, 2, 1)).max() == 0.0
     assert abs(np.trace(a, axis1=1, axis2=2)).max() < 1e-12
     tr2 = np.einsum("nij,nji->n", a, a).real
     se = tr2.std(ddof=1) / math.sqrt(tr2.size)
     assert abs(tr2.mean() - 4.0) < 5.0 * se  # (d^2-1)/2 at d = 3
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_haar_eigenphase_power_moments(d):
+    # E|Tr U^k|^2 = min(k, d) on SU(d) for k = 1..d: exact for k <= d, and
+    # at k = d + 1 too, since the det = 1 correction needs k a multiple of d
+    theta = _haar_eigenphases(d, 40_000, RngStream(30 + d).generator())
+    for k in range(1, d + 2):
+        vals = np.abs(np.exp(1j * k * theta).sum(axis=1)) ** 2
+        se = vals.std(ddof=1) / math.sqrt(vals.size)
+        assert abs(vals.mean() - min(k, d)) < 4.0 * se, (k, vals.mean())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_haar_eigenphase_rows_are_su_d_classes(d):
+    theta = _haar_eigenphases(d, 5_000, RngStream(d).generator())
+    assert theta.shape == (5_000, d)
+    assert np.all(np.abs(theta) <= math.pi)
+    total = theta.sum(axis=1)
+    assert np.abs(total - TWO_PI * np.round(total / TWO_PI)).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_haar_eigenphases_match_the_matrix_sampler(d):
+    new = _haar_eigenphases(d, 20_000, RngStream(40 + d).generator())
+    ref = haar_eigenphases_qr(d, 20_000, RngStream(50 + d).generator())
+    for stat in (_min_gaps, lambda th: _dp_to_identity(th, d)):
+        assert ks_2samp(stat(new), stat(ref)).pvalue > 1e-6
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_gue_eigenvalues_second_moment_and_trace(d):
+    ev = _gue_eigenvalues(d, 20_000, RngStream(60 + d).generator())
+    assert ev.shape == (20_000, d)
+    assert np.abs(ev.sum(axis=1)).max() < 1e-12
+    tr2 = (ev * ev).sum(axis=1)
+    se = tr2.std(ddof=1) / math.sqrt(tr2.size)
+    assert abs(tr2.mean() - (d * d - 1) / 2.0) < 5.0 * se
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_gue_eigenvalues_match_the_matrix_sampler(d):
+    new = _gue_eigenvalues(d, 20_000, RngStream(70 + d).generator())
+    ref = np.linalg.eigvalsh(gue_traceless(d, 20_000, RngStream(80 + d).generator()))
+    for stat in (lambda ev: ev[:, -1], lambda ev: ev[:, -1] - ev[:, 0], lambda ev: np.abs(ev).max(axis=1)):
+        assert ks_2samp(stat(new), stat(ref)).pvalue > 1e-6
 
 
 def test_projective_distance_reference_points():
@@ -219,6 +271,21 @@ def test_estimators_are_deterministic():
     assert (a.mean, a.std_error, a.n) == (b.mean, b.std_error, b.n)
     c = mc_normalization(2, 0.5, 2, 6_000, RngStream(7, stream_id=1))
     assert c.mean != a.mean
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda w: mc_outside_ball(3, 0.3, None, 1.0, 70_000, RngStream(12), workers=w),
+        lambda w: gue_tail_mc(3, 2.5, 70_000, RngStream(13), workers=w),
+    ],
+    ids=["outside-ball", "gue"],
+)
+def test_eigenvalue_estimators_are_thread_independent_at_d3(estimate):
+    # 70,000 draws make three chunks, each drawn in rejection rounds (Haar)
+    # or one tridiagonal batch (GUE) from its own substream
+    one, two = estimate(1), estimate(2)
+    assert (two.mean, two.std_error, two.n) == (one.mean, one.std_error, one.n)
 
 
 def test_worker_count_does_not_change_results():

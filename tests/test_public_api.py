@@ -26,7 +26,6 @@ _UNCALLED = {
     "net_probe": "the package's only epsilon-net measurement",
     "gate_set_to_json": "writes the gate-set format that design-delta reads",
     "casimir": "per-weight API beside HighestWeight",
-    "character": "per-weight API beside HighestWeight",
     "dim": "per-weight API beside HighestWeight",
 }
 

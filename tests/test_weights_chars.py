@@ -20,16 +20,17 @@ from udnet.lie_core import InvalidParameterError, TorusPoint, _min_gaps
 from udnet.weights_chars import (
     HighestWeight,
     casimir,
-    character,
     dim,
     enumerate_projective_weights,
     _char_batch,
+    _char_sum,
+    _char_sum_plan,
     _projective_count,
     _projective_tuples,
 )
 
-from oracles import center_average_character, projective_tuples, schur_mp, torus_quadrature
-from test_kernels import _confluent_rows
+from oracles import center_average_character, character, projective_tuples, schur_mp, torus_quadrature
+from test_kernels import _confluent_rows, _haar_rows
 
 
 def test_highest_weight_validation():
@@ -267,6 +268,37 @@ def test_char_batch_matches_mpmath_at_confluent_points(d):
         for j, row in enumerate(theta):
             ref = complex(schur_mp(part, row.tolist()))
             assert abs(got[i, j] - ref) <= tol, (lam, j, got[i, j], ref)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_char_sum_columns_match_one_column_calls(d):
+    # k sums share one grouping and one set of power tables, whose giant
+    # step follows the union's largest exponent. Each column is checked
+    # against its own one-column plan: the single weights of _char_batch,
+    # and random coefficients on random subsets of the labels, each with a
+    # narrower grouping than the union.
+    gen = np.random.default_rng(90 + d)
+    lams = _projective_tuples(d, {2: 6, 3: 4, 4: 3, 5: 2}[d])
+    subsets = [np.flatnonzero(gen.random(len(lams)) < 0.5) for _ in range(3)] + [np.arange(len(lams))]
+    coeff = np.zeros((len(subsets), len(lams)))
+    for c, sub in zip(coeff, subsets):
+        c[sub] = gen.normal(size=len(sub))
+    heads, rows = _char_sum_plan(lams, coeff)
+    confluent = _confluent_rows(d)
+    point_sets = {
+        "regular": _haar_rows(d, 60, seed=d),
+        "mixed": np.vstack([_haar_rows(d, 30, seed=d), confluent]),
+        "confluent": confluent,
+        "empty": np.empty((0, d)),
+    }
+    for name, theta in point_sets.items():
+        got = _char_sum(heads, rows, theta)
+        chars = _char_batch(lams, theta)
+        assert got.shape == (len(coeff), len(theta)) and chars.shape == (len(lams), len(theta))
+        ones = [_char_sum(*_char_sum_plan(lams[sub], c[sub][None]), theta)[0] for c, sub in zip(coeff, subsets)]
+        ones += [_char_sum(*_char_sum_plan(lams[i : i + 1], np.ones((1, 1))), theta)[0] for i in range(len(lams))]
+        for col, one in zip(list(got) + list(chars), ones):
+            assert np.all(np.abs(col - one) <= 1e-12 * np.maximum(1.0, np.abs(one))), name
 
 
 def test_character_dimension_mismatch():
