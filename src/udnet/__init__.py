@@ -75,8 +75,6 @@ from .montecarlo import (
 )
 from .weights_chars import (
     HighestWeight,
-    casimir,
-    dim,
     enumerate_projective_weights,
 )
 
@@ -110,9 +108,7 @@ __all__ = [
     "bound_R",
     "bound_outside_ball",
     "bound_trim",
-    "casimir",
     "design_deltas",
-    "dim",
     "enumerate_projective_weights",
     "eps_tilde",
     "eta_min",

@@ -5,16 +5,28 @@ That space splits into the PU(d) irreps whose zero-sum labels have positive
 mass <= t, the rows of _projective_tuples(d, t); T_mu is the projector onto
 the trivial one. So delta is the largest LAPACK SVD norm of
 sum_k w_k pi_lambda(U_k) over the nontrivial labels, with blocks of size
-dim_lambda and no d^(2t) matrix. pi_lambda(U) = exp(i pi_lambda(G)) for a
-Hermitian log G of U, with pi_lambda built in the orthonormal
-Gelfand-Tsetlin basis (Molev, arXiv:math/0211289) and exponentiated by one
-batched eigh per irrep. At d = 2 the blocks are the spin-ell matrices
-D^ell, ell = 1..t (Gross, Audenaert and Eisert, J. Math. Phys. 48, 052104,
-2007). The logs of all gates come from one batched Cayley transform, and
-the generators of each label are built once per process and kept,
-read-only, in the kernels' plan LRU. Gate sets and net supports are
-checked as one stack: finite entries and unitarity, in one batched
-product. No scipy module is imported.
+dim_lambda and no d^(2t) matrix. pi_lambda is built in the orthonormal
+Gelfand-Tsetlin basis (Molev, arXiv:math/0211289), and each block
+sum_k w_k pi_lambda(U_k) is one product over all (gate, column) pairs, with
+the gates taken in chunks of _CHUNK entries. One route runs at each d:
+
+- d = 2: the blocks are the spin-ell matrices D^ell, ell = 1..t (Gross,
+  Audenaert and Eisert, J. Math. Phys. 48, 052104, 2007), built from the
+  ZYZ Euler angles of each gate as D(alpha) P diag(e^{-i beta s}) P^dag
+  D(gamma). pi(J_z) is diagonal, and the eigenbasis P of pi(J_y), whose
+  eigenvalues s are the integers -ell..ell, is found once per label, in
+  the role of Risbo's Delta^ell (J. Geodesy 70, 383, 1996). No gate needs
+  a log or an eigh.
+- d >= 3: pi_lambda(U) = exp(i pi_lambda(G)) for a Hermitian log G of U,
+  exponentiated by one batched eigh per irrep. The logs of all gates come
+  from one batched Cayley transform. Euler angles would need a Givens
+  factorisation into rotations in adjacent planes, 2m - 1 dense products
+  per gate with m = d(d-1)/2, which costs more than the eigh from d = 4.
+
+The generators of each label at d >= 3, and its P at d = 2, are built once
+per process and kept, read-only, in the kernels' plan LRU. Gate sets and net
+supports are checked as one stack: finite entries and unitarity, in one
+batched product. No scipy module is imported.
 
 The net probe estimates the Haar-covered fraction of a finite support. Its
 probes are Haar matrices (_haar_su), since the distance to a support
@@ -56,7 +68,8 @@ __all__ = [
 ]
 
 # Largest gates x sum of dim_lambda^3 one design_deltas call may spend: each
-# block costs a batched eigh over the gates and one SVD.
+# block costs one gates x dim^3 product and one SVD, plus a batched eigh over
+# the gates at d >= 3.
 BLOCK_BUDGET = 10**10
 _CHUNK = 1 << 20  # complex entries per (gates x dim x dim) array of _block_norm
 _UNITARY_TOL = 1e-10
@@ -134,8 +147,8 @@ def _check_budget(gates: int, cost: int) -> None:
         )
 
 
-def _block_rows(d: int, t: int, gates: int) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, positive masses) of the blocks delta(nu, 1..t) needs.
+def _block_rows(d: int, t: int, gates: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(labels, positive masses, dimensions) of the blocks delta(nu, 1..t) needs.
 
     The nontrivial rows of _projective_tuples(d, t), keeping one label of
     each dual pair: pi of the dual label is the complex conjugate of pi, with
@@ -149,8 +162,9 @@ def _block_rows(d: int, t: int, gates: int) -> tuple[np.ndarray, np.ndarray]:
     rows = _projective_tuples(d, t)[1:]
     keep = [r >= [-x for x in reversed(r)] for r in rows.tolist()]
     rows = rows[keep]
-    _check_budget(gates, int(np.sum(np.rint(_dim_array(rows)) ** 3)))
-    return rows, np.maximum(rows, 0).sum(axis=1)
+    dims = np.rint(_dim_array(rows)).astype(np.int64)
+    _check_budget(gates, int(np.sum(dims**3)))
+    return rows, np.maximum(rows, 0).sum(axis=1), dims.tolist()
 
 
 def _gt_patterns(top: np.ndarray) -> np.ndarray:
@@ -264,25 +278,104 @@ def _hermitian_logs(mats: np.ndarray) -> np.ndarray:
     return (q * theta[:, None, :]) @ q.conj().transpose(0, 2, 1)
 
 
-def _block_norm(weights: np.ndarray, logs: np.ndarray, top: np.ndarray) -> float:
-    """||sum_k w_k pi(U_k)||_2, pi(U_k) = exp(i pi(G_k)) by one batched eigh."""
+def _log_factors(weights: np.ndarray, logs: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) with left @ right = sum_k w_k pi(U_k) at any d, from
+    Hermitian logs G_k: pi(U_k) = exp(i pi(G_k)) by one batched eigh, and
+    sum_k w_k Q_k diag(e^{i lam_k}) Q_k^dag is one product over (k, j)."""
     diag, upper = _gt_generators(top)
     d, dim = diag.shape
     iu = np.triu_indices(d, 1)
     flat = upper.reshape(len(upper), -1)
+    gu = logs[:, iu[0], iu[1]]
+    # two real products: a complex one would copy the generators to complex
+    b = (gu.real @ flat + 1j * (gu.imag @ flat)).reshape(-1, dim, dim)
+    h = b + b.conj().transpose(0, 2, 1)
+    h[:, np.arange(dim), np.arange(dim)] += np.diagonal(logs, axis1=1, axis2=2).real @ diag
+    lam, q = np.linalg.eigh(h)
+    cols = q.transpose(1, 0, 2).reshape(dim, -1)
+    return cols * (weights[:, None] * np.exp(1j * lam)).ravel(), cols.conj().T
+
+
+class _SpinBasis(NamedTuple):
+    """Read-only d = 2 pieces of one spin-ell block (_build_spin_basis)."""
+
+    m: np.ndarray  # diagonal of pi(J_z), integers
+    s: np.ndarray  # eigenvalues of pi(J_y): exactly the integers -ell..ell
+    p: np.ndarray  # eigenvectors of pi(J_y), one per column
+
+    @property
+    def nbytes(self) -> int:
+        return self.m.nbytes + self.s.nbytes + self.p.nbytes
+
+
+def _spin_basis(top: np.ndarray) -> _SpinBasis:
+    """_build_spin_basis(top), kept in the kernels' plan LRU by label."""
+    key = ("spin",) + tuple(top.tolist())
+    return kernels._PLANS.fetch(key, functools.partial(_build_spin_basis, top))
+
+
+def _build_spin_basis(top: np.ndarray) -> _SpinBasis:
+    """pi(J_z) = diag(m) and pi(J_y) = P diag(s) P^dag for the d = 2 label
+    top = (ell, -ell), from its Gelfand-Tsetlin generators: J_z =
+    (E_11 - E_22)/2 and J_y = -(i/2)(E_12 - E_21). eigh sorts the
+    eigenvalues, which are the integers -ell..ell; s holds those integers,
+    not eigh's values. Only the basis is kept; the generators are not read
+    again at d = 2."""
+    diag, (raise_,) = _build_gt_generators(top)
+    _, p = np.linalg.eigh(-0.5j * (raise_ - raise_.T))
+    m = np.rint(0.5 * (diag[0] - diag[1])).astype(np.intp)
+    basis = _SpinBasis(m, np.arange(-top[0], top[0] + 1), p)
+    for arr in basis:
+        arr.setflags(write=False)
+    return basis
+
+
+def _euler_angles(mats: np.ndarray) -> np.ndarray:
+    """ZYZ angles (alpha, beta, gamma), one row per d = 2 gate, with
+    U = e^{i phi} R_z(alpha) R_y(beta) R_z(gamma), R_a(x) = exp(-i x J_a).
+
+    u = U / sqrt(det U) is in SU(2), up to a sign that integer spins do not
+    see, and u_00 = cos(beta/2) e^{-i(alpha + gamma)/2}, u_10 = sin(beta/2)
+    e^{i(alpha - gamma)/2}. beta comes from atan2 of the two moduli, so it
+    stays accurate near 0 and pi, where the phase of the small entry is
+    noisy but its product with that entry's modulus is not.
+    """
+    root = np.sqrt(mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0])
+    u00, u10 = mats[:, 0, 0] / root, mats[:, 1, 0] / root
+    plus, minus = -2.0 * np.angle(u00), 2.0 * np.angle(u10)
+    beta = 2.0 * np.arctan2(np.abs(u10), np.abs(u00))
+    return np.stack([0.5 * (plus + minus), beta, 0.5 * (plus - minus)], axis=1)
+
+
+def _spin_phases(mats: np.ndarray, t: int) -> np.ndarray:
+    """e^{-i x n} for the Euler angles x of each d = 2 gate and n = -t..t,
+    shape (gates, 3, 2t + 1): every label up to spin t reads its phases here."""
+    return np.exp(-1j * np.multiply.outer(_euler_angles(mats), np.arange(-t, t + 1)))
+
+
+def _spin_factors(weights: np.ndarray, phases: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) with left @ right = sum_k w_k pi(U_k) at d = 2, with no
+    log and no eigh per gate: pi(U_k) = D(alpha_k) P diag(e^{-i beta_k s})
+    P^dag D(gamma_k), D(x) = diag(e^{-i x m}), phases from _spin_phases.
+    Columns (k, j) of left hold D(alpha_k) P diag(e^{-i beta_k s}) and rows
+    (k, j) of right hold w_k P^dag D(gamma_k)."""
+    m, s, p = _spin_basis(top)
+    t = phases.shape[2] // 2
+    left = phases[:, 0, m + t].T[:, :, None] * p[:, None, :]
+    left *= phases[:, 1, s + t]
+    right = np.ascontiguousarray(p.conj().T) * (weights[:, None] * phases[:, 2, m + t])[:, None, :]
+    return left.reshape(len(m), -1), right.reshape(-1, len(m))
+
+
+def _block_norm(factors, weights: np.ndarray, gates: np.ndarray, top: np.ndarray, dim: int) -> float:
+    """||sum_k w_k pi(U_k)||_2 for the label top of dimension dim, summed
+    over chunks of the gates by factors(weights, gates, top) -> (left,
+    right), one product each."""
     total = np.zeros((dim, dim), dtype=complex)
     step = max(1, _CHUNK // (dim * dim))
     for lo in range(0, weights.size, step):
-        g = logs[lo : lo + step]
-        gu = g[:, iu[0], iu[1]]
-        # two real products: a complex one would copy the generators to complex
-        b = (gu.real @ flat + 1j * (gu.imag @ flat)).reshape(-1, dim, dim)
-        h = b + b.conj().transpose(0, 2, 1)
-        h[:, np.arange(dim), np.arange(dim)] += np.diagonal(g, axis1=1, axis2=2).real @ diag
-        lam, q = np.linalg.eigh(h)
-        # sum_k w_k Q_k diag(e^{i lam_k}) Q_k^dag as one product over (k, j)
-        cols = q.transpose(1, 0, 2).reshape(dim, -1)
-        total += (cols * (weights[lo : lo + step, None] * np.exp(1j * lam)).ravel()) @ cols.conj().T
+        # no name holds a chunk's factors while the next chunk's are built
+        total += np.matmul(*factors(weights[lo : lo + step], gates[lo : lo + step], top))
     return float(np.linalg.norm(total, 2))
 
 
@@ -296,14 +389,19 @@ def design_deltas(nu: WeightedGateSet, t: int) -> list[float]:
     sum_k w_k pi_lambda(U_k) over the nontrivial labels of mass <= s. The
     running maximum makes delta exactly non-decreasing in s. Raises
     ResourceLimitError, before any block is built, when gates x sum of
-    dim_lambda^3 exceeds BLOCK_BUDGET.
+    dim_lambda^3 exceeds BLOCK_BUDGET. The blocks come from Euler angles at
+    d = 2 and from Hermitian logs at d >= 3.
     """
     t = _check_int("t", t, 1)
-    rows, mass = _block_rows(nu.d, t, len(nu.elements))
+    rows, mass, dims = _block_rows(nu.d, t, len(nu.elements))
     weights = np.array([w for w, _ in nu.elements])
-    logs = _hermitian_logs(np.stack([mat for _, mat in nu.elements]))
+    mats = np.stack([mat for _, mat in nu.elements])
+    if nu.d == 2:
+        gates, factors = _spin_phases(mats, t), _spin_factors
+    else:
+        gates, factors = _hermitian_logs(mats), _log_factors
     best = np.zeros(t + 1)
-    np.maximum.at(best, mass, [_block_norm(weights, logs, top) for top in rows])
+    np.maximum.at(best, mass, [_block_norm(factors, weights, gates, top, dim) for top, dim in zip(rows, dims)])
     return np.maximum.accumulate(best)[1:].tolist()
 
 

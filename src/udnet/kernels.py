@@ -26,10 +26,11 @@ least-recently-used cache (_PLANS, 64 MiB): a character plan per
 (d, sigma, trim_t, tail_tol), and a lattice plan per (d, sigma, tail_tol),
 which holds the envelope tail of each radius tried and the lattice grid of
 each radius served; the design tester keeps the Gelfand-Tsetlin
-generators of each irrep label there too. A point only moves the lattice
-prefactor, so a warm Poisson query compares it with the kept tails and sums
-over the kept grid, and the rows of a batch that share a radius are one
-array sum (heat_pu_poisson gives the times).
+generators of each irrep label there too, or at d = 2 the eigenbasis of
+each label's pi(J_y). A point only moves the lattice prefactor, so a warm
+Poisson query compares it with the kept tails and sums over the kept grid,
+and the rows of a batch that share a radius are one array sum
+(heat_pu_poisson gives the times).
 
 Near-regular points (eigenphase gap below 1e-6) cancel catastrophically in
 the raw Poisson form; they are handled by a symmetric four-point jitter of
@@ -93,7 +94,7 @@ _UNIT_ROUNDOFF = 2.0**-53
 _JITTER_H = 1e-5
 _MAX_LATTICE_RADIUS = 512
 _MAX_WEIGHT_CUTOFF = 1 << 26
-_MAX_TERMS = 2_000_000  # weights one sum may enumerate
+_MAX_TERMS = 2_000_000  # weights one character sum, or lattice terms one Poisson point, may take
 _PLAN_CACHE_BYTES = 64 << 20  # plans kept between calls
 _RESIDUE_CEILING = 1e-9  # share of a value that a char residue or Richardson step may reach
 
@@ -117,8 +118,9 @@ class KernelParams:
     trim_t = None means the untrimmed kernel; an integer restricts the
     projective weight sum to one-norm <= 2*trim_t. The weight cutoff and
     the Poisson lattice radius are the smallest whose dropped tail stays
-    below tail_tol; a character sum over more than 2,000,000 weights raises
-    TruncationError before any weight is enumerated.
+    below tail_tol; a character sum over more than 2,000,000 weights, or a
+    Poisson point over more than 2,000,000 lattice terms, raises
+    TruncationError before any weight or lattice row is built.
     """
 
     d: int
@@ -301,13 +303,14 @@ class _PlanCache:
 
     Character plans are keyed on (d, sigma, trim_t, tail_tol) and lattice
     plans on ("lattice", d, sigma, tail_tol); the design tester keeps its
-    read-only Gelfand-Tsetlin generators under ("gt", *label) through
-    fetch(). Each plan has an nbytes. A plan over the cap is returned but
-    not kept, and a build that raises keeps nothing. A lattice plan grows
-    by a grid for each new radius it serves; grew() counts that while the
-    plan is kept, and evicts to the cap. The lock guards the table, not the
-    build: Monte Carlo chunks on several threads may build one plan twice on
-    a cold start, and the first one stored wins.
+    read-only Gelfand-Tsetlin generators under ("gt", *label), and its d = 2
+    spin bases under ("spin", *label), through fetch(). Each plan has an
+    nbytes. A plan over the cap is returned but not kept, and a build that
+    raises keeps nothing. A lattice plan grows by a grid for each new radius
+    it serves; grew() counts that while the plan is kept, and evicts to the
+    cap. The lock guards the table, not the build: Monte Carlo chunks on
+    several threads may build one plan twice on a cold start, and the first
+    one stored wins.
     """
 
     def __init__(self):
@@ -541,7 +544,9 @@ def _lattice_sums(p: KernelParams, phis: list) -> list[EvalResult]:
     cancellation, and is refused. So is a sigma so small that the Gaussian
     rate d/(2 sigma), or the exponent of a row's largest term, overflows
     (sigma below about 1e-307): no float subtraction then recovers the
-    terms' ratios.
+    terms' ratios. A point whose radius R needs more than _MAX_TERMS terms,
+    d cosets of (2R + 1)^(d-1) grid rows, raises TruncationError before any
+    grid or term array is built.
     """
     d, sigma = p.d, p.sigma
     rate = d / (2.0 * sigma)
@@ -556,6 +561,12 @@ def _lattice_sums(p: KernelParams, phis: list) -> list[EvalResult]:
         weights[k] = [sign * math.exp(min(log_j) - lj) for sign, lj in zip(sign_j, log_j)]
         log_prefs.append(plan.log_base - min(log_j))
         radius, bound = plan.radius(log_prefs[-1])
+        terms = d * (2 * radius + 1) ** (d - 1)
+        if terms > _MAX_TERMS:
+            raise TruncationError(
+                f"lattice radius {radius} needs {terms} terms per point, over the term budget {_MAX_TERMS}",
+                required_cutoff=radius,
+            )
         radii.append(radius)
         bounds.append(bound)
 

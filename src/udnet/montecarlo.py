@@ -217,14 +217,25 @@ def gue_opnorm_cdf(d: int, r: float) -> float:
     """P(||A||_inf <= r) in closed form; d = 2 only.
 
     The eigenvalues are (y, -y), y >= 0 of density 16/sqrt(2 pi) y^2 exp(-2 y^2),
-    so cdf(r) = erf(sqrt(2) r) - (4 r / sqrt(2 pi)) exp(-2 r^2). Against mpmath
-    its error is at most 4e-17 for r in [0.1, 5].
+    so cdf(r) = erf(sqrt(2) r) - (4 r / sqrt(2 pi)) exp(-2 r^2). The two terms
+    cancel to O(r^3) as r -> 0 (a relative error of 7.9e-9 at r = 1e-4), so
+    below r = 0.5 the difference is summed as its own series,
+    8 sqrt(2/pi) r^3 sum_k (-2 r^2)^k / (k! (2k + 3)), to k = 17; at r = 0.5
+    the terms fall below 2^-53 of the first from k = 14. Against mpmath the
+    relative error is below 1e-15 for r in [1e-6, 5].
     """
     if d != 2:
         raise InvalidDimensionError("the closed-form cdf is implemented for d = 2; use gue_tail_mc")
     r = float(r)
     if r <= 0.0:
         return 0.0
+    if r < 0.5:
+        y = -2.0 * r * r
+        term, total = 1.0, 1.0 / 3.0
+        for k in range(1, 18):
+            term *= y / k
+            total += term / (2 * k + 3)
+        return 8.0 * math.sqrt(2.0 / math.pi) * r**3 * total
     return math.erf(math.sqrt(2.0) * r) - 4.0 * r / math.sqrt(2.0 * math.pi) * math.exp(-2.0 * r * r)
 
 

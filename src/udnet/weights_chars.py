@@ -31,7 +31,6 @@ import functools as _functools
 import itertools as _itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -155,30 +154,8 @@ def enumerate_projective_weights(d: int, t: int) -> list[HighestWeight]:
     return [HighestWeight(d, lam) for lam in _projective_tuples(d, t).tolist()]
 
 
-def dim(w: HighestWeight) -> int:
-    """Weyl dimension formula, exact integer arithmetic."""
-    d = w.d
-    num = 1
-    den = 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            num *= w.lam[i] - w.lam[j] + j - i
-            den *= j - i
-    q, r = divmod(num, den)
-    if r != 0:
-        raise AssertionError(f"non-integer dimension for {w.lam}")
-    return q
-
-
-def casimir(w: HighestWeight) -> Fraction:
-    """Casimir eigenvalue k_lambda as an exact rational."""
-    d = w.d
-    s = sum(w.lam)
-    main = sum(x * x + (d - 2 * j - 1) * x for j, x in enumerate(w.lam))
-    return Fraction(main, 2 * d) - Fraction(s * s, 2 * d * d)
-
-
 def _dim_array(lams: np.ndarray) -> np.ndarray:
+    """Weyl dimensions of label rows (n, d), as floats."""
     n, d = lams.shape
     out = np.ones(n)
     for i in range(d):
@@ -188,6 +165,7 @@ def _dim_array(lams: np.ndarray) -> np.ndarray:
 
 
 def _casimir_array(lams: np.ndarray) -> np.ndarray:
+    """Casimir eigenvalues k_lambda of label rows (n, d), as floats."""
     n, d = lams.shape
     c = np.array([d - 2 * j - 1 for j in range(d)], dtype=np.int64)
     main = (lams * lams).sum(axis=1) + lams @ c

@@ -17,7 +17,10 @@ The dense moment operators are the float oracle for the design tester:
 T_nu assembled as a d^(2t) matrix, the Haar projector as the orthogonal
 projector onto the vectorized permutation operators, and delta as the SVD
 norm of their difference; hermitian_logs_schur takes the Hermitian log of
-each gate from its complex Schur form. poisson_reference is the Poisson
+each gate from its complex Schur form, and wigner_small_d_mp gives Wigner's
+d^ell(beta) from the Jacobi-polynomial formula for the d = 2 spin blocks.
+dim and casimir are the exact integer and rational forms of the package's
+float label arrays. poisson_reference is the Poisson
 route as one call per lattice sum, each with its own scan of radii
 (lattice_log_tail_scan, the plan's tail rule computed afresh for each
 radius) and its own grid. pu_envelope_tail_mp and lattice_envelope_tails_mp
@@ -123,7 +126,9 @@ def char_sum_mp(heads, rows, phis_full):
         return num / mp.fprod(xs[i] - xs[j] for i in range(d) for j in range(i + 1, d))
 
 
-def dim_weyl(lam):
+def dim(lam):
+    """Weyl dimension of a label, in exact integer arithmetic; the reference
+    for weights_chars._dim_array."""
     d = len(lam)
     num = 1
     den = 1
@@ -131,15 +136,24 @@ def dim_weyl(lam):
         for j in range(i + 1, d):
             num *= lam[i] - lam[j] + j - i
             den *= j - i
-    return mp.mpf(num) / den
+    q, r = divmod(num, den)
+    if r != 0:
+        raise AssertionError(f"non-integer dimension for {lam}")
+    return q
+
+
+def casimir(lam):
+    """Casimir eigenvalue k_lambda of a label as an exact rational; the
+    reference for weights_chars._casimir_array."""
+    d = len(lam)
+    s = sum(lam)
+    main = sum(x * x + (d - 2 * j - 1) * x for j, x in enumerate(lam))
+    return Fraction(main, 2 * d) - Fraction(s * s, 2 * d * d)
 
 
 def casimir_mp(lam):
-    d = len(lam)
-    s = mp.fsum(lam)
-    q = mp.fsum(mp.mpf(x) ** 2 for x in lam)
-    c = mp.fsum((d - 2 * (j + 1) + 1) * lam[j] for j in range(d))
-    return (q + c) / (2 * d) - s**2 / (2 * d * d)
+    c = casimir(lam)
+    return mp.mpf(c.numerator) / c.denominator
 
 
 def _partitions(n, max_parts, cap):
@@ -185,8 +199,7 @@ def heat_su_char_mp(d, sigma, phi, smax):
     phis_full = list(map(mp.mpf, phi)) + [-mp.fsum(map(mp.mpf, phi))]
     total = mp.mpf(0)
     for lam in su_label_tuples(d, smax):
-        dl = dim_weyl(lam)
-        total += dl * mp.e ** (-sigma * casimir_mp(lam)) * schur_mp(lam, phis_full)
+        total += dim(lam) * mp.e ** (-sigma * casimir_mp(lam)) * schur_mp(lam, phis_full)
     return total
 
 
@@ -196,8 +209,7 @@ def heat_pu_char_mp(d, sigma, phi, jmax):
     total = mp.mpf(0)
     for lam in projective_tuples(d, jmax // 2):
         shifted = [x - lam[-1] for x in lam]
-        dl = dim_weyl(lam)
-        total += dl * mp.e ** (-sigma * casimir_mp(lam)) * schur_mp(shifted, phis_full)
+        total += dim(lam) * mp.e ** (-sigma * casimir_mp(lam)) * schur_mp(shifted, phis_full)
     return total
 
 
@@ -601,6 +613,27 @@ def hermitian_logs_schur(mats):
         tri, z = scipy.linalg.schur(u, output="complex")
         theta = np.angle(np.diagonal(tri))
         out[k] = (z * (theta - theta.mean())) @ z.conj().T
+    return out
+
+
+def wigner_small_d_mp(ell, beta):
+    """Wigner's d^ell(beta) = <ell m'| exp(-i beta J_y) |ell m>, rows m' and
+    columns m from -ell to ell, by the Jacobi-polynomial formula: with k the
+    least of ell + m, ell - m, ell + m', ell - m', a = |m - m'| and
+    b = 2 ell - 2k - a, d = (-1)^lam sqrt(C(2 ell - k, k + a) / C(k + b, b))
+    sin(beta/2)^a cos(beta/2)^b P_k^(a, b)(cos beta), lam = m' - m when k
+    is ell + m or ell - m', else 0. Reference for design_tester's spin blocks."""
+    beta = mp.mpf(beta)
+    c, s, x = mp.cos(beta / 2), mp.sin(beta / 2), mp.cos(beta)
+    out = mp.matrix(2 * ell + 1, 2 * ell + 1)
+    for i, mq in enumerate(range(-ell, ell + 1)):
+        for j, m in enumerate(range(-ell, ell + 1)):
+            k = min(ell + m, ell - m, ell + mq, ell - mq)
+            a = abs(m - mq)
+            lam = mq - m if k in (ell + m, ell - mq) else 0
+            b = 2 * ell - 2 * k - a
+            norm = mp.sqrt(mp.binomial(2 * ell - k, k + a) / mp.binomial(k + b, b))
+            out[i, j] = (-1) ** lam * norm * s**a * c**b * mp.jacobi(k, a, b, x)
     return out
 
 

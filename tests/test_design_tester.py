@@ -8,7 +8,10 @@ group is a 1-design with delta(2) = 1. The dense moment operators of
 tests/oracles.py referee delta; their projector traces count pairs of
 standard Young tableaux with at most d rows. The blocks are checked as a
 representation: commutation relations, pi(UV) = pi(U) pi(V) with pi(U) taken
-by scipy's expm, and traces against the character engine.
+by scipy's expm, and traces against the character engine. At d = 2 the blocks
+built from Euler angles are checked against those exponentials, against the
+moduli of Wigner's small-d matrices in mpmath, and against the Hermitian-log
+route that d >= 3 uses.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from udnet.lie_core import InvalidDimensionError, InvalidParameterError
 from udnet.montecarlo import RngStream
 from udnet.weights_chars import _char_batch, _projective_tuples
 
-from oracles import dense_delta, haar_moment_projector, hermitian_logs_schur, measure_moment
+from oracles import dense_delta, haar_moment_projector, hermitian_logs_schur, measure_moment, wigner_small_d_mp
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -267,12 +270,15 @@ def test_blocks_match_dense_oracle_at_d3_d4():
 
 def test_gate_chunks_sum_to_the_same_blocks(monkeypatch):
     # _block_norm takes the gates in chunks of _CHUNK // dim^2; one gate
-    # per chunk gives the same deltas as one chunk for all
-    nu = _random_set(np.random.default_rng(8), 9, 3)
-    whole = design_deltas(nu, 3)
-    monkeypatch.setattr(dt, "_CHUNK", 1)
-    parts = design_deltas(nu, 3)
-    assert max(abs(a - b) for a, b in zip(whole, parts)) <= 1e-14
+    # per chunk gives the same deltas as one chunk for all, on the Euler
+    # route (d = 2) and the log route (d = 3)
+    for d, t in ((2, 6), (3, 3)):
+        nu = _random_set(np.random.default_rng(8), 9, d)
+        whole = design_deltas(nu, t)
+        with monkeypatch.context() as patch:
+            patch.setattr(dt, "_CHUNK", 1)
+            parts = design_deltas(nu, t)
+        assert max(abs(a - b) for a, b in zip(whole, parts)) <= 1e-14, d
 
 
 @pytest.mark.parametrize("top", _LABELS)
@@ -347,6 +353,84 @@ def test_hermitian_logs_match_the_schur_route(d):
         for top in tops:
             diff = _pi(top, mats) - _pi(top, mats, hermitian_logs_schur)
             assert abs(diff).max() <= 1e-12, (family, top)
+
+
+def _spin_pi(ell: int, mats: np.ndarray) -> np.ndarray:
+    """pi_ell(U_k) of each gate, from the d = 2 route's factors with unit weights."""
+    k, dim = len(mats), 2 * ell + 1
+    left, right = dt._spin_factors(np.ones(k), dt._spin_phases(mats, ell), np.array([ell, -ell]))
+    return np.einsum("akj,kjb->kab", left.reshape(dim, k, dim), right.reshape(k, dim, dim))
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 6])
+def test_spin_blocks_from_euler_angles_match_the_schur_logs(ell):
+    # pi_ell(U) from the ZYZ angles of U / sqrt(det U) equals expm(i pi(G))
+    # for the Schur log G, on gates with random global phases, tied and
+    # evenly spread eigenphases, and near -I, and it is multiplicative.
+    for family, mats in _log_families(2).items():
+        diff = _spin_pi(ell, mats) - _pi((ell, -ell), mats, hermitian_logs_schur)
+        assert abs(diff).max() <= 1e-12, family
+    u, v = _log_families(2)["haar"][:2]
+    p_u, p_v, p_uv = _spin_pi(ell, np.stack([u, v, u @ v]))
+    assert abs(p_uv - p_u @ p_v).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "ell,betas",
+    [(1, (0.4, 2.0, 3.1)), (2, (1e-9, 1.3)), (7, (0.9, math.pi)), (16, (2.7,)), (40, (1.3,))],
+)
+def test_spin_rotations_about_y_match_wigner_small_d(ell, betas):
+    # |pi_ell(R_y(beta))| against the Jacobi-polynomial formula; the moduli
+    # do not depend on the phases of the basis vectors. m orders the basis.
+    m = dt._spin_basis(np.array([ell, -ell])).m
+    for beta in betas:
+        c, s = math.cos(beta / 2), math.sin(beta / 2)
+        (block,) = _spin_pi(ell, np.array([[[c, -s], [s, c]]], dtype=complex))
+        ref = np.abs(np.array(wigner_small_d_mp(ell, beta).tolist(), dtype=complex))
+        assert abs(np.abs(block) - ref[np.ix_(m + ell, m + ell)]).max() <= 1e-12, beta
+
+
+def test_spin_block_norms_match_the_eigh_route():
+    # The d = 2 route against the Hermitian-log route, which d >= 3 uses,
+    # called directly at d = 2 on random weighted sets, every label to t = 12
+    rng = np.random.default_rng(19)
+    for size in (1, 2, 5, 24, 60):
+        nu = _random_set(rng, size, 2)
+        weights = np.array([w for w, _ in nu.elements])
+        mats = np.stack([g for _, g in nu.elements])
+        phases, logs = dt._spin_phases(mats, 12), dt._hermitian_logs(mats)
+        for ell in range(1, 13):
+            top = np.array([ell, -ell])
+            spin = dt._block_norm(dt._spin_factors, weights, phases, top, 2 * ell + 1)
+            eigh = dt._block_norm(dt._log_factors, weights, logs, top, 2 * ell + 1)
+            assert abs(spin - eigh) <= 1e-13, (size, ell)
+
+
+def test_spin_bases_are_cached_read_only(monkeypatch):
+    # P of each d = 2 label is built once per process and kept read-only in
+    # the plan LRU, without the generators; no eigh or log runs per gate.
+    built = []
+    build = dt._build_spin_basis
+    monkeypatch.setattr(dt, "_build_spin_basis", lambda top: built.append(tuple(top)) or build(top))
+
+    def refuse(*args):
+        raise AssertionError("the d = 2 route took a log or an eigh per gate")
+
+    monkeypatch.setattr(dt, "_hermitian_logs", refuse)
+    monkeypatch.setattr(dt, "_log_factors", refuse)
+    nu = _random_set(np.random.default_rng(6), 7, 2)
+    first = design_deltas(nu, 9)
+    labels = [(ell, -ell) for ell in range(1, 10)]
+    assert built == labels
+    assert design_deltas(nu, 9) == first
+    assert built == labels
+    basis = dt._spin_basis(np.array([9, -9]))
+    assert dt.kernels._PLANS._sizes[("spin", 9, -9)] == basis.nbytes > basis.p.nbytes
+    assert [key[0] for key in dt.kernels._PLANS._plans] == ["spin"] * 9
+    assert list(basis.s) == list(range(-9, 10))
+    for arr in basis:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 1
 
 
 def test_gt_generators_are_cached_read_only(monkeypatch):
@@ -425,6 +509,7 @@ def test_resource_cap(monkeypatch):
     assert BLOCK_BUDGET == 10**10
     built = []
     monkeypatch.setattr(dt, "_gt_generators", lambda top: built.append(top))
+    monkeypatch.setattr(dt, "_spin_basis", lambda top: built.append(top))
     # Pauli, t = 200: 4 x sum_ell (2 ell + 1)^3 = 1.3e10, found from the rows
     with pytest.raises(ResourceLimitError, match="exceeds the budget"):
         design_deltas(_pauli_set(), 200)

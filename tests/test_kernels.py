@@ -907,6 +907,28 @@ def test_poisson_refuses_an_overflowing_rate_before_planning():
     assert not [key for key in kernels._PLANS._plans if key[0] == "lattice"]
 
 
+def test_poisson_refuses_a_lattice_over_the_term_budget_before_building_it():
+    # d = 5, sigma = 200 needs radius 23 at this point: 5 x 47^4 terms, a
+    # 149 MiB grid and 745 MiB of psi. The refusal names the radius and
+    # comes before any grid or term array; the radii below keep working.
+    import udnet.kernels as kernels
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError, match="lattice radius 23 needs 24398405 terms") as err:
+            heat_pu_poisson(KernelParams(5, 200.0), _pt(5, 0.3, -1.1, 2.0, 0.7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.required_cutoff == 23
+    assert peak < 1 << 20
+    (plan,) = [plan for key, plan in kernels._PLANS._plans.items() if key[0] == "lattice"]
+    assert plan.arrays() == []
+    for d in (3, 4, 5):
+        r = heat_pu_poisson(KernelParams(d, 5.0), _pt(d, *[0.3, -1.1, 2.0, 0.7][: d - 1]))
+        assert r.terms_used <= d * 5 ** (d - 1)
+
+
 def test_weight_cutoff_evaluates_each_shell_once(monkeypatch):
     import udnet.kernels as kernels
 

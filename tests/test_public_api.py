@@ -25,8 +25,6 @@ _UNCALLED = {
     "volume_lower_bound": "lemma calculator, waits for the bounds --chain output",
     "net_probe": "the package's only epsilon-net measurement",
     "gate_set_to_json": "writes the gate-set format that design-delta reads",
-    "casimir": "per-weight API beside HighestWeight",
-    "dim": "per-weight API beside HighestWeight",
 }
 
 

@@ -19,17 +19,17 @@ import pytest
 from udnet.lie_core import InvalidParameterError, TorusPoint, _min_gaps
 from udnet.weights_chars import (
     HighestWeight,
-    casimir,
-    dim,
     enumerate_projective_weights,
+    _casimir_array,
     _char_batch,
     _char_sum,
     _char_sum_plan,
+    _dim_array,
     _projective_count,
     _projective_tuples,
 )
 
-from oracles import center_average_character, character, projective_tuples, schur_mp, torus_quadrature
+from oracles import casimir, center_average_character, character, dim, projective_tuples, schur_mp, torus_quadrature
 from test_kernels import _confluent_rows, _haar_rows
 
 
@@ -123,35 +123,47 @@ def test_enumerate_projective_weights_d2_count():
     ],
 )
 def test_dim_known_values(d, lam, expected):
-    assert dim(HighestWeight(d, lam)) == expected
+    assert dim(lam) == expected
 
 
 def test_dim_shift_invariance():
     # dim depends only on differences of label entries
-    assert dim(HighestWeight(3, (2, 1, 0))) == dim(HighestWeight(3, (1, 0, -1)))
+    assert dim((2, 1, 0)) == dim((1, 0, -1))
 
 
 def test_casimir_adjoint_is_one():
     for d in range(2, 7):
         lam = (1,) + (0,) * (d - 2) + (-1,)
-        assert casimir(HighestWeight(d, lam)) == 1
+        assert casimir(lam) == 1
 
 
 def test_casimir_fundamental():
     # C2(fund)/C2(adjoint) = (d^2-1)/(2 d^2)
     for d in range(2, 7):
         lam = (1,) + (0,) * (d - 1)
-        assert casimir(HighestWeight(d, lam)) == Fraction(d * d - 1, 2 * d * d)
+        assert casimir(lam) == Fraction(d * d - 1, 2 * d * d)
 
 
 def test_casimir_su2_spin_ladder():
     # (a, -a) carries j = a: eigenvalue j(j+1)/2 in this normalization
     for a in range(1, 6):
-        assert casimir(HighestWeight(2, (a, -a))) == Fraction(a * (a + 1), 2)
+        assert casimir((a, -a)) == Fraction(a * (a + 1), 2)
 
 
 def test_casimir_trivial_is_zero():
-    assert casimir(HighestWeight(4, (0, 0, 0, 0))) == 0
+    assert casimir((0, 0, 0, 0)) == 0
+
+
+@pytest.mark.parametrize("d,t", [(2, 30), (3, 12), (4, 6), (5, 4)])
+def test_label_arrays_match_exact_dim_and_casimir(d, t):
+    # the float row forms the kernels and the design tester use, against the
+    # exact integer and rational forms of tests/oracles.py
+    rows = _projective_tuples(d, t)
+    exact_dim = np.array([dim(lam) for lam in rows.tolist()], dtype=float)
+    assert abs(_dim_array(rows) / exact_dim - 1.0).max() <= 1e-14
+    assert np.array_equal(np.rint(_dim_array(rows)), exact_dim)
+    exact_cas = [casimir(lam) for lam in rows.tolist()]
+    assert _casimir_array(rows).tolist() == [float(c) for c in exact_cas]
 
 
 def test_character_at_identity_equals_dim():
@@ -160,7 +172,7 @@ def test_character_at_identity_equals_dim():
         e = TorusPoint(d, (0.0,) * (d - 1))
         val = character(w, e)
         assert val.imag == pytest.approx(0.0, abs=1e-9)
-        assert val.real == pytest.approx(dim(w), rel=1e-12)
+        assert val.real == pytest.approx(dim(w.lam), rel=1e-12)
 
 
 def test_su2_character_sin_ratio():
