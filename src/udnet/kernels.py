@@ -67,11 +67,14 @@ from .lie_core import (
     log_prefactor,
 )
 from .weights_chars import (
+    _RESIDUE_CEILING,
+    _UNIT_ROUNDOFF,
     GAP_TOL,
     _casimir_array,
     _char_sum,
     _char_sum_plan,
     _dim_array,
+    _SumPlan,
     _projective_count,
     _projective_tuples,
 )
@@ -90,13 +93,11 @@ __all__ = [
     "l2_norm_untrimmed",
 ]
 
-_UNIT_ROUNDOFF = 2.0**-53
 _JITTER_H = 1e-5
 _MAX_LATTICE_RADIUS = 512
 _MAX_WEIGHT_CUTOFF = 1 << 26
 _MAX_TERMS = 2_000_000  # weights one character sum, or lattice terms one Poisson point, may take
 _PLAN_CACHE_BYTES = 64 << 20  # plans kept between calls
-_RESIDUE_CEILING = 1e-9  # share of a value that a char residue or Richardson step may reach
 
 
 class TruncationError(RuntimeError):
@@ -118,9 +119,11 @@ class KernelParams:
     trim_t = None means the untrimmed kernel; an integer restricts the
     projective weight sum to one-norm <= 2*trim_t. The weight cutoff and
     the Poisson lattice radius are the smallest whose dropped tail stays
-    below tail_tol; a character sum over more than 2,000,000 weights, or a
-    Poisson point over more than 2,000,000 lattice terms, raises
-    TruncationError before any weight or lattice row is built.
+    below tail_tol; a character sum over more than 2,000,000 weights, or
+    whose determinant expansion needs more than 2,000,000 terms per point
+    (from d = 18), or a Poisson point over more than 2,000,000 lattice
+    terms, raises TruncationError before any weight or lattice row is
+    built.
     """
 
     d: int
@@ -204,6 +207,20 @@ def _weight_cutoff(d: int, sigma: float, rate: float, tol: float) -> tuple[int, 
     return 2 * k, math.exp(log_tail(k))
 
 
+def _check_expansion(d: int, groups: int, cutoff: int) -> None:
+    """_char_sum expands its determinants by the Laplace recursion of
+    _minor_steps: below d 2^(d-1) products per point, with at most
+    C(d, d // 2) cofactors per plan row and point on one level. Over
+    _MAX_TERMS either raises TruncationError carrying the cutoff."""
+    size = max(d * 2 ** (d - 1), math.comb(d, d // 2) * groups)
+    if size > _MAX_TERMS:
+        raise TruncationError(
+            f"the d = {d} determinant expansion needs {size} terms per point,"
+            f" over the term budget {_MAX_TERMS}; required cutoff {cutoff}",
+            required_cutoff=cutoff,
+        )
+
+
 def _label_rows(d: int, cutoff: int, reason: str) -> np.ndarray:
     """Zero-sum label rows up to one-norm cutoff.
 
@@ -224,17 +241,16 @@ def _label_rows(d: int, cutoff: int, reason: str) -> np.ndarray:
 class _CharPlan:
     """What a character-form kernel needs before it sees a point.
 
-    base is the trivial weight's exact term; heads and rows are the
-    one-column _char_sum_plan of the other weights the sum keeps, with
-    coefficients d_lam exp(-sigma*k_lam) (None when there are none). bound
+    base is the trivial weight's exact term; sums is the one-column
+    _char_sum_plan of the other weights the sum keeps, with coefficients
+    d_lam exp(-sigma*k_lam) (None when there are none). bound
     is the cutoff tail plus the mass of the skipped weights, and terms
     counts the kept weights, the trivial one included. The arrays are read-only, since one
     plan serves every later call with its parameters.
     """
 
     base: float
-    heads: np.ndarray | None
-    rows: np.ndarray | None
+    sums: _SumPlan | None
     bound: float
     terms: int
 
@@ -243,7 +259,9 @@ class _CharPlan:
             a.flags.writeable = False
 
     def arrays(self) -> list[np.ndarray]:
-        return [a for a in (self.heads, self.rows) if a is not None]
+        if self.sums is None:
+            return []
+        return [a for a in self.sums if isinstance(a, np.ndarray)]
 
     @property
     def nbytes(self) -> int:
@@ -264,11 +282,13 @@ def _build_char_plan(p: KernelParams) -> _CharPlan:
     weights, and a cold regular-point query (plan included) takes 2.7-3.2 ms
     against 3.7-4.1 ms without skipping (best of 7 x 100 points, 1 BLAS
     thread, 2-vCPU Intel Xeon). At sigma = 0.1 (1,011 of 1,513 kept) the two
-    times are within noise. The plan keeps only the grouped polynomial
-    (heads, rows), which serves regular and confluent points alike: 253 kB
-    at d = 3, sigma = 0.02 (194 groups) and 44 kB at sigma = 0.1 (80).
-    Raises TruncationError before any label row is built when the cutoff
-    needs more than _MAX_TERMS weights.
+    times are within noise. The plan keeps only the residue-split
+    polynomial of _char_sum_plan, which serves regular and confluent points
+    alike: 87 kB at d = 3, sigma = 0.02 (195 rows of 54) and 16 kB at
+    sigma = 0.1 (81 of 23). Raises TruncationError before any label row is
+    built when the cutoff needs more than _MAX_TERMS weights or d is too
+    large for the determinant expansion (_check_expansion), and before any
+    point is evaluated when the plan's rows are.
     """
     d, sigma = p.d, p.sigma
     if p.trim_t is not None:
@@ -278,6 +298,7 @@ def _build_char_plan(p: KernelParams) -> _CharPlan:
     else:
         cutoff, tail = _weight_cutoff(d, sigma, 1.0, 0.5 * p.tail_tol)
         skip_budget = 0.4 * p.tail_tol
+    _check_expansion(d, 1, cutoff)
     lams = _label_rows(d, cutoff, f"tail_tol = {p.tail_tol:g}")
 
     dims = _dim_array(lams)
@@ -294,8 +315,10 @@ def _build_char_plan(p: KernelParams) -> _CharPlan:
         skipped = float(worst[~keep].sum())
 
     others = keep & ~trivial
-    heads, rows = _char_sum_plan(lams[others], coeff[None, others]) if others.any() else (None, None)
-    return _CharPlan(coeff[trivial].sum(), heads, rows, tail + skipped, int(keep.sum()))
+    sums = _char_sum_plan(lams[others], coeff[None, others]) if others.any() else None
+    if sums is not None:
+        _check_expansion(d, len(sums.resid), cutoff)
+    return _CharPlan(coeff[trivial].sum(), sums, tail + skipped, int(keep.sum()))
 
 
 class _PlanCache:
@@ -369,16 +392,18 @@ def _char_eval(p: KernelParams, theta_rows: np.ndarray) -> tuple[np.ndarray, flo
     All points go through one one-column _char_sum call, which evaluates
     the one Laurent polynomial of the plan, through the alternant ratio at
     regular points and the Jacobi-Trudi form at eigenphase gaps below
-    GAP_TOL, so no (weights x points) character matrix is built. At d = 3 a warm query
-    takes 0.13-0.17 ms at a regular point and 0.14-0.18 ms at a confluent
-    one, at sigma = 0.02 and 0.1 alike, against 2.7-3.1 ms and 1.36-1.41 ms
-    cold (best of 7 x 100 queries, 1 BLAS thread, 2-vCPU Intel Xeon, 2
-    runs). The imaginary residue is checked on every call.
+    GAP_TOL and where the alternant's predicted rounding is above
+    _RESIDUE_CEILING, so no (weights x points) character matrix is built.
+    At d = 3 a warm query takes 0.08-0.18 ms at a regular or a confluent
+    point, at sigma = 0.02 and 0.1 alike, against 2.0-3.1 ms and 0.7-1.3 ms
+    cold (best of 7 x 100 queries, 1 BLAS thread, 2-vCPU Intel Xeon, 3 runs
+    on a shared host). The imaginary residue is checked on every call, as a
+    backstop: the routing already covers the rounding it was a proxy for.
     """
     plan = _PLANS.get(p)
     vals = np.full(len(theta_rows), plan.base, dtype=complex)
-    if plan.heads is not None:
-        vals += _char_sum(plan.heads, plan.rows, theta_rows)[0]
+    if plan.sums is not None:
+        vals += _char_sum(plan.sums, theta_rows)[0]
     resid = float(np.max(np.abs(vals.imag), initial=0.0))
     ceiling = _RESIDUE_CEILING * max(1.0, float(np.max(np.abs(vals.real), initial=0.0))) + plan.bound
     if not np.all(np.isfinite(vals.real)) or resid > ceiling:

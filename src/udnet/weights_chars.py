@@ -9,17 +9,28 @@ Characters are evaluated by one engine, _char_sum, from a grouped Laurent
 polynomial. With mu = lam - lam_d + rho the last exponent is 0, so a sum
 sum_w c_w chi_w has the alternant numerator sum_sigma sgn(sigma)
 P(x_sigma(1), ..., x_sigma(d-1)) for one polynomial P = sum_w c_w z^mu_w in
-d - 1 variables. At regular torus points _char_sum evaluates P (by Horner
-at d = 2, by real matmuls over power tables at d >= 3) and divides by the
-Vandermonde once. When two eigenphases come within GAP_TOL = 1e-6 of each
-other it reads the same polynomial through the Jacobi-Trudi determinant in
+d - 1 variables. The plan groups P by its first d - 2 exponents and by the
+residue mod d of the last one, which the heads fix for zero-sum labels: a
+row keeps every d-th coefficient of its last variable, so each
+eigenvalue's polynomial column is one real matmul per residue class over
+the stride-d power table, 1/d of the dense grid. The determinant is
+expanded along that column: d products with cofactors formed once from the
+head powers by a Laplace recursion over row subsets, in place of the d!
+terms of the alternant. At d = 3 a cofactor is x_a^h - x_c^h and the heads
+of a class run with stride 3, so the sum regroups into one matmul over
+strided slices of the power tables. At d = 2 a regular point takes Horner's
+rule in x^2, whose ratio stays exactly real at a kernel's conjugate pair.
+A regular point at d >= 3 is divided by the Vandermonde once, unless its
+predicted rounding u d! sum|c_w| / |V| exceeds _RESIDUE_CEILING of its
+value; then, as when two eigenphases come within GAP_TOL = 1e-6 of each
+other, the same polynomial is read through the Jacobi-Trudi determinant in
 complete homogeneous symmetric polynomials, the confluent
 (divided-difference) form of the same ratio, which stays finite at
 coincident eigenphases; its h tables come from the power tables by
 cumulative sums. No complex exp is taken per weight. One call evaluates k
 polynomials on one grouping (rows of shape (k, G, width)): the power
-tables and the real matmul per eigenvalue are shared by all k, and points
-run in blocks of _BLOCK // max(k G, k_max). A kernel is one column; the
+tables and the matmuls are shared by all k, and points run in blocks of at
+most _BLOCK entries per eigenvalue and array. A kernel is one column; the
 per-weight characters of _char_batch are k one-weight polynomials, the
 identity coefficients on the union of their labels.
 """
@@ -31,6 +42,7 @@ import functools as _functools
 import itertools as _itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +55,8 @@ from .lie_core import (
 )
 
 GAP_TOL = 1e-6
+_UNIT_ROUNDOFF = 2.0**-53
+_RESIDUE_CEILING = 1e-9  # share of a value that a char residue, its predicted rounding or a Richardson step may reach
 
 
 @dataclass(frozen=True)
@@ -203,171 +217,317 @@ def _power_tables(theta: np.ndarray, k_max: int) -> np.ndarray:
     return tab.reshape(d, rows * step, n)
 
 
-@_functools.cache
-def _alternant_terms(d):
-    """The d! terms of a d x d alternant: (column order, sign), where a term
-    multiplies entry (perm[j], j) over the columns j."""
-    return tuple(
-        (perm, -1 if sum(a > b for a, b in _itertools.combinations(perm, 2)) % 2 else 1)
-        for perm in _itertools.permutations(range(d))
-    )
+class _SumPlan(NamedTuple):
+    """k Laurent polynomials in d - 1 variables on one grouping, split by the
+    residue mod d of the last variable's exponent (see _char_sum_plan).
 
-
-def _alternant(tab, heads: np.ndarray, last, terms) -> np.ndarray:
-    """Sum over G column sets of the determinants det[f_j(x_b)] at n points,
-    for k polynomials at once.
-
-    Column j < d-2 of set g is tab[b][heads[g, j]], column d-2 is a
-    polynomial whose values at x_b are last[b] (k, G, n), and column d-1 is
-    tab[b][0]. terms lists the (perm, sign) pairs of _alternant_terms that
-    can be nonzero. Returns (k, n).
+    Row g holds the terms z^mu with mu[:d-2] = heads[:, g] and mu[d-2] =
+    resid[g] + d q, and rows[:, g, q] are their coefficients. The rows run
+    class by class: classes lists (r, lo, hi) for the rows lo:hi of residue
+    r. mass (k, 1) is sum_w |c_w| of each polynomial, and size the number
+    of powers of each eigenvalue that the rows and heads read. run is None,
+    or at d = 3 the h0 of a run layout: three classes of equal length, the
+    one of residue 2 - i with the heads h0 + i + 3 j (zero rows fill gaps).
     """
-    d = len(terms[0][0])
-    num = np.zeros(last[0].shape, dtype=complex)
-    for perm, sign in terms:
-        term = last[perm[d - 2]]
-        for j in range(d - 2):
-            term = term * tab[perm[j]][heads[:, j]]
-        (np.add if sign > 0 else np.subtract)(num, term, out=num)
-    return num.sum(axis=1)
+
+    heads: np.ndarray  # (d - 2, G)
+    resid: np.ndarray  # (G,)
+    rows: np.ndarray  # (k, G, width)
+    classes: tuple
+    mass: np.ndarray  # (k, 1)
+    size: int
+    run: int | None
 
 
-def _vandermonde(tab: np.ndarray) -> np.ndarray:
-    """prod_{i<j} (x_i - x_j), the alternant of rho, from the power tables."""
-    d = tab.shape[0]
-    vdm = np.ones(tab.shape[2], dtype=complex)
-    for i in range(d):
-        for j in range(i + 1, d):
-            vdm *= tab[i, 1] - tab[j, 1]
-    return vdm
-
-
-def _last_column(rows: np.ndarray, tables) -> list[np.ndarray]:
-    """Each table's (k, G, n) values of the k x G rows (k, G, width): one
-    real matmul (k G, width) @ (width, 2n) on the interleaved real view of
-    the table's first width powers (width, n)."""
-    k, groups, width = rows.shape
-    flat = rows.reshape(k * groups, width)
-    return [(flat @ t[:width].view(float)).view(complex).reshape(k, groups, -1) for t in tables]
-
-
-_BLOCK = 1 << 16  # complex entries per (sum x group x point) array of _char_sum
-
-
-def _char_sum_plan(lams: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _char_sum_plan(lams: np.ndarray, coeff: np.ndarray) -> _SumPlan:
     """The point-independent half of _char_sum, for at least one weight.
 
     With mu = lam - lam_d + rho the last exponent is 0, so the alternant
     numerator of sum_w coeff_w chi_w is sum_sigma sgn(sigma) P(x_sigma(1),
     ..., x_sigma(d-1)) for the one Laurent polynomial P = sum_w coeff_w
     z^mu_w in d - 1 variables (Fulton-Harris, Representation Theory,
-    section 24). P is grouped by its first d - 2 exponents, the G rows of
-    heads (G, d - 2); row g of rows (G, width) holds the group's dense
-    coefficients in the last variable. At d = 2 there is one group with no
-    head, and its row is P itself. The Jacobi-Trudi determinant
-    det[h_{mu_i - (d-1) + j}] is multilinear in its rows as the alternant
-    is, so the same grouping serves confluent points.
+    section 24). P is grouped by its first d - 2 exponents, the heads, and
+    by the residue r of the last one mod d; a row keeps the coefficients of
+    the exponents r + d q only. sum(mu) = d (d - 1) / 2 - d lam_d, so the
+    heads fix r for labels whose sums agree mod d, as zero-sum ones do: a
+    kernel plan has one row per head and 1/d of the dense grid of heads x
+    last exponents. At d = 3 such a plan takes the run layout, whose head
+    powers are strided slices of the power tables. Other label sets, as in
+    _char_batch, can give one head several rows. The Jacobi-Trudi
+    determinant det[h_{mu_i - (d-1) + j}] is multilinear in its rows as the
+    alternant is, so the same rows serve confluent points.
 
-    coeff (k, nw) holds k polynomials, which share the grouping of the
-    union of their weights: rows has shape (k, G, width).
+    coeff (k, nw) holds k polynomials, which share the rows of the union of
+    their weights: rows has shape (k, G, width).
     """
     mu = _laurent_exponents(lams)
+    coeff = np.asarray(coeff, dtype=float)
     d = mu.shape[1]
-    if d == 2:
-        group = np.zeros(len(mu), dtype=np.int64)
-        heads = np.zeros((1, 0), dtype=np.int64)
+    q, resid = np.divmod(mu[:, d - 2], d)
+    key = resid  # ranked after each column, so the mixed radix cannot overflow
+    for col in mu[:, : d - 2].T:
+        key = np.unique(key, return_inverse=True)[1] * (int(col.max()) + 1) + col
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    keys = np.column_stack([resid, mu[:, : d - 2]])[first]
+    width = int(q.max()) + 1
+    size = max(int(mu[:, 0].max()) + 1, d * width)
+    run = None
+    if d == 3 and np.ptp(keys.sum(axis=1) % 3) == 0:
+        # class i = 2 - r holds the heads h0 + i + 3 j
+        i = 2 - keys[:, 0]
+        run = int((keys[:, 1] - i).min())  # every h - i is run mod 3
+        j = (keys[:, 1] - i - run) // 3
+        span = int(j.max()) + 1
+        slot = i * span + j
+        heads = (run + np.arange(3)[:, None] + 3 * np.arange(span)).reshape(1, -1)
+        resid = np.repeat([2, 1, 0], span)
+        classes = ((2, 0, span), (1, span, 2 * span), (0, 2 * span, 3 * span))
+        size = max(size, run + 3 * span)
     else:
-        k_max = int(mu[:, 0].max()) + 1
-        key = np.ravel_multi_index(tuple(mu[:, : d - 2].T), (k_max,) * (d - 2))
-        _, first, group = np.unique(key, return_index=True, return_inverse=True)
-        heads = mu[first, : d - 2]
-    width = int(mu[:, d - 2].max()) + 1
-    cells = group * width + mu[:, d - 2]
-    rows = np.stack([np.bincount(cells, weights=c, minlength=len(heads) * width) for c in coeff])
-    return heads, rows.reshape(len(coeff), len(heads), width)
+        bounds = np.searchsorted(keys[:, 0], np.arange(d + 1)).tolist()
+        classes = tuple((r, lo, hi) for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo)
+        slot, heads, resid = np.arange(len(keys)), np.ascontiguousarray(keys[:, 1:].T), keys[:, 0].copy()
+    groups = len(resid)
+    cells = slot[group] * width + q
+    rows = np.stack([np.bincount(cells, weights=c, minlength=groups * width) for c in coeff])
+    mass = np.abs(coeff).sum(axis=1, keepdims=True)
+    return _SumPlan(heads, resid, rows.reshape(len(coeff), groups, width), classes, mass, size, run)
 
 
-def _horner_ratio(coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The alternant ratio at d = 2 for k polynomials: P(z) = sum_m a_m z^m
-    of each row of coeffs (k, width) by Horner at both eigenvalues, divided
-    by their difference. Returns (k, n)."""
+def _class_values(tables: np.ndarray, plan: _SumPlan) -> np.ndarray:
+    """Each row's polynomial at every table, (len(tables), k, G, n): the rows
+    of class r read the powers r + d q, one real matmul per class on the
+    interleaved real view of the stride-d table rows."""
+    d = len(plan.heads) + 2
+    k, groups, width = plan.rows.shape
+    out = np.empty((len(tables), k, groups, tables.shape[2]), dtype=complex)
+    for r, lo, hi in plan.classes:
+        powers = tables[:, None, r::d][:, :, :width].view(float)
+        np.matmul(plan.rows[:, lo:hi], powers, out=out[:, :, lo:hi].view(float))
+    return out
+
+
+@_functools.cache
+def _minor_steps(rows: int, ones: bool) -> tuple[tuple, np.ndarray]:
+    """The Laplace recursion for the signed cofactors of the polynomial
+    column in a rows x rows determinant whose other columns are heads and,
+    when ones, a last column of ones.
+
+    The cofactor of row b is eps_b E(R - b), where E(S) is the minor on the
+    rows S and the last |S| of the other columns. Expanding E(S) along its
+    first column gives E(S) = sum_r (-1)^r col(S[r]) E(S - S[r]): level s
+    forms E on every s-subset from level s - 1, and the level of the ones
+    column is 1 and needs no product. That is below rows 2^(rows-1)
+    products, where the rows! permutations of the determinant would take
+    rows!, and a level holds at most C(rows, rows // 2) subsets.
+
+    Returns (steps, eps): per level (head column, picks, subs), with picks[r]
+    the rows S[r] and subs[r] the index of S - S[r] in the level before
+    (None after a level of ones); and eps (rows, 1, 1).
+    """
+    size = rows - 1
+    steps, index = [], None
+    for s in range(1 + ones, size + 1):
+        if s == size:
+            sets = [tuple(i for i in range(rows) if i != b) for b in range(rows)]
+        else:
+            sets = list(_itertools.combinations(range(rows), s))
+        picks = tuple(np.array([S[r] for S in sets], dtype=np.intp) for r in range(s))
+        subs = None
+        if index is not None:
+            subs = tuple(np.array([index[S[:r] + S[r + 1 :]] for S in sets], dtype=np.intp) for r in range(s))
+        steps.append((size - s, picks, subs))
+        index = {S: i for i, S in enumerate(sets)}
+    eps = np.array([(-1.0) ** (b + size - ones) for b in range(rows)]).reshape(rows, 1, 1)
+    return tuple(steps), eps
+
+
+def _cofactors(tables, plan: _SumPlan, ones: bool) -> np.ndarray:
+    """eps_b E(R - b) of _minor_steps for every row b of tables, (rows, G, n),
+    where the entry of row b in head column j is tables[b, heads[j, g]]."""
+    rows, _, n = tables.shape
+    steps, eps = _minor_steps(rows, ones)
+    e = np.ones((rows, 1, 1))
+    for j, picks, subs in steps:
+        col = tables[:, plan.heads[j]]
+        acc = None
+        for r, pick in enumerate(picks):
+            term = col[pick]
+            if subs is not None:
+                term *= e[subs[r]]
+            if acc is None:
+                acc = term
+            elif r % 2:
+                acc -= term
+            else:
+                acc += term
+        e = acc
+    return np.multiply(e, eps, out=np.empty((rows, len(plan.resid), n), dtype=complex))
+
+
+@_functools.cache
+def _run_terms(rows: int, ones: bool) -> tuple:
+    """At d = 3 each minor is linear in the one head column: cofactor_b =
+    sum_e S[b, e] x_e^h (the last level of _minor_steps). Returns, for each
+    e, the rows (plus, minus) with S[b, e] = +1 and -1 (None if none)."""
+    steps, eps = _minor_steps(rows, ones)
+    ((_, picks, _),) = steps
+    terms = [[None, None] for _ in range(rows)]
+    for r, pick in enumerate(picks):
+        for b, e in enumerate(pick.tolist()):
+            terms[e][int(eps[b, 0, 0] * (-1) ** r < 0)] = b
+    return tuple(map(tuple, terms))
+
+
+def _run_sum(buf: np.ndarray, rows: int, step: int, plan: _SumPlan, ones: bool) -> np.ndarray:
+    """sum_b sum_g (row g's polynomial at table b) cofactor_b[g] for a run
+    layout plan at d = 3, (k, n). Table b's power m is row b step + m of the
+    C-ordered buf (..., n).
+
+    With cofactor_b = sum_e S[b, e] x_e^h (_run_terms) the sum regroups as
+    sum_e sum_(i, q) (sum_b S[b, e] x_b^(2 - i + 3 q)) Z_e[i, q], where
+    Z_e[i, q] = sum_j rows[i, j, q] x_e^(h0 + i + 3 j) is one real matmul
+    over the head powers, a strided view of buf; the signed powers are d
+    differences of table rows. No array of the rows' length is formed.
+    """
+    n = buf.shape[-1]
+    k, groups, width = plan.rows.shape
+    span = groups // 3
+    row = buf.strides[-2]
+    heads = np.ndarray((rows, 1, 3, span, 2 * n), float, buf, plan.run * row, (step * row, 0, row, 3 * row, 8))
+    z = (plan.rows.reshape(k, 3, span, width).transpose(0, 1, 3, 2) @ heads).view(complex)
+    flat = buf.reshape(-1, n)
+    tables = [flat[b * step : b * step + 3 * width] for b in range(rows)]
+    signed = np.empty((rows, 3 * width, n), dtype=complex)
+    for e, (plus, minus) in enumerate(_run_terms(rows, ones)):
+        if minus is None:
+            np.copyto(signed[e], tables[plus])
+        elif plus is None:
+            np.negative(tables[minus], out=signed[e])
+        else:
+            np.subtract(tables[plus], tables[minus], out=signed[e])
+    powers = np.ndarray((rows, 3, width, n), complex, signed, 2 * row, (3 * width * row, -row, 3 * row, 16))
+    return np.einsum("ekiqn,eiqn->kn", z, powers)
+
+
+def _horner_ratio(plan: _SumPlan, theta: np.ndarray) -> np.ndarray:
+    """The alternant ratio at d = 2 for k polynomials, (k, n): P(z) = sum_r
+    z^r Q_r(z^2) over the residue classes, each row's Q by Horner at both
+    eigenvalues, divided by their difference. Horner's arithmetic keeps
+    P(conj x) = conj P(x) exactly, so at x_2 = conj x_1 the ratio is real."""
     x = np.exp(1j * theta)
-    p = np.zeros((len(coeffs),) + x.shape, dtype=complex)
-    for a_m in coeffs.T[::-1]:
-        p *= x
-        p += a_m[:, None, None]
-    return (p[..., 0] - p[..., 1]) / (x[:, 0] - x[:, 1])
+    y = x * x
+    p = np.zeros(plan.rows.shape[:2] + x.shape, dtype=complex)
+    for a_q in plan.rows.transpose(2, 0, 1)[::-1]:
+        p *= y
+        p += a_q[:, :, None, None]
+    total = sum(x**r * p[:, lo:hi].sum(axis=1) for r, lo, hi in plan.classes)
+    return (total[..., 0] - total[..., 1]) / (x[:, 0] - x[:, 1])
 
 
-def _alternant_ratio(tab: np.ndarray, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The alternant numerator over the power tables x_b^m, divided by the
-    Vandermonde once per point."""
-    last = _last_column(rows, tab)
-    return _alternant(tab, heads, last, _alternant_terms(len(tab))) / _vandermonde(tab)
+@_functools.cache
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    return tuple(np.array(ix, dtype=np.intp) for ix in zip(*_itertools.combinations(range(d), 2)))
 
 
-def _jacobi_trudi(tab: np.ndarray, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The Jacobi-Trudi form, finite at coincident eigenphases: the table
-    h[j][m] = h_{m - (d-1) + j}(x) replaces x_j^m. One cumulative sum per
-    further variable gives h_k(x_1..x_i) = x_i^k sum_{a <= k} conj(x_i^a)
-    h_a(x_1..x_{i-1}) from the power tables. As h[j][0] = [j = d-1], only
-    the terms with perm[d-1] = d-1 survive, and nothing is divided."""
+def _alternant_ratio(tab: np.ndarray, plan: _SumPlan, skip: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The alternant ratio at the points of tab (d, size, n) where skip is
+    False, written into out (k, n). Returns the points left for
+    _jacobi_trudi: skip, and those whose predicted rounding is too large.
+
+    The numerator is expanded along the polynomial column: d products of
+    each row's polynomial at x_b (_class_values) with its cofactor from the
+    heads (_cofactors), summed over b and the rows; a run layout plan takes
+    _run_sum instead. Each of the d! terms of the alternant has modulus at
+    most sum_w |c_w|, so its rounding is about u d! mass / |V| (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3); a point where
+    that exceeds _RESIDUE_CEILING max(1, |value|) is handed on. Near the
+    identity the expanded form cancels its imaginary part before the real
+    one, so the residue that _char_eval checks no longer tracks this error.
+    """
     d, size, n = tab.shape
-    h = tab[0]
-    for x in tab[1:]:
+    if plan.run is not None:
+        num = _run_sum(tab, d, size, plan, True)
+    else:
+        num = np.einsum("bkgn,bgn->kn", _class_values(tab, plan), _cofactors(tab, plan, True))
+    i, j = _pairs(d)
+    vdm = np.prod(tab[i, 1] - tab[j, 1], axis=0)
+    limit = plan.mass * (_UNIT_ROUNDOFF * math.factorial(d) / _RESIDUE_CEILING)
+    redo = skip | (np.maximum(np.abs(num), np.abs(vdm)) < limit).any(axis=0)
+    np.divide(num, vdm, out=out, where=~redo)
+    return redo
+
+
+def _jacobi_trudi(tab: np.ndarray, plan: _SumPlan) -> np.ndarray:
+    """The Jacobi-Trudi form, finite at coincident eigenphases: the table
+    h[b][m] = h_{m - (d-1) + b}(x) replaces x_b^m. One cumulative sum per
+    further variable gives h_k(x_1..x_i) = x_i^k sum_{a <= k} conj(x_i^a)
+    h_a(x_1..x_{i-1}) from the power tables. As h[b][0] = [b = d-1], the
+    determinant is its (d-1) x (d-1) minor without the column of mu = 0,
+    expanded along the polynomial column as in _alternant_ratio. Nothing is
+    divided."""
+    d, _, n = tab.shape
+    h = tab[0, : plan.size]
+    for x in tab[1:, : plan.size]:
         h = x * np.cumsum(x.conj() * h, axis=0)
-    pad = np.zeros((d - 1 + size, n), dtype=complex)
+    pad = np.zeros((plan.size + d - 1, n), dtype=complex)  # zero below degree 0
     pad[d - 1 :] = h
-    h = [pad[j : j + size] for j in range(d)]
-    last = _last_column(rows, h[: d - 1])
-    terms = [(perm, sign) for perm, sign in _alternant_terms(d) if perm[d - 1] == d - 1]
-    return _alternant(h, heads, last, terms)
+    if plan.run is not None:
+        return _run_sum(pad, d - 1, 1, plan, False)
+    hv = np.ndarray((d - 1, plan.size, n), complex, pad, 0, (pad.strides[0],) + pad.strides)
+    return np.einsum("bkgn,bgn->kn", _class_values(hv, plan), _cofactors(hv, plan, False))
 
 
-def _char_sum(heads: np.ndarray, rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """k sums sum_w coeff_w chi_w at torus points, from the (heads, rows) of
+_BLOCK = 1 << 16  # complex entries per eigenvalue of each per-block array of _char_sum
+
+
+def _char_sum(plan: _SumPlan, theta: np.ndarray) -> np.ndarray:
+    """k sums sum_w coeff_w chi_w at torus points, from the _SumPlan of
     _char_sum_plan with rows (k, G, width). Returns (k, np) complex.
 
-    Points with every eigenphase gap >= GAP_TOL take the alternant ratio
-    (_horner_ratio at d = 2, _alternant_ratio at d >= 3), the others
-    _jacobi_trudi. One set of power tables and one real matmul per
-    eigenvalue serve all k sums. Points run in blocks of
-    _BLOCK // max(k G, k_max), so no (k, G, points) array holds more than
-    about _BLOCK entries or grows with the weight count. The cost is the
-    power tables, the matmuls and the alternant's d! terms over the k G
-    rows; the confluent form adds d - 1 cumulative sums and keeps (d-1)!
-    terms. At d = 3 a one-point, one-sum call takes 0.11-0.13 ms at
-    sigma = 0.02 (194 groups) and 0.10-0.12 ms at sigma = 0.1 (80) at a
-    regular point and 0.12-0.15 ms at a confluent one, against 2.6-2.9 ms
-    and 0.8-1.0 ms for the whole plan of the kernel (best of 7 x 100 calls,
-    1 BLAS thread, 2-vCPU Intel Xeon, 2 runs). The 5 characters of
-    one-norm <= 4 at d = 3 on the 16,384 nodes of a 128^2 torus grid take
-    26 ms as one 5-column call, against 57 ms as 5 one-column calls (best
-    of 7).
+    Points with every eigenphase gap >= GAP_TOL take the alternant ratio;
+    those with a smaller gap, and those where the alternant's predicted
+    rounding is above _RESIDUE_CEILING of the value, take _jacobi_trudi on
+    the same power tables. At d = 2 the regular points take _horner_ratio,
+    which needs no tables and keeps a kernel's ratio exactly real, with no
+    routing: there a value at the rounding floor passes the residue check
+    as before. Points run in blocks sized so that no array holds
+    more than _BLOCK entries per eigenvalue: the power tables, the (k, G,
+    points) polynomial values or their d = 3 run sums, and the cofactor
+    levels. None grows with the weight count. The cost is the power tables,
+    the matmuls over 1/d of the dense coefficient grid and one contraction
+    per point block. Against the d! terms it replaced, on a 2-vCPU Intel
+    Xeon with 1 BLAS thread (medians of interleaved runs in one process on
+    a shared host): the 3,121-weight t = 78 plan at 5,000 Haar points
+    takes about 47-57 ms for 81-87 ms; the 5 characters of one-norm <= 4 on
+    the 16,384 nodes of a 128^2 torus grid, one 5-column call, 25-27 ms for
+    28-30 ms; a one-point kernel query at sigma = 0.02 or 0.1, 13-30 %
+    less at a regular point and 7-13 % less at a confluent one. A plan
+    of one or two weights pays for its three padded classes: the 5
+    characters as 5 one-column calls take about 1.4x as long as before.
     """
     theta = np.asarray(theta, dtype=float)
-    k, groups, _ = rows.shape
-    # mu[:, 0] is each weight's largest exponent, and heads[:, 0] shares it
-    k_max = int(heads[:, 0].max()) + 1 if heads.shape[1] else rows.shape[2]
-    block = max(1, _BLOCK // max(k * groups, k_max))
+    k, groups, width = plan.rows.shape
+    d = theta.shape[1]
+    block = max(1, _BLOCK // max(k * max(groups, d * width), plan.size, -(-math.comb(d, d // 2) * groups // d)))
     out = np.empty((k, len(theta)), dtype=complex)
-    regular = _min_gaps(theta) >= GAP_TOL
-    routes = [(_jacobi_trudi, ~regular)]
-    if heads.shape[1]:
-        routes.append((_alternant_ratio, regular))
-    else:
-        out[:, regular] = _horner_ratio(rows[:, 0], theta[regular])
-    for route, where in routes:
-        pts = theta[where]
-        vals = np.empty((k, len(pts)), dtype=complex)
-        for lo in range(0, len(pts), block):
-            # Each block's tables stay referenced until the next block's are
-            # built. Freed at the end of each block, their pages went back to
-            # the system and were faulted in again: 7x the page faults and
-            # 1.5x the time on a d = 3 batch of 5,000 points.
-            tab = _power_tables(pts[lo : lo + block], k_max)
-            vals[:, lo : lo + block] = route(tab, heads, rows)
-        out[:, where] = vals
+    confluent = _min_gaps(theta) < GAP_TOL
+    if d == 2 and not confluent.all():
+        out[:, ~confluent] = _horner_ratio(plan, theta[~confluent])
+        out[:, confluent] = _char_sum(plan, theta[confluent])
+        return out
+    for lo in range(0, len(theta), block):
+        # Each block's tables stay referenced until the next block's are
+        # built. Freed at the end of each block, their pages went back to
+        # the system and were faulted in again: 7x the page faults and
+        # 1.5x the time on a d = 3 batch of 5,000 points.
+        tab = _power_tables(theta[lo : lo + block], plan.size)
+        vals = out[:, lo : lo + block]
+        redo = confluent[lo : lo + block]
+        if not redo.all():
+            redo = _alternant_ratio(tab, plan, redo, vals)
+        if redo.any():
+            vals[:, redo] = _jacobi_trudi(tab[:, :, redo], plan)
     return out
 
 
@@ -375,4 +535,4 @@ def _char_batch(lams, theta: np.ndarray) -> np.ndarray:
     """Characters of many weights at many torus points, (nw, np) complex:
     one nw-column _char_sum with identity coefficients (partition form by
     each label's last entry, exact on SU(d))."""
-    return _char_sum(*_char_sum_plan(lams, np.eye(len(lams))), theta)
+    return _char_sum(_char_sum_plan(lams, np.eye(len(lams))), theta)

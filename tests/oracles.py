@@ -99,14 +99,15 @@ def schur_mp(lam, phis_full):
         return mp.det(num) / mp.det(den)
 
 
-def char_sum_mp(heads, rows, phis_full):
-    """sum_w c_w chi_w at one torus point from a grouped polynomial (heads,
-    rows) as built by the package's _char_sum_plan: entry rows[g, m] is the
-    coefficient of z^mu for mu = (heads[g], m, 0). Each group's row is
-    evaluated at every eigenvalue, the alternant numerator is antisymmetrized
-    over all d! permutations and divided by the Vandermonde, with ties split
-    as in schur_mp."""
-    heads = np.asarray(heads).tolist()
+def char_sum_mp(plan, phis_full, column=0):
+    """sum_w c_w chi_w at one torus point from one column of a residue-split
+    plan as built by the package's _char_sum_plan: entry rows[column, g, q]
+    is the coefficient of z^mu for mu = (heads[:, g], resid[g] + d q, 0).
+    Each row is evaluated at every eigenvalue, the alternant numerator is
+    antisymmetrized over all d! permutations and divided by the Vandermonde,
+    with ties split as in schur_mp."""
+    heads = np.asarray(plan.heads).T.tolist()
+    rows = np.asarray(plan.rows[column])
     d = len(heads[0]) + 2
     perms = [
         (perm, (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
@@ -115,15 +116,33 @@ def char_sum_mp(heads, rows, phis_full):
     phis, dps = _split_ties(phis_full)
     with mp.workdps(dps):
         xs = [mp.expjpi(p / mp.pi) for p in phis]
-        k_max = max([h[0] + 1 for h in heads if h] + [np.shape(rows)[1]])
-        pw = [[x**k for k in range(k_max)] for x in xs]
+        pw = [[x**k for k in range(plan.size)] for x in xs]
         num = mp.mpc(0)
-        for head, row in zip(heads, rows):
-            ms = np.nonzero(row)[0].tolist()
-            last = [mp.fsum(mp.mpf(float(row[m])) * pw[b][m] for m in ms) for b in range(d)]
+        for head, r, row in zip(heads, plan.resid.tolist(), rows):
+            qs = np.nonzero(row)[0].tolist()
+            last = [mp.fsum(mp.mpf(float(row[q])) * pw[b][r + d * q] for q in qs) for b in range(d)]
             for perm, sign in perms:
                 num += sign * last[perm[d - 2]] * mp.fprod(pw[perm[j]][head[j]] for j in range(d - 2))
         return num / mp.fprod(xs[i] - xs[j] for i in range(d) for j in range(i + 1, d))
+
+
+def dense_grouping(lams, coeff):
+    """The dense layout of a grouped polynomial, as _char_sum_plan built it
+    before the residue split: heads (G, d - 2) are the distinct first d - 2
+    exponents of mu = lam - lam_d + rho, and rows[:, g, m] (k, G, width) is
+    the coefficient of the head g with last exponent m, for every m."""
+    lams = np.asarray(lams, dtype=np.int64)
+    d = lams.shape[1]
+    mu = lams - lams[:, -1:] + np.arange(d - 1, -1, -1)
+    if d == 2:
+        group, heads = np.zeros(len(mu), dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
+    else:
+        _, first, group = np.unique(mu[:, : d - 2], axis=0, return_index=True, return_inverse=True)
+        heads = mu[first, : d - 2]
+    width = int(mu[:, d - 2].max()) + 1
+    cells = group * width + mu[:, d - 2]
+    rows = np.stack([np.bincount(cells, weights=c, minlength=len(heads) * width) for c in np.asarray(coeff)])
+    return heads, rows.reshape(len(rows), len(heads), width)
 
 
 def dim(lam):

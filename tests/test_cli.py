@@ -112,6 +112,24 @@ def test_kernel_both_forms(capsys):
     assert recs["poisson"]["provenance"] == "closed-form"
 
 
+@pytest.mark.parametrize(
+    "sigma,phi",
+    [
+        # kernel-scan seed 402, op 1117, and seed 1814, op 22: every gap is
+        # above GAP_TOL, and the alternant's imaginary residue (1.878 and
+        # 0.236) refused both until the predicted rounding sent them to the
+        # h tables
+        ("0.02", ["0.00019974227348509843", "-0.00010177542864805988"]),
+        ("0.03", ["0.00010596637223464489", "-0.00023315469537671385"]),
+    ],
+)
+def test_kernel_both_forms_agree_near_a_tie_at_the_identity(capsys, sigma, phi):
+    assert main(["kernel", "--d", "3", "--sigma", sigma, "--form", "both", "--phi", *phi]) == 0
+    rows = _json_out(capsys)["results"]
+    assert {r["form"] for r in rows} == {"char", "poisson"}
+    assert all(r["rel_discrepancy"] <= 1e-9 for r in rows)
+
+
 def test_kernel_trim_zero_is_one(capsys):
     assert main(
         ["kernel", "--d", "2", "--sigma", "0.5", "--phi", "0.9", "--trim-t", "0", "--form", "char"]

@@ -374,7 +374,7 @@ def test_lattice_plan_arrays_are_read_only():
 def test_plan_cache_stays_under_its_byte_cap_with_lattice_plans(monkeypatch):
     import udnet.kernels as kernels
 
-    cap = 200_000
+    cap = 50_000
     monkeypatch.setattr(kernels, "_PLAN_CACHE_BYTES", cap)
     cache = kernels._PLANS
     rng = np.random.default_rng(4)
@@ -580,16 +580,68 @@ def test_char_sum_matches_mpmath_at_confluent_points(d, sigma):
     # against 50-digit mpmath; the scale is sum_w |c_w| dim_w, as above
     import udnet.kernels as kernels
 
-    plan = kernels._PLANS.get(KernelParams(d, sigma))
+    plan = kernels._PLANS.get(KernelParams(d, sigma)).sums
     rows = plan.rows[0]
-    g, m = np.nonzero(rows)
-    mu = np.column_stack([plan.heads[g], m, np.zeros_like(m)])
-    scale = float(np.abs(rows[g, m]) @ _dim_array(mu - np.arange(d - 1, -1, -1)))
+    g, q = np.nonzero(rows)
+    mu = np.column_stack([plan.heads[:, g].T, plan.resid[g] + d * q, np.zeros_like(q)])
+    scale = float(np.abs(rows[g, q]) @ _dim_array(mu - np.arange(d - 1, -1, -1)))
     theta = _confluent_rows(d)
-    got = _char_sum(plan.heads, plan.rows, theta)[0]
+    got = _char_sum(plan, theta)[0]
     for row, value in zip(theta, got):
-        ref = complex(char_sum_mp(plan.heads, rows, row.tolist()))
+        ref = complex(char_sum_mp(plan, row.tolist()))
         assert abs(value - ref) <= 1e-12 * scale, (row, value, ref)
+
+
+def _tie_rows(d):
+    """Points whose eigenphase gaps are all of order gap, for gaps 1e-4 down
+    to 2e-6 (above GAP_TOL): about the identity and about omega I, where
+    |V| is below 1e-11 and the alternant cancels to its rounding."""
+    rows = []
+    for center in (0.0, 2.0 * math.pi / d):
+        for gap in (1e-4, 1e-5, 2e-6):
+            offset = gap * np.array([0.0, 1.0, 2.7, 4.1][:d])
+            rows.append(center + offset - offset.mean())
+    rows = np.array(rows)
+    assert np.all(_min_gaps(rows) >= 2e-6 * (1 - 1e-9)) and np.all(_min_gaps(rows) <= 1e-4 * (1 + 1e-9))
+    return rows
+
+
+@pytest.mark.parametrize("d,sigma", [(3, 0.02), (4, 1.0)])
+def test_char_near_ties_and_the_identity_matches_mpmath(monkeypatch, d, sigma):
+    # every gap is above GAP_TOL, so only the predicted rounding
+    # u d! sum|c_w| / |V| sends these points to the h tables; before, the
+    # alternant's imaginary residue refused all of them
+    import udnet.kernels as kernels
+    import udnet.weights_chars as wc
+
+    read_again = []
+
+    def jacobi_trudi(tab, plan):
+        read_again.append(tab.shape[2])
+        return real_jacobi_trudi(tab, plan)
+
+    real_jacobi_trudi = wc._jacobi_trudi
+    monkeypatch.setattr(wc, "_jacobi_trudi", jacobi_trudi)
+    p = KernelParams(d, sigma)
+    theta = _tie_rows(d)
+    vals, _, _ = heat_pu_char_batch(p, theta)
+    assert sum(read_again) == len(theta)
+    plan = kernels._PLANS.get(p)
+    for row, value in zip(theta, vals):
+        ref = complex(char_sum_mp(plan.sums, row.tolist())).real + plan.base
+        assert abs(value - ref) <= 1e-9 * max(1.0, abs(value)), (row, value, ref)
+
+
+def test_char_route_keeps_the_alternant_where_its_rounding_is_small(monkeypatch):
+    # at Haar points the predicted rounding is far below the ceiling, so no
+    # regular point is read again
+    import udnet.weights_chars as wc
+
+    monkeypatch.setattr(wc, "_jacobi_trudi", lambda tab, plan: pytest.fail("read again"))
+    theta = _haar_rows(3, 200, seed=12)
+    assert np.all(_min_gaps(theta) >= 1e-3)
+    heat_pu_char_batch(KernelParams(3, 0.05, trim_t=78), theta)
+    heat_pu_char_batch(KernelParams(3, 0.02), theta)
 
 
 def test_char_batch_memory_does_not_grow_with_weight_count(monkeypatch):
@@ -602,21 +654,24 @@ def test_char_batch_memory_does_not_grow_with_weight_count(monkeypatch):
     theta[:64, 1:] = theta[:64, :1] * [1.0, -2.0]  # a tied share for the Jacobi-Trudi route
     sizes = []
 
-    def alternant(tab, heads, last, terms):
-        sizes.extend(a.size for a in last)
-        return real_alternant(tab, heads, last, terms)
+    def einsum(spec, *operands):
+        # the operands of each contraction, per eigenvalue: the (k, G,
+        # points) polynomial values or their d = 3 run sums, and the
+        # cofactors or the power tables
+        sizes.extend(a.size // len(a) for a in operands)
+        return real_einsum(spec, *operands)
 
-    real_alternant = wc._alternant
-    monkeypatch.setattr(wc, "_alternant", alternant)
+    real_einsum = np.einsum
+    monkeypatch.setattr(wc.np, "einsum", einsum)
     p = KernelParams(3, 0.05, trim_t=78)
     lams = _projective_tuples(3, 78)
     dims = _dim_array(lams)
     coeff = np.array([dims * np.exp(-s * _casimir_array(lams)) for s in (0.05, 0.1, 0.2, 0.4)])
-    heads, rows = wc._char_sum_plan(lams, coeff)
+    plan = wc._char_sum_plan(lams, coeff)
     tracemalloc.start()
     try:
         vals, _, terms = heat_pu_char_batch(p, theta)
-        many = _char_sum(heads, rows, theta)
+        many = _char_sum(plan, theta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -628,7 +683,7 @@ def test_char_batch_memory_does_not_grow_with_weight_count(monkeypatch):
     tail, _, _ = heat_pu_char_batch(p, theta[-8:])
     np.testing.assert_allclose(vals[-8:], tail, rtol=0, atol=1e-12 * scale)
     np.testing.assert_allclose(many[0].real, vals, rtol=0, atol=1e-12 * scale)
-    np.testing.assert_allclose(many[:, -8:], _char_sum(heads, rows, theta[-8:]), rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(many[:, -8:], _char_sum(plan, theta[-8:]), rtol=0, atol=1e-12 * scale)
 
 
 # ---------------------------------------------------------------- L2 norms
@@ -1017,7 +1072,7 @@ def test_plan_arrays_are_read_only():
     import udnet.kernels as kernels
 
     plan = kernels._PLANS.get(KernelParams(3, 0.1))
-    assert len(plan.arrays()) == 2
+    assert len(plan.arrays()) == 4
     for a in plan.arrays():
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1
@@ -1026,7 +1081,7 @@ def test_plan_arrays_are_read_only():
 def test_plan_cache_stays_under_its_byte_cap(monkeypatch):
     import udnet.kernels as kernels
 
-    cap = 200_000
+    cap = 60_000
     monkeypatch.setattr(kernels, "_PLAN_CACHE_BYTES", cap)
     cache = kernels._PLANS
     x = _pt(3, 0.4, -0.2)
@@ -1103,6 +1158,44 @@ def test_truncation_error_over_term_budget(monkeypatch):
         heat_pu_char(KernelParams(4, 0.01), _pt(4, 0.3, -0.1, 0.2))
     assert "needs 4568178 weights" in str(exc.value)
     assert exc.value.required_cutoff == 638
+
+
+def test_expansion_budget_checked_before_the_expansion(monkeypatch):
+    # the Laplace recursion forms below d 2^(d-1) products per point: over the
+    # term budget from d = 18, before a label, a recursion step or a power
+    # table is built. Its widest level keeps C(d, d // 2) cofactors per plan
+    # row, checked once the rows are known and before any is formed.
+    import udnet.kernels as kernels
+    import udnet.weights_chars as wc
+
+    monkeypatch.setattr(wc, "_minor_steps", lambda *args: pytest.fail("expanded"))
+    monkeypatch.setattr(wc, "_power_tables", lambda *args: pytest.fail("tabulated"))
+    x = _pt(18, *np.linspace(-1.0, 1.0, 17))
+    with pytest.raises(TruncationError) as exc:
+        heat_pu_char(KernelParams(18, 1.0, trim_t=1), x)
+    assert "d = 18 determinant expansion needs 2359296 terms" in str(exc.value)
+    assert exc.value.required_cutoff == 2
+    with pytest.raises(TruncationError) as exc:
+        heat_pu_char(KernelParams(17, 1.0, trim_t=10), _pt(17, *np.linspace(-1.0, 1.0, 16)))
+    assert "d = 17 determinant expansion needs 86859630 terms" in str(exc.value)
+    assert exc.value.required_cutoff == 20
+    monkeypatch.setattr(kernels, "_projective_tuples", lambda *args: pytest.fail("enumerated"))
+    with pytest.raises(TruncationError):
+        heat_pu_char(KernelParams(18, 1.0, trim_t=1), x)
+
+
+@pytest.mark.parametrize("d", [9, 10, 12])
+def test_char_at_large_d_matches_the_adjoint_closed_form(d):
+    # trim_t = 1 keeps the trivial and the adjoint weight, whose character is
+    # |tr U|^2 - 1. The d! permutations of the alternant took 13.8 s and
+    # 97 MB at d = 9; the recursion takes milliseconds.
+    theta = np.random.default_rng(d).uniform(-1.0, 1.0, d - 1)
+    x = _pt(d, *theta)
+    got = heat_pu_char(KernelParams(d, 1.0, trim_t=1), x)
+    eig = np.exp(1j * np.array(x.eigenphases()))
+    want = 1.0 + (d * d - 1) * math.exp(-1.0) * (abs(eig.sum()) ** 2 - 1.0)
+    assert got.terms_used == 2
+    assert abs(got.value - want) <= 1e-9 * abs(want)
 
 
 def test_term_budget_checked_before_enumeration(monkeypatch):

@@ -29,7 +29,16 @@ from udnet.weights_chars import (
     _projective_tuples,
 )
 
-from oracles import casimir, center_average_character, character, dim, projective_tuples, schur_mp, torus_quadrature
+from oracles import (
+    casimir,
+    center_average_character,
+    character,
+    dense_grouping,
+    dim,
+    projective_tuples,
+    schur_mp,
+    torus_quadrature,
+)
 from test_kernels import _confluent_rows, _haar_rows
 
 
@@ -295,7 +304,7 @@ def test_char_sum_columns_match_one_column_calls(d):
     coeff = np.zeros((len(subsets), len(lams)))
     for c, sub in zip(coeff, subsets):
         c[sub] = gen.normal(size=len(sub))
-    heads, rows = _char_sum_plan(lams, coeff)
+    plan = _char_sum_plan(lams, coeff)
     confluent = _confluent_rows(d)
     point_sets = {
         "regular": _haar_rows(d, 60, seed=d),
@@ -304,13 +313,87 @@ def test_char_sum_columns_match_one_column_calls(d):
         "empty": np.empty((0, d)),
     }
     for name, theta in point_sets.items():
-        got = _char_sum(heads, rows, theta)
+        got = _char_sum(plan, theta)
         chars = _char_batch(lams, theta)
         assert got.shape == (len(coeff), len(theta)) and chars.shape == (len(lams), len(theta))
-        ones = [_char_sum(*_char_sum_plan(lams[sub], c[sub][None]), theta)[0] for c, sub in zip(coeff, subsets)]
-        ones += [_char_sum(*_char_sum_plan(lams[i : i + 1], np.ones((1, 1))), theta)[0] for i in range(len(lams))]
+        ones = [_char_sum(_char_sum_plan(lams[sub], c[sub][None]), theta)[0] for c, sub in zip(coeff, subsets)]
+        ones += [_char_sum(_char_sum_plan(lams[i : i + 1], np.ones((1, 1))), theta)[0] for i in range(len(lams))]
         for col, one in zip(list(got) + list(chars), ones):
             assert np.all(np.abs(col - one) <= 1e-12 * np.maximum(1.0, np.abs(one))), name
+
+
+def _split_cells(plan, d):
+    """{(head, last exponent): coefficients (k,)} of a residue-split plan."""
+    cells = {}
+    for g, (head, r) in enumerate(zip(plan.heads.T.tolist(), plan.resid.tolist())):
+        for q in range(plan.rows.shape[2]):
+            cells[tuple(head), r + d * q] = plan.rows[:, g, q]
+    return cells
+
+
+def _assert_round_trip(lams, coeff):
+    # every (head, exponent) coefficient of the dense grouping, bit for bit;
+    # a split cell outside it (a padded row, or past a head's last exponent)
+    # holds 0
+    lams = np.asarray(lams)
+    d = lams.shape[1]
+    plan = _char_sum_plan(lams, coeff)
+    heads, rows = dense_grouping(lams, coeff)
+    cells = _split_cells(plan, d)
+    zero = np.zeros(len(coeff))
+    dense = set()
+    for g, head in enumerate(map(tuple, heads.tolist())):
+        for m in range(rows.shape[2]):
+            dense.add((head, m))
+            assert np.array_equal(cells.get((head, m), zero), rows[:, g, m]), (head, m)
+    assert not any(np.any(v) for key, v in cells.items() if key not in dense)
+    # rows run class by class, each class on its own rows
+    assert len({r for r, _, _ in plan.classes}) == len(plan.classes)
+    for r, lo, hi in plan.classes:
+        assert np.all(plan.resid[lo:hi] == r)
+    assert sorted(x for _, lo, hi in plan.classes for x in range(lo, hi)) == list(range(len(plan.resid)))
+    if plan.run is not None:
+        # class i has residue 2 - i and the heads run + i + 3 j
+        span = len(plan.resid) // 3
+        assert plan.classes == ((2, 0, span), (1, span, 2 * span), (0, 2 * span, 3 * span))
+        want = plan.run + np.arange(3)[:, None] + 3 * np.arange(span)
+        np.testing.assert_array_equal(plan.heads, want.reshape(1, -1))
+        assert plan.size >= plan.run + 3 * span
+    np.testing.assert_array_equal(plan.mass[:, 0], np.abs(coeff).sum(axis=1))
+    return plan
+
+
+@pytest.mark.parametrize("d,t", [(3, 40), (4, 12), (5, 6)])
+def test_residue_split_plan_round_trips_zero_sum_kernel_plans(d, t):
+    lams = _projective_tuples(d, t)[1:]
+    dims = _dim_array(lams)
+    coeff = np.array([dims * np.exp(-s * _casimir_array(lams)) for s in (0.05, 0.3)])
+    plan = _assert_round_trip(lams, coeff)
+    # a zero-sum label's heads fix its residue: one row per head, 1/d of
+    # the dense grid (at d = 3 the runs have stride 3)
+    heads, rows = dense_grouping(lams, coeff)
+    want = (d * (d - 1) // 2 - plan.heads.sum(axis=0)) % d
+    np.testing.assert_array_equal(plan.resid, want)
+    assert (plan.run is not None) == (d == 3)
+    if d != 3:
+        assert len(plan.resid) == len(heads)
+    assert plan.rows.shape[2] <= -(-rows.shape[2] // d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_residue_split_plan_round_trips_mixed_su_labels(d):
+    # the identity plan of _char_batch on SU labels (lambda_d = 0) of every
+    # sum mod d, with the oracle labels and zero-sum ones: one head has rows
+    # in several residue classes
+    su = [lam + (0,) for lam in itertools.product(range(4), repeat=d - 1) if list(lam) == sorted(lam, reverse=True)]
+    lams = np.array(_ORACLE_LABELS[d] + su + [list(lam) for lam in _projective_tuples(d, 3)])
+    plan = _assert_round_trip(lams, np.eye(len(lams)))
+    residues = {}
+    for head, r, used in zip(plan.heads.T.tolist(), plan.resid.tolist(), np.abs(plan.rows).sum(axis=(0, 2))):
+        if used:
+            residues.setdefault(tuple(head), set()).add(r)
+    assert max(len(rs) for rs in residues.values()) > 1
+    assert plan.run is None
 
 
 def test_character_dimension_mismatch():
