@@ -397,13 +397,14 @@ def _char_eval(p: KernelParams, theta_rows: np.ndarray) -> tuple[np.ndarray, flo
     At d = 3 a warm query takes 0.08-0.18 ms at a regular or a confluent
     point, at sigma = 0.02 and 0.1 alike, against 2.0-3.1 ms and 0.7-1.3 ms
     cold (best of 7 x 100 queries, 1 BLAS thread, 2-vCPU Intel Xeon, 3 runs
-    on a shared host). The imaginary residue is checked on every call, as a
-    backstop: the routing already covers the rounding it was a proxy for.
+    on a shared host). The sum is real, so a point that _char_sum routes
+    to the h tables keeps the alternant where its imaginary part is the
+    smaller. The imaginary residue is checked on every call, as a backstop.
     """
     plan = _PLANS.get(p)
     vals = np.full(len(theta_rows), plan.base, dtype=complex)
     if plan.sums is not None:
-        vals += _char_sum(plan.sums, theta_rows)[0]
+        vals += _char_sum(plan.sums, theta_rows, real=True)[0]
     resid = float(np.max(np.abs(vals.imag), initial=0.0))
     ceiling = _RESIDUE_CEILING * max(1.0, float(np.max(np.abs(vals.real), initial=0.0))) + plan.bound
     if not np.all(np.isfinite(vals.real)) or resid > ceiling:

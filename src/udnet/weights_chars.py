@@ -8,31 +8,33 @@ by subtracting sum(lambda)/d, defined only when d divides the sum.
 Characters are evaluated by one engine, _char_sum, from a grouped Laurent
 polynomial. With mu = lam - lam_d + rho the last exponent is 0, so a sum
 sum_w c_w chi_w has the alternant numerator sum_sigma sgn(sigma)
-P(x_sigma(1), ..., x_sigma(d-1)) for one polynomial P = sum_w c_w z^mu_w in
-d - 1 variables. The plan groups P by its first d - 2 exponents and by the
-residue mod d of the last one, which the heads fix for zero-sum labels: a
-row keeps every d-th coefficient of its last variable, so each
+P(x_sigma(1), ..., x_sigma(d-1)) for one polynomial P = sum_w c_w z^mu_w
+in d - 1 variables. The plan groups P by its first d - 2 exponents and by
+the residue mod d of the last one, which the heads fix for zero-sum
+labels: a row keeps every d-th coefficient of its last variable, so each
 eigenvalue's polynomial column is one real matmul per residue class over
 the stride-d power table, 1/d of the dense grid. The determinant is
 expanded along that column: d products with cofactors formed once from the
 head powers by a Laplace recursion over row subsets, in place of the d!
 terms of the alternant. At d = 3 a cofactor is x_a^h - x_c^h and the heads
-of a class run with stride 3, so the sum regroups into one matmul over
-strided slices of the power tables. At d = 2 a regular point takes Horner's
-rule in x^2, whose ratio stays exactly real at a kernel's conjugate pair.
-A regular point at d >= 3 is divided by the Vandermonde once, unless its
-predicted rounding u d! sum|c_w| / |V| exceeds _RESIDUE_CEILING of its
-value; then, as when two eigenphases come within GAP_TOL = 1e-6 of each
-other, the same polynomial is read through the Jacobi-Trudi determinant in
-complete homogeneous symmetric polynomials, the confluent
-(divided-difference) form of the same ratio, which stays finite at
-coincident eigenphases; its h tables come from the power tables by
-cumulative sums. No complex exp is taken per weight. One call evaluates k
-polynomials on one grouping (rows of shape (k, G, width)): the power
-tables and the matmuls are shared by all k, and points run in blocks of at
-most _BLOCK entries per eigenvalue and array. A kernel is one column; the
-per-weight characters of _char_batch are k one-weight polynomials, the
-identity coefficients on the union of their labels.
+of a class run with stride 3, so when every residue holds a row the sum
+regroups into one matmul over strided slices of the power tables. At d = 2
+a regular point takes Horner's rule over the dense coefficients, whose
+ratio stays exactly real at a kernel's conjugate pair. A regular point at
+d >= 3 is divided by the Vandermonde once, unless its predicted rounding u
+d! sum|c_w| / |V| exceeds _RESIDUE_CEILING of its value; then, as when two
+eigenphases come within GAP_TOL = 1e-6 of each other, the same polynomial
+is read through the Jacobi-Trudi determinant in complete homogeneous
+symmetric polynomials, the confluent (divided-difference) form of the same
+ratio, which stays finite at coincident eigenphases; its h tables come
+from the power tables by cumulative sums. For real sums such a point keeps
+whichever form has the smaller imaginary part. No complex exp is taken per
+weight. One call evaluates k polynomials on one grouping (rows of shape
+(k, G, width)): the power tables and the matmuls are shared by all k, and
+points run in blocks of at most _BLOCK entries per eigenvalue and array. A
+kernel is one column; the per-weight characters of _char_batch are k
+one-weight polynomials, the identity coefficients on the union of their
+labels.
 """
 
 from __future__ import annotations
@@ -228,6 +230,12 @@ class _SumPlan(NamedTuple):
     of powers of each eigenvalue that the rows and heads read. run is None,
     or at d = 3 the h0 of a run layout: three classes of equal length, the
     one of residue 2 - i with the heads h0 + i + 3 j (zero rows fill gaps).
+    Against the general layout at d = 3 (2-vCPU Intel Xeon, 1 BLAS thread,
+    medians of 15 interleaved runs, 2 runs) the run layout takes the t = 78
+    plan at 5,000 points in 42-52 ms for 139-163 ms and a warm kernel query
+    in 8-23 % less time; the 5-column orthonormality call is 5-9 % slower.
+    A plan that leaves a residue empty would pad a class of zero rows and
+    read longer power tables, so it keeps the general layout.
     """
 
     heads: np.ndarray  # (d - 2, G)
@@ -245,17 +253,17 @@ def _char_sum_plan(lams: np.ndarray, coeff: np.ndarray) -> _SumPlan:
     With mu = lam - lam_d + rho the last exponent is 0, so the alternant
     numerator of sum_w coeff_w chi_w is sum_sigma sgn(sigma) P(x_sigma(1),
     ..., x_sigma(d-1)) for the one Laurent polynomial P = sum_w coeff_w
-    z^mu_w in d - 1 variables (Fulton-Harris, Representation Theory,
-    section 24). P is grouped by its first d - 2 exponents, the heads, and
-    by the residue r of the last one mod d; a row keeps the coefficients of
-    the exponents r + d q only. sum(mu) = d (d - 1) / 2 - d lam_d, so the
-    heads fix r for labels whose sums agree mod d, as zero-sum ones do: a
-    kernel plan has one row per head and 1/d of the dense grid of heads x
-    last exponents. At d = 3 such a plan takes the run layout, whose head
-    powers are strided slices of the power tables. Other label sets, as in
-    _char_batch, can give one head several rows. The Jacobi-Trudi
-    determinant det[h_{mu_i - (d-1) + j}] is multilinear in its rows as the
-    alternant is, so the same rows serve confluent points.
+    z^mu_w in d - 1 variables (Fulton-Harris, Representation Theory, section
+    24). P is grouped by its first d - 2 exponents, the heads, and by the
+    residue r of the last one mod d; a row keeps the coefficients of the
+    exponents r + d q only. sum(mu) = d (d - 1) / 2 - d lam_d, so the heads
+    fix r for labels whose sums agree mod d, as zero-sum ones do: a kernel
+    plan has one row per head and 1/d of the dense grid of heads x last
+    exponents. At d = 3 such a plan takes the run layout, whose head powers
+    are strided slices of the power tables, when each residue holds a row.
+    Other label sets, as in _char_batch, can give one head several rows. The
+    Jacobi-Trudi determinant det[h_{mu_i - (d-1) + j}] is multilinear in its
+    rows as the alternant is, so the same rows serve confluent points.
 
     coeff (k, nw) holds k polynomials, which share the rows of the union of
     their weights: rows has shape (k, G, width).
@@ -272,7 +280,7 @@ def _char_sum_plan(lams: np.ndarray, coeff: np.ndarray) -> _SumPlan:
     width = int(q.max()) + 1
     size = max(int(mu[:, 0].max()) + 1, d * width)
     run = None
-    if d == 3 and np.ptp(keys.sum(axis=1) % 3) == 0:
+    if d == 3 and np.ptp(keys.sum(axis=1) % 3) == 0 and np.bincount(keys[:, 0], minlength=3).all():
         # class i = 2 - r holds the heads h0 + i + 3 j
         i = 2 - keys[:, 0]
         run = int((keys[:, 1] - i).min())  # every h - i is run mod 3
@@ -411,18 +419,21 @@ def _run_sum(buf: np.ndarray, rows: int, step: int, plan: _SumPlan, ones: bool) 
 
 
 def _horner_ratio(plan: _SumPlan, theta: np.ndarray) -> np.ndarray:
-    """The alternant ratio at d = 2 for k polynomials, (k, n): P(z) = sum_r
-    z^r Q_r(z^2) over the residue classes, each row's Q by Horner at both
-    eigenvalues, divided by their difference. Horner's arithmetic keeps
-    P(conj x) = conj P(x) exactly, so at x_2 = conj x_1 the ratio is real."""
+    """The alternant ratio at d = 2 for k polynomials, (k, n): each P(z) =
+    sum_m a_m z^m, its dense coefficients interleaved again from the (at
+    most two) residue rows, by Horner at both eigenvalues, divided by their
+    difference. Horner's arithmetic keeps P(conj x) = conj P(x) exactly, so
+    at x_2 = conj x_1 the ratio is real."""
+    k, _, width = plan.rows.shape
+    coeffs = np.zeros((k, 2 * width))
+    for r, lo, _ in plan.classes:
+        coeffs[:, r::2] = plan.rows[:, lo]
     x = np.exp(1j * theta)
-    y = x * x
-    p = np.zeros(plan.rows.shape[:2] + x.shape, dtype=complex)
-    for a_q in plan.rows.transpose(2, 0, 1)[::-1]:
-        p *= y
-        p += a_q[:, :, None, None]
-    total = sum(x**r * p[:, lo:hi].sum(axis=1) for r, lo, hi in plan.classes)
-    return (total[..., 0] - total[..., 1]) / (x[:, 0] - x[:, 1])
+    p = np.zeros((k,) + x.shape, dtype=complex)
+    for a_m in coeffs.T[::-1]:
+        p *= x
+        p += a_m[:, None, None]
+    return (p[..., 0] - p[..., 1]) / (x[:, 0] - x[:, 1])
 
 
 @_functools.cache
@@ -433,7 +444,8 @@ def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
 def _alternant_ratio(tab: np.ndarray, plan: _SumPlan, skip: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The alternant ratio at the points of tab (d, size, n) where skip is
     False, written into out (k, n). Returns the points left for
-    _jacobi_trudi: skip, and those whose predicted rounding is too large.
+    _jacobi_trudi: skip, and those whose predicted rounding is too large,
+    whose alternant ratio out holds as well.
 
     The numerator is expanded along the polynomial column: d products of
     each row's polynomial at x_b (_class_values) with its cofactor from the
@@ -454,7 +466,7 @@ def _alternant_ratio(tab: np.ndarray, plan: _SumPlan, skip: np.ndarray, out: np.
     vdm = np.prod(tab[i, 1] - tab[j, 1], axis=0)
     limit = plan.mass * (_UNIT_ROUNDOFF * math.factorial(d) / _RESIDUE_CEILING)
     redo = skip | (np.maximum(np.abs(num), np.abs(vdm)) < limit).any(axis=0)
-    np.divide(num, vdm, out=out, where=~redo)
+    np.divide(num, vdm, out=out, where=~skip)
     return redo
 
 
@@ -481,36 +493,43 @@ def _jacobi_trudi(tab: np.ndarray, plan: _SumPlan) -> np.ndarray:
 _BLOCK = 1 << 16  # complex entries per eigenvalue of each per-block array of _char_sum
 
 
-def _char_sum(plan: _SumPlan, theta: np.ndarray) -> np.ndarray:
+def _char_sum(plan: _SumPlan, theta: np.ndarray, real: bool = False) -> np.ndarray:
     """k sums sum_w coeff_w chi_w at torus points, from the _SumPlan of
     _char_sum_plan with rows (k, G, width). Returns (k, np) complex.
 
     Points with every eigenphase gap >= GAP_TOL take the alternant ratio;
     those with a smaller gap, and those where the alternant's predicted
     rounding is above _RESIDUE_CEILING of the value, take _jacobi_trudi on
-    the same power tables. At d = 2 the regular points take _horner_ratio,
+    the same power tables. The prediction is a bound, and away from the
+    identity the h tables can cancel worse than the alternant: at a d = 4,
+    sigma = 0.2 point with three eigenphases within 0.08 they are 0.6
+    ceilings off with a residue of 1.3 ceilings, the alternant 0.12 off
+    with 0.02. When real (a kernel's sums are, as its conjugate labels
+    carry equal coefficients) the imaginary part measures each form's
+    rounding, and a routed point keeps the alternant where its imaginary
+    part is the smaller. At d = 2 the regular points take _horner_ratio,
     which needs no tables and keeps a kernel's ratio exactly real, with no
     routing: there a value at the rounding floor passes the residue check
-    as before. Points run in blocks sized so that no array holds
-    more than _BLOCK entries per eigenvalue: the power tables, the (k, G,
-    points) polynomial values or their d = 3 run sums, and the cofactor
-    levels. None grows with the weight count. The cost is the power tables,
-    the matmuls over 1/d of the dense coefficient grid and one contraction
-    per point block. Against the d! terms it replaced, on a 2-vCPU Intel
-    Xeon with 1 BLAS thread (medians of interleaved runs in one process on
-    a shared host): the 3,121-weight t = 78 plan at 5,000 Haar points
-    takes about 47-57 ms for 81-87 ms; the 5 characters of one-norm <= 4 on
-    the 16,384 nodes of a 128^2 torus grid, one 5-column call, 25-27 ms for
+    as before. Points run in blocks sized so that no array holds more than
+    _BLOCK entries per eigenvalue: the power tables, the (k, G, points)
+    polynomial values or their d = 3 run sums, and the cofactor levels.
+    None grows with the weight count. The cost is the power tables, the
+    matmuls over 1/d of the dense coefficient grid and one contraction per
+    point block. Against the d! terms it replaced, on a 2-vCPU Intel Xeon
+    with 1 BLAS thread (medians of interleaved runs in one process on a
+    shared host): the 3,121-weight t = 78 plan at 5,000 Haar points takes
+    about 47-57 ms for 81-87 ms; the 5 characters of one-norm <= 4 on the
+    16,384 nodes of a 128^2 torus grid, one 5-column call, 25-27 ms for
     28-30 ms; a one-point kernel query at sigma = 0.02 or 0.1, 13-30 %
-    less at a regular point and 7-13 % less at a confluent one. A plan
-    of one or two weights pays for its three padded classes: the 5
-    characters as 5 one-column calls take about 1.4x as long as before.
+    less at a regular point and 7-13 % less at a confluent one. The 5
+    characters as 5 one-column calls, which take the general layout, cost
+    about the same: best 42 ms on both sides, median 52 ms for 48 ms.
     """
     theta = np.asarray(theta, dtype=float)
     k, groups, width = plan.rows.shape
     d = theta.shape[1]
     block = max(1, _BLOCK // max(k * max(groups, d * width), plan.size, -(-math.comb(d, d // 2) * groups // d)))
-    out = np.empty((k, len(theta)), dtype=complex)
+    out = np.zeros((k, len(theta)), dtype=complex)  # skipped points hold 0, not garbage
     confluent = _min_gaps(theta) < GAP_TOL
     if d == 2 and not confluent.all():
         out[:, ~confluent] = _horner_ratio(plan, theta[~confluent])
@@ -523,11 +542,16 @@ def _char_sum(plan: _SumPlan, theta: np.ndarray) -> np.ndarray:
         # 1.5x the time on a d = 3 batch of 5,000 points.
         tab = _power_tables(theta[lo : lo + block], plan.size)
         vals = out[:, lo : lo + block]
-        redo = confluent[lo : lo + block]
-        if not redo.all():
-            redo = _alternant_ratio(tab, plan, redo, vals)
+        skip = redo = confluent[lo : lo + block]
+        if not skip.all():
+            redo = _alternant_ratio(tab, plan, skip, vals)
         if redo.any():
-            vals[:, redo] = _jacobi_trudi(tab[:, :, redo], plan)
+            h = _jacobi_trudi(tab[:, :, redo], plan)
+            if real:
+                alt = vals[:, redo]
+                keep = ~skip[redo] & (np.abs(alt.imag) < np.abs(h.imag))
+                h[keep] = alt[keep]
+            vals[:, redo] = h
     return out
 
 

@@ -644,6 +644,35 @@ def test_char_route_keeps_the_alternant_where_its_rounding_is_small(monkeypatch)
     heat_pu_char_batch(KernelParams(3, 0.02), theta)
 
 
+@pytest.mark.parametrize(
+    "d,sigma,phi",
+    [
+        # three eigenphases within 0.08: the h tables fail the residue
+        (4, 0.2, (0.35944413627255295, 0.43651687967367186, 0.4021298976988911)),
+        (4, 0.02, (-0.13534870513241903, -0.1409183590310043, -0.09289996220629612)),
+        # the h tables pass the residue, and are 1.3e-9 off
+        (5, 1.0, (-0.40558492618764697, -0.5039899114621995, -0.6693525122014501, -0.9707951055581983)),
+    ],
+)
+def test_char_routed_point_keeps_the_alternant_where_its_residue_is_smaller(d, sigma, phi):
+    # the predicted rounding is a bound: it sends these points to the h
+    # tables, which away from the identity cancel worse than the
+    # alternant. The parent's alternant answered all three within the
+    # ceiling; Poisson is within 2e-11 of oracles.char_sum_mp at the first.
+    import udnet.kernels as kernels
+    import udnet.weights_chars as wc
+
+    p = KernelParams(d, sigma)
+    x = _pt(d, *phi)
+    sums = kernels._PLANS.get(p).sums
+    tab = wc._power_tables(np.array([x.eigenphases()]), sums.size)
+    alt = np.empty((1, 1), dtype=complex)
+    assert wc._alternant_ratio(tab, sums, np.zeros(1, dtype=bool), alt)[0]
+    assert abs(alt[0, 0].imag) < abs(wc._jacobi_trudi(tab, sums)[0, 0].imag)
+    ref = heat_pu_poisson(p, x).value
+    assert abs(heat_pu_char(p, x).value - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
 def test_char_batch_memory_does_not_grow_with_weight_count(monkeypatch):
     # 3,121 weights at 32,768 points: a (weights x points) complex matrix
     # would take 1.6 GB; the sum engine works in point blocks, and k sums on

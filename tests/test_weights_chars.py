@@ -25,6 +25,7 @@ from udnet.weights_chars import (
     _char_sum,
     _char_sum_plan,
     _dim_array,
+    _laurent_exponents,
     _projective_count,
     _projective_tuples,
 )
@@ -394,6 +395,15 @@ def test_residue_split_plan_round_trips_mixed_su_labels(d):
             residues.setdefault(tuple(head), set()).add(r)
     assert max(len(rs) for rs in residues.values()) > 1
     assert plan.run is None
+
+
+@pytest.mark.parametrize("lams", [[(0, 0, 0)], [(2, 0, -2)], [(0, 0, 0), (1, 0, -1)], [(1, 0, -1), (2, -1, -1)]])
+def test_plan_that_leaves_a_residue_empty_keeps_the_general_layout(lams):
+    # one or two zero-sum labels at d = 3 fill one or two residue classes;
+    # a run layout would pad the others with zero rows and longer tables
+    plan = _assert_round_trip(np.array(lams), np.eye(len(lams)))
+    assert plan.run is None and len(plan.classes) < 3
+    assert plan.size == int(_laurent_exponents(np.array(lams))[:, 0].max()) + 1
 
 
 def test_character_dimension_mismatch():
