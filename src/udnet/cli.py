@@ -61,6 +61,7 @@ from .lie_core import (
 )
 from .montecarlo import (
     RngStream,
+    _exact_grid_n,
     gue_opnorm_cdf,
     gue_tail_mc,
     mc_normalization,
@@ -68,7 +69,7 @@ from .montecarlo import (
     numeric_I0,
     torus_grid,
 )
-from .weights_chars import _char_batch, enumerate_projective_weights
+from .weights_chars import _UNIT_ROUNDOFF, _char_batch, enumerate_projective_weights
 
 __all__ = ["RunConfig", "main"]
 
@@ -443,20 +444,38 @@ def _suite_gue(ctx: _SuiteCtx) -> list[dict]:
     return out
 
 
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u): a sum of m floats is off by at most
+    gamma_m times the sum of its terms' magnitudes (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.1)."""
+    return m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+
+
+def _torus_rows(d: int, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigenphase rows (m, d) and Weyl weights (m,) of torus_grid."""
+    nodes, weights = torus_grid(d, grid)
+    return np.concatenate([nodes, -nodes.sum(axis=1, keepdims=True)], axis=1), weights
+
+
 def _suite_orthonormality(ctx: _SuiteCtx) -> list[dict]:
-    if ctx.d > _QUAD_DMAX:
-        return [
-            _skip("orthonormality", f"d={ctx.d}", "quadrature", "unsupported-dimension")
-        ]
-    t_cap, grid = (4, 512) if ctx.d == 2 else (2, 128)
-    ws = enumerate_projective_weights(ctx.d, t_cap)
-    nodes, weights = torus_grid(ctx.d, grid)
-    theta = np.concatenate([nodes, -nodes.sum(axis=1, keepdims=True)], axis=1)
-    chars = _char_batch(np.array([w.lam for w in ws]), theta)
-    gram = (chars * weights) @ chars.conj().T
-    dev = float(np.max(np.abs(gram - np.eye(len(ws)))))
+    """The Weyl-integration Gram matrix of the labels of one-norm <= 2 t_cap,
+    on the grid that _exact_grid_n makes exact for it. Its tolerance is the
+    rounding of each entry's sum over the m nodes, gamma_m max_{lambda, mu}
+    sum w |chi_lambda| |chi_mu|."""
+    t_cap = 4 if ctx.d == 2 else 2
+    lams = np.array([w.lam for w in enumerate_projective_weights(ctx.d, t_cap)])
+    grid = _exact_grid_n(ctx.d, 2 * int(np.max(lams[:, 0] - lams[:, -1])))
     check = f"gram l1<={2 * t_cap},grid={grid}"
-    return [_bounded("orthonormality", check, dev, 1e-6, "quadrature", n=len(weights))]
+    try:
+        theta, weights = _torus_rows(ctx.d, grid)
+    except ResourceLimitError:
+        return [_skip("orthonormality", check, "quadrature", "resource-capped")]
+    chars = _char_batch(lams, theta)
+    gram = (chars * weights) @ chars.conj().T
+    dev = float(np.max(np.abs(gram - np.eye(len(lams)))))
+    size = np.abs(chars)
+    bound = _gamma(len(weights)) * float(np.max((size * weights) @ size.T))
+    return [_bounded("orthonormality", check, dev, bound, "quadrature", n=len(weights))]
 
 
 def _suite_poisson_char(ctx: _SuiteCtx) -> list[dict]:
@@ -484,19 +503,37 @@ def _suite_poisson_char(ctx: _SuiteCtx) -> list[dict]:
 
 
 def _suite_normalization(ctx: _SuiteCtx) -> list[dict]:
+    """The Haar mean of the trimmed kernel, which is 1, twice: on the torus
+    grid that makes it exact, and by Monte Carlo. The trimmed labels have
+    lambda_1 - lambda_d <= 2t, so the grid side is _exact_grid_n(d, 2t), and
+    the quadrature row's tolerance is the rounding of the node sum,
+    gamma_m sum w |K|."""
     if ctx.d <= _QUAD_DMAX:
         sigma, trim = 0.2, None
     else:
         sigma, trim = 1.0, 3
+    t = math.ceil(bounds.t_star(ctx.d, sigma)) if trim is None else trim
+    grid = _exact_grid_n(ctx.d, 2 * t)
+    check = f"exact sigma={sigma:g},t={t},grid={grid}"
+    try:
+        theta, weights = _torus_rows(ctx.d, grid)
+    except ResourceLimitError:
+        out = [_skip("normalization", check, "quadrature", "resource-capped")]
+    else:
+        vals, _, _ = heat_pu_char_batch(KernelParams(ctx.d, sigma, trim_t=t), theta)
+        dev = abs(float(vals @ weights) - 1.0)
+        bound = _gamma(len(weights)) * float(np.abs(vals) @ weights)
+        out = [_bounded("normalization", check, dev, bound, "quadrature", n=len(weights))]
 
     def trial(rng):
-        est = mc_normalization(ctx.d, sigma, trim, ctx.n, rng, workers=ctx.threads)
+        est = mc_normalization(ctx.d, sigma, t, ctx.n, rng, workers=ctx.threads)
         dev = abs(est.mean - 1.0)
         tol = 4.0 * est.std_error
         return dev, tol, est.std_error, est.n, est.std_error > 0 and dev <= tol
 
     check = f"sigma={sigma:g},trim={'auto' if trim is None else trim}"
-    return [_stat_check(ctx, "normalization", check, trial)]
+    out.append(_stat_check(ctx, "normalization", check, trial))
+    return out
 
 
 _SUITES = {

@@ -48,6 +48,7 @@ import numpy as np
 from . import kernels
 from .lie_core import (
     InvalidParameterError,
+    ResourceLimitError,
     _check_dimension,
     _check_eps,
     _check_int,
@@ -74,10 +75,6 @@ BLOCK_BUDGET = 10**10
 _CHUNK = 1 << 20  # complex entries per (gates x dim x dim) array of _block_norm
 _UNITARY_TOL = 1e-10
 _WEIGHT_TOL = 1e-12
-
-
-class ResourceLimitError(RuntimeError):
-    """The blocks of a design_deltas call exceed BLOCK_BUDGET."""
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,10 @@ class InvalidParameterError(ValueError):
     """Numeric argument outside its documented domain."""
 
 
+class ResourceLimitError(RuntimeError):
+    """A computation would exceed its budget; raised before its arrays are built."""
+
+
 def _is_int(value) -> bool:
     """True for int and np.integer values; bool is not an integer argument."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -22,11 +22,14 @@ exactly rounded summation in index order, so an estimate depends only on
 (seed, stream_id, n), never on how chunks are scheduled across workers.
 
 Torus quadrature is the rectangle rule on the periodic cube (-pi, pi]^{d-1}
-against the Weyl density |j|^2 / |W|; it is spectrally accurate for smooth
-class functions and exact for character polynomials below the grid
-bandwidth. The dominant-term integral I_0 restricts the same grid to the
-complement of the eigenphase box max_j |theta_j| <= eps_tilde and assembles
-its prefactor in log space; its log-sum-exp is scipy's algorithm in numpy.
+against the Weyl density |j|^2 / |W|, at any d up to a budget of 2^20
+nodes. It is spectrally accurate for smooth class functions and exact for
+class polynomials on the grid side that _exact_grid_n derives from their
+degree: 13^2 nodes for the Gram matrix of the one-norm <= 4 characters at
+d = 3, 17^4 at d = 5. The dominant-term integral I_0 is no polynomial; it
+restricts a d <= 3 grid to the complement of the eigenphase box
+max_j |theta_j| <= eps_tilde and assembles its prefactor in log space; its
+log-sum-exp is scipy's algorithm in numpy.
 The d = 2 GUE operator-norm cdf is in closed form. So the module loads no
 scipy, and neither does a CLI command that does not need it.
 """
@@ -46,6 +49,7 @@ from .lie_core import (
     TWO_PI,
     InvalidDimensionError,
     InvalidParameterError,
+    ResourceLimitError,
     _check_dimension,
     _check_eps,
     _check_int,
@@ -273,16 +277,48 @@ def mc_outside_ball(d: int, sigma: float, trim_t: int | None, eps: float, n: int
     return _mc_run(n, rng, chunk, workers=workers)
 
 
+_MAX_NODES = 1 << 20  # torus_grid nodes grid_n^(d-1); at d = 5 its arrays then take about 0.13 GB
+
+
+def _exact_grid_n(d: int, spread: int) -> int:
+    """Smallest torus_grid side on which the rule is exact for every class
+    function f of spread at most spread: f is a sum of e^{i <nu, theta>}
+    over weights nu with nu_j - nu_k <= spread for all j, k.
+
+    A node is phi in (2 pi / N) Z^{d-1} with theta_d = -sum(phi), so the
+    term e^{i <nu, theta>} is e^{i sum_j (nu_j - nu_d) phi_j}. Summed over
+    the N^{d-1} nodes it vanishes unless N divides every exponent
+    nu_j - nu_d, so the rule integrates it exactly, to 1 if the exponents
+    are all 0 and to 0 otherwise, when every |nu_j - nu_d| < N (the
+    trapezoidal rule on a period; Trefethen and Weideman, SIAM Review 56,
+    385, 2014). torus_grid's weights carry the Weyl density |Delta|^2 / d!,
+    and Delta's monomials are the permutations of (d - 1, ..., 1, 0), so
+    each of its two factors adds at most d - 1. The weights of chi_lambda
+    lie in the convex hull of the Weyl orbit of lambda, so its spread is
+    lambda_1 - lambda_d, and that of conj(chi_mu) is mu_1 - mu_d. So
+    f = chi_lambda conj(chi_mu) |Delta|^2 has |nu_j - nu_d| <= D =
+    (lambda_1 - lambda_d) + (mu_1 - mu_d) + 2 (d - 1), and N = D + 1 is the
+    smallest side with no alias. The bound is attained at d = 2, where
+    N = D leaves the Gram matrix of the one-norm <= 8 labels off by 1.
+    """
+    return _check_int("spread", spread) + 2 * (d - 1) + 1
+
+
 def _check_grid(d, grid_n) -> tuple[int, int]:
-    d = _check_dimension(d)
-    if d > 3:
-        raise InvalidDimensionError("grid quadrature supports d in {2, 3}; use Monte Carlo")
-    return d, _check_int("grid_n", grid_n, 2)
+    return _check_dimension(d), _check_int("grid_n", grid_n, 2)
 
 
 def torus_grid(d: int, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform torus nodes (m, d-1) and Weyl-density weights (m,) summing to ~1."""
+    """Uniform torus nodes (m, d-1) and Weyl-density weights (m,) summing to ~1.
+
+    m = grid_n^(d-1) nodes at any d; over _MAX_NODES this raises
+    ResourceLimitError before any array is built. _exact_grid_n gives the
+    side on which the rule is exact for a class polynomial.
+    """
     d, grid_n = _check_grid(d, grid_n)
+    nodes = grid_n ** (d - 1)
+    if nodes > _MAX_NODES:
+        raise ResourceLimitError(f"torus grid of {grid_n}^{d - 1} = {nodes} nodes exceeds the node budget {_MAX_NODES}")
     axis = -math.pi + TWO_PI * np.arange(grid_n) / grid_n
     grids = np.meshgrid(*([axis] * (d - 1)), indexing="ij")
     phi = np.stack([g.ravel() for g in grids], axis=1)
@@ -291,7 +327,7 @@ def torus_grid(d: int, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     for i in range(d):
         for j in range(i + 1, d):
             density *= 4.0 * np.sin((theta[:, i] - theta[:, j]) / 2.0) ** 2
-    weights = density / (math.factorial(d) * grid_n ** (d - 1))
+    weights = density / (math.factorial(d) * nodes)
     return phi, weights
 
 
@@ -302,9 +338,13 @@ def numeric_I0(d: int, sigma: float, eps: float, grid_n: int) -> float:
     coordinate cube minus {max_j |theta_j| <= eps_tilde} of
     |j| * |prod of root values| * exp(-|X|^2 / 4 sigma), with the
     prefactor kept in log space. The unwrapped last phase -sum(phi) sets
-    box membership, so for d = 3 the cube corners stay in the domain.
+    box membership, so for d = 3 the cube corners stay in the domain. The
+    integrand is no polynomial, so no grid side makes the rule exact; the
+    grids it needs do not scale past d = 3, which it refuses.
     """
     d, grid_n = _check_grid(d, grid_n)
+    if d > 3:
+        raise InvalidDimensionError("numeric_I0 supports d in {2, 3}")
     et = eps_tilde(eps)
     lp = log_prefactor(d, sigma)
     phi, _ = torus_grid(d, grid_n)

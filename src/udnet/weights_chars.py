@@ -233,9 +233,9 @@ class _SumPlan(NamedTuple):
     Against the general layout at d = 3 (2-vCPU Intel Xeon, 1 BLAS thread,
     medians of 15 interleaved runs, 2 runs) the run layout takes the t = 78
     plan at 5,000 points in 42-52 ms for 139-163 ms and a warm kernel query
-    in 8-23 % less time; the 5-column orthonormality call is 5-9 % slower.
-    A plan that leaves a residue empty would pad a class of zero rows and
-    read longer power tables, so it keeps the general layout.
+    in 8-23 % less time. A plan that leaves a residue empty would pad a
+    class of zero rows and read longer power tables, so it keeps the
+    general layout.
     """
 
     heads: np.ndarray  # (d - 2, G)
@@ -518,12 +518,9 @@ def _char_sum(plan: _SumPlan, theta: np.ndarray, real: bool = False) -> np.ndarr
     point block. Against the d! terms it replaced, on a 2-vCPU Intel Xeon
     with 1 BLAS thread (medians of interleaved runs in one process on a
     shared host): the 3,121-weight t = 78 plan at 5,000 Haar points takes
-    about 47-57 ms for 81-87 ms; the 5 characters of one-norm <= 4 on the
-    16,384 nodes of a 128^2 torus grid, one 5-column call, 25-27 ms for
-    28-30 ms; a one-point kernel query at sigma = 0.02 or 0.1, 13-30 %
-    less at a regular point and 7-13 % less at a confluent one. The 5
-    characters as 5 one-column calls, which take the general layout, cost
-    about the same: best 42 ms on both sides, median 52 ms for 48 ms.
+    about 47-57 ms for 81-87 ms; a one-point kernel query at sigma = 0.02
+    or 0.1, 13-30 % less at a regular point and 7-13 % less at a confluent
+    one.
     """
     theta = np.asarray(theta, dtype=float)
     k, groups, width = plan.rows.shape

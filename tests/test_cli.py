@@ -22,6 +22,7 @@ import pytest
 import udnet
 import udnet.cli as cli
 import udnet.design_tester as design_tester
+import udnet.weights_chars as weights_chars
 from udnet import bounds
 from udnet.cli import main
 from udnet.design_tester import WeightedGateSet, gate_set_to_json
@@ -361,6 +362,73 @@ def test_validate_skips_unsupported_dimension(capsys):
     assert all(r["status"] == "skipped" for r in rows)
 
 
+def _validate_rows(capsys, suite, d):
+    assert main(["validate", "--suite", suite, "--d", str(d), "--n", "200", "--seed", "1", "--threads", "1"]) in (0, 1)
+    return _json_out(capsys)["results"]
+
+
+@pytest.mark.parametrize("d, grid", [(2, 19), (3, 13), (4, 15), (5, 17)])
+def test_orthonormality_row_runs_on_the_exact_grid(capsys, d, grid):
+    (row,) = _validate_rows(capsys, "orthonormality", d)
+    assert row["check"].endswith(f",grid={grid}") and row["n"] == grid ** (d - 1)
+    assert row["status"] == "pass" and row["provenance"] == "quadrature"
+    # the tolerance is the rounding of a sum over the nodes, at least
+    # m u, where the Gram diagonal's sum of w |chi|^2 is 1
+    assert grid ** (d - 1) * 2.0**-53 <= row["bound"] < 1e-10
+    assert row["measured"] <= row["bound"]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_orthonormality_row_fails_on_a_dropped_weight(capsys, monkeypatch, d):
+    real = weights_chars._char_sum_plan
+    monkeypatch.setattr(weights_chars, "_char_sum_plan", lambda lams, coeff: real(lams[:-1], coeff[:, :-1]))
+    (row,) = _validate_rows(capsys, "orthonormality", d)
+    assert row["status"] == "fail" and row["measured"] == pytest.approx(1.0)
+
+
+def test_orthonormality_row_fails_on_a_wrong_weyl_density(capsys, monkeypatch):
+    real = cli.torus_grid
+
+    def cubed(d, grid_n):
+        # |Delta|^3 in place of |Delta|^2
+        phi, w = real(d, grid_n)
+        theta = np.concatenate([phi, -phi.sum(axis=1, keepdims=True)], axis=1)
+        i, j = np.triu_indices(d, 1)
+        return phi, w * np.prod(2.0 * np.abs(np.sin((theta[:, i] - theta[:, j]) / 2.0)), axis=1)
+
+    monkeypatch.setattr(cli, "torus_grid", cubed)
+    (row,) = _validate_rows(capsys, "orthonormality", 3)
+    assert row["status"] == "fail" and row["measured"] > 0.1
+
+
+@pytest.mark.parametrize("d, check", [
+    (2, "exact sigma=0.2,t=14,grid=31"),
+    (3, "exact sigma=0.2,t=35,grid=75"),
+    (4, "exact sigma=1,t=3,grid=13"),
+    (5, "exact sigma=1,t=3,grid=15"),
+])
+def test_exact_normalization_row_passes(capsys, d, check):
+    exact, _ = _validate_rows(capsys, "normalization", d)
+    assert (exact["check"], exact["status"], exact["provenance"]) == (check, "pass", "quadrature")
+    assert exact["n"] == int(check.rsplit("=", 1)[1]) ** (d - 1)
+    assert exact["measured"] <= exact["bound"] < 1e-9
+
+
+def test_exact_normalization_row_fails_one_grid_side_short(capsys, monkeypatch):
+    # at d = 2 the t = 14 kernel's top terms alias on 30 nodes
+    real = cli._exact_grid_n
+    monkeypatch.setattr(cli, "_exact_grid_n", lambda d, spread: real(d, spread) - 1)
+    exact, _ = _validate_rows(capsys, "normalization", 2)
+    assert exact["check"] == "exact sigma=0.2,t=14,grid=30"
+    assert exact["status"] == "fail" and exact["measured"] > 1e-9
+
+
+def test_quadrature_rows_over_the_node_budget_skip(capsys):
+    # d = 6 needs 19^5 nodes for the Gram matrix, over the 2^20 budget
+    (row,) = _validate_rows(capsys, "orthonormality", 6)
+    assert (row["check"], row["status"], row["note"]) == ("gram l1<=4,grid=19", "skipped", "resource-capped")
+
+
 def test_trimming_rows_never_pass_on_zero(capsys):
     # trimming_error reads 0.0 when the whole tail is below its resolution;
     # such a row is skipped with a note instead of passing
@@ -407,8 +475,9 @@ _SUITE_ALL_ROWS = {
         ("gue", "tail r=4.24264", "pass"),
         ("gue", "tail r=5.65685", "pass"),
         ("gue", "cdf r=1.5", "pass"),
-        ("orthonormality", "gram l1<=8,grid=512", "pass"),
+        ("orthonormality", "gram l1<=8,grid=19", "pass"),
         ("poisson-char", "sigma=0.1,points=10", "pass"),
+        ("normalization", "exact sigma=0.2,t=14,grid=31", "pass"),
         ("normalization", "sigma=0.2,trim=auto", "pass"),
     ],
     3: [
@@ -427,8 +496,9 @@ _SUITE_ALL_ROWS = {
         ("gue", "tail r=5.19615", "pass"),
         ("gue", "tail r=6.9282", "pass"),
         ("gue", "cdf", "skipped"),
-        ("orthonormality", "gram l1<=4,grid=128", "pass"),
+        ("orthonormality", "gram l1<=4,grid=13", "pass"),
         ("poisson-char", "sigma=0.1,points=10", "pass"),
+        ("normalization", "exact sigma=0.2,t=35,grid=75", "pass"),
         ("normalization", "sigma=0.2,trim=auto", "pass"),
     ],
     4: [
@@ -441,8 +511,9 @@ _SUITE_ALL_ROWS = {
         ("gue", "tail r=6", "pass"),
         ("gue", "tail r=8", "pass"),
         ("gue", "cdf", "skipped"),
-        ("orthonormality", "d=4", "skipped"),
+        ("orthonormality", "gram l1<=4,grid=15", "pass"),
         ("poisson-char", "sigma=2,points=10", "pass"),
+        ("normalization", "exact sigma=1,t=3,grid=13", "pass"),
         ("normalization", "sigma=1,trim=3", "pass"),
     ],
 }

@@ -19,10 +19,11 @@ from scipy.special import logsumexp
 from scipy.stats import ks_2samp
 
 from udnet.design_tester import _haar_su
-from udnet.lie_core import TWO_PI, InvalidDimensionError, InvalidParameterError, _min_gaps
+from udnet.lie_core import TWO_PI, InvalidDimensionError, InvalidParameterError, ResourceLimitError, _min_gaps
 from udnet.montecarlo import (
     McEstimate,
     RngStream,
+    _exact_grid_n,
     _dp_to_identity,
     _gue_eigenvalues,
     _haar_eigenphases,
@@ -34,6 +35,7 @@ from udnet.montecarlo import (
     numeric_I0,
     torus_grid,
 )
+from udnet.weights_chars import _char_batch, enumerate_projective_weights
 
 from oracles import gue_traceless, haar_eigenphases_qr, projective_distance, torus_quadrature
 
@@ -185,10 +187,68 @@ def test_torus_grid_shapes_and_weight_normalization():
     phi3, w3 = torus_grid(3, 24)
     assert phi3.shape == (24 * 24, 2)
     assert w3.sum() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(InvalidDimensionError):
-        torus_grid(4, 8)
+    # |Delta|^2 has spread 2(d - 1), so the weights' sum, the Haar measure
+    # of the group, is exact from _exact_grid_n(d, 0) = 2d - 1 on
+    for d, grid in ((4, 7), (4, 8), (5, 9), (5, 12)):
+        phi, w = torus_grid(d, grid)
+        assert phi.shape == (grid ** (d - 1), d - 1) and w.shape == (grid ** (d - 1),)
+        assert abs(w.sum() - 1.0) <= 1e-14
+        assert np.all(w >= 0.0) and np.all(np.abs(phi) <= math.pi)
+    assert _exact_grid_n(4, 0) == 7 and _exact_grid_n(5, 0) == 9
+    with pytest.raises(ResourceLimitError, match="node budget"):
+        torus_grid(4, 102)  # 102^3 > 2^20 nodes
     with pytest.raises(InvalidParameterError):
         torus_grid(2, 1)
+
+
+def test_torus_grid_node_cap_raises_before_any_array(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    for d, grid in ((2, (1 << 20) + 1), (3, 1025), (5, 33), (12, 4)):
+        assert grid ** (d - 1) > 1 << 20
+        with pytest.raises(ResourceLimitError, match="exceeds the node budget"):
+            torus_grid(d, grid)
+    with pytest.raises(AssertionError, match="the grid was built"):
+        torus_grid(5, 32)  # 32^4 = 2^20 nodes are within the budget
+
+
+def test_numeric_I0_still_refuses_d4():
+    with pytest.raises(InvalidDimensionError, match="numeric_I0"):
+        numeric_I0(4, 0.05, 1.0, 8)
+
+
+def _gram_deviation(d: int, t: int, grid: int) -> tuple[float, float]:
+    """max |Gram - I| of the one-norm <= 2t characters on the grid, and the
+    rounding of each entry's node sum, gamma_m max sum w |chi_a| |chi_b|."""
+    lams = np.array([w.lam for w in enumerate_projective_weights(d, t)])
+    phi, w = torus_grid(d, grid)
+    theta = np.concatenate([phi, -phi.sum(axis=1, keepdims=True)], axis=1)
+    chars = _char_batch(lams, theta)
+    dev = float(np.abs((chars * w) @ chars.conj().T - np.eye(len(lams))).max())
+    m_u = len(w) * 2.0**-53
+    size = np.abs(chars)
+    return dev, m_u / (1.0 - m_u) * float(((size * w) @ size.T).max())
+
+
+@pytest.mark.parametrize("d, t", [(2, 4), (3, 2), (4, 2), (5, 2)])
+def test_exact_grid_n_makes_the_gram_matrix_exact(d, t):
+    # the labels of one-norm <= 2t have lambda_1 - lambda_d <= 2t, so
+    # chi_a conj(chi_b) has spread <= 4t
+    grid = _exact_grid_n(d, 4 * t)
+    assert grid == 4 * t + 2 * (d - 1) + 1
+    dev, bound = _gram_deviation(d, t, grid)
+    assert dev <= bound < 1e-10
+
+
+def test_exact_grid_n_is_tight_at_d2():
+    # chi_(4,-4) conj(chi_(4,-4)) |Delta|^2 holds e^{+-18 i phi}, which a grid
+    # of 18 nodes aliases onto the constant term
+    grid = _exact_grid_n(2, 16)
+    assert grid == 19
+    dev, _ = _gram_deviation(2, 4, grid - 1)
+    assert dev == pytest.approx(1.0, abs=1e-12)
 
 
 def test_torus_quadrature_of_constant():
