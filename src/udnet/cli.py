@@ -452,9 +452,19 @@ def _gamma(m: int) -> float:
 
 
 def _torus_rows(d: int, grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigenphase rows (m, d) and Weyl weights (m,) of torus_grid."""
+    """Full eigenphase rows (m, d) and Weyl weights (m,) of torus_grid, less
+    the nodes where two eigenphases meet. A node's phases are 2 pi a / grid
+    - pi, so grid theta / pi is an integer c, and two eigenphases meet when
+    c_i = c_j mod 2 grid. There the exact Weyl density is 0 (its float
+    weight is at most 6e-33), so the rule stays exact without them. They
+    are 1 of 19 nodes at d = 2, 13 of 13^2, 1,191 of 15^3 and 26,401 of
+    17^4 on the orthonormality grids."""
     nodes, weights = torus_grid(d, grid)
-    return np.concatenate([nodes, -nodes.sum(axis=1, keepdims=True)], axis=1), weights
+    theta = np.concatenate([nodes, -nodes.sum(axis=1, keepdims=True)], axis=1)
+    c = np.rint(theta * (grid / math.pi)).astype(np.int64)
+    i, j = np.triu_indices(d, 1)
+    apart = np.all((c[:, i] - c[:, j]) % (2 * grid) != 0, axis=1)
+    return theta[apart], weights[apart]
 
 
 def _suite_orthonormality(ctx: _SuiteCtx) -> list[dict]:

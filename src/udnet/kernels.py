@@ -278,13 +278,10 @@ def _build_char_plan(p: KernelParams) -> _CharPlan:
     The trivial weight is added exactly, as 1 * c_0, so the normalization
     stays exact. Skipped weights lie in the outer shells, where labels are
     widest, so skipping narrows the polynomial of _char_sum as well as
-    shortening its grouping. At d = 3, sigma = 0.02 it keeps 5,730 of 8,450
-    weights, and a cold regular-point query (plan included) takes 2.7-3.2 ms
-    against 3.7-4.1 ms without skipping (best of 7 x 100 points, 1 BLAS
-    thread, 2-vCPU Intel Xeon). At sigma = 0.1 (1,011 of 1,513 kept) the two
-    times are within noise. The plan keeps only the residue-split
-    polynomial of _char_sum_plan, which serves regular and confluent points
-    alike: 87 kB at d = 3, sigma = 0.02 (195 rows of 54) and 16 kB at
+    shortening its grouping. At d = 3 it keeps 5,730 of 8,450 weights at
+    sigma = 0.02 and 1,011 of 1,513 at sigma = 0.1. The plan keeps only the
+    residue-split polynomial of _char_sum_plan, which serves regular and
+    confluent points alike: 87 kB at d = 3, sigma = 0.02 (195 rows of 54) and 16 kB at
     sigma = 0.1 (81 of 23). Raises TruncationError before any label row is
     built when the cutoff needs more than _MAX_TERMS weights or d is too
     large for the determinant expansion (_check_expansion), and before any
@@ -394,10 +391,10 @@ def _char_eval(p: KernelParams, theta_rows: np.ndarray) -> tuple[np.ndarray, flo
     regular points and the Jacobi-Trudi form at eigenphase gaps below
     GAP_TOL and where the alternant's predicted rounding is above
     _RESIDUE_CEILING, so no (weights x points) character matrix is built.
-    At d = 3 a warm query takes 0.08-0.18 ms at a regular or a confluent
-    point, at sigma = 0.02 and 0.1 alike, against 2.0-3.1 ms and 0.7-1.3 ms
-    cold (best of 7 x 100 queries, 1 BLAS thread, 2-vCPU Intel Xeon, 3 runs
-    on a shared host). The sum is real, so a point that _char_sum routes
+    At d = 3 a warm query takes 0.10-0.20 ms at a regular or a confluent
+    point, at sigma = 0.02 and 0.1 alike (best of 7 x 100 queries, 1 BLAS
+    thread, 2-vCPU Intel Xeon, 3 runs on a shared host). The sum is real,
+    so a point that _char_sum routes
     to the h tables keeps the alternant where its imaginary part is the
     smaller. The imaginary residue is checked on every call, as a backstop.
     """

@@ -308,12 +308,11 @@ def _check_grid(d, grid_n) -> tuple[int, int]:
     return _check_dimension(d), _check_int("grid_n", grid_n, 2)
 
 
-def torus_grid(d: int, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform torus nodes (m, d-1) and Weyl-density weights (m,) summing to ~1.
+def _torus_nodes(d: int, grid_n: int) -> np.ndarray:
+    """Uniform torus nodes (m, d-1), each phase on -pi + 2 pi a / grid_n.
 
     m = grid_n^(d-1) nodes at any d; over _MAX_NODES this raises
-    ResourceLimitError before any array is built. _exact_grid_n gives the
-    side on which the rule is exact for a class polynomial.
+    ResourceLimitError before any array is built.
     """
     d, grid_n = _check_grid(d, grid_n)
     nodes = grid_n ** (d - 1)
@@ -321,13 +320,22 @@ def torus_grid(d: int, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ResourceLimitError(f"torus grid of {grid_n}^{d - 1} = {nodes} nodes exceeds the node budget {_MAX_NODES}")
     axis = -math.pi + TWO_PI * np.arange(grid_n) / grid_n
     grids = np.meshgrid(*([axis] * (d - 1)), indexing="ij")
-    phi = np.stack([g.ravel() for g in grids], axis=1)
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def torus_grid(d: int, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform torus nodes (m, d-1) of _torus_nodes and Weyl-density weights
+    (m,) summing to ~1. _exact_grid_n gives the side on which the rule is
+    exact for a class polynomial.
+    """
+    d, grid_n = _check_grid(d, grid_n)
+    phi = _torus_nodes(d, grid_n)
     theta = np.concatenate([phi, -phi.sum(axis=1, keepdims=True)], axis=1)
     density = np.ones(phi.shape[0])
     for i in range(d):
         for j in range(i + 1, d):
             density *= 4.0 * np.sin((theta[:, i] - theta[:, j]) / 2.0) ** 2
-    weights = density / (math.factorial(d) * nodes)
+    weights = density / (math.factorial(d) * phi.shape[0])
     return phi, weights
 
 
@@ -347,7 +355,7 @@ def numeric_I0(d: int, sigma: float, eps: float, grid_n: int) -> float:
         raise InvalidDimensionError("numeric_I0 supports d in {2, 3}")
     et = eps_tilde(eps)
     lp = log_prefactor(d, sigma)
-    phi, _ = torus_grid(d, grid_n)
+    phi = _torus_nodes(d, grid_n)
     theta = np.concatenate([phi, -phi.sum(axis=1, keepdims=True)], axis=1)
     outside = np.abs(theta).max(axis=1) > et
     if not outside.any():

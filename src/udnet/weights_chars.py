@@ -31,7 +31,7 @@ from the power tables by cumulative sums. For real sums such a point keeps
 whichever form has the smaller imaginary part. No complex exp is taken per
 weight. One call evaluates k polynomials on one grouping (rows of shape
 (k, G, width)): the power tables and the matmuls are shared by all k, and
-points run in blocks of at most _BLOCK entries per eigenvalue and array. A
+points run in blocks whose whole working set stays within _BLOCK_BYTES. A
 kernel is one column; the per-weight characters of _char_batch are k
 one-weight polynomials, the identity coefficients on the union of their
 labels.
@@ -231,9 +231,9 @@ class _SumPlan(NamedTuple):
     or at d = 3 the h0 of a run layout: three classes of equal length, the
     one of residue 2 - i with the heads h0 + i + 3 j (zero rows fill gaps).
     Against the general layout at d = 3 (2-vCPU Intel Xeon, 1 BLAS thread,
-    medians of 15 interleaved runs, 2 runs) the run layout takes the t = 78
-    plan at 5,000 points in 42-52 ms for 139-163 ms and a warm kernel query
-    in 8-23 % less time. A plan that leaves a residue empty would pad a
+    medians of 15 interleaved runs) the run layout takes the t = 78 plan at
+    5,000 points in 45 ms for 185 ms, and at one point in 0.16 ms for
+    0.18 ms. A plan that leaves a residue empty would pad a
     class of zero rows and read longer power tables, so it keeps the
     general layout.
     """
@@ -302,16 +302,18 @@ def _char_sum_plan(lams: np.ndarray, coeff: np.ndarray) -> _SumPlan:
     return _SumPlan(heads, resid, rows.reshape(len(coeff), groups, width), classes, mass, size, run)
 
 
-def _class_values(tables: np.ndarray, plan: _SumPlan) -> np.ndarray:
-    """Each row's polynomial at every table, (len(tables), k, G, n): the rows
-    of class r read the powers r + d q, one real matmul per class on the
-    interleaved real view of the stride-d table rows."""
+def _class_values(tables: np.ndarray, plan: _SumPlan, lo: int, hi: int) -> np.ndarray:
+    """The polynomials of rows lo:hi at every table, (len(tables), k, hi - lo,
+    n): the rows of class r read the powers r + d q, one real matmul per
+    class on the interleaved real view of the stride-d table rows."""
     d = len(plan.heads) + 2
-    k, groups, width = plan.rows.shape
-    out = np.empty((len(tables), k, groups, tables.shape[2]), dtype=complex)
-    for r, lo, hi in plan.classes:
-        powers = tables[:, None, r::d][:, :, :width].view(float)
-        np.matmul(plan.rows[:, lo:hi], powers, out=out[:, :, lo:hi].view(float))
+    k, _, width = plan.rows.shape
+    out = np.empty((len(tables), k, hi - lo, tables.shape[2]), dtype=complex)
+    for r, first, last in plan.classes:
+        first, last = max(first, lo), min(last, hi)
+        if last > first:
+            powers = tables[:, None, r::d][:, :, :width].view(float)
+            np.matmul(plan.rows[:, first:last], powers, out=out[:, :, first - lo : last - lo].view(float))
     return out
 
 
@@ -350,27 +352,56 @@ def _minor_steps(rows: int, ones: bool) -> tuple[tuple, np.ndarray]:
     return tuple(steps), eps
 
 
-def _cofactors(tables, plan: _SumPlan, ones: bool) -> np.ndarray:
-    """eps_b E(R - b) of _minor_steps for every row b of tables, (rows, G, n),
-    where the entry of row b in head column j is tables[b, heads[j, g]]."""
+def _cofactors(tables, plan: _SumPlan, ones: bool, lo: int, hi: int) -> np.ndarray:
+    """eps_b E(R - b) of _minor_steps for every row b of tables, (rows, hi -
+    lo, n), where the entry of row b in head column j is tables[b, heads[j,
+    g]] for the plan rows g in lo:hi."""
     rows, _, n = tables.shape
+    heads = plan.heads[:, lo:hi]
     steps, eps = _minor_steps(rows, ones)
     e = np.ones((rows, 1, 1))
     for j, picks, subs in steps:
-        col = tables[:, plan.heads[j]]
-        acc = None
-        for r, pick in enumerate(picks):
-            term = col[pick]
-            if subs is not None:
-                term *= e[subs[r]]
-            if acc is None:
-                acc = term
-            elif r % 2:
-                acc -= term
-            else:
-                acc += term
-        e = acc
-    return np.multiply(e, eps, out=np.empty((rows, len(plan.resid), n), dtype=complex))
+        e = _laplace_level(np.take(tables, heads[j], axis=1), picks, subs, e)
+    return np.multiply(e, eps, out=np.empty((rows, hi - lo, n), dtype=complex))
+
+
+def _laplace_level(col: np.ndarray, picks: tuple, subs: tuple | None, e: np.ndarray) -> np.ndarray:
+    """One level of _minor_steps: sum_r (-1)^r col[S[r]] E(S - S[r]) on
+    every subset S, in one sum and two scratch arrays of the level's size.
+    The gathers take mode="clip", as mode="raise" buffers its output."""
+    acc = np.take(col, picks[0], axis=0)
+    term = np.empty_like(acc)
+    factor = None if subs is None else np.empty_like(acc)
+    if subs is not None:
+        acc *= np.take(e, subs[0], axis=0, out=factor, mode="clip")
+    for r in range(1, len(picks)):
+        np.take(col, picks[r], axis=0, out=term, mode="clip")
+        if subs is not None:
+            term *= np.take(e, subs[r], axis=0, out=factor, mode="clip")
+        if r % 2:
+            acc -= term
+        else:
+            acc += term
+    return acc
+
+
+def _expanded_sum(tables, plan: _SumPlan, ones: bool) -> np.ndarray:
+    """sum_b sum_g (row g's polynomial at table b) cofactor_b[g], (k, n), for
+    a general layout plan: _class_values times _cofactors, on at most
+    _block_shape's rows at a time. Each row's d products are summed before
+    the rows are. Against one contraction over rows and tables together,
+    that halves the mean imaginary residue of a d = 4, sigma = 0.1 kernel
+    at 1,500 Haar points, and cuts its largest from 1.0e-9 to 1.8e-10 of
+    the value in blocks of one point."""
+    groups = len(plan.resid)
+    chunk = _block_shape(plan)[1]
+    num = 0
+    for lo in range(0, groups, chunk):
+        hi = min(lo + chunk, groups)
+        terms = _class_values(tables, plan, lo, hi)
+        terms *= _cofactors(tables, plan, ones, lo, hi)[:, None]
+        num = num + terms.sum(axis=0).sum(axis=1)
+    return num
 
 
 @_functools.cache
@@ -395,27 +426,35 @@ def _run_sum(buf: np.ndarray, rows: int, step: int, plan: _SumPlan, ones: bool) 
     With cofactor_b = sum_e S[b, e] x_e^h (_run_terms) the sum regroups as
     sum_e sum_(i, q) (sum_b S[b, e] x_b^(2 - i + 3 q)) Z_e[i, q], where
     Z_e[i, q] = sum_j rows[i, j, q] x_e^(h0 + i + 3 j) is one real matmul
-    over the head powers, a strided view of buf; the signed powers are d
-    differences of table rows. No array of the rows' length is formed.
+    over the head powers, a strided view of buf; the signed powers are
+    differences of table rows. Each eigenvalue e forms its Z_e and signed
+    powers in turn and adds its term to the result, so at most one of each
+    is held. No array of the rows' length is formed.
     """
     n = buf.shape[-1]
     k, groups, width = plan.rows.shape
     span = groups // 3
     row = buf.strides[-2]
+    coeffs = plan.rows.reshape(k, 3, span, width).transpose(0, 1, 3, 2)
     heads = np.ndarray((rows, 1, 3, span, 2 * n), float, buf, plan.run * row, (step * row, 0, row, 3 * row, 8))
-    z = (plan.rows.reshape(k, 3, span, width).transpose(0, 1, 3, 2) @ heads).view(complex)
     flat = buf.reshape(-1, n)
     tables = [flat[b * step : b * step + 3 * width] for b in range(rows)]
-    signed = np.empty((rows, 3 * width, n), dtype=complex)
+    z = np.empty((k, 3, width, 2 * n))
+    terms = z.view(complex)
+    signed = np.empty((3 * width, n), dtype=complex)
+    powers = np.ndarray((3, width, n), complex, signed, 2 * row, (-row, 3 * row, 16))
+    out = np.zeros((k, n), dtype=complex)
     for e, (plus, minus) in enumerate(_run_terms(rows, ones)):
+        np.matmul(coeffs, heads[e], out=z)
         if minus is None:
-            np.copyto(signed[e], tables[plus])
+            np.copyto(signed, tables[plus])
         elif plus is None:
-            np.negative(tables[minus], out=signed[e])
+            np.negative(tables[minus], out=signed)
         else:
-            np.subtract(tables[plus], tables[minus], out=signed[e])
-    powers = np.ndarray((rows, 3, width, n), complex, signed, 2 * row, (3 * width * row, -row, 3 * row, 16))
-    return np.einsum("ekiqn,eiqn->kn", z, powers)
+            np.subtract(tables[plus], tables[minus], out=signed)
+        terms *= powers
+        out += terms.sum(axis=(1, 2))
+    return out
 
 
 def _horner_ratio(plan: _SumPlan, theta: np.ndarray) -> np.ndarray:
@@ -461,7 +500,7 @@ def _alternant_ratio(tab: np.ndarray, plan: _SumPlan, skip: np.ndarray, out: np.
     if plan.run is not None:
         num = _run_sum(tab, d, size, plan, True)
     else:
-        num = np.einsum("bkgn,bgn->kn", _class_values(tab, plan), _cofactors(tab, plan, True))
+        num = _expanded_sum(tab, plan, True)
     i, j = _pairs(d)
     vdm = np.prod(tab[i, 1] - tab[j, 1], axis=0)
     limit = plan.mass * (_UNIT_ROUNDOFF * math.factorial(d) / _RESIDUE_CEILING)
@@ -474,23 +513,70 @@ def _jacobi_trudi(tab: np.ndarray, plan: _SumPlan) -> np.ndarray:
     """The Jacobi-Trudi form, finite at coincident eigenphases: the table
     h[b][m] = h_{m - (d-1) + b}(x) replaces x_b^m. One cumulative sum per
     further variable gives h_k(x_1..x_i) = x_i^k sum_{a <= k} conj(x_i^a)
-    h_a(x_1..x_{i-1}) from the power tables. As h[b][0] = [b = d-1], the
-    determinant is its (d-1) x (d-1) minor without the column of mu = 0,
-    expanded along the polynomial column as in _alternant_ratio. Nothing is
-    divided."""
+    h_a(x_1..x_{i-1}) from the power tables, in place in one table and one
+    scratch array. As h[b][0] = [b = d-1], the determinant is its (d-1) x
+    (d-1) minor without the column of mu = 0, expanded along the polynomial
+    column as in _alternant_ratio. Nothing is divided."""
     d, _, n = tab.shape
-    h = tab[0, : plan.size]
-    for x in tab[1:, : plan.size]:
-        h = x * np.cumsum(x.conj() * h, axis=0)
     pad = np.zeros((plan.size + d - 1, n), dtype=complex)  # zero below degree 0
-    pad[d - 1 :] = h
+    h = pad[d - 1 :]
+    h[...] = tab[0, : plan.size]
+    scratch = np.empty_like(h)
+    for x in tab[1:, : plan.size]:
+        np.conjugate(x, out=scratch)
+        scratch *= h
+        np.cumsum(scratch, axis=0, out=scratch)
+        np.multiply(x, scratch, out=h)
+    del scratch  # freed before the contraction
     if plan.run is not None:
         return _run_sum(pad, d - 1, 1, plan, False)
     hv = np.ndarray((d - 1, plan.size, n), complex, pad, 0, (pad.strides[0],) + pad.strides)
-    return np.einsum("bkgn,bgn->kn", _class_values(hv, plan), _cofactors(hv, plan, False))
+    return _expanded_sum(hv, plan, False)
 
 
-_BLOCK = 1 << 16  # complex entries per eigenvalue of each per-block array of _char_sum
+# Bytes that one block of _char_sum holds across its temporaries
+# (_block_shape): one core's L2 on the 2-vCPU Intel Xeon it was tuned on.
+# Interleaved against 1 and 4 MiB (1 BLAS thread), the t = 78 batch at
+# 5,000 points took 40.0 ms for 45.3 and 39.1, and 1,000 points at d = 4,
+# sigma = 0.3, 180 ms for 218 and 209.
+_BLOCK_BYTES = 1 << 21
+
+
+def _block_shape(plan: _SumPlan) -> tuple[int, int]:
+    """(points, plan rows) of one block of _char_sum, so that the block's
+    working set stays within _BLOCK_BYTES. Counted in complex entries, a
+    point holds:
+    - the power tables, with the baby and giant steps they are built from;
+    - a few arrays of k or d^2 entries: the values, the Vandermonde and the
+      routing masks;
+    - in case it is routed (every point of a block may be), its copy of the
+      tables and the h table with its scratch array;
+    - in the run layout, one eigenvalue's head GEMM output and signed
+      powers, 3 width (k + 1);
+    - in the general layout, per plan row, the class values (d k) and the
+      cofactor levels: the level before, the head column, and the level
+      being summed with its term and gathered factor, d + 4 C(d, d/2). The
+      Jacobi-Trudi form holds the same one size smaller.
+    A sixteenth of the budget is left for the call's point masks and its
+    Python objects. When one point's rows exceed the rest the block is one
+    point, and the general layout takes its rows in chunks that fit. The
+    count is integer arithmetic on the plan: a one-point call allocates
+    nothing for it.
+    """
+    d = len(plan.heads) + 2
+    k, groups, width = plan.rows.shape
+    step = math.isqrt(max(plan.size - 1, 0)) + 1
+    tables = d * (step + -(-plan.size // step) * (step + 1))
+    point = tables + 4 * k + d * d + d * plan.size + 2 * (plan.size + d)
+    if plan.run is not None:
+        point, per_row = point + 3 * width * (k + 1), 0
+    else:
+        per_row = d * k + d + 4 * math.comb(d, d // 2)
+    cap = _BLOCK_BYTES * 15 // (16 * 16)  # 15/16 of the budget, in complex entries of 16 bytes
+    need = point + groups * per_row
+    if need <= cap or not per_row:
+        return max(1, cap // need), groups
+    return 1, max(1, (cap - point) // per_row)
 
 
 def _char_sum(plan: _SumPlan, theta: np.ndarray, real: bool = False) -> np.ndarray:
@@ -510,46 +596,41 @@ def _char_sum(plan: _SumPlan, theta: np.ndarray, real: bool = False) -> np.ndarr
     part is the smaller. At d = 2 the regular points take _horner_ratio,
     which needs no tables and keeps a kernel's ratio exactly real, with no
     routing: there a value at the rounding floor passes the residue check
-    as before. Points run in blocks sized so that no array holds more than
-    _BLOCK entries per eigenvalue: the power tables, the (k, G, points)
-    polynomial values or their d = 3 run sums, and the cofactor levels.
-    None grows with the weight count. The cost is the power tables, the
-    matmuls over 1/d of the dense coefficient grid and one contraction per
-    point block. Against the d! terms it replaced, on a 2-vCPU Intel Xeon
-    with 1 BLAS thread (medians of interleaved runs in one process on a
-    shared host): the 3,121-weight t = 78 plan at 5,000 Haar points takes
-    about 47-57 ms for 81-87 ms; a one-point kernel query at sigma = 0.02
-    or 0.1, 13-30 % less at a regular point and 7-13 % less at a confluent
-    one.
+    as before. Points run in blocks of _block_shape, whose whole working
+    set stays within _BLOCK_BYTES, so it stays in a core's cache and does
+    not grow with the point count. All state is local to the call: Monte
+    Carlo chunks run it on threads that share one plan.
     """
     theta = np.asarray(theta, dtype=float)
-    k, groups, width = plan.rows.shape
     d = theta.shape[1]
-    block = max(1, _BLOCK // max(k * max(groups, d * width), plan.size, -(-math.comb(d, d // 2) * groups // d)))
-    out = np.zeros((k, len(theta)), dtype=complex)  # skipped points hold 0, not garbage
+    out = np.zeros((len(plan.rows), len(theta)), dtype=complex)  # skipped points hold 0, not garbage
     confluent = _min_gaps(theta) < GAP_TOL
     if d == 2 and not confluent.all():
         out[:, ~confluent] = _horner_ratio(plan, theta[~confluent])
         out[:, confluent] = _char_sum(plan, theta[confluent])
         return out
+    block = _block_shape(plan)[0]
     for lo in range(0, len(theta), block):
-        # Each block's tables stay referenced until the next block's are
-        # built. Freed at the end of each block, their pages went back to
-        # the system and were faulted in again: 7x the page faults and
-        # 1.5x the time on a d = 3 batch of 5,000 points.
-        tab = _power_tables(theta[lo : lo + block], plan.size)
-        vals = out[:, lo : lo + block]
-        skip = redo = confluent[lo : lo + block]
-        if not skip.all():
-            redo = _alternant_ratio(tab, plan, skip, vals)
-        if redo.any():
-            h = _jacobi_trudi(tab[:, :, redo], plan)
-            if real:
-                alt = vals[:, redo]
-                keep = ~skip[redo] & (np.abs(alt.imag) < np.abs(h.imag))
-                h[keep] = alt[keep]
-            vals[:, redo] = h
+        _block_sum(plan, theta[lo : lo + block], confluent[lo : lo + block], out[:, lo : lo + block], real)
     return out
+
+
+def _block_sum(plan: _SumPlan, theta: np.ndarray, skip: np.ndarray, vals: np.ndarray, real: bool) -> None:
+    """One block of _char_sum, written into vals (k, n). Its arrays are
+    freed on return, before the next block's are built, so the next block
+    reuses their pages: the t = 78 batch at 5,000 points takes no page
+    fault, against 322 a call when the tables stayed referenced."""
+    tab = _power_tables(theta, plan.size)
+    redo = skip
+    if not skip.all():
+        redo = _alternant_ratio(tab, plan, skip, vals)
+    if redo.any():
+        h = _jacobi_trudi(tab[:, :, redo], plan)
+        if real:
+            alt = vals[:, redo]
+            keep = ~skip[redo] & (np.abs(alt.imag) < np.abs(h.imag))
+            h[keep] = alt[keep]
+        vals[:, redo] = h
 
 
 def _char_batch(lams, theta: np.ndarray) -> np.ndarray:

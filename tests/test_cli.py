@@ -27,7 +27,8 @@ from udnet import bounds
 from udnet.cli import main
 from udnet.design_tester import WeightedGateSet, gate_set_to_json
 from udnet.kernels import EvalResult, KernelParams, TruncationError, heat_pu_char
-from udnet.lie_core import TorusPoint
+from udnet.lie_core import TorusPoint, _min_gaps
+from udnet.montecarlo import torus_grid
 
 
 def _json_out(capsys):
@@ -367,14 +368,40 @@ def _validate_rows(capsys, suite, d):
     return _json_out(capsys)["results"]
 
 
+def _apart_nodes(d, grid):
+    """Nodes of torus_grid(d, grid) whose eigenphases are pairwise apart. A
+    gap between phases on the grid is 0 or at least pi / grid."""
+    phi, _ = torus_grid(d, grid)
+    theta = np.concatenate([phi, -phi.sum(axis=1, keepdims=True)], axis=1)
+    return int(np.count_nonzero(_min_gaps(theta) > 0.5 * math.pi / grid))
+
+
+# nodes where two eigenphases meet, on the grids of the orthonormality rows
+# and then of the exact normalization rows
+_MET = {(2, 19): 1, (3, 13): 13, (4, 15): 1191, (5, 17): 26401, (2, 31): 1, (3, 75): 75, (4, 13): 877, (5, 15): 17865}
+
+
+@pytest.mark.parametrize("d, grid", list(_MET))
+def test_torus_rows_leave_out_the_nodes_where_eigenphases_meet(d, grid):
+    # the exact Weyl density is 0 there; in floats their weights are at
+    # most 6e-33, against 7.7e-15 for the smallest node kept
+    _, weights = torus_grid(d, grid)
+    theta, kept = cli._torus_rows(d, grid)
+    met = _MET[d, grid]
+    assert len(weights) - len(kept) == met and len(theta) == len(kept) == _apart_nodes(d, grid)
+    assert np.all(_min_gaps(theta) > 0.5 * math.pi / grid)
+    assert math.fsum(weights) - math.fsum(kept) <= met * 1e-32
+    assert kept.min() > 1e-15
+
+
 @pytest.mark.parametrize("d, grid", [(2, 19), (3, 13), (4, 15), (5, 17)])
 def test_orthonormality_row_runs_on_the_exact_grid(capsys, d, grid):
     (row,) = _validate_rows(capsys, "orthonormality", d)
-    assert row["check"].endswith(f",grid={grid}") and row["n"] == grid ** (d - 1)
+    assert row["check"].endswith(f",grid={grid}") and row["n"] == grid ** (d - 1) - _MET[d, grid]
     assert row["status"] == "pass" and row["provenance"] == "quadrature"
     # the tolerance is the rounding of a sum over the nodes, at least
     # m u, where the Gram diagonal's sum of w |chi|^2 is 1
-    assert grid ** (d - 1) * 2.0**-53 <= row["bound"] < 1e-10
+    assert row["n"] * 2.0**-53 <= row["bound"] < 1e-10
     assert row["measured"] <= row["bound"]
 
 
@@ -410,7 +437,8 @@ def test_orthonormality_row_fails_on_a_wrong_weyl_density(capsys, monkeypatch):
 def test_exact_normalization_row_passes(capsys, d, check):
     exact, _ = _validate_rows(capsys, "normalization", d)
     assert (exact["check"], exact["status"], exact["provenance"]) == (check, "pass", "quadrature")
-    assert exact["n"] == int(check.rsplit("=", 1)[1]) ** (d - 1)
+    grid = int(check.rsplit("=", 1)[1])
+    assert exact["n"] == grid ** (d - 1) - _MET[d, grid] == _apart_nodes(d, grid)
     assert exact["measured"] <= exact["bound"] < 1e-9
 
 

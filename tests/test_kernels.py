@@ -599,7 +599,7 @@ def _tie_rows(d):
     rows = []
     for center in (0.0, 2.0 * math.pi / d):
         for gap in (1e-4, 1e-5, 2e-6):
-            offset = gap * np.array([0.0, 1.0, 2.7, 4.1][:d])
+            offset = gap * np.array([0.0, 1.0, 2.7, 4.1, 5.6][:d])
             rows.append(center + offset - offset.mean())
     rows = np.array(rows)
     assert np.all(_min_gaps(rows) >= 2e-6 * (1 - 1e-9)) and np.all(_min_gaps(rows) <= 1e-4 * (1 + 1e-9))
@@ -676,22 +676,21 @@ def test_char_routed_point_keeps_the_alternant_where_its_residue_is_smaller(d, s
 def test_char_batch_memory_does_not_grow_with_weight_count(monkeypatch):
     # 3,121 weights at 32,768 points: a (weights x points) complex matrix
     # would take 1.6 GB; the sum engine works in point blocks, and k sums on
-    # one grouping in blocks of _BLOCK // max(k G, k_max) points
+    # one grouping in blocks whose whole working set is _BLOCK_BYTES
     import udnet.weights_chars as wc
 
     theta = _haar_rows(3, 1 << 15, seed=5)
     theta[:64, 1:] = theta[:64, :1] * [1.0, -2.0]  # a tied share for the Jacobi-Trudi route
     sizes = []
 
-    def einsum(spec, *operands):
-        # the operands of each contraction, per eigenvalue: the (k, G,
-        # points) polynomial values or their d = 3 run sums, and the
-        # cofactors or the power tables
-        sizes.extend(a.size // len(a) for a in operands)
-        return real_einsum(spec, *operands)
+    def power_tables(theta, k_max):
+        # each block's power tables, its largest array in the run layout
+        tab = real_power_tables(theta, k_max)
+        sizes.append(tab.nbytes)
+        return tab
 
-    real_einsum = np.einsum
-    monkeypatch.setattr(wc.np, "einsum", einsum)
+    real_power_tables = wc._power_tables
+    monkeypatch.setattr(wc, "_power_tables", power_tables)
     p = KernelParams(3, 0.05, trim_t=78)
     lams = _projective_tuples(3, 78)
     dims = _dim_array(lams)
@@ -706,7 +705,7 @@ def test_char_batch_memory_does_not_grow_with_weight_count(monkeypatch):
         tracemalloc.stop()
     assert terms == 3121 and vals.shape == (1 << 15,) and many.shape == (4, 1 << 15)
     assert peak < 256 * 2**20
-    assert sizes and max(sizes) <= wc._BLOCK
+    assert sizes and max(sizes) <= wc._BLOCK_BYTES
     # the last point block agrees with the same points evaluated on their own
     scale = heat_pu_char(p, _pt(3, 0.0, 0.0)).value
     tail, _, _ = heat_pu_char_batch(p, theta[-8:])

@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import udnet.weights_chars as wc
+from udnet.kernels import _PLANS, KernelParams
 from udnet.lie_core import InvalidParameterError, TorusPoint, _min_gaps
 from udnet.weights_chars import (
     HighestWeight,
@@ -40,7 +44,7 @@ from oracles import (
     schur_mp,
     torus_quadrature,
 )
-from test_kernels import _confluent_rows, _haar_rows
+from test_kernels import _confluent_rows, _haar_rows, _tie_rows
 
 
 def test_highest_weight_validation():
@@ -321,6 +325,103 @@ def test_char_sum_columns_match_one_column_calls(d):
         ones += [_char_sum(_char_sum_plan(lams[i : i + 1], np.ones((1, 1))), theta)[0] for i in range(len(lams))]
         for col, one in zip(list(got) + list(chars), ones):
             assert np.all(np.abs(col - one) <= 1e-12 * np.maximum(1.0, np.abs(one))), name
+
+
+# (d, sigma, trim) of the block checks: the d = 3 run layout, and the
+# general layout at d = 2, 4 and 5
+_BLOCK_KERNELS = [(2, 0.01, None), (3, 0.02, None), (3, 0.05, 78), (4, 0.3, None), (5, 1.0, None)]
+
+
+@pytest.mark.parametrize("d,sigma,trim", _BLOCK_KERNELS)
+def test_char_sum_blocks_do_not_change_the_answer(monkeypatch, d, sigma, trim):
+    # One point per block (and, in the general layout, a few plan rows per
+    # chunk) against every point and row in one block. Blocks only
+    # reassociate the sums over plan rows, so the two differ by at most the
+    # rounding of one sum of N = d G width products: gamma_N times a bound
+    # on the products. That bound is d! sum|c_w| / |V| for the alternant
+    # (each of its d! terms has modulus at most sum|c_w|), and the sum's
+    # value at the identity, sum c_w dim_w, for the h tables, whose entries
+    # are largest there.
+    plan = _PLANS.get(KernelParams(d, sigma, trim_t=trim)).sums
+    _, groups, width = plan.rows.shape
+    n = d * groups * width
+    gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)
+    top = abs(_char_sum(plan, np.zeros((1, d)))[0, 0])
+    routed = []
+    real_jacobi_trudi = wc._jacobi_trudi
+
+    def jacobi_trudi(tab, plan):
+        routed.append(tab.shape[2])
+        return real_jacobi_trudi(tab, plan)
+
+    monkeypatch.setattr(wc, "_jacobi_trudi", jacobi_trudi)
+    monkeypatch.setattr(wc, "_BLOCK_BYTES", 1 << 14)
+    points, rows = wc._block_shape(plan)
+    assert points == 1 and (rows < groups) == (plan.run is None and d > 2)
+    point_sets = {"regular": _haar_rows(d, 12, seed=d), "confluent": _confluent_rows(d), "routed": _tie_rows(d)}
+    for name, theta in point_sets.items():
+        values = []
+        for budget in (1 << 14, 1 << 40):
+            monkeypatch.setattr(wc, "_BLOCK_BYTES", budget)
+            routed.clear()
+            values.append(_char_sum(plan, theta, real=True)[0])
+        one, whole = values
+        if name == "regular":
+            x = np.exp(1j * theta)
+            i, j = np.triu_indices(d, 1)
+            vdm = np.abs(np.prod(x[:, i] - x[:, j], axis=1))
+            tol = gamma * math.factorial(d) * plan.mass[0, 0] / vdm
+            assert not routed
+        else:
+            tol = gamma * top
+            # at d = 2 the near ties are regular points of Horner's rule
+            assert sum(routed) == (0 if d == 2 and name == "routed" else len(theta))
+        assert np.all(np.abs(one - whole) <= tol), (name, np.max(np.abs(one - whole) / tol))
+
+
+@pytest.mark.parametrize("d,sigma,trim,n", [(3, 0.05, 78, 5000), (4, 0.3, None, 1000), (5, 1.0, None, 1000)])
+def test_char_sum_working_set_stays_within_the_block_budget(d, sigma, trim, n):
+    # The peak of one call, less its output, at Haar points: every block's
+    # tables, GEMM output, signed powers, class values, cofactor levels and
+    # h tables together.
+    plan = _PLANS.get(KernelParams(d, sigma, trim_t=trim)).sums
+    theta = _haar_rows(d, n, seed=40 + d)
+    _char_sum(plan, theta[:2], real=True)  # cached index tables are not part of a call
+    tracemalloc.start()
+    try:
+        out = _char_sum(plan, theta, real=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= wc._BLOCK_BYTES
+    assert wc._block_shape(plan)[0] < n
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_char_sum_threads_on_one_plan_match_the_serial_result(d):
+    # Monte Carlo chunks run _char_sum on threads that share one plan; all
+    # state of a call is its own. Regular, confluent and routed points, in
+    # many blocks, on two threads at once, each as the serial call bit for bit.
+    plan = _PLANS.get(KernelParams(d, 0.3 if d == 4 else 0.05)).sums
+    theta = np.vstack([_haar_rows(d, 300, seed=d), _confluent_rows(d), _tie_rows(d)])
+    theta = np.vstack([theta, theta[::-1]])
+    serial = _char_sum(plan, theta, real=True)
+    start = threading.Barrier(2)
+    results = [[], []]
+
+    def run(slot):
+        start.wait()
+        for _ in range(4):
+            results[slot].append(_char_sum(plan, theta, real=True))
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert wc._block_shape(plan)[0] < len(theta)
+    assert all(np.array_equal(got, serial) for slot in results for got in slot)
+    assert sum(len(slot) for slot in results) == 8
 
 
 def _split_cells(plan, d):
