@@ -22,15 +22,16 @@ lattice radius before the peak adds the shells up to the peak, or up to the
 radius cap when the peak lies past it, to the bound from there.
 
 Plans. Everything a kernel needs before it sees a point is kept in one
-least-recently-used cache (_PLANS, 64 MiB): a character plan per
-(d, sigma, trim_t, tail_tol), and a lattice plan per (d, sigma, tail_tol),
-which holds the envelope tail of each radius tried and the lattice grid of
-each radius served; the design tester keeps the Gelfand-Tsetlin
-generators of each irrep label there too, or at d = 2 the eigenbasis of
-each label's pi(J_y). A point only moves the lattice prefactor, so a warm
-Poisson query compares it with the kept tails and sums over the kept grid,
-and the rows of a batch that share a radius are one array sum
-(heat_pu_poisson gives the times).
+least-recently-used cache (_PLANS, 64 MiB), each entry keyed only on the
+inputs it reads and fixed in size once stored: a character plan per
+(d, sigma, trim_t, tail_tol), with no tail_tol when trimmed; a lattice plan
+per (d, sigma), which holds the envelope tail of each radius tried and
+serves every tolerance; and the lattice grid per (d, radius), shared by
+every sigma. The design tester keeps the Gelfand-Tsetlin generators of each
+irrep label there too, or at d = 2 the eigenbasis of each label's pi(J_y).
+A point only moves the lattice prefactor, so a warm Poisson query compares
+it with the kept tails and sums over the kept grid, and the rows of a batch
+that share a radius are one array sum (heat_pu_poisson gives the times).
 
 Near-regular points (eigenphase gap below 1e-6) cancel catastrophically in
 the raw Poisson form; they are handled by a symmetric four-point jitter of
@@ -49,7 +50,7 @@ import functools
 import itertools
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -319,62 +320,54 @@ def _build_char_plan(p: KernelParams) -> _CharPlan:
 
 
 class _PlanCache:
-    """Least recently used plans, at most _PLAN_CACHE_BYTES in all.
+    """Least recently used entries, at most _PLAN_CACHE_BYTES in all.
 
-    Character plans are keyed on (d, sigma, trim_t, tail_tol) and lattice
-    plans on ("lattice", d, sigma, tail_tol); the design tester keeps its
-    read-only Gelfand-Tsetlin generators under ("gt", *label), and its d = 2
-    spin bases under ("spin", *label), through fetch(). Each plan has an
-    nbytes. A plan over the cap is returned but not kept, and a build that
-    raises keeps nothing. A lattice plan grows by a grid for each new radius
-    it serves; grew() counts that while the plan is kept, and evicts to the
-    cap. The lock guards the table, not the build: Monte Carlo chunks on
-    several threads may build one plan twice on a cold start, and the first
-    one stored wins.
+    An entry is keyed only on the inputs it reads: an untrimmed character
+    plan on (d, sigma, None, tail_tol), a trimmed one on (d, sigma, trim_t,
+    None), a lattice plan on ("lattice", d, sigma) and a lattice grid on
+    ("grid", d, radius); the design tester keeps its read-only
+    Gelfand-Tsetlin generators under ("gt", *label), and its d = 2 spin
+    bases under ("spin", *label), through fetch(). Each entry has an nbytes
+    that is fixed once it is stored, and eviction subtracts it. An entry over
+    the cap is returned but not kept, and a build that raises keeps nothing.
+    The lock guards the table, not the build: Monte Carlo chunks on several
+    threads may build one entry twice on a cold start, and the first one
+    stored wins.
     """
 
     def __init__(self):
         self._plans: collections.OrderedDict[tuple, object] = collections.OrderedDict()
-        self._sizes: dict[tuple, int] = {}  # bytes counted for each kept plan
         self._lock = threading.Lock()
         self.nbytes = 0
 
     def get(self, p: KernelParams) -> _CharPlan:
-        key = (p.d, p.sigma, p.trim_t, p.tail_tol)
+        key = (p.d, p.sigma, p.trim_t, None if p.trim_t is not None else p.tail_tol)
         return self.fetch(key, functools.partial(_build_char_plan, p))
 
-    def lattice(self, p: KernelParams) -> _LatticePlan:
-        key = ("lattice", p.d, p.sigma, p.tail_tol)
-        return self.fetch(key, functools.partial(_LatticePlan, key, p))
+    def lattice(self, d: int, sigma: float) -> _LatticePlan:
+        return self.fetch(("lattice", d, sigma), functools.partial(_LatticePlan, d, sigma))
+
+    def grid(self, d: int, radius: int) -> np.ndarray:
+        return self.fetch(("grid", d, radius), functools.partial(_lattice_offsets, d, radius))
 
     def fetch(self, key: tuple, build):
-        """The plan kept under key, else build() (kept if it fits the cap)."""
+        """The entry kept under key, else build() (kept if it fits the cap)."""
         with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
+            entry = self._plans.get(key)
+            if entry is not None:
                 self._plans.move_to_end(key)
-                return plan
-        plan = build()
+                return entry
+        entry = build()
         with self._lock:
             if key in self._plans:
                 return self._plans[key]
-            if plan.nbytes <= _PLAN_CACHE_BYTES:
-                self._plans[key] = plan
-                self._sizes[key] = 0
-                self._count(key, plan.nbytes)
-        return plan
-
-    def grew(self, key: tuple, plan, nbytes: int) -> None:
-        with self._lock:
-            if self._plans.get(key) is plan:
-                self._count(key, nbytes)
-
-    def _count(self, key: tuple, nbytes: int) -> None:
-        self._sizes[key] += nbytes
-        self.nbytes += nbytes
-        while self.nbytes > _PLAN_CACHE_BYTES:
-            old, _ = self._plans.popitem(last=False)
-            self.nbytes -= self._sizes.pop(old)
+            if entry.nbytes <= _PLAN_CACHE_BYTES:
+                self._plans[key] = entry
+                self.nbytes += entry.nbytes
+                while self.nbytes > _PLAN_CACHE_BYTES:
+                    _, old = self._plans.popitem(last=False)
+                    self.nbytes -= old.nbytes
+        return entry
 
 
 _PLANS = _PlanCache()
@@ -438,6 +431,13 @@ def _lattice_grid(d: int, radius: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def _lattice_offsets(d: int, radius: int) -> np.ndarray:
+    """The read-only offsets 2*pi*Z^{d-1} of sup-norm radius R, (2R+1)^{d-1} rows."""
+    offsets = TWO_PI * _lattice_grid(d, radius)
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _lattice_shell_log_env(d: int, sigma: float, kappa: float) -> float:
     # valid for canonical angles |phi_i| <= pi: shell kappa of Z^{d-1} has at
     # most 2(d-1)(2*kappa+1)^{d-2} points, the extremal coordinate of each keeps
@@ -457,46 +457,37 @@ def _lattice_shell_slope(d: int, sigma: float, kappa: float) -> float:
 
 
 class _LatticePlan:
-    """What a Poisson-form kernel needs before it sees a point.
+    """What a Poisson-form kernel needs before it sees a point, bar its grid.
 
     log_base is log(C(d, sigma)/|W|) + log(d!), the log-prefactor before the
     point's Weyl denominator. A point only shifts the prefactor, which
     changes which envelope tail fits, so one list of log-tails of the lattice
-    shell envelope serves the radius of every point: entry R - 1 bounds the
-    shells past radius R, and a point's radius is the first entry under
-    log(tail_tol) minus its log-prefactor. The list is non-increasing. It
-    starts with the radii before the envelope's peak, at most
-    _MAX_LATTICE_RADIUS of them, each of which adds its own first shell to the
-    tail of the next, and grows lazily, radius by radius, past the peak, so a
-    warm point evaluates no envelope.
-    grids holds the read-only offsets 2*pi*Z^{d-1} of sup-norm radius R for
-    each R served, (2R+1)^{d-1} rows each. The lock guards the tails and the
-    grids, which points on several threads share.
+    shell envelope serves the radius of every point and every tolerance:
+    entry R - 1 bounds the shells past radius R, and a point's radius is the
+    first entry under log(tail_tol) minus its log-prefactor. The list is
+    non-increasing. It starts with the radii before the envelope's peak, at
+    most _MAX_LATTICE_RADIUS of them, each of which adds its own first shell
+    to the tail of the next, and grows lazily, radius by radius, past the
+    peak, so a warm point evaluates no envelope. Each entry depends only on
+    the ones before it, so a list grown for one tolerance serves another
+    with the same radii. The lock guards the tails, which points on several
+    threads share. The grids are _PLANS entries of their own.
     """
 
-    def __init__(self, key: tuple, p: KernelParams):
-        self.key = key
-        self.tail_tol = p.tail_tol
-        self.log_tol = math.log(p.tail_tol)
-        self.log_base = log_prefactor(p.d, p.sigma) + math.lgamma(p.d + 1)
-        self.d, self.sigma = p.d, p.sigma
-        self._grids: dict[int, np.ndarray] = {}
+    nbytes = 32 * _MAX_LATTICE_RADIUS  # the most its tails hold: a pointer and a float per radius
+
+    def __init__(self, d: int, sigma: float):
+        self.log_base = log_prefactor(d, sigma) + math.lgamma(d + 1)
+        self.d, self.sigma = d, sigma
         self._lock = threading.Lock()
         peak = 2  # the first shell from 2 on where the envelope stops rising, or the cap's next
-        while peak <= _MAX_LATTICE_RADIUS and _lattice_shell_slope(p.d, p.sigma, peak) > 0.0:
+        while peak <= _MAX_LATTICE_RADIUS and _lattice_shell_slope(d, sigma, peak) > 0.0:
             peak += 1
         tails = [self._tangent_tail(peak - 1)]
         for kappa in range(peak - 1, 1, -1):
-            g = _lattice_shell_log_env(p.d, p.sigma, kappa)
+            g = _lattice_shell_log_env(d, sigma, kappa)
             tails.append(max(g, tails[-1]) + math.log1p(math.exp(-abs(g - tails[-1]))))
         self._log_tails = tails[::-1]
-
-    def arrays(self) -> list[np.ndarray]:
-        return list(self._grids.values())
-
-    @property
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in self.arrays())
 
     def _tangent_tail(self, radius: int) -> float:
         kappa = radius + 1
@@ -506,9 +497,9 @@ class _LatticePlan:
             2.0 * self.d * math.pi**2 / self.sigma,
         )
 
-    def radius(self, log_pref: float) -> tuple[int, float]:
+    def radius(self, log_pref: float, tail_tol: float) -> tuple[int, float]:
         """Smallest radius whose tail times exp(log_pref) is below tail_tol, and that bound."""
-        bar = self.log_tol - log_pref
+        bar = math.log(tail_tol) - log_pref
         with self._lock:
             tails = self._log_tails
             while tails[-1] >= bar and len(tails) < _MAX_LATTICE_RADIUS:
@@ -517,19 +508,9 @@ class _LatticePlan:
             k = bisect.bisect_right(tails, -bar, key=lambda v: -v)
             if k == len(tails):
                 raise NumericalInstabilityError(
-                    f"no lattice radius up to {_MAX_LATTICE_RADIUS} meets tail_tol = {self.tail_tol:g}"
+                    f"no lattice radius up to {_MAX_LATTICE_RADIUS} meets tail_tol = {tail_tol:g}"
                 )
             return k + 1, math.exp(log_pref + tails[k])
-
-    def grid(self, radius: int) -> np.ndarray:
-        with self._lock:
-            offsets = self._grids.get(radius)
-            if offsets is None:
-                offsets = TWO_PI * _lattice_grid(self.d, radius)
-                offsets.flags.writeable = False
-                self._grids[radius] = offsets
-                _PLANS.grew(self.key, self, offsets.nbytes)
-        return offsets
 
 
 def _coset_denominators(d: int, phi: tuple[float, ...]) -> tuple[list, list, list]:
@@ -555,27 +536,27 @@ def _coset_denominators(d: int, phi: tuple[float, ...]) -> tuple[list, list, lis
     return shifts, log_j, sign_j
 
 
-def _lattice_sums(p: KernelParams, phis: list) -> list[EvalResult]:
-    """Poisson-form PU(d) kernel at regular points: one coweight lattice sum each.
+def _lattice_sums(d: int, sigma: float, tail_tol: float, phis: list) -> list[EvalResult]:
+    """Poisson-form PU(d) kernel at regular points: one coweight lattice sum
+    each, to tail_tol.
 
     Coset r of the lattice, Z^{d-1} + (r/d)(1, ..., 1), is read at the center
     shift phi + 2*pi*r/d, and its rows carry sign(j_r) |j_min| / |j_r|. The
     cosets share one envelope, so the largest prefactor (the smallest |j_r|)
     picks the radius from the plan's tails, and gives the bound. Rows of one
-    radius are summed as one array over the plan's grid. A sum whose rounding
-    u * sum|term| exceeds _RESIDUE_CEILING of |sum| has lost the value to
-    cancellation, and is refused. So is a sigma so small that the Gaussian
+    radius are summed as one array over the grid of that radius. A sum whose
+    rounding u * sum|term| exceeds _RESIDUE_CEILING of |sum| has lost the
+    value to cancellation, and is refused. So is a sigma so small that the Gaussian
     rate d/(2 sigma), or the exponent of a row's largest term, overflows
     (sigma below about 1e-307): no float subtraction then recovers the
     terms' ratios. A point whose radius R needs more than _MAX_TERMS terms,
     d cosets of (2R + 1)^(d-1) grid rows, raises TruncationError before any
     grid or term array is built.
     """
-    d, sigma = p.d, p.sigma
     rate = d / (2.0 * sigma)
     if not math.isfinite(rate):
         raise NumericalInstabilityError(f"sigma = {sigma:g} is too small for the Poisson form: d/(2 sigma) overflows")
-    plan = _PLANS.lattice(p)
+    plan = _PLANS.lattice(d, sigma)
     shifts = np.empty((len(phis), d, d - 1))
     weights = np.empty((len(phis), d))
     log_prefs, radii, bounds = [], [], []
@@ -583,7 +564,7 @@ def _lattice_sums(p: KernelParams, phis: list) -> list[EvalResult]:
         shifts[k], log_j, sign_j = _coset_denominators(d, phi)
         weights[k] = [sign * math.exp(min(log_j) - lj) for sign, lj in zip(sign_j, log_j)]
         log_prefs.append(plan.log_base - min(log_j))
-        radius, bound = plan.radius(log_prefs[-1])
+        radius, bound = plan.radius(log_prefs[-1], tail_tol)
         terms = d * (2 * radius + 1) ** (d - 1)
         if terms > _MAX_TERMS:
             raise TruncationError(
@@ -596,7 +577,7 @@ def _lattice_sums(p: KernelParams, phis: list) -> list[EvalResult]:
     out = [None] * len(phis)
     for radius in sorted(set(radii)):
         rows = [k for k, r in enumerate(radii) if r == radius]
-        offsets = plan.grid(radius)
+        offsets = _PLANS.grid(d, radius)
         some = slice(None) if len(rows) == len(phis) else rows
         # psi[k, r, g] = shift r of row k + grid point g. Each product and
         # sum below is the one of a single sum over the cosets in turn, with
@@ -645,7 +626,8 @@ def _poisson_eval(p: KernelParams, phis: list) -> list[EvalResult]:
     others take the jittered Richardson average of four: the direction
     (1, 2, ..., d-1) separates every eigenphase pair at unit rate or faster,
     so the half-step points stay clear of the 1e-6 gap threshold. All jittered
-    rows go through one _lattice_sums call at 0.3 * tail_tol.
+    rows go through one _lattice_sums call at 0.3 * tail_tol, on the lattice
+    plan of the regular rows.
     """
     if p.trim_t is not None:
         raise InvalidParameterError("the Poisson form has no trimmed variant; trim_t must be None")
@@ -655,14 +637,14 @@ def _poisson_eval(p: KernelParams, phis: list) -> list[EvalResult]:
     confluent = [k for k, gap in enumerate(gaps) if gap < GAP_TOL]
     out = [None] * len(phis)
     if regular:
-        for k, result in zip(regular, _lattice_sums(p, [phis[k] for k in regular])):
+        for k, result in zip(regular, _lattice_sums(d, p.sigma, p.tail_tol, [phis[k] for k in regular])):
             out[k] = result
     if not confluent:
         return out
     steps = np.array([1.0, -1.0, 0.5, -0.5]) * _JITTER_H
     jitter = np.array([phis[k] for k in confluent])[:, None, :] + steps[:, None] * np.arange(1, d)
     rows = [tuple(map(_wrap_angle, row)) for row in jitter.reshape(-1, d - 1).tolist()]
-    evals = _lattice_sums(replace(p, tail_tol=0.3 * p.tail_tol), rows)
+    evals = _lattice_sums(d, p.sigma, 0.3 * p.tail_tol, rows)
     for n, k in enumerate(confluent):
         e1, em1, eh, emh = evals[4 * n : 4 * n + 4]
         coarse = 0.5 * (e1.value + em1.value)
@@ -685,13 +667,15 @@ def _poisson_eval(p: KernelParams, phis: list) -> list[EvalResult]:
 def heat_pu_poisson(p: KernelParams, x: TorusPoint) -> EvalResult:
     """PU(d) heat kernel as one Gaussian sum over the PU coweight lattice.
 
-    The radius tails and the grid depend only on (d, sigma, tail_tol), so they
-    are a _LatticePlan kept in _PLANS: a warm query compares its prefactor
-    with the plan's tails and sums over the plan's grid, and a jittered one
-    makes one four-row call. At d = 3 a warm query takes 0.075-0.095 ms at a
-    regular point and 0.19-0.21 ms at a jittered one; a cold one, which
-    fills the plan's tails and builds the grid, 0.14-0.20 ms and 0.26-0.32 ms
-    (1 BLAS thread, 2-vCPU Intel Xeon, best of 7 x 200 queries). Raises
+    The radius tails depend only on (d, sigma), so they are a _LatticePlan
+    kept in _PLANS, and each grid only on (d, radius), an entry of its own:
+    a warm query compares its prefactor with the plan's tails at its
+    tolerance and sums over the kept grid, and a jittered one makes one
+    four-row call on the same plan. At d = 3, sigma = 0.05 a warm query
+    takes 0.086-0.10 ms at a regular point and 0.15-0.22 ms at a jittered
+    one; a cold one, which fills the plan's tails and builds the grid,
+    0.16-0.20 ms and 0.25-0.29 ms (1 BLAS thread, 2-vCPU Intel Xeon on a
+    shared host, best of 7 x 200 queries, 6 runs). Raises
     NumericalInstabilityError when the sum lost its value to cancellation.
     """
     _check_point(p, x)

@@ -425,8 +425,10 @@ def test_spin_bases_are_cached_read_only(monkeypatch):
     assert design_deltas(nu, 9) == first
     assert built == labels
     basis = dt._spin_basis(np.array([9, -9]))
-    assert dt.kernels._PLANS._sizes[("spin", 9, -9)] == basis.nbytes > basis.p.nbytes
-    assert [key[0] for key in dt.kernels._PLANS._plans] == ["spin"] * 9
+    cache = dt.kernels._PLANS
+    assert cache._plans[("spin", 9, -9)] is basis and basis.nbytes > basis.p.nbytes
+    assert [key[0] for key in cache._plans] == ["spin"] * 9
+    assert cache.nbytes == sum(entry.nbytes for entry in cache._plans.values()) <= dt.kernels._PLAN_CACHE_BYTES
     assert list(basis.s) == list(range(-9, 10))
     for arr in basis:
         with pytest.raises(ValueError, match="read-only"):

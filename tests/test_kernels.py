@@ -303,11 +303,11 @@ def test_lattice_plan_cold_key_walks_once(monkeypatch):
             query(p, x)
         # one envelope call per shell for the key, shared by its points
         assert shells and max(shells.values()) == 1, (d, sigma)
-        # the jittered sums run at 0.3 * tail_tol, which is one more key
-        shells.clear()
+        # the jittered sums run at 0.3 * tail_tol on the same plan, which
+        # walks on only past the shells it already holds
         for x in tied:
             query(p, x)
-        assert shells and max(shells.values()) == 1, (d, sigma)
+        assert max(shells.values()) == 1, (d, sigma)
         shells.clear()
         for x in regular + tied:
             query(p, x)
@@ -332,31 +332,40 @@ def test_lattice_plan_warm_queries_walk_nothing(monkeypatch):
         assert cold_batch == [list(col) for col in zip(*cold)]
 
 
-def test_lattice_plans_are_keyed_on_every_input():
+def test_lattice_plans_are_keyed_on_every_input(monkeypatch):
+    # a lattice plan reads (d, sigma) and a grid (d, radius): every tolerance
+    # shares one plan, and every sigma one grid
     import udnet.kernels as kernels
 
-    x = _pt(2, 0.3)
-    params = [
-        KernelParams(2, 0.05),
-        KernelParams(2, 0.05, tail_tol=1e-8),
-        KernelParams(2, 0.06),
-        KernelParams(3, 0.05),
-    ]
-    for p in params:
-        heat_pu_poisson(p, x if p.d == 2 else _pt(3, 0.3, -0.2))
+    x, y = _pt(2, 0.3), _pt(3, 0.3, -0.2)
+    loose = KernelParams(2, 0.05, tail_tol=1e-8)
+    fresh = _bits(heat_pu_poisson(loose, x))
+    monkeypatch.setattr(kernels, "_PLANS", kernels._PlanCache())
     plans = kernels._PLANS._plans
-    keys = [("lattice", p.d, p.sigma, p.tail_tol) for p in params]
-    assert list(plans) == keys
-    assert len({id(plan) for plan in plans.values()}) == 4
-    # a jittered point adds the key of its inner sums, and a char call its own plan
+    heat_pu_poisson(KernelParams(2, 0.05), x)
+    # the tails the 1e-12 query left serve the 1e-8 one, to the same bits
+    assert _bits(heat_pu_poisson(loose, x)) == fresh
+    heat_pu_poisson(KernelParams(2, 0.06), x)
+    heat_pu_poisson(KernelParams(3, 0.05), y)
+    # the sigma = 0.06 query read the d = 2 grid, which it made the most recent
+    assert list(plans) == [
+        ("lattice", 2, 0.05),
+        ("lattice", 2, 0.06),
+        ("grid", 2, 1),
+        ("lattice", 3, 0.05),
+        ("grid", 3, 1),
+    ]
+    # a jittered point, whose sums run at 0.3 * tail_tol, adds no entry: it
+    # reads the plan and grid of the regular one; a char call adds its own plan
     heat_pu_poisson(KernelParams(2, 0.05), _pt(2, 2e-7))
     heat_pu_char(KernelParams(2, 0.05), x)
-    assert list(plans)[-2:] == [("lattice", 2, 0.05, 0.3 * 1e-12), (2, 0.05, None, 1e-12)]
-    assert kernels._PLANS.nbytes == sum(plan.nbytes for plan in plans.values())
+    assert list(plans)[-3:] == [("lattice", 2, 0.05), ("grid", 2, 1), (2, 0.05, None, 1e-12)]
+    assert len(plans) == 6
+    assert kernels._PLANS.nbytes == sum(entry.nbytes for entry in plans.values()) <= kernels._PLAN_CACHE_BYTES
     # the Poisson form has no trimmed variant, and refuses before any plan is made
     with pytest.raises(InvalidParameterError, match="trim_t"):
         heat_pu_poisson(KernelParams(2, 0.07, trim_t=3), x)
-    assert not any(key[2] == 0.07 for key in plans)
+    assert not any(0.07 in key for key in plans)
 
 
 def test_lattice_plan_arrays_are_read_only():
@@ -364,9 +373,9 @@ def test_lattice_plan_arrays_are_read_only():
 
     heat_pu_poisson(KernelParams(3, 0.5), _pt(3, 0.7, -0.4))
     heat_pu_poisson(KernelParams(3, 0.5), _pt(3, 0.0, 0.0))
-    (plan,) = [plan for key, plan in kernels._PLANS._plans.items() if key == ("lattice", 3, 0.5, 1e-12)]
-    assert plan.arrays()
-    for a in plan.arrays():
+    grids = [entry for key, entry in kernels._PLANS._plans.items() if key[0] == "grid"]
+    assert grids
+    for a in grids:
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 1.0
 
@@ -380,8 +389,7 @@ def test_plan_cache_stays_under_its_byte_cap_with_lattice_plans(monkeypatch):
     rng = np.random.default_rng(4)
 
     def check():
-        assert cache.nbytes == sum(plan.nbytes for plan in cache._plans.values()) <= cap
-        assert cache.nbytes == sum(cache._sizes.values())
+        assert cache.nbytes == sum(entry.nbytes for entry in cache._plans.values()) <= cap
 
     kinds, seen = set(), set()
     for sigma in np.geomspace(0.05, 2.0, 8):
@@ -395,14 +403,16 @@ def test_plan_cache_stays_under_its_byte_cap_with_lattice_plans(monkeypatch):
             check()
         kinds |= {type(plan).__name__ for plan in cache._plans.values()}
         seen |= set(cache._plans)
-    assert kinds == {"_CharPlan", "_LatticePlan"}
+    assert kinds == {"_CharPlan", "_LatticePlan", "ndarray"}
     assert seen - set(cache._plans)  # some plans were evicted
-    # a lattice plan whose grid outgrows the cap is used but not kept
-    monkeypatch.setattr(kernels, "_PLAN_CACHE_BYTES", 2_000)
-    got = heat_pu_poisson(KernelParams(5, 1.0), _pt(5, 1.1, -0.7, 0.9, 2.3))
-    assert got.terms_used // 5 * 4 * 8 > 2_000  # the grid's bytes
-    assert ("lattice", 5, 1.0, 1e-12) not in cache._plans
-    assert cache.nbytes == sum(plan.nbytes for plan in cache._plans.values()) <= 2_000
+    # a grid larger than the cap is used but not kept; its lattice plan is kept
+    cap = kernels._LatticePlan.nbytes
+    monkeypatch.setattr(kernels, "_PLAN_CACHE_BYTES", cap)
+    got = heat_pu_poisson(KernelParams(5, 3.0), _pt(5, 1.1, -0.7, 0.9, 2.3))
+    assert got.terms_used == 5 * 5**4 and 5**4 * 4 * 8 > cap  # the radius 2 grid's bytes
+    assert ("grid", 5, 2) not in cache._plans
+    assert list(cache._plans) == [("lattice", 5, 3.0)]
+    check()
 
 
 def test_lattice_plans_are_consistent_under_threads(monkeypatch):
@@ -414,7 +424,8 @@ def test_lattice_plans_are_consistent_under_threads(monkeypatch):
     monkeypatch.setattr(kernels, "_PLAN_CACHE_BYTES", 100_000)
     regular, tied = _plan_points(4, 6, seed=9)
     theta = [x.eigenphases() for x in regular + tied]
-    params = [KernelParams(4, s) for s in (0.1, 0.3, 0.8, 2.0)] * 5
+    # mixed sigmas and tolerances, so that threads share plans and grids
+    params = [KernelParams(4, s, tail_tol=tol) for s in (0.1, 0.3, 0.8, 2.0) for tol in (1e-12, 1e-8)] * 3
     expected = {p: _batch_bits(heat_pu_poisson_batch(p, theta)) for p in params}
     monkeypatch.setattr(kernels, "_PLANS", kernels._PlanCache())
     interval = sys.getswitchinterval()
@@ -426,7 +437,8 @@ def test_lattice_plans_are_consistent_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert got == [expected[p] for p in params]
     cache = kernels._PLANS
-    assert cache.nbytes == sum(plan.nbytes for plan in cache._plans.values()) <= 100_000
+    assert cache.nbytes == sum(entry.nbytes for entry in cache._plans.values()) <= 100_000
+    assert {key[0] for key in cache._plans} == {"lattice", "grid"}
 
 
 def test_lattice_plan_matches_per_call_reference():
@@ -809,10 +821,10 @@ def test_lattice_tails_bound_the_exact_envelope_tail(d):
     # lie before the envelope's peak; at 1e7 the peak is near shell 356 at
     # d = 2 and past the radius cap at d = 3..5, and no radius up to 512 fits.
     for sigma in (0.02, 0.3, 5.0, 20.0, 300.0, 1e4, 1e7):
-        plan = _LatticePlan(("lattice", d, sigma, 1e-12), KernelParams(d, sigma))
+        plan = _LatticePlan(d, sigma)
         for log_pref in (-60.0, 0.0, 100.0, 400.0):
             try:
-                radius, bound = plan.radius(log_pref)
+                radius, bound = plan.radius(log_pref, 1e-12)
             except NumericalInstabilityError:
                 continue
             assert bound < 1e-12
@@ -922,20 +934,20 @@ def test_weight_cutoff_needs_few_envelope_evaluations(monkeypatch):
 
 
 def test_shared_lattice_tails_match_fresh_walks():
-    # a lattice plan serves every point from one list of tails: each point's
-    # radius and bound equal a fresh scan of the tail rule under its own
-    # prefactor, also where the first radii lie before the envelope's peak
+    # a lattice plan serves every point and tolerance from one list of tails:
+    # each point's radius and bound equal a fresh scan of the tail rule under
+    # its own prefactor and tolerance, also where the first radii lie before
+    # the envelope's peak
     rng = np.random.default_rng(12)
-    log_tol = math.log(1e-12)
     for d in (2, 3, 5):
         for sigma in (0.02, 0.3, 5.0, 300.0, 1e7):
-            plan = _LatticePlan(("lattice", d, sigma, 1e-12), KernelParams(d, sigma))
+            plan = _LatticePlan(d, sigma)
             scan = functools.cache(functools.partial(lattice_log_tail_scan, d, sigma))
-            for log_pref in rng.uniform(-60.0, 400.0, 40):
-                fits = [r for r in range(1, 513) if log_pref + scan(r) < log_tol]
+            for log_pref, tol in zip(rng.uniform(-60.0, 400.0, 40), rng.choice([1e-12, 0.3e-12, 1e-8], 40)):
+                fits = [r for r in range(1, 513) if log_pref + scan(r) < math.log(tol)]
                 ref = (fits[0], math.exp(log_pref + scan(fits[0]))) if fits else None
                 try:
-                    got = plan.radius(log_pref)
+                    got = plan.radius(log_pref, tol)
                 except NumericalInstabilityError:
                     got = None
                 assert got == ref, (d, sigma, log_pref)
@@ -972,7 +984,7 @@ def test_lattice_plan_past_the_cap_matches_the_scan():
     # d = 5, sigma = 1e7: the envelope still rises at shell 513 (its peak is
     # near 812), so every kept tail ends in the tangent bound from shell 513,
     # a Gaussian about the top of the tangent parabola
-    plan = _LatticePlan(("lattice", 5, 1e7, 1e-12), KernelParams(5, 1e7))
+    plan = _LatticePlan(5, 1e7)
     assert _lattice_shell_slope(5, 1e7, 513) > 0.0
     assert len(plan._log_tails) == 512
     for radius in (1, 2, 100, 511, 512):
@@ -1005,8 +1017,7 @@ def test_poisson_refuses_a_lattice_over_the_term_budget_before_building_it():
         tracemalloc.stop()
     assert err.value.required_cutoff == 23
     assert peak < 1 << 20
-    (plan,) = [plan for key, plan in kernels._PLANS._plans.items() if key[0] == "lattice"]
-    assert plan.arrays() == []
+    assert list(kernels._PLANS._plans) == [("lattice", 5, 200.0)]  # and no grid
     for d in (3, 4, 5):
         r = heat_pu_poisson(KernelParams(d, 5.0), _pt(d, *[0.3, -1.1, 2.0, 0.7][: d - 1]))
         assert r.terms_used <= d * 5 ** (d - 1)
@@ -1087,12 +1098,13 @@ def test_plans_are_keyed_on_every_input():
     ):
         heat_pu_char(p, x)
     plans = kernels._PLANS._plans
-    assert len(plans) == 5
-    assert len({id(plan) for plan in plans.values()}) == 5
-    assert (2, 0.05, 3, 1e-8) in plans and (2, 0.06, None, 1e-12) in plans
+    # a trimmed plan reads no tail_tol, so both tolerances share it
+    assert len(plans) == 4
+    assert len({id(plan) for plan in plans.values()}) == 4
+    assert (2, 0.05, 3, None) in plans and (2, 0.06, None, 1e-12) in plans
     loose, tight = plans[(2, 0.05, None, 1e-8)], plans[(2, 0.05, None, 1e-12)]
     assert loose.terms < tight.terms
-    assert plans[(2, 0.05, 3, 1e-12)].terms == 4  # one-norm <= 6 at d = 2
+    assert plans[(2, 0.05, 3, None)].terms == 4  # one-norm <= 6 at d = 2
     assert kernels._PLANS.nbytes == sum(plan.nbytes for plan in plans.values())
 
 

@@ -379,12 +379,20 @@ def test_char_sum_blocks_do_not_change_the_answer(monkeypatch, d, sigma, trim):
         assert np.all(np.abs(one - whole) <= tol), (name, np.max(np.abs(one - whole) / tol))
 
 
-@pytest.mark.parametrize("d,sigma,trim,n", [(3, 0.05, 78, 5000), (4, 0.3, None, 1000), (5, 1.0, None, 1000)])
+@pytest.mark.parametrize(
+    "d,sigma,trim,n", [(3, 0.05, 78, 5000), (4, 0.3, None, 1000), (5, 1.0, None, 1000), (2, None, 40, 20000)]
+)
 def test_char_sum_working_set_stays_within_the_block_budget(d, sigma, trim, n):
     # The peak of one call, less its output, at Haar points: every block's
     # tables, GEMM output, signed powers, class values, cofactor levels and
-    # h tables together.
-    plan = _PLANS.get(KernelParams(d, sigma, trim_t=trim)).sums
+    # h tables together. sigma None is the identity plan of _char_batch on
+    # the labels of one-norm up to 2 trim, whose regular d = 2 points take
+    # Horner's rule, which over all 20,000 points at once holds 51 MiB.
+    if sigma is None:
+        lams = _projective_tuples(d, trim)
+        plan = _char_sum_plan(lams, np.eye(len(lams)))
+    else:
+        plan = _PLANS.get(KernelParams(d, sigma, trim_t=trim)).sums
     theta = _haar_rows(d, n, seed=40 + d)
     _char_sum(plan, theta[:2], real=True)  # cached index tables are not part of a call
     tracemalloc.start()
@@ -394,7 +402,12 @@ def test_char_sum_working_set_stays_within_the_block_budget(d, sigma, trim, n):
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes <= wc._BLOCK_BYTES
-    assert wc._block_shape(plan)[0] < n
+    if d == 2:
+        # Horner's rule works point by point, so its blocks change no bit
+        assert wc._horner_points(plan) < n
+        assert np.array_equal(out, wc._horner_ratio(plan, theta))
+    else:
+        assert wc._block_shape(plan)[0] < n
 
 
 @pytest.mark.parametrize("d", [3, 4])
