@@ -293,11 +293,13 @@ def _build_char_plan(p: KernelParams) -> _CharPlan:
         cutoff = 2 * p.trim_t
         tail = 0.0
         skip_budget = 0.0
+        reason = f"trim_t = {p.trim_t}"
     else:
         cutoff, tail = _weight_cutoff(d, sigma, 1.0, 0.5 * p.tail_tol)
         skip_budget = 0.4 * p.tail_tol
+        reason = f"tail_tol = {p.tail_tol:g}"
     _check_expansion(d, 1, cutoff)
-    lams = _label_rows(d, cutoff, f"tail_tol = {p.tail_tol:g}")
+    lams = _label_rows(d, cutoff, reason)
 
     dims = _dim_array(lams)
     cas = _casimir_array(lams)

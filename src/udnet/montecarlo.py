@@ -1,20 +1,29 @@
 """Monte Carlo and quadrature validation for the kernel estimates.
 
-Every estimator here tests a class function, so the samplers draw
-eigenvalues and build no matrix. Haar eigenphases on SU(d) come from
+Every estimator here tests a class function, so the samplers build no
+matrix: the Haar sampler draws eigenphases, and the GUE tail computes no
+eigenvalue at all. Haar eigenphases on SU(d) come from
 rejection against the Weyl density (_haar_eigenphases): uniform proposals on
 the torus, kept with probability |Delta|^2 / d^d, so each accepted row costs
-d^d/d! proposals. The traceless GUE convention is density exp(-Tr A^2)
-(diagonal variance 1/2, off-diagonal real and imaginary parts variance
-1/4), matching the eigenvalue density exp(-sum y^2) * prod (y_i - y_j)^2 on
-the zero-sum hyperplane; its eigenvalues come from the beta = 2 tridiagonal
-model (_gue_eigenvalues). Per accepted row at n = 5,000 (1 BLAS thread,
-2-vCPU Intel Xeon), against QR-drawn Haar matrices and their eigvals:
-d = 2: 0.17 us (3.3 us); d = 3: 0.49 (5.5); d = 4: 1.9 (9.3); d = 5: 6.9
-(14); d = 6: 24 (21); d = 7: 90 (27). The rejection cost grows as d^d/d!
-(2, 4.5, 10.7, 26, 65, 163 proposals per row), so from d = 6 on it is
-slower than the matrices. A GUE row takes 0.44 us at d = 2 and 3.0 us at
-d = 7, against 0.86 and 9.4 us for a complex matrix and its eigvalsh.
+d^d/d! proposals. Acceptance is tested on the columns of the proposal draws,
+and only the accepted rows are gathered. Per accepted row at n = 5,000
+(1 BLAS thread, 2-vCPU Intel Xeon), against QR-drawn Haar matrices and their
+eigvals: d = 2: 0.13 us (3.8 us); d = 3: 0.68 (9.2); d = 4: 1.9 (12); d = 5:
+6.7 (15); d = 6: 25 (28); d = 7: 78 (28). The rejection cost grows as
+d^d/d! (2, 4.5, 10.7, 26, 65, 163 proposals per row), so it is about even
+with the matrices at d = 6 and slower from d = 7 on.
+
+The traceless GUE convention is density exp(-Tr A^2) (diagonal variance
+1/2, off-diagonal real and imaginary parts variance 1/4), matching the
+eigenvalue density exp(-sum y^2) * prod (y_i - y_j)^2 on the zero-sum
+hyperplane. gue_tail_mc draws the bands of the beta = 2 tridiagonal model
+(_gue_tridiagonal) and asks only whether an eigenvalue lies past c +- r, c
+the mean of the diagonal: Sturm counts (_sturm_count, the signs of the
+LDL^T pivots of T - x I) answer that, so no matrix is built and no
+eigenvalue is computed. A row takes 0.12 us at d = 2, 0.18 us at d = 3 and
+0.32 us at d = 7. A complex matrix and its LAPACK eigenvalues take 1.3, 2.6
+and 7.4 us, and the dense tridiagonal model's eigenvalues 0.5, 1.1 and
+3.2 us.
 
 Estimators draw fixed-size chunks of 2^15 samples. Chunk i uses a fresh
 generator keyed by (seed, stream_id, i) and chunk statistics reduce with
@@ -121,7 +130,8 @@ def _haar_eigenphases(d: int, n: int, gen: np.random.Generator) -> np.ndarray:
     most d^d, so a uniform proposal is kept when u d^d < |Delta|^2, with
     acceptance d!/d^d. Proposals come in rounds of at most _ROUND rows,
     each sized from the rows still missing, so the draws depend only on gen
-    and n. theta_d is wrapped to [-pi, pi).
+    and n. A round tests the columns of its draws and gathers only the
+    rows it keeps. theta_d is wrapped to [-pi, pi).
     """
     ceiling = float(d) ** d
     per_accept = ceiling / math.factorial(d)
@@ -131,35 +141,57 @@ def _haar_eigenphases(d: int, n: int, gen: np.random.Generator) -> np.ndarray:
         m = min(_ROUND, math.ceil(1.1 * (n - done) * per_accept) + 16)
         phi = gen.uniform(-math.pi, math.pi, (m, d - 1))
         u = gen.random(m)
-        theta = np.concatenate([phi, -phi.sum(axis=1, keepdims=True)], axis=1)
+        cols = [*phi.T, -phi.sum(axis=1)]
         vdm = np.ones(m)
         for i in range(d):
             for j in range(i + 1, d):
-                vdm *= 2.0 - 2.0 * np.cos(theta[:, i] - theta[:, j])
-        kept = theta[u * ceiling < vdm][: n - done]
-        out[done : done + len(kept)] = kept
+                vdm *= 2.0 - 2.0 * np.cos(cols[i] - cols[j])
+        kept = np.flatnonzero(u * ceiling < vdm)[: n - done]
+        out[done : done + len(kept), :-1] = phi[kept]
+        out[done : done + len(kept), -1] = cols[-1][kept]
         done += len(kept)
     out[:, -1] = np.remainder(out[:, -1] + math.pi, TWO_PI) - math.pi
     return out
 
 
-def _gue_eigenvalues(d: int, n: int, gen: np.random.Generator) -> np.ndarray:
-    """Eigenvalue rows (n, d) of n traceless GUE draws, no complex matrices.
+def _gue_tridiagonal(d: int, n: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal (n, d) and off-diagonal (n, d - 1) of n GUE tridiagonal models.
 
     The beta = 2 tridiagonal model (Dumitriu and Edelman, J. Math. Phys. 43,
     5830, 2002) at this module's scale: diagonal N(0, 1/2), off-diagonal
     entry k = 1..d-1 distributed as chi_{2(d-k)} / 2, has the GUE eigenvalue
-    density exp(-sum y^2) prod (y_i - y_j)^2. One real batched eigvalsh, and
-    removing the mean eigenvalue projects onto the traceless hyperplane as
-    A - (Tr A / d) I does.
+    density exp(-sum y^2) prod (y_i - y_j)^2. Its eigenvalues less their
+    mean, the mean of the diagonal, are those of a traceless GUE draw, as
+    A - (Tr A / d) I projects onto the traceless hyperplane.
     """
-    t = np.zeros((n, d, d))
-    idx = np.arange(d)
-    t[:, idx, idx] = gen.normal(0.0, math.sqrt(0.5), (n, d))
+    diag = gen.normal(0.0, math.sqrt(0.5), (n, d))
     off = 0.5 * np.sqrt(gen.chisquare(2.0 * np.arange(d - 1, 0, -1), (n, d - 1)))
-    t[:, idx[1:], idx[:-1]] = off
-    ev = np.linalg.eigvalsh(t)
-    return ev - ev.mean(axis=1, keepdims=True)
+    return diag, off
+
+
+def _sturm_count(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Eigenvalues below x of each symmetric tridiagonal row, no eigenvalue.
+
+    By Sylvester's law of inertia the count is that of the negative pivots
+    q_1 = a_1 - x, q_k = (a_k - x) - b_{k-1}^2 / q_{k-1} of the LDL^T
+    factorisation of T - x I, which is backward stable (Demmel, Applied
+    Numerical Linear Algebra, sec. 5.3.4). A pivot of modulus below pivmin =
+    tiny * max(1, max b^2) becomes -pivmin, LAPACK dstebz's rule: every
+    quotient stays finite, and a zero pivot counts as negative, so on a
+    diagonal T an eigenvalue equal to x counts as below it.
+    diag is (n, d), off (n, d - 1) and x broadcasts against (n,), e.g. (2, n)
+    for two shifts per row; the counts take x's broadcast shape.
+    """
+    b2 = off * off
+    pivmin = np.finfo(float).tiny * max(1.0, float(b2.max(initial=0.0)))
+    q = diag[:, 0] - x
+    count = np.zeros(q.shape, dtype=np.intp)
+    for k in range(diag.shape[1]):
+        if k:
+            q = (diag[:, k] - x) - b2[:, k - 1] / q
+        np.copyto(q, -pivmin, where=np.abs(q) < pivmin)
+        count += q < 0.0
+    return count
 
 
 def _dp_to_identity(theta: np.ndarray, d: int) -> np.ndarray:
@@ -204,15 +236,24 @@ def _mc_run(n: int, rng: RngStream, chunk_vals, workers: int | None = 1) -> McEs
 
 
 def gue_tail_mc(d: int, r: float, n: int, rng: RngStream, *, workers: int | None = 1) -> McEstimate:
-    """Empirical P(||A||_inf >= r) for the traceless GUE."""
+    """Empirical P(||A||_inf >= r) for the traceless GUE.
+
+    A row of the tridiagonal model counts when an eigenvalue lies past
+    c + r or c - r, c the mean of its diagonal: when (d - nu(c + r)) +
+    nu(c - r) > 0, nu the Sturm count of _sturm_count. Its eigenvalues less
+    c are those of the traceless draw, so this is ||A||_inf >= r up to ties
+    at c +- r, which have probability 0.
+    """
     _check_dimension(d)
     r = float(r)
     if not math.isfinite(r) or r < 0.0:
         raise InvalidParameterError("r must be finite and nonnegative")
 
     def chunk(gen, m):
-        ev = _gue_eigenvalues(d, m, gen)
-        return (np.abs(ev).max(axis=1) >= r).astype(float)
+        diag, off = _gue_tridiagonal(d, m, gen)
+        c = diag.mean(axis=1)
+        below = _sturm_count(diag, off, np.stack([c + r, c - r]))
+        return ((d - below[0]) + below[1] > 0).astype(float)
 
     return _mc_run(n, rng, chunk, workers=workers)
 

@@ -26,8 +26,10 @@ route as one call per lattice sum, each with its own scan of radii
 radius) and its own grid. pu_envelope_tail_mp and lattice_envelope_tails_mp
 sum the two shell envelopes exactly, from above, for the cutoff tests. Last
 come the helpers that the package no longer has or exports, which the tests
-use as oracles or to reach package code: the per-weight character, and the
-matrix samplers that the eigenvalue samplers of montecarlo replaced.
+use as oracles or to reach package code: the per-weight character, the
+matrix samplers that the eigenvalue samplers of montecarlo replaced, and
+the earlier forms of those samplers (proposal rows built whole, GUE
+eigenvalues by eigvalsh), which their replacements must match bit for bit.
 """
 
 import itertools
@@ -47,8 +49,8 @@ from udnet.kernels import (
     _lattice_shell_slope,
     _tangent_log_tail,
 )
-from udnet.lie_core import InvalidParameterError, TorusPoint, _check_unitaries, log_prefactor
-from udnet.montecarlo import _dp_to_identity, torus_grid
+from udnet.lie_core import TWO_PI, InvalidParameterError, TorusPoint, _check_unitaries, log_prefactor
+from udnet.montecarlo import _ROUND, _dp_to_identity, _mc_run, torus_grid
 from udnet.weights_chars import GAP_TOL, _char_batch
 
 mp.mp.dps = 50
@@ -684,6 +686,49 @@ def gue_traceless(d, n, gen):
     a = (g + np.conj(np.swapaxes(g, 1, 2))) / (2.0 * math.sqrt(2.0))
     tr = np.trace(a, axis1=1, axis2=2).real / d
     return a - tr[:, None, None] * np.eye(d)[None, :, :]
+
+
+def haar_eigenphases_rows(d, n, gen):
+    """montecarlo._haar_eigenphases as it was before it tested proposals on
+    columns: each rejection round builds its (m, d) proposal rows whole and
+    keeps the accepted ones. The same draws, so the same rows."""
+    ceiling = float(d) ** d
+    per_accept = ceiling / math.factorial(d)
+    out = np.empty((n, d))
+    done = 0
+    while done < n:
+        m = min(_ROUND, math.ceil(1.1 * (n - done) * per_accept) + 16)
+        phi = gen.uniform(-math.pi, math.pi, (m, d - 1))
+        u = gen.random(m)
+        theta = np.concatenate([phi, -phi.sum(axis=1, keepdims=True)], axis=1)
+        vdm = np.ones(m)
+        for i in range(d):
+            for j in range(i + 1, d):
+                vdm *= 2.0 - 2.0 * np.cos(theta[:, i] - theta[:, j])
+        kept = theta[u * ceiling < vdm][: n - done]
+        out[done : done + len(kept)] = kept
+        done += len(kept)
+    out[:, -1] = np.remainder(out[:, -1] + math.pi, TWO_PI) - math.pi
+    return out
+
+
+def gue_tail_eigvalsh(d, r, n, rng):
+    """montecarlo.gue_tail_mc as it was before the Sturm count: each chunk
+    builds the tridiagonal models of montecarlo._gue_tridiagonal (the same
+    draws) as dense (m, d, d) matrices, takes a batched eigvalsh, removes
+    the mean eigenvalue, and counts the rows with some |eigenvalue| >= r."""
+
+    def chunk(gen, m):
+        t = np.zeros((m, d, d))
+        idx = np.arange(d)
+        t[:, idx, idx] = gen.normal(0.0, math.sqrt(0.5), (m, d))
+        off = 0.5 * np.sqrt(gen.chisquare(2.0 * np.arange(d - 1, 0, -1), (m, d - 1)))
+        t[:, idx[1:], idx[:-1]] = off
+        ev = np.linalg.eigvalsh(t)
+        ev -= ev.mean(axis=1, keepdims=True)
+        return (np.abs(ev).max(axis=1) >= r).astype(float)
+
+    return _mc_run(n, rng, chunk)
 
 
 def weyl_vector_diag(d):

@@ -1200,6 +1200,21 @@ def test_truncation_error_over_term_budget(monkeypatch):
     assert exc.value.required_cutoff == 638
 
 
+def test_truncation_error_names_the_input_that_set_the_cutoff(monkeypatch):
+    # a trimmed plan reads trim_t, not tail_tol: its cutoff is 2 trim_t
+    import udnet.kernels as kernels
+
+    monkeypatch.setattr(kernels, "_projective_tuples", lambda *args: pytest.fail("enumerated"))
+    x = _pt(4, 0.3, -0.1, 0.2)
+    with pytest.raises(TruncationError) as exc:
+        heat_pu_char(KernelParams(4, 0.1, trim_t=400), x)
+    assert str(exc.value) == "trim_t = 400 needs 8982623 weights, over the term budget 2000000; required cutoff 800"
+    assert exc.value.required_cutoff == 800
+    with pytest.raises(TruncationError) as exc:
+        heat_pu_char(KernelParams(4, 0.01, tail_tol=1e-6), x)
+    assert str(exc.value).startswith("tail_tol = 1e-06 needs ")
+
+
 def test_expansion_budget_checked_before_the_expansion(monkeypatch):
     # the Laplace recursion forms below d 2^(d-1) products per point: over the
     # term budget from d = 18, before a label, a recursion step or a power

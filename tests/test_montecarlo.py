@@ -5,7 +5,9 @@ Statistical assertions use 5 standard errors around exact first moments
 spurious failures sit at the 1e-6 level. The eigenvalue samplers are also
 checked on every power moment E|Tr U^k|^2 = min(k, d) (4 standard errors
 each), and against their matrix oracles by two-sample Kolmogorov-Smirnov
-tests whose p-values must exceed 1e-6.
+tests whose p-values must exceed 1e-6. The Sturm count is checked against
+eigvalsh, and the GUE tail and the Haar sampler against their earlier
+forms in oracles, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from udnet.montecarlo import (
     RngStream,
     _exact_grid_n,
     _dp_to_identity,
-    _gue_eigenvalues,
+    _gue_tridiagonal,
     _haar_eigenphases,
     _logsumexp,
+    _sturm_count,
     gue_opnorm_cdf,
     gue_tail_mc,
     mc_normalization,
@@ -37,7 +40,14 @@ from udnet.montecarlo import (
 )
 from udnet.weights_chars import _char_batch, enumerate_projective_weights
 
-from oracles import gue_traceless, haar_eigenphases_qr, projective_distance, torus_quadrature
+from oracles import (
+    gue_tail_eigvalsh,
+    gue_traceless,
+    haar_eigenphases_qr,
+    haar_eigenphases_rows,
+    projective_distance,
+    torus_quadrature,
+)
 
 
 def test_rng_stream_validation():
@@ -103,9 +113,35 @@ def test_haar_eigenphases_match_the_matrix_sampler(d):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_haar_eigenphases_are_the_row_sampler_bit_for_bit(d):
+    # testing proposals on their columns keeps the draws and the rows
+    new = _haar_eigenphases(d, 5_000, RngStream(90 + d).generator())
+    ref = haar_eigenphases_rows(d, 5_000, RngStream(90 + d).generator())
+    assert np.array_equal(new, ref)
+
+
+def _tridiagonal(diag, off):
+    """Dense (n, d, d) symmetric tridiagonal matrices from their bands."""
+    n, d = diag.shape
+    t = np.zeros((n, d, d))
+    idx = np.arange(d)
+    t[:, idx, idx] = diag
+    t[:, idx[1:], idx[:-1]] = off
+    t[:, idx[:-1], idx[1:]] = off
+    return t
+
+
+def _tridiagonal_eigenvalues(d, n, seed):
+    """Traceless GUE eigenvalue rows: eigvalsh of the tridiagonal model, less
+    the mean of its diagonal."""
+    diag, off = _gue_tridiagonal(d, n, RngStream(seed).generator())
+    assert diag.shape == (n, d) and off.shape == (n, d - 1)
+    return np.linalg.eigvalsh(_tridiagonal(diag, off)) - diag.mean(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_gue_eigenvalues_second_moment_and_trace(d):
-    ev = _gue_eigenvalues(d, 20_000, RngStream(60 + d).generator())
-    assert ev.shape == (20_000, d)
+    ev = _tridiagonal_eigenvalues(d, 20_000, 60 + d)
     assert np.abs(ev.sum(axis=1)).max() < 1e-12
     tr2 = (ev * ev).sum(axis=1)
     se = tr2.std(ddof=1) / math.sqrt(tr2.size)
@@ -114,10 +150,64 @@ def test_gue_eigenvalues_second_moment_and_trace(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_gue_eigenvalues_match_the_matrix_sampler(d):
-    new = _gue_eigenvalues(d, 20_000, RngStream(70 + d).generator())
+    new = _tridiagonal_eigenvalues(d, 20_000, 70 + d)
     ref = np.linalg.eigvalsh(gue_traceless(d, 20_000, RngStream(80 + d).generator()))
     for stat in (lambda ev: ev[:, -1], lambda ev: ev[:, -1] - ev[:, 0], lambda ev: np.abs(ev).max(axis=1)):
         assert ks_2samp(stat(new), stat(ref)).pvalue > 1e-6
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_sturm_count_matches_eigvalsh(d):
+    # nu(x) = #{eigenvalues < x}; rows with an eigenvalue within 8 u ||T|| of
+    # x are left out, since there eigvalsh may put it on either side
+    n = 6_000
+    gen = np.random.default_rng(1000 + d)
+    diag, off = _gue_tridiagonal(d, n, gen)
+    off[::4, gen.integers(0, d - 1)] = 0.0  # reducible rows
+    off[1::9] = 0.0  # diagonal rows
+    ev = np.linalg.eigvalsh(_tridiagonal(diag, off))
+    norm = np.abs(ev).max(axis=1)
+    shifts = {
+        "random": gen.normal(0.0, 1.5, n),
+        "diagonal entry": diag[np.arange(n), gen.integers(0, d, n)],
+        "first diagonal entry": diag[:, 0],  # q_1 is exactly 0
+        "+1e6": np.full(n, 1e6),
+        "-1e6": np.full(n, -1e6),
+    }
+    for name, x in shifts.items():
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = _sturm_count(diag, off, x)
+        want = (ev < x[:, None]).sum(axis=1)
+        safe = np.abs(ev - x[:, None]).min(axis=1) > 8.0 * 2.0**-53 * norm
+        assert safe.mean() > 0.5, name
+        assert np.array_equal(got[safe], want[safe]), name
+    # two shifts per row broadcast as (2, n)
+    x = np.stack([shifts["random"], -shifts["random"]])
+    assert np.array_equal(_sturm_count(diag, off, x), [_sturm_count(diag, off, row) for row in x])
+
+
+def test_sturm_count_puts_an_eigenvalue_at_x_below_it():
+    # a zero pivot becomes -pivmin (LAPACK dstebz), so on a diagonal T the
+    # count at x = a_k is #{j : a_j <= a_k}, ties included
+    diag = np.array([[0.5, -1.0, 0.5, 2.0], [3.0, 3.0, 3.0, 3.0], [0.0, 1.0, -1.0, 0.0]])
+    off = np.zeros((3, 3))
+    for k in range(4):
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = _sturm_count(diag, off, diag[:, k])
+        assert np.array_equal(got, (diag <= diag[:, k : k + 1]).sum(axis=1)), k
+
+
+@pytest.mark.parametrize(
+    "d, r, mean",
+    [(2, 1.5, 0.02909), (3, 2.5, 0.00646), (4, 3.0, 0.00515), (5, 3.0, 0.04566), (7, 4.0, 0.00577)],
+)
+def test_gue_tail_mc_is_the_eigvalsh_tail_bit_for_bit(d, r, mean):
+    # the Sturm count gives the rows eigvalsh gave; the means are the ones
+    # the eigvalsh tail printed
+    est = gue_tail_mc(d, r, 100_000, RngStream(7, stream_id=d))
+    ref = gue_tail_eigvalsh(d, r, 100_000, RngStream(7, stream_id=d))
+    assert (est.mean, est.std_error, est.n) == (ref.mean, ref.std_error, ref.n)
+    assert est.mean == mean
 
 
 def test_projective_distance_reference_points():
