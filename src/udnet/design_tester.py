@@ -455,6 +455,6 @@ def net_probe(support, eps: float, n: int, rng: RngStream) -> NetProbeReport:
         nonlocal worst
         dist = _min_dist_to_support(_haar_su(d, m, gen), stack, d)
         worst = max(worst, float(dist.max()))
-        return (dist <= eps).astype(float)
+        return dist <= eps
 
     return NetProbeReport(estimate=_mc_run(n, rng, chunk), worst_distance=worst)

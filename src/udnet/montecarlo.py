@@ -6,12 +6,14 @@ eigenvalue at all. Haar eigenphases on SU(d) come from
 rejection against the Weyl density (_haar_eigenphases): uniform proposals on
 the torus, kept with probability |Delta|^2 / d^d, so each accepted row costs
 d^d/d! proposals. Acceptance is tested on the columns of the proposal draws,
-and only the accepted rows are gathered. Per accepted row at n = 5,000
-(1 BLAS thread, 2-vCPU Intel Xeon), against QR-drawn Haar matrices and their
-eigvals: d = 2: 0.13 us (3.8 us); d = 3: 0.68 (9.2); d = 4: 1.9 (12); d = 5:
-6.7 (15); d = 6: 25 (28); d = 7: 78 (28). The rejection cost grows as
-d^d/d! (2, 4.5, 10.7, 26, 65, 163 proposals per row), so it is about even
-with the matrices at d = 6 and slower from d = 7 on.
+in blocks of _BLOCK = 2^12 proposals, and only the accepted rows are
+gathered; the block that completes the rows ends the round. Per accepted
+row at n = 5,000 (1 BLAS thread, 2-vCPU Intel Xeon), against QR-drawn Haar
+matrices and their eigvals: d = 2: 0.13 us (3.8 us); d = 3: 0.68 (9.2);
+d = 4: 1.9 (12); d = 5: 6.7 (15); d = 6: 25 (28); d = 7: 78 (28). The
+rejection cost grows as d^d/d! (2, 4.5, 10.7, 26, 65, 163 proposals per
+row), so it is about even with the matrices at d = 6 and slower from d = 7
+on.
 
 The traceless GUE convention is density exp(-Tr A^2) (diagonal variance
 1/2, off-diagonal real and imaginary parts variance 1/4), matching the
@@ -28,7 +30,9 @@ and 7.4 us, and the dense tridiagonal model's eigenvalues 0.5, 1.1 and
 Estimators draw fixed-size chunks of 2^15 samples. Chunk i uses a fresh
 generator keyed by (seed, stream_id, i) and chunk statistics reduce with
 exactly rounded summation in index order, so an estimate depends only on
-(seed, stream_id, n), never on how chunks are scheduled across workers.
+(seed, stream_id, n), never on how chunks are scheduled across workers. An
+indicator chunk (the GUE tail, the net probe) is boolean and reduces to its
+count; a float chunk is summed by fsum over its _BLOCK-row slices.
 
 Torus quadrature is the rectangle rule on the periodic cube (-pi, pi]^{d-1}
 against the Weyl density |j|^2 / |W|, at any d up to a budget of 2^20
@@ -38,7 +42,11 @@ degree: 13^2 nodes for the Gram matrix of the one-norm <= 4 characters at
 d = 3, 17^4 at d = 5. The dominant-term integral I_0 is no polynomial; it
 restricts a d <= 3 grid to the complement of the eigenphase box
 max_j |theta_j| <= eps_tilde and assembles its prefactor in log space; its
-log-sum-exp is scipy's algorithm in numpy.
+log-sum-exp is scipy's algorithm in numpy. It builds its nodes from the grid
+axis in blocks of whole grid rows, about _BLOCK nodes each, and keeps one
+float per node: the finite log-integrands of the outside nodes, in node
+order. Its traced peak is about 17 bytes per node, 16.5 MiB at 2^20 nodes,
+where the whole grid's arrays took 84 bytes per node.
 The d = 2 GUE operator-norm cdf is in closed form. So the module loads no
 scipy, and neither does a CLI command that does not need it.
 """
@@ -47,6 +55,7 @@ from __future__ import annotations
 
 import math
 import os
+from itertools import chain
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -80,6 +89,7 @@ __all__ = [
 
 _CHUNK = 1 << 15
 _ROUND = 1 << 16  # most proposals per rejection round of _haar_eigenphases
+_BLOCK = 1 << 12  # rows per block of the quadrature, Haar and distance loops
 
 
 @dataclass
@@ -130,8 +140,10 @@ def _haar_eigenphases(d: int, n: int, gen: np.random.Generator) -> np.ndarray:
     most d^d, so a uniform proposal is kept when u d^d < |Delta|^2, with
     acceptance d!/d^d. Proposals come in rounds of at most _ROUND rows,
     each sized from the rows still missing, so the draws depend only on gen
-    and n. A round tests the columns of its draws and gathers only the
-    rows it keeps. theta_d is wrapped to [-pi, pi).
+    and n. A round tests the columns of its draws in blocks of _BLOCK rows,
+    gathers only the rows it keeps, and stops at the block that completes
+    n rows; the kept rows are the first accepted ones in proposal order.
+    theta_d is wrapped to [-pi, pi).
     """
     ceiling = float(d) ** d
     per_accept = ceiling / math.factorial(d)
@@ -141,15 +153,19 @@ def _haar_eigenphases(d: int, n: int, gen: np.random.Generator) -> np.ndarray:
         m = min(_ROUND, math.ceil(1.1 * (n - done) * per_accept) + 16)
         phi = gen.uniform(-math.pi, math.pi, (m, d - 1))
         u = gen.random(m)
-        cols = [*phi.T, -phi.sum(axis=1)]
-        vdm = np.ones(m)
-        for i in range(d):
-            for j in range(i + 1, d):
-                vdm *= 2.0 - 2.0 * np.cos(cols[i] - cols[j])
-        kept = np.flatnonzero(u * ceiling < vdm)[: n - done]
-        out[done : done + len(kept), :-1] = phi[kept]
-        out[done : done + len(kept), -1] = cols[-1][kept]
-        done += len(kept)
+        for start in range(0, m, _BLOCK):
+            block = phi[start : start + _BLOCK]
+            cols = [*block.T, -block.sum(axis=1)]
+            vdm = np.ones(block.shape[0])
+            for i in range(d):
+                for j in range(i + 1, d):
+                    vdm *= 2.0 - 2.0 * np.cos(cols[i] - cols[j])
+            kept = np.flatnonzero(u[start : start + _BLOCK] * ceiling < vdm)[: n - done]
+            out[done : done + len(kept), :-1] = block[kept]
+            out[done : done + len(kept), -1] = cols[-1][kept]
+            done += len(kept)
+            if done == n:
+                break
     out[:, -1] = np.remainder(out[:, -1] + math.pi, TWO_PI) - math.pi
     return out
 
@@ -195,11 +211,22 @@ def _sturm_count(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray
 
 
 def _dp_to_identity(theta: np.ndarray, d: int) -> np.ndarray:
-    """Projective distance to the identity from eigenphase rows (n, d)."""
-    shifts = TWO_PI * np.arange(d) / d
-    diff = theta[:, None, :] - shifts[None, :, None]
-    dist = 2.0 * np.abs(np.sin(diff / 2.0))
-    return dist.max(axis=2).min(axis=1)
+    """Projective distance to the identity from eigenphase rows (n, d).
+
+    min over the d center shifts s of max_j 2 |sin((theta_j - s) / 2)|,
+    taken one shift at a time with a running minimum, so the working set
+    is one (n, d) array besides the rows and the result.
+    """
+    best = np.full(theta.shape[0], np.inf)
+    diff = np.empty(theta.shape)
+    for k in range(d):
+        np.subtract(theta, TWO_PI * k / d, out=diff)
+        diff /= 2.0
+        np.sin(diff, out=diff)
+        np.abs(diff, out=diff)
+        diff *= 2.0
+        np.minimum(best, diff.max(axis=1), out=best)
+    return best
 
 
 def _mc_run(n: int, rng: RngStream, chunk_vals, workers: int | None = 1) -> McEstimate:
@@ -207,7 +234,9 @@ def _mc_run(n: int, rng: RngStream, chunk_vals, workers: int | None = 1) -> McEs
 
     Chunk i draws from rng.substream(i) and the per-chunk sums reduce with
     fsum in index order, so the estimate depends on (seed, stream_id, n)
-    only, regardless of the worker count.
+    only, regardless of the worker count. A boolean chunk is an indicator:
+    its sum and its sum of squares are both the count of its True entries.
+    A float chunk is summed exactly by fsum over its _BLOCK-row slices.
     """
     n = _check_int("n", n, 1)
     if workers is None:
@@ -222,8 +251,14 @@ def _mc_run(n: int, rng: RngStream, chunk_vals, workers: int | None = 1) -> McEs
 
     def one(task: tuple[int, int]) -> tuple[float, float]:
         index, m = task
-        vals = np.asarray(chunk_vals(rng.substream(index), m), dtype=float)
-        return math.fsum(vals.tolist()), math.fsum((vals * vals).tolist())
+        vals = np.asarray(chunk_vals(rng.substream(index), m))
+        if vals.dtype == bool:
+            count = float(np.count_nonzero(vals))
+            return count, count
+        vals = vals.astype(float, copy=False)
+        blocks = [vals[i : i + _BLOCK] for i in range(0, len(vals), _BLOCK)]
+        total = math.fsum(chain.from_iterable(b.tolist() for b in blocks))
+        return total, math.fsum(chain.from_iterable((b * b).tolist() for b in blocks))
 
     if workers > 1 and len(plan) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -253,7 +288,7 @@ def gue_tail_mc(d: int, r: float, n: int, rng: RngStream, *, workers: int | None
         diag, off = _gue_tridiagonal(d, m, gen)
         c = diag.mean(axis=1)
         below = _sturm_count(diag, off, np.stack([c + r, c - r]))
-        return ((d - below[0]) + below[1] > 0).astype(float)
+        return (d - below[0]) + below[1] > 0
 
     return _mc_run(n, rng, chunk, workers=workers)
 
@@ -349,6 +384,18 @@ def _check_grid(d, grid_n) -> tuple[int, int]:
     return _check_dimension(d), _check_int("grid_n", grid_n, 2)
 
 
+def _node_count(d: int, grid_n: int) -> int:
+    """grid_n^(d-1), or ResourceLimitError when it exceeds _MAX_NODES."""
+    nodes = grid_n ** (d - 1)
+    if nodes > _MAX_NODES:
+        raise ResourceLimitError(f"torus grid of {grid_n}^{d - 1} = {nodes} nodes exceeds the node budget {_MAX_NODES}")
+    return nodes
+
+
+def _torus_axis(grid_n: int) -> np.ndarray:
+    return -math.pi + TWO_PI * np.arange(grid_n) / grid_n
+
+
 def _torus_nodes(d: int, grid_n: int) -> np.ndarray:
     """Uniform torus nodes (m, d-1), each phase on -pi + 2 pi a / grid_n.
 
@@ -356,11 +403,8 @@ def _torus_nodes(d: int, grid_n: int) -> np.ndarray:
     ResourceLimitError before any array is built.
     """
     d, grid_n = _check_grid(d, grid_n)
-    nodes = grid_n ** (d - 1)
-    if nodes > _MAX_NODES:
-        raise ResourceLimitError(f"torus grid of {grid_n}^{d - 1} = {nodes} nodes exceeds the node budget {_MAX_NODES}")
-    axis = -math.pi + TWO_PI * np.arange(grid_n) / grid_n
-    grids = np.meshgrid(*([axis] * (d - 1)), indexing="ij")
+    _node_count(d, grid_n)
+    grids = np.meshgrid(*([_torus_axis(grid_n)] * (d - 1)), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
@@ -390,30 +434,44 @@ def numeric_I0(d: int, sigma: float, eps: float, grid_n: int) -> float:
     box membership, so for d = 3 the cube corners stay in the domain. The
     integrand is no polynomial, so no grid side makes the rule exact; the
     grids it needs do not scale past d = 3, which it refuses.
+
+    The nodes are built from the axis in blocks of whole grid rows, about
+    _BLOCK nodes each, and the finite log-integrands of the outside nodes
+    go in node order into one array of the grid's size, which
+    _logsumexp sums: about 17 bytes per node at the peak.
     """
     d, grid_n = _check_grid(d, grid_n)
     if d > 3:
         raise InvalidDimensionError("numeric_I0 supports d in {2, 3}")
+    nodes = _node_count(d, grid_n)
     et = eps_tilde(eps)
     lp = log_prefactor(d, sigma)
-    phi = _torus_nodes(d, grid_n)
-    theta = np.concatenate([phi, -phi.sum(axis=1, keepdims=True)], axis=1)
-    outside = np.abs(theta).max(axis=1) > et
-    if not outside.any():
+    axis = _torus_axis(grid_n)
+    row = grid_n ** (d - 2)  # nodes per grid row: the last axis at d = 3, one node at d = 2
+    step = max(1, _BLOCK // row)
+    log_f = np.empty(nodes)
+    filled = 0
+    for start in range(0, grid_n, step):
+        rows = axis[start : start + step]
+        phi = [rows] if d == 2 else [np.repeat(rows, grid_n), np.tile(axis, len(rows))]
+        theta = [*phi, -sum(phi)]
+        outside = np.abs(theta[0]) > et
+        for t in theta[1:]:
+            outside |= np.abs(t) > et
+        theta = [t[outside] for t in theta]
+        block = np.zeros(len(theta[0]))
+        with np.errstate(divide="ignore"):
+            for i in range(d):
+                for j in range(i + 1, d):
+                    gap = theta[i] - theta[j]
+                    block += np.log(np.abs(2.0 * np.sin(gap / 2.0))) + np.log(np.abs(gap))
+        block -= 2.0 * d * sum(t * t for t in theta) / (4.0 * sigma)
+        block = block[np.isfinite(block)]
+        log_f[filled : filled + len(block)] = block
+        filled += len(block)
+    if filled == 0:
         return 0.0
-    theta = theta[outside]
-    log_f = np.zeros(theta.shape[0])
-    with np.errstate(divide="ignore"):
-        for i in range(d):
-            for j in range(i + 1, d):
-                gap = theta[:, i] - theta[:, j]
-                log_f += np.log(np.abs(2.0 * np.sin(gap / 2.0))) + np.log(np.abs(gap))
-    norm_sq = 2.0 * d * ((theta[:, :-1] ** 2).sum(axis=1) + theta[:, -1] ** 2)
-    log_f -= norm_sq / (4.0 * sigma)
-    finite = log_f[np.isfinite(log_f)]
-    if finite.size == 0:
-        return 0.0
-    return float(math.exp(lp + _logsumexp(finite) - (d - 1) * math.log(grid_n)))
+    return float(math.exp(lp + _logsumexp(log_f[:filled]) - (d - 1) * math.log(grid_n)))
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -426,6 +484,7 @@ def _logsumexp(a: np.ndarray) -> float:
     top = a.max()
     at_top = a == top
     count = np.float64(np.count_nonzero(at_top))
-    shifted = np.exp(a - top)
+    shifted = np.subtract(a, top)
+    np.exp(shifted, out=shifted)
     shifted[at_top] = 0.0
     return float(np.log1p(shifted.sum() / count) + np.log(count) + top)

@@ -29,7 +29,9 @@ come the helpers that the package no longer has or exports, which the tests
 use as oracles or to reach package code: the per-weight character, the
 matrix samplers that the eigenvalue samplers of montecarlo replaced, and
 the earlier forms of those samplers (proposal rows built whole, GUE
-eigenvalues by eigvalsh), which their replacements must match bit for bit.
+eigenvalues by eigvalsh), of numeric_I0 (the whole grid at once) and of
+_dp_to_identity (the (n, d, d) broadcast), which their replacements must
+match bit for bit.
 """
 
 import itertools
@@ -49,7 +51,7 @@ from udnet.kernels import (
     _lattice_shell_slope,
     _tangent_log_tail,
 )
-from udnet.lie_core import TWO_PI, InvalidParameterError, TorusPoint, _check_unitaries, log_prefactor
+from udnet.lie_core import TWO_PI, InvalidParameterError, TorusPoint, _check_unitaries, eps_tilde, log_prefactor
 from udnet.montecarlo import _ROUND, _dp_to_identity, _mc_run, torus_grid
 from udnet.weights_chars import GAP_TOL, _char_batch
 
@@ -710,6 +712,47 @@ def haar_eigenphases_rows(d, n, gen):
         done += len(kept)
     out[:, -1] = np.remainder(out[:, -1] + math.pi, TWO_PI) - math.pi
     return out
+
+
+def numeric_I0_whole(d, sigma, eps, grid_n):
+    """montecarlo.numeric_I0 as it was before it went over blocks of grid
+    rows: the whole meshgrid of nodes, the whole outside set and its
+    log-integrand at once, summed by scipy's logsumexp (which the package's
+    _logsumexp matches bit for bit)."""
+    from scipy.special import logsumexp
+
+    et = eps_tilde(eps)
+    lp = log_prefactor(d, sigma)
+    axis = -math.pi + TWO_PI * np.arange(grid_n) / grid_n
+    grids = np.meshgrid(*([axis] * (d - 1)), indexing="ij")
+    phi = np.stack([g.ravel() for g in grids], axis=1)
+    theta = np.concatenate([phi, -phi.sum(axis=1, keepdims=True)], axis=1)
+    outside = np.abs(theta).max(axis=1) > et
+    if not outside.any():
+        return 0.0
+    theta = theta[outside]
+    log_f = np.zeros(theta.shape[0])
+    with np.errstate(divide="ignore"):
+        for i in range(d):
+            for j in range(i + 1, d):
+                gap = theta[:, i] - theta[:, j]
+                log_f += np.log(np.abs(2.0 * np.sin(gap / 2.0))) + np.log(np.abs(gap))
+    norm_sq = 2.0 * d * ((theta[:, :-1] ** 2).sum(axis=1) + theta[:, -1] ** 2)
+    log_f -= norm_sq / (4.0 * sigma)
+    finite = log_f[np.isfinite(log_f)]
+    if finite.size == 0:
+        return 0.0
+    return float(math.exp(lp + float(logsumexp(finite)) - (d - 1) * math.log(grid_n)))
+
+
+def dp_to_identity_broadcast(theta, d):
+    """montecarlo._dp_to_identity as it was before it took one center shift
+    at a time: every shift against every eigenphase as one (n, d, d)
+    broadcast, then the max over eigenphases and the min over shifts."""
+    shifts = TWO_PI * np.arange(d) / d
+    diff = theta[:, None, :] - shifts[None, :, None]
+    dist = 2.0 * np.abs(np.sin(diff / 2.0))
+    return dist.max(axis=2).min(axis=1)
 
 
 def gue_tail_eigvalsh(d, r, n, rng):

@@ -28,6 +28,7 @@ from udnet.kernels import l2_norm_trimmed, l2_norm_untrimmed
 from udnet.lie_core import TorusPoint, eps_tilde
 from udnet.montecarlo import (
     RngStream,
+    gue_opnorm_cdf,
     gue_tail_mc,
     mc_outside_ball,
     numeric_I0,
@@ -186,6 +187,13 @@ def test_acceptance_07_gue_tail():
         good = est.mean <= bound + 3.0 * est.std_error
         ok = ok and good
         details.append(f"(d={d},r={r}): {est.mean:.1e} <= {bound:.1e}")
+    # the rows above lie past any tail 10^6 draws can see; at d = 2, r = 2
+    # the exact tail 1.1e-3 is over 10/n, so a wrong sampler shows
+    est = gue_tail_mc(2, 2.0, 1_000_000, RngStream(1, stream_id=3))
+    exact = 1.0 - gue_opnorm_cdf(2, 2.0)
+    good = abs(est.mean - exact) <= 4.0 * est.std_error
+    ok = ok and good
+    details.append(f"(d=2,r=2.0): {est.mean:.3e} = {exact:.3e} +- 4 x {est.std_error:.1e}")
     _line(7, "gaussian-tail of the operator norm", ok, t0, "; ".join(details))
     assert ok
 

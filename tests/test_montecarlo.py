@@ -6,13 +6,15 @@ spurious failures sit at the 1e-6 level. The eigenvalue samplers are also
 checked on every power moment E|Tr U^k|^2 = min(k, d) (4 standard errors
 each), and against their matrix oracles by two-sample Kolmogorov-Smirnov
 tests whose p-values must exceed 1e-6. The Sturm count is checked against
-eigvalsh, and the GUE tail and the Haar sampler against their earlier
-forms in oracles, bit for bit.
+eigvalsh, and the GUE tail, the Haar sampler, numeric_I0 and the
+projective distance against their earlier forms in oracles, bit for bit;
+the blocked loops also have their traced working sets bounded.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -30,6 +32,7 @@ from udnet.montecarlo import (
     _gue_tridiagonal,
     _haar_eigenphases,
     _logsumexp,
+    _mc_run,
     _sturm_count,
     gue_opnorm_cdf,
     gue_tail_mc,
@@ -41,10 +44,12 @@ from udnet.montecarlo import (
 from udnet.weights_chars import _char_batch, enumerate_projective_weights
 
 from oracles import (
+    dp_to_identity_broadcast,
     gue_tail_eigvalsh,
     gue_traceless,
     haar_eigenphases_qr,
     haar_eigenphases_rows,
+    numeric_I0_whole,
     projective_distance,
     torus_quadrature,
 )
@@ -112,11 +117,17 @@ def test_haar_eigenphases_match_the_matrix_sampler(d):
         assert ks_2samp(stat(new), stat(ref)).pvalue > 1e-6
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_haar_eigenphases_are_the_row_sampler_bit_for_bit(d):
-    # testing proposals on their columns keeps the draws and the rows
-    new = _haar_eigenphases(d, 5_000, RngStream(90 + d).generator())
-    ref = haar_eigenphases_rows(d, 5_000, RngStream(90 + d).generator())
+@pytest.mark.parametrize(
+    "d, n",
+    [(2, 5_000), (3, 5_000), (4, 5_000), (5, 5_000), (3, 20_000), (5, 20_000)],
+    ids=["2", "3", "4", "5", "3-20000", "5-20000"],
+)
+def test_haar_eigenphases_are_the_row_sampler_bit_for_bit(d, n):
+    # testing proposals on their columns, in blocks of _BLOCK rows, keeps the
+    # draws and the rows; at d = 3, n = 20,000 the first round of _ROUND
+    # proposals spans 16 blocks and a second round completes the rows
+    new = _haar_eigenphases(d, n, RngStream(90 + d).generator())
+    ref = haar_eigenphases_rows(d, n, RngStream(90 + d).generator())
     assert np.array_equal(new, ref)
 
 
@@ -208,6 +219,36 @@ def test_gue_tail_mc_is_the_eigvalsh_tail_bit_for_bit(d, r, mean):
     ref = gue_tail_eigvalsh(d, r, 100_000, RngStream(7, stream_id=d))
     assert (est.mean, est.std_error, est.n) == (ref.mean, ref.std_error, ref.n)
     assert est.mean == mean
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_dp_to_identity_is_the_broadcast_bit_for_bit(d):
+    # one center shift at a time with a running minimum gives the bits of the
+    # (n, d, d) broadcast: max and min are exact
+    theta = _haar_eigenphases(d, 20_000, RngStream(60 + d).generator())
+    theta[:100] = math.pi
+    theta[100:200] = -math.pi
+    theta[200:300, 0] = math.pi
+    for r in range(d):
+        rows = slice(300 + 100 * r, 400 + 100 * r)
+        # near omega^r I: every phase within 1e-9 of 2 pi r / d, wrapped
+        near = TWO_PI * r / d + 1e-9 * np.random.default_rng(r).standard_normal((100, d))
+        theta[rows] = np.remainder(near + math.pi, TWO_PI) - math.pi
+    got = _dp_to_identity(theta, d)
+    assert np.array_equal(got, dp_to_identity_broadcast(theta, d))
+    assert got[300 : 300 + 100 * d].max() < 1e-8
+
+
+def test_dp_to_identity_working_set_is_one_shift():
+    # the (n, d, d) broadcast traced 4.3 MB at n = 20,000, d = 3
+    theta = _haar_eigenphases(3, 20_000, RngStream(61).generator())
+    tracemalloc.start()
+    try:
+        _dp_to_identity(theta, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 def test_projective_distance_reference_points():
@@ -304,6 +345,19 @@ def test_torus_grid_node_cap_raises_before_any_array(monkeypatch):
         torus_grid(5, 32)  # 32^4 = 2^20 nodes are within the budget
 
 
+def test_numeric_I0_node_cap_raises_before_any_array(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    for name in ("empty", "repeat", "tile", "arange"):
+        monkeypatch.setattr(np, name, refuse)
+    for d, grid in ((2, (1 << 20) + 1), (3, 1025)):
+        with pytest.raises(ResourceLimitError, match="exceeds the node budget"):
+            numeric_I0(d, 0.05, 1.0, grid)
+    with pytest.raises(AssertionError, match="the grid was built"):
+        numeric_I0(3, 0.05, 1.0, 1024)  # 1024^2 = 2^20 nodes are within the budget
+
+
 def test_numeric_I0_still_refuses_d4():
     with pytest.raises(InvalidDimensionError, match="numeric_I0"):
         numeric_I0(4, 0.05, 1.0, 8)
@@ -391,6 +445,66 @@ def test_logsumexp_is_bit_identical_to_scipy():
 def test_numeric_I0_bits_are_pinned(args, bits):
     # the bits numeric_I0 gave when it summed with scipy.special.logsumexp
     assert numeric_I0(*args).hex() == bits
+
+
+@pytest.mark.parametrize(
+    "d, grids",
+    [(2, (512, 1000, 32_768)), (3, (64, 128, 131))],
+)
+def test_numeric_I0_is_the_whole_grid_bit_for_bit(d, grids):
+    # blocks of whole grid rows give the whole grid's bits: the same node
+    # values and one array of the finite log-values in node order; 131^2 =
+    # 17,161 nodes is no multiple of a block
+    for grid in grids:
+        for sigma, eps in ((0.005, 0.5), (0.03, 1.0), (0.1, 0.3), (1.0, 1.5), (0.05, 1e-9)):
+            assert numeric_I0(d, sigma, eps, grid) == numeric_I0_whole(d, sigma, eps, grid), (grid, sigma, eps)
+
+
+def test_numeric_I0_working_set_per_node():
+    # 262,144 nodes; the whole-grid form traced 22.0 MB, 84 bytes a node
+    grid = 512
+    tracemalloc.start()
+    try:
+        numeric_I0(3, 0.03, 1.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * grid**2
+
+
+def _gue_tail_indicators(d, r):
+    def chunk(gen, m):
+        diag, off = _gue_tridiagonal(d, m, gen)
+        c = diag.mean(axis=1)
+        below = _sturm_count(diag, off, np.stack([c + r, c - r]))
+        return (d - below[0]) + below[1] > 0
+
+    return chunk
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_mc_run_counts_boolean_chunks_as_their_float_sums(d):
+    # 70,000 draws make three chunks, the last a partial one
+    r = 0.8 * math.sqrt(2.0 * d)
+    chunk = _gue_tail_indicators(d, r)
+    counted = _mc_run(70_000, RngStream(3, stream_id=d), chunk)
+    summed = _mc_run(70_000, RngStream(3, stream_id=d), lambda gen, m: chunk(gen, m).astype(float))
+    assert (counted.mean, counted.std_error, counted.n) == (summed.mean, summed.std_error, summed.n)
+    assert 0.0 < counted.mean < 1.0
+
+
+def test_mc_run_float_chunks_are_summed_exactly():
+    # fsum over the block slices is fsum over the whole chunk
+    def chunk(gen, m):
+        return gen.standard_normal(m) * 10.0 ** gen.integers(-8, 9, m)
+
+    est = _mc_run(70_000, RngStream(4), chunk)
+    vals = [chunk(RngStream(4).substream(i), m) for i, m in enumerate((32_768, 32_768, 4_464))]
+    s = math.fsum(math.fsum(v.tolist()) for v in vals)
+    q = math.fsum(math.fsum((v * v).tolist()) for v in vals)
+    mean = s / 70_000
+    var = (q - 70_000 * mean * mean) / 69_999
+    assert (est.mean, est.std_error) == (mean, math.sqrt(max(0.0, var) / 70_000))
 
 
 def test_mc_normalization_trim_zero_is_exact():
