@@ -68,8 +68,6 @@ from .montecarlo import (
     RngStream,
     gue_opnorm_cdf,
     gue_tail_mc,
-    mc_normalization,
-    mc_outside_ball,
     numeric_I0,
     torus_grid,
 )
@@ -126,8 +124,6 @@ __all__ = [
     "l2_norm_untrimmed",
     "log_prefactor",
     "main",
-    "mc_normalization",
-    "mc_outside_ball",
     "net_probe",
     "numeric_I0",
     "ratio_R_over_I0_ok",

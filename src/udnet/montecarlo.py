@@ -1,19 +1,9 @@
 """Monte Carlo and quadrature validation for the kernel estimates.
 
-Every estimator here tests a class function, so the samplers build no
-matrix: the Haar sampler draws eigenphases, and the GUE tail computes no
-eigenvalue at all. Haar eigenphases on SU(d) come from
-rejection against the Weyl density (_haar_eigenphases): uniform proposals on
-the torus, kept with probability |Delta|^2 / d^d, so each accepted row costs
-d^d/d! proposals. Acceptance is tested on the columns of the proposal draws,
-in blocks of _BLOCK = 2^12 proposals, and only the accepted rows are
-gathered; the block that completes the rows ends the round. Per accepted
-row at n = 5,000 (1 BLAS thread, 2-vCPU Intel Xeon), against QR-drawn Haar
-matrices and their eigvals: d = 2: 0.13 us (3.8 us); d = 3: 0.68 (9.2);
-d = 4: 1.9 (12); d = 5: 6.7 (15); d = 6: 25 (28); d = 7: 78 (28). The
-rejection cost grows as d^d/d! (2, 4.5, 10.7, 26, 65, 163 proposals per
-row), so it is about even with the matrices at d = 6 and slower from d = 7
-on.
+Every estimator here counts an indicator, and the module imports no kernel
+code: the GUE tail computes no eigenvalue, and the net probe of
+design_tester brings its own Haar draws and reads only the projective
+distance (_dp_to_identity) and the chunked count (_mc_run) from here.
 
 The traceless GUE convention is density exp(-Tr A^2) (diagonal variance
 1/2, off-diagonal real and imaginary parts variance 1/4), matching the
@@ -28,11 +18,10 @@ and 7.4 us, and the dense tridiagonal model's eigenvalues 0.5, 1.1 and
 3.2 us.
 
 Estimators draw fixed-size chunks of 2^15 samples. Chunk i uses a fresh
-generator keyed by (seed, stream_id, i) and chunk statistics reduce with
-exactly rounded summation in index order, so an estimate depends only on
-(seed, stream_id, n), never on how chunks are scheduled across workers. An
-indicator chunk (the GUE tail, the net probe) is boolean and reduces to its
-count; a float chunk is summed by fsum over its _BLOCK-row slices.
+generator keyed by (seed, stream_id, i), and each chunk's indicator reduces
+to its count; the counts add exactly in index order, so an estimate
+depends only on (seed, stream_id, n), never on how chunks are scheduled
+across workers.
 
 Torus quadrature is the rectangle rule on the periodic cube (-pi, pi]^{d-1}
 against the Weyl density |j|^2 / |W|, at any d up to a budget of 2^20
@@ -45,8 +34,9 @@ max_j |theta_j| <= eps_tilde and assembles its prefactor in log space; its
 log-sum-exp is scipy's algorithm in numpy. It builds its nodes from the grid
 axis in blocks of whole grid rows, about _BLOCK nodes each, and keeps one
 float per node: the finite log-integrands of the outside nodes, in node
-order. Its traced peak is about 17 bytes per node, 16.5 MiB at 2^20 nodes,
-where the whole grid's arrays took 84 bytes per node.
+order, which the log-sum-exp shifts and exponentiates in place. Its traced
+peak is about 9 bytes per node, 9.2 MiB at 2^20 nodes, where the whole grid's
+arrays took 84 bytes per node.
 The d = 2 GUE operator-norm cdf is in closed form. So the module loads no
 scipy, and neither does a CLI command that does not need it.
 """
@@ -55,21 +45,17 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import chain
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import t_star
-from .kernels import KernelParams, heat_pu_char_batch
 from .lie_core import (
     TWO_PI,
     InvalidDimensionError,
     InvalidParameterError,
     ResourceLimitError,
     _check_dimension,
-    _check_eps,
     _check_int,
     _is_int,
     eps_tilde,
@@ -81,15 +67,12 @@ __all__ = [
     "McEstimate",
     "gue_tail_mc",
     "gue_opnorm_cdf",
-    "mc_normalization",
-    "mc_outside_ball",
     "torus_grid",
     "numeric_I0",
 ]
 
 _CHUNK = 1 << 15
-_ROUND = 1 << 16  # most proposals per rejection round of _haar_eigenphases
-_BLOCK = 1 << 12  # rows per block of the quadrature, Haar and distance loops
+_BLOCK = 1 << 12  # nodes per block of numeric_I0's grid loop
 
 
 @dataclass
@@ -127,47 +110,6 @@ class McEstimate:
     mean: float
     std_error: float
     n: int
-
-
-def _haar_eigenphases(d: int, n: int, gen: np.random.Generator) -> np.ndarray:
-    """Eigenphase rows (n, d) of n Haar-random SU(d) elements, no matrices.
-
-    Weyl's integration formula gives the eigenphases of a Haar SU(d)
-    element the density |Delta(e^{i theta})|^2 / d! against the uniform
-    measure on the torus theta_d = -sum(phi), phi in (-pi, pi]^{d-1}
-    (Meckes, The Random Matrix Theory of the Classical Compact Groups,
-    ch. 3). |Delta|^2 = prod_{i<j} 4 sin^2((theta_i - theta_j)/2) is at
-    most d^d, so a uniform proposal is kept when u d^d < |Delta|^2, with
-    acceptance d!/d^d. Proposals come in rounds of at most _ROUND rows,
-    each sized from the rows still missing, so the draws depend only on gen
-    and n. A round tests the columns of its draws in blocks of _BLOCK rows,
-    gathers only the rows it keeps, and stops at the block that completes
-    n rows; the kept rows are the first accepted ones in proposal order.
-    theta_d is wrapped to [-pi, pi).
-    """
-    ceiling = float(d) ** d
-    per_accept = ceiling / math.factorial(d)
-    out = np.empty((n, d))
-    done = 0
-    while done < n:
-        m = min(_ROUND, math.ceil(1.1 * (n - done) * per_accept) + 16)
-        phi = gen.uniform(-math.pi, math.pi, (m, d - 1))
-        u = gen.random(m)
-        for start in range(0, m, _BLOCK):
-            block = phi[start : start + _BLOCK]
-            cols = [*block.T, -block.sum(axis=1)]
-            vdm = np.ones(block.shape[0])
-            for i in range(d):
-                for j in range(i + 1, d):
-                    vdm *= 2.0 - 2.0 * np.cos(cols[i] - cols[j])
-            kept = np.flatnonzero(u[start : start + _BLOCK] * ceiling < vdm)[: n - done]
-            out[done : done + len(kept), :-1] = block[kept]
-            out[done : done + len(kept), -1] = cols[-1][kept]
-            done += len(kept)
-            if done == n:
-                break
-    out[:, -1] = np.remainder(out[:, -1] + math.pi, TWO_PI) - math.pi
-    return out
 
 
 def _gue_tridiagonal(d: int, n: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -230,13 +172,13 @@ def _dp_to_identity(theta: np.ndarray, d: int) -> np.ndarray:
 
 
 def _mc_run(n: int, rng: RngStream, chunk_vals, workers: int | None = 1) -> McEstimate:
-    """Chunked mean/std-error accumulator.
+    """Chunked mean/std-error accumulator of an indicator.
 
-    Chunk i draws from rng.substream(i) and the per-chunk sums reduce with
-    fsum in index order, so the estimate depends on (seed, stream_id, n)
-    only, regardless of the worker count. A boolean chunk is an indicator:
-    its sum and its sum of squares are both the count of its True entries.
-    A float chunk is summed exactly by fsum over its _BLOCK-row slices.
+    Chunk i draws from rng.substream(i) and chunk_vals returns its boolean
+    indicator array; its sum and its sum of squares are both its count of
+    True entries. The counts reduce with fsum in index order, so the
+    estimate depends on (seed, stream_id, n) only, regardless of the worker
+    count.
     """
     n = _check_int("n", n, 1)
     if workers is None:
@@ -249,24 +191,18 @@ def _mc_run(n: int, rng: RngStream, chunk_vals, workers: int | None = 1) -> McEs
         plan.append((len(plan), m))
         done += m
 
-    def one(task: tuple[int, int]) -> tuple[float, float]:
+    def one(task: tuple[int, int]) -> float:
         index, m = task
-        vals = np.asarray(chunk_vals(rng.substream(index), m))
-        if vals.dtype == bool:
-            count = float(np.count_nonzero(vals))
-            return count, count
-        vals = vals.astype(float, copy=False)
-        blocks = [vals[i : i + _BLOCK] for i in range(0, len(vals), _BLOCK)]
-        total = math.fsum(chain.from_iterable(b.tolist() for b in blocks))
-        return total, math.fsum(chain.from_iterable((b * b).tolist() for b in blocks))
+        return float(np.count_nonzero(chunk_vals(rng.substream(index), m)))
 
     if workers > 1 and len(plan) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(one, plan))
+            counts = list(pool.map(one, plan))
     else:
-        stats = [one(task) for task in plan]
-    mean = math.fsum(s for s, _ in stats) / n
-    var = (math.fsum(q for _, q in stats) - n * mean * mean) / (n - 1) if n > 1 else 0.0
+        counts = [one(task) for task in plan]
+    total = math.fsum(counts)
+    mean = total / n
+    var = (total - n * mean * mean) / (n - 1) if n > 1 else 0.0
     return McEstimate(mean=mean, std_error=math.sqrt(max(0.0, var) / n), n=n)
 
 
@@ -317,40 +253,6 @@ def gue_opnorm_cdf(d: int, r: float) -> float:
             total += term / (2 * k + 3)
         return 8.0 * math.sqrt(2.0 / math.pi) * r**3 * total
     return math.erf(math.sqrt(2.0) * r) - 4.0 * r / math.sqrt(2.0 * math.pi) * math.exp(-2.0 * r * r)
-
-
-def _resolve_trim(d: int, sigma: float, trim_t: int | None) -> int:
-    if trim_t is None:
-        return math.ceil(t_star(d, sigma))
-    return trim_t
-
-
-def mc_normalization(d: int, sigma: float, trim_t: int | None, n: int, rng: RngStream, *, workers: int | None = 1) -> McEstimate:
-    """Haar average of the trimmed PU kernel; the exact value is 1."""
-    p = KernelParams(d=d, sigma=sigma, trim_t=_resolve_trim(d, sigma, trim_t))
-
-    def chunk(gen, m):
-        vals, _, _ = heat_pu_char_batch(p, _haar_eigenphases(d, m, gen))
-        return vals
-
-    return _mc_run(n, rng, chunk, workers=workers)
-
-
-def mc_outside_ball(d: int, sigma: float, trim_t: int | None, eps: float, n: int, rng: RngStream, *, workers: int | None = 1) -> McEstimate:
-    """Mass of |trimmed PU kernel| outside the projective eps-ball at identity.
-
-    trim_t None selects ceil(t_star(d, sigma)). The estimate targets
-    the integral of |H| over {d_P(U, I) > eps} under Haar measure.
-    """
-    eps = _check_eps(eps)
-    p = KernelParams(d=d, sigma=sigma, trim_t=_resolve_trim(d, sigma, trim_t))
-
-    def chunk(gen, m):
-        theta = _haar_eigenphases(d, m, gen)
-        vals, _, _ = heat_pu_char_batch(p, theta)
-        return np.abs(vals) * (_dp_to_identity(theta, d) > eps)
-
-    return _mc_run(n, rng, chunk, workers=workers)
 
 
 _MAX_NODES = 1 << 20  # torus_grid nodes grid_n^(d-1); at d = 5 its arrays then take about 0.13 GB
@@ -438,7 +340,7 @@ def numeric_I0(d: int, sigma: float, eps: float, grid_n: int) -> float:
     The nodes are built from the axis in blocks of whole grid rows, about
     _BLOCK nodes each, and the finite log-integrands of the outside nodes
     go in node order into one array of the grid's size, which
-    _logsumexp sums: about 17 bytes per node at the peak.
+    _logsumexp sums in place: about 9 bytes per node at the peak.
     """
     d, grid_n = _check_grid(d, grid_n)
     if d > 3:
@@ -475,16 +377,17 @@ def numeric_I0(d: int, sigma: float, eps: float, grid_n: int) -> float:
 
 
 def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a finite, nonempty 1-D array.
+    """log(sum(exp(a))) of a finite, nonempty 1-D array, which it overwrites.
 
     scipy.special.logsumexp's algorithm, bit for bit: the entries equal to
     the maximum are counted, not summed, so s = sum(exp(a - max)) / count
-    over the rest and the result is log1p(s) + log(count) + max.
+    over the rest and the result is log1p(s) + log(count) + max. a is
+    shifted and exponentiated in place.
     """
     top = a.max()
     at_top = a == top
     count = np.float64(np.count_nonzero(at_top))
-    shifted = np.subtract(a, top)
-    np.exp(shifted, out=shifted)
-    shifted[at_top] = 0.0
-    return float(np.log1p(shifted.sum() / count) + np.log(count) + top)
+    a -= top
+    np.exp(a, out=a)
+    a[at_top] = 0.0
+    return float(np.log1p(a.sum() / count) + np.log(count) + top)

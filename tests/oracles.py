@@ -27,11 +27,12 @@ radius) and its own grid. pu_envelope_tail_mp and lattice_envelope_tails_mp
 sum the two shell envelopes exactly, from above, for the cutoff tests. Last
 come the helpers that the package no longer has or exports, which the tests
 use as oracles or to reach package code: the per-weight character, the
-matrix samplers that the eigenvalue samplers of montecarlo replaced, and
-the earlier forms of those samplers (proposal rows built whole, GUE
-eigenvalues by eigvalsh), of numeric_I0 (the whole grid at once) and of
-_dp_to_identity (the (n, d, d) broadcast), which their replacements must
-match bit for bit.
+matrix samplers that the eigenvalue samplers of montecarlo replaced, the
+GUE tail by eigvalsh of full Hermitian draws, the d = 2 kernel mass
+outside the eps-ball by Gauss-Legendre quadrature, and the earlier forms
+of the GUE tail (eigvalsh of the tridiagonal model), of numeric_I0 (the
+whole grid at once) and of _dp_to_identity (the (n, d, d) broadcast),
+which their replacements must match bit for bit.
 """
 
 import itertools
@@ -50,9 +51,10 @@ from udnet.kernels import (
     _lattice_shell_log_env,
     _lattice_shell_slope,
     _tangent_log_tail,
+    heat_pu_char_batch,
 )
 from udnet.lie_core import TWO_PI, InvalidParameterError, TorusPoint, _check_unitaries, eps_tilde, log_prefactor
-from udnet.montecarlo import _ROUND, _dp_to_identity, _mc_run, torus_grid
+from udnet.montecarlo import _dp_to_identity, _mc_run, torus_grid
 from udnet.weights_chars import GAP_TOL, _char_batch
 
 mp.mp.dps = 50
@@ -690,28 +692,33 @@ def gue_traceless(d, n, gen):
     return a - tr[:, None, None] * np.eye(d)[None, :, :]
 
 
-def haar_eigenphases_rows(d, n, gen):
-    """montecarlo._haar_eigenphases as it was before it tested proposals on
-    columns: each rejection round builds its (m, d) proposal rows whole and
-    keeps the accepted ones. The same draws, so the same rows."""
-    ceiling = float(d) ** d
-    per_accept = ceiling / math.factorial(d)
-    out = np.empty((n, d))
-    done = 0
-    while done < n:
-        m = min(_ROUND, math.ceil(1.1 * (n - done) * per_accept) + 16)
-        phi = gen.uniform(-math.pi, math.pi, (m, d - 1))
-        u = gen.random(m)
-        theta = np.concatenate([phi, -phi.sum(axis=1, keepdims=True)], axis=1)
-        vdm = np.ones(m)
-        for i in range(d):
-            for j in range(i + 1, d):
-                vdm *= 2.0 - 2.0 * np.cos(theta[:, i] - theta[:, j])
-        kept = theta[u * ceiling < vdm][: n - done]
-        out[done : done + len(kept)] = kept
-        done += len(kept)
-    out[:, -1] = np.remainder(out[:, -1] + math.pi, TWO_PI) - math.pi
-    return out
+def gue_tail_dense(d, r, n, gen):
+    """P(||A||_inf >= r) over n traceless GUE matrices of gue_traceless, by
+    eigvalsh of the full complex Hermitian draws, 20,000 at a time: (mean,
+    standard error)."""
+    count = 0
+    for start in range(0, n, 20_000):
+        ev = np.linalg.eigvalsh(gue_traceless(d, min(20_000, n - start), gen))
+        count += int(np.count_nonzero(np.abs(ev).max(axis=1) >= r))
+    mean = count / n
+    return mean, math.sqrt(mean * (1.0 - mean) / (n - 1))
+
+
+def outside_ball_mass_d2(sigma, t, eps, nodes):
+    """Haar integral of |K_trim| over {d_P(U, I) > eps} on PU(2), by
+    Gauss-Legendre on the eigenphase phi of U = diag(e^{i phi}, e^{-i phi}).
+
+    The Haar density of phi in [0, pi] is (2 / pi) sin^2 phi, and d_P =
+    2 sin(min(phi, pi - phi) / 2). The PU(2) kernel is symmetric under
+    phi -> pi - phi (U -> -U), so the mass is (4 / pi) times the integral of
+    sin^2 phi |K_trim(phi)| over (2 asin(eps / 2), pi / 2]. |K_trim| has a
+    kink at each sign change of K_trim, so the rule converges only
+    algebraically; compare two node counts."""
+    lo, hi = 2.0 * math.asin(eps / 2.0), 0.5 * math.pi
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    phi = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    vals, _, _ = heat_pu_char_batch(KernelParams(2, sigma, trim_t=t), np.stack([phi, -phi], axis=1))
+    return float(0.5 * (hi - lo) * (4.0 / math.pi) * np.sum(w * np.sin(phi) ** 2 * np.abs(vals)))
 
 
 def numeric_I0_whole(d, sigma, eps, grid_n):
@@ -769,7 +776,7 @@ def gue_tail_eigvalsh(d, r, n, rng):
         t[:, idx[1:], idx[:-1]] = off
         ev = np.linalg.eigvalsh(t)
         ev -= ev.mean(axis=1, keepdims=True)
-        return (np.abs(ev).max(axis=1) >= r).astype(float)
+        return np.abs(ev).max(axis=1) >= r
 
     return _mc_run(n, rng, chunk)
 

@@ -435,7 +435,7 @@ def test_orthonormality_row_fails_on_a_wrong_weyl_density(capsys, monkeypatch):
     (5, "exact sigma=1,t=3,grid=15"),
 ])
 def test_exact_normalization_row_passes(capsys, d, check):
-    exact, _ = _validate_rows(capsys, "normalization", d)
+    (exact,) = _validate_rows(capsys, "normalization", d)
     assert (exact["check"], exact["status"], exact["provenance"]) == (check, "pass", "quadrature")
     grid = int(check.rsplit("=", 1)[1])
     assert exact["n"] == grid ** (d - 1) - _MET[d, grid] == _apart_nodes(d, grid)
@@ -446,7 +446,7 @@ def test_exact_normalization_row_fails_one_grid_side_short(capsys, monkeypatch):
     # at d = 2 the t = 14 kernel's top terms alias on 30 nodes
     real = cli._exact_grid_n
     monkeypatch.setattr(cli, "_exact_grid_n", lambda d, spread: real(d, spread) - 1)
-    exact, _ = _validate_rows(capsys, "normalization", 2)
+    (exact,) = _validate_rows(capsys, "normalization", 2)
     assert exact["check"] == "exact sigma=0.2,t=14,grid=30"
     assert exact["status"] == "fail" and exact["measured"] > 1e-9
 
@@ -494,7 +494,7 @@ _SUITE_ALL_ROWS = {
         ("i0", "eps=0.5,sigma=0.007901,grid=512", "pass"),
         ("i0", "eps=1.5,sigma=0.02697,grid=512", "pass"),
         ("i0", "eps=1.5,sigma=0.089,grid=512", "pass"),
-        ("outside-ball", "sigma=0.01,eps=0.5,t=77", "pass"),
+        ("outside-ball", "sigma=0.01,eps=0.5,t=77", "skipped"),
         ("l2", "pythagoras sigma=0.05,t=31", _SKIP_RES),
         ("l2", "pythagoras sigma=0.2,t=14", _SKIP_RES),
         ("l2", "pythagoras sigma=1,t=5", "pass"),
@@ -506,7 +506,6 @@ _SUITE_ALL_ROWS = {
         ("orthonormality", "gram l1<=8,grid=19", "pass"),
         ("poisson-char", "sigma=0.1,points=10", "pass"),
         ("normalization", "exact sigma=0.2,t=14,grid=31", "pass"),
-        ("normalization", "sigma=0.2,trim=auto", "pass"),
     ],
     3: [
         ("trimming", "sigma=0.01,t=191", _SKIP_RES),
@@ -515,7 +514,7 @@ _SUITE_ALL_ROWS = {
         ("trimming", "sigma=0.5,t=21", _SKIP_RES),
         ("i0", "eps=1,sigma=0.01028,grid=128", "pass"),
         ("i0", "eps=1,sigma=0.03393,grid=128", "pass"),
-        ("outside-ball", "sigma=0.05,eps=1,t=78", "pass"),
+        ("outside-ball", "sigma=0.05,eps=1,t=78", "skipped"),
         ("l2", "pythagoras sigma=0.05,t=78", _SKIP_RES),
         ("l2", "pythagoras sigma=0.2,t=35", _SKIP_RES),
         ("l2", "pythagoras sigma=1,t=14", _SKIP_RES),
@@ -527,7 +526,6 @@ _SUITE_ALL_ROWS = {
         ("orthonormality", "gram l1<=4,grid=13", "pass"),
         ("poisson-char", "sigma=0.1,points=10", "pass"),
         ("normalization", "exact sigma=0.2,t=35,grid=75", "pass"),
-        ("normalization", "sigma=0.2,trim=auto", "pass"),
     ],
     4: [
         ("trimming", "sigma=0.2,t=68", _SKIP_RES),
@@ -542,7 +540,6 @@ _SUITE_ALL_ROWS = {
         ("orthonormality", "gram l1<=4,grid=15", "pass"),
         ("poisson-char", "sigma=2,points=10", "pass"),
         ("normalization", "exact sigma=1,t=3,grid=13", "pass"),
-        ("normalization", "sigma=1,trim=3", "pass"),
     ],
 }
 
@@ -557,6 +554,10 @@ def test_validate_suite_all_rows(capsys, d):
         # a skip on a measured 0.0, not on the dimension, names the resolution
         if r["status"] == "skipped" and r["measured"] is not None:
             assert r["note"] == "below resolution sqrt(tail_tol) = 1e-06"
+    # a bound whose preconditions fail does not pass; the row draws nothing
+    (ball,) = [r for r in rows if r["suite"] == "outside-ball"]
+    if d <= 3:
+        assert ball["note"] == "preconditions off: sigma-condition" and ball["measured"] is None
 
 
 def test_stat_check_retries_a_failed_first_trial(capsys, monkeypatch):

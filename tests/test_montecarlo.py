@@ -2,13 +2,14 @@
 
 Statistical assertions use 5 standard errors around exact first moments
 (E|Tr U|^2 = 1 on SU(d), E Tr A^2 = (d^2-1)/2 for the traceless GUE), so
-spurious failures sit at the 1e-6 level. The eigenvalue samplers are also
-checked on every power moment E|Tr U^k|^2 = min(k, d) (4 standard errors
-each), and against their matrix oracles by two-sample Kolmogorov-Smirnov
-tests whose p-values must exceed 1e-6. The Sturm count is checked against
-eigvalsh, and the GUE tail, the Haar sampler, numeric_I0 and the
-projective distance against their earlier forms in oracles, bit for bit;
-the blocked loops also have their traced working sets bounded.
+spurious failures sit at the 1e-6 level. The eigenphases of the Haar
+matrices are also checked on every power moment E|Tr U^k|^2 = min(k, d)
+(4 standard errors each), and the GUE tridiagonal model against its matrix
+oracle by two-sample Kolmogorov-Smirnov tests whose p-values must exceed
+1e-6. The Sturm count is checked against eigvalsh, and the GUE tail,
+numeric_I0 and the projective distance against their earlier forms in
+oracles, bit for bit; the blocked loops also have their traced working sets
+bounded.
 """
 
 from __future__ import annotations
@@ -23,21 +24,18 @@ from scipy.special import logsumexp
 from scipy.stats import ks_2samp
 
 from udnet.design_tester import _haar_su
-from udnet.lie_core import TWO_PI, InvalidDimensionError, InvalidParameterError, ResourceLimitError, _min_gaps
+from udnet.lie_core import TWO_PI, InvalidDimensionError, InvalidParameterError, ResourceLimitError
 from udnet.montecarlo import (
     McEstimate,
     RngStream,
     _exact_grid_n,
     _dp_to_identity,
     _gue_tridiagonal,
-    _haar_eigenphases,
     _logsumexp,
     _mc_run,
     _sturm_count,
     gue_opnorm_cdf,
     gue_tail_mc,
-    mc_normalization,
-    mc_outside_ball,
     numeric_I0,
     torus_grid,
 )
@@ -48,7 +46,6 @@ from oracles import (
     gue_tail_eigvalsh,
     gue_traceless,
     haar_eigenphases_qr,
-    haar_eigenphases_rows,
     numeric_I0_whole,
     projective_distance,
     torus_quadrature,
@@ -92,8 +89,9 @@ def test_gue_traceless_structure_and_second_moment():
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_haar_eigenphase_power_moments(d):
     # E|Tr U^k|^2 = min(k, d) on SU(d) for k = 1..d: exact for k <= d, and
-    # at k = d + 1 too, since the det = 1 correction needs k a multiple of d
-    theta = _haar_eigenphases(d, 40_000, RngStream(30 + d).generator())
+    # at k = d + 1 too, since the det = 1 correction needs k a multiple of d;
+    # the eigenphases are those of _haar_su, the sampler of net_probe
+    theta = haar_eigenphases_qr(d, 40_000, RngStream(30 + d).generator())
     for k in range(1, d + 2):
         vals = np.abs(np.exp(1j * k * theta).sum(axis=1)) ** 2
         se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -102,33 +100,11 @@ def test_haar_eigenphase_power_moments(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_haar_eigenphase_rows_are_su_d_classes(d):
-    theta = _haar_eigenphases(d, 5_000, RngStream(d).generator())
+    theta = haar_eigenphases_qr(d, 5_000, RngStream(d).generator())
     assert theta.shape == (5_000, d)
     assert np.all(np.abs(theta) <= math.pi)
     total = theta.sum(axis=1)
     assert np.abs(total - TWO_PI * np.round(total / TWO_PI)).max() < 1e-12
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_haar_eigenphases_match_the_matrix_sampler(d):
-    new = _haar_eigenphases(d, 20_000, RngStream(40 + d).generator())
-    ref = haar_eigenphases_qr(d, 20_000, RngStream(50 + d).generator())
-    for stat in (_min_gaps, lambda th: _dp_to_identity(th, d)):
-        assert ks_2samp(stat(new), stat(ref)).pvalue > 1e-6
-
-
-@pytest.mark.parametrize(
-    "d, n",
-    [(2, 5_000), (3, 5_000), (4, 5_000), (5, 5_000), (3, 20_000), (5, 20_000)],
-    ids=["2", "3", "4", "5", "3-20000", "5-20000"],
-)
-def test_haar_eigenphases_are_the_row_sampler_bit_for_bit(d, n):
-    # testing proposals on their columns, in blocks of _BLOCK rows, keeps the
-    # draws and the rows; at d = 3, n = 20,000 the first round of _ROUND
-    # proposals spans 16 blocks and a second round completes the rows
-    new = _haar_eigenphases(d, n, RngStream(90 + d).generator())
-    ref = haar_eigenphases_rows(d, n, RngStream(90 + d).generator())
-    assert np.array_equal(new, ref)
 
 
 def _tridiagonal(diag, off):
@@ -221,11 +197,19 @@ def test_gue_tail_mc_is_the_eigvalsh_tail_bit_for_bit(d, r, mean):
     assert est.mean == mean
 
 
+def _uniform_torus_rows(d, n, seed):
+    """n eigenphase rows (n, d) of SU(d) classes, phi uniform on the torus
+    and theta_d = -sum(phi) wrapped to [-pi, pi)."""
+    phi = np.random.default_rng(seed).uniform(-math.pi, math.pi, (n, d - 1))
+    last = np.remainder(-phi.sum(axis=1, keepdims=True) + math.pi, TWO_PI) - math.pi
+    return np.concatenate([phi, last], axis=1)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_dp_to_identity_is_the_broadcast_bit_for_bit(d):
     # one center shift at a time with a running minimum gives the bits of the
     # (n, d, d) broadcast: max and min are exact
-    theta = _haar_eigenphases(d, 20_000, RngStream(60 + d).generator())
+    theta = _uniform_torus_rows(d, 20_000, 60 + d)
     theta[:100] = math.pi
     theta[100:200] = -math.pi
     theta[200:300, 0] = math.pi
@@ -241,7 +225,7 @@ def test_dp_to_identity_is_the_broadcast_bit_for_bit(d):
 
 def test_dp_to_identity_working_set_is_one_shift():
     # the (n, d, d) broadcast traced 4.3 MB at n = 20,000, d = 3
-    theta = _haar_eigenphases(3, 20_000, RngStream(61).generator())
+    theta = _uniform_torus_rows(3, 20_000, 61)
     tracemalloc.start()
     try:
         _dp_to_identity(theta, 3)
@@ -430,7 +414,8 @@ def _logsumexp_cases():
 
 def test_logsumexp_is_bit_identical_to_scipy():
     for a in _logsumexp_cases():
-        assert _logsumexp(a) == float(logsumexp(a)), a
+        # _logsumexp shifts and exponentiates its argument in place
+        assert _logsumexp(a.copy()) == float(logsumexp(a)), a
 
 
 @pytest.mark.parametrize(
@@ -461,7 +446,8 @@ def test_numeric_I0_is_the_whole_grid_bit_for_bit(d, grids):
 
 
 def test_numeric_I0_working_set_per_node():
-    # 262,144 nodes; the whole-grid form traced 22.0 MB, 84 bytes a node
+    # 262,144 nodes: 8 bytes a node of log-values, shifted and exponentiated
+    # in place, and the 1-byte mask of the entries at the maximum
     grid = 512
     tracemalloc.start()
     try:
@@ -469,7 +455,7 @@ def test_numeric_I0_working_set_per_node():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * grid**2
+    assert peak <= 12 * grid**2
 
 
 def _gue_tail_indicators(d, r):
@@ -484,82 +470,37 @@ def _gue_tail_indicators(d, r):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 def test_mc_run_counts_boolean_chunks_as_their_float_sums(d):
-    # 70,000 draws make three chunks, the last a partial one
+    # 70,000 draws make three chunks, the last a partial one; an indicator's
+    # sum and sum of squares are both its count, so the mean and standard
+    # error are those of the chunks' exact float sums
     r = 0.8 * math.sqrt(2.0 * d)
     chunk = _gue_tail_indicators(d, r)
-    counted = _mc_run(70_000, RngStream(3, stream_id=d), chunk)
-    summed = _mc_run(70_000, RngStream(3, stream_id=d), lambda gen, m: chunk(gen, m).astype(float))
-    assert (counted.mean, counted.std_error, counted.n) == (summed.mean, summed.std_error, summed.n)
-    assert 0.0 < counted.mean < 1.0
-
-
-def test_mc_run_float_chunks_are_summed_exactly():
-    # fsum over the block slices is fsum over the whole chunk
-    def chunk(gen, m):
-        return gen.standard_normal(m) * 10.0 ** gen.integers(-8, 9, m)
-
-    est = _mc_run(70_000, RngStream(4), chunk)
-    vals = [chunk(RngStream(4).substream(i), m) for i, m in enumerate((32_768, 32_768, 4_464))]
+    est = _mc_run(70_000, RngStream(3, stream_id=d), chunk)
+    vals = [chunk(RngStream(3, stream_id=d).substream(i), m).astype(float) for i, m in enumerate((32_768, 32_768, 4_464))]
     s = math.fsum(math.fsum(v.tolist()) for v in vals)
     q = math.fsum(math.fsum((v * v).tolist()) for v in vals)
     mean = s / 70_000
     var = (q - 70_000 * mean * mean) / 69_999
-    assert (est.mean, est.std_error) == (mean, math.sqrt(max(0.0, var) / 70_000))
-
-
-def test_mc_normalization_trim_zero_is_exact():
-    est = mc_normalization(2, 0.5, 0, 500, RngStream(2))
-    assert est.mean == 1.0
-    assert est.std_error == 0.0
-    assert est.n == 500
-
-
-def test_mc_normalization_untrimmed_near_one():
-    est = mc_normalization(2, 0.5, None, 20_000, RngStream(4))
-    assert abs(est.mean - 1.0) < 5.0 * est.std_error
-    assert est.std_error > 0.0
-
-
-def test_mc_normalization_threads_share_one_plan_exactly():
-    # 70,000 samples run as several chunks; at two workers they share one
-    # character plan across threads and must give the same bits as one worker
-    one = mc_normalization(3, 0.2, None, 70_000, RngStream(1), workers=1)
-    two = mc_normalization(3, 0.2, None, 70_000, RngStream(1), workers=2)
-    assert (two.mean, two.std_error, two.n) == (one.mean, one.std_error, one.n)
-
-
-def test_mc_outside_ball_at_diameter_is_zero():
-    est = mc_outside_ball(2, 0.5, None, 2.0, 1_000, RngStream(5))
-    assert est.mean == 0.0 and est.std_error == 0.0
-
-
-def test_mc_outside_ball_monotone_in_eps_on_shared_stream():
-    # same seed resamples the same points, so the indicator mass is pointwise
-    # monotone in the radius
-    lo = mc_outside_ball(2, 0.3, None, 0.4, 4_000, RngStream(6))
-    hi = mc_outside_ball(2, 0.3, None, 1.2, 4_000, RngStream(6))
-    assert hi.mean <= lo.mean
+    assert (est.mean, est.std_error, est.n) == (mean, math.sqrt(max(0.0, var) / 70_000), 70_000)
+    assert 0.0 < est.mean < 1.0
 
 
 def test_estimators_are_deterministic():
-    a = mc_normalization(2, 0.5, 2, 6_000, RngStream(7))
-    b = mc_normalization(2, 0.5, 2, 6_000, RngStream(7))
+    a = gue_tail_mc(2, 1.5, 6_000, RngStream(7))
+    b = gue_tail_mc(2, 1.5, 6_000, RngStream(7))
     assert (a.mean, a.std_error, a.n) == (b.mean, b.std_error, b.n)
-    c = mc_normalization(2, 0.5, 2, 6_000, RngStream(7, stream_id=1))
+    c = gue_tail_mc(2, 1.5, 6_000, RngStream(7, stream_id=1))
     assert c.mean != a.mean
 
 
 @pytest.mark.parametrize(
     "estimate",
-    [
-        lambda w: mc_outside_ball(3, 0.3, None, 1.0, 70_000, RngStream(12), workers=w),
-        lambda w: gue_tail_mc(3, 2.5, 70_000, RngStream(13), workers=w),
-    ],
-    ids=["outside-ball", "gue"],
+    [lambda w: gue_tail_mc(3, 2.5, 70_000, RngStream(13), workers=w)],
+    ids=["gue"],
 )
 def test_eigenvalue_estimators_are_thread_independent_at_d3(estimate):
-    # 70,000 draws make three chunks, each drawn in rejection rounds (Haar)
-    # or one tridiagonal batch (GUE) from its own substream
+    # 70,000 draws make three chunks, each one tridiagonal batch from its own
+    # substream
     one, two = estimate(1), estimate(2)
     assert (two.mean, two.std_error, two.n) == (one.mean, one.std_error, one.n)
 
@@ -568,6 +509,3 @@ def test_worker_count_does_not_change_results():
     base = gue_tail_mc(2, 1.5, 70_000, RngStream(8), workers=1)
     par = gue_tail_mc(2, 1.5, 70_000, RngStream(8), workers=4)
     assert (base.mean, base.std_error) == (par.mean, par.std_error)
-    nb = mc_outside_ball(2, 0.4, None, 1.0, 9_000, RngStream(9), workers=1)
-    np_ = mc_outside_ball(2, 0.4, None, 1.0, 9_000, RngStream(9), workers=3)
-    assert (nb.mean, nb.std_error) == (np_.mean, np_.std_error)
