@@ -67,7 +67,7 @@ from .montecarlo import (
     numeric_I0,
     torus_grid,
 )
-from .weights_chars import _UNIT_ROUNDOFF, _char_batch, enumerate_projective_weights
+from .weights_chars import _UNIT_ROUNDOFF, _char_batch, _projective_tuples
 
 __all__ = ["RunConfig", "main"]
 
@@ -467,7 +467,7 @@ def _suite_orthonormality(ctx: _SuiteCtx) -> list[dict]:
     rounding of each entry's sum over the m nodes, gamma_m max_{lambda, mu}
     sum w |chi_lambda| |chi_mu|."""
     t_cap = 4 if ctx.d == 2 else 2
-    lams = np.array([w.lam for w in enumerate_projective_weights(ctx.d, t_cap)])
+    lams = _projective_tuples(ctx.d, t_cap)
     grid = _exact_grid_n(ctx.d, 2 * int(np.max(lams[:, 0] - lams[:, -1])))
     check = f"gram l1<={2 * t_cap},grid={grid}"
     try:

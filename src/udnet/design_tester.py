@@ -16,17 +16,23 @@ the gates taken in chunks of _CHUNK entries. One route runs at each d:
   D(gamma). pi(J_z) is diagonal, and the eigenbasis P of pi(J_y), whose
   eigenvalues s are the integers -ell..ell, is found once per label, in
   the role of Risbo's Delta^ell (J. Geodesy 70, 383, 1996). No gate needs
-  a log or an eigh.
+  a log or an eigh. The phases e^{-i x n} of all three angles are
+  tabulated once for n = -t..t; the diagonal of pi(J_z) and s both run
+  -ell..ell in the Gelfand-Tsetlin order, so each label reads its phases
+  as one contiguous band of that table.
 - d >= 3: pi_lambda(U) = exp(i pi_lambda(G)) for a Hermitian log G of U,
   exponentiated by one batched eigh per irrep. The logs of all gates come
   from one batched Cayley transform. Euler angles would need a Givens
   factorisation into rotations in adjacent planes, 2m - 1 dense products
   per gate with m = d(d-1)/2, which costs more than the eigh from d = 4.
 
-The generators of each label at d >= 3, and its P at d = 2, are built once
-per process and kept, read-only, in the kernels' plan LRU. Gate sets and net
-supports are checked as one stack: finite entries and unitarity, in one
-batched product. No scipy module is imported.
+The generators of each label at d >= 3, and its P and P^dag at d = 2, are
+built once per process and kept, read-only, in the kernels' plan LRU. Gate
+sets and net supports are checked as one stack: finite entries and
+unitarity, in one batched product. A gate file's matrices are decoded by
+one np.asarray, and a WeightedGateSet keeps its weights and that stack as
+read-only arrays, which design_deltas reads as they are. Per-element loops
+run only to name the first malformed element. No scipy module is imported.
 
 The net probe estimates the Haar-covered fraction of a finite support. Its
 probes are Haar matrices (_haar_su), since the distance to a support
@@ -40,7 +46,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -79,31 +86,38 @@ _WEIGHT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class WeightedGateSet:
-    """Finitely supported measure on PU(d): positive weights summing to 1."""
+    """Finitely supported measure on PU(d): positive weights summing to 1.
+
+    weights (K,) and matrices (K, d, d) are the checked, read-only arrays
+    that elements pairs up."""
 
     d: int
     elements: tuple[tuple[float, np.ndarray], ...]
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    matrices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_dimension(self.d)
         if not self.elements:
             raise InvalidParameterError("gate set must be non-empty")
-        weights = []
-        for k, (w, _) in enumerate(self.elements):
-            try:
-                if isinstance(w, (bool, np.bool_)):  # JSON true is not a weight
-                    raise TypeError
-                w = float(w)
-            except (TypeError, ValueError):
-                raise InvalidParameterError(f"weight {k} must be a number, got {w!r}") from None
-            if not math.isfinite(w) or w <= 0.0:
-                raise InvalidParameterError(f"weight {k} must be positive")
-            weights.append(w)
+        given = [w for w, _ in self.elements]
+        # JSON true and strings such as "1" are not weights; types are checked once each
+        real = {c: issubclass(c, numbers.Real) and not issubclass(c, (bool, np.bool_)) for c in set(map(type, given))}
+        count = next((k for k, w in enumerate(given) if not real[type(w)]), len(given))
+        weights = np.array(given[:count], dtype=float)
+        positive = np.isfinite(weights) & (weights > 0.0)
+        if not positive.all():
+            raise InvalidParameterError(f"weight {np.argmin(positive)} must be positive")
+        if count < len(given):
+            raise InvalidParameterError(f"weight {count} must be a number, got {given[count]!r}")
         mats = _check_unitaries([mat for _, mat in self.elements], self.d, _UNITARY_TOL, "element")
-        total = math.fsum(weights)
+        total = math.fsum(weights.tolist())
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise InvalidParameterError(f"weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "elements", tuple(zip(weights, mats)))
+        weights.setflags(write=False)
+        object.__setattr__(self, "elements", tuple(zip(weights.tolist(), mats)))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "matrices", mats)
 
 
 def gate_set_to_json(nu: WeightedGateSet) -> dict:
@@ -119,22 +133,47 @@ def gate_set_from_json(obj) -> WeightedGateSet:
     """Parse and validate the schema produced by gate_set_to_json."""
     if not isinstance(obj, dict) or "d" not in obj or "elements" not in obj:
         raise InvalidParameterError("expected an object with keys 'd' and 'elements'")
-    if not isinstance(obj["elements"], list):
+    entries = obj["elements"]
+    if not isinstance(entries, list):
         raise InvalidParameterError("'elements' must be a list")
-    elements = []
-    for k, entry in enumerate(obj["elements"]):
-        if not isinstance(entry, dict) or "weight" not in entry or "matrix" not in entry:
-            raise InvalidParameterError(f"element {k} needs 'weight' and 'matrix'")
-        try:
-            pairs = np.asarray(entry["matrix"])
-            if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
-                raise ValueError
-        except ValueError:
-            # ragged rows, entries that are not numbers, or not [re, im] pairs
-            raise InvalidParameterError(f"element {k}: malformed matrix") from None
-        mat = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
-        elements.append((entry["weight"], mat))
-    return WeightedGateSet(d=obj["d"], elements=tuple(elements))
+    mats = _decode_matrices(entries)
+    if mats is None:
+        mats = [_decode_matrix(k, entry) for k, entry in enumerate(entries)]
+    return WeightedGateSet(d=obj["d"], elements=tuple(zip([entry["weight"] for entry in entries], mats)))
+
+
+def _decode_matrices(entries: list) -> np.ndarray | None:
+    """Every element's matrix as one complex (K, rows, cols) array, decoded
+    by one np.asarray, or None when some entry is not a well-formed element
+    of one common shape. An element whose [re, im] entries are all bools is
+    malformed, but a stack of it with numbers comes out numeric, so a bool
+    first entry sends the entries to the per-element path as well."""
+    if not all(isinstance(entry, dict) and "weight" in entry and "matrix" in entry for entry in entries):
+        return None
+    try:
+        pairs = np.asarray([entry["matrix"] for entry in entries])
+    except ValueError:  # ragged
+        return None
+    if pairs.dtype.kind not in "iuf" or pairs.ndim != 4 or pairs.shape[3] != 2:
+        return None
+    if any(isinstance(entry["matrix"][0][0][0], (bool, np.bool_)) for entry in entries):
+        return None
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+
+
+def _decode_matrix(k: int, entry) -> np.ndarray:
+    """One element's complex matrix; the error path of _decode_matrices,
+    naming element k when it is malformed."""
+    if not isinstance(entry, dict) or "weight" not in entry or "matrix" not in entry:
+        raise InvalidParameterError(f"element {k} needs 'weight' and 'matrix'")
+    try:
+        pairs = np.asarray(entry["matrix"])
+        if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
+            raise ValueError
+    except ValueError:
+        # ragged rows, entries that are not numbers, or not [re, im] pairs
+        raise InvalidParameterError(f"element {k}: malformed matrix") from None
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
 def _check_budget(gates: int, cost: int) -> None:
@@ -296,13 +335,12 @@ def _log_factors(weights: np.ndarray, logs: np.ndarray, top: np.ndarray) -> tupl
 class _SpinBasis(NamedTuple):
     """Read-only d = 2 pieces of one spin-ell block (_build_spin_basis)."""
 
-    m: np.ndarray  # diagonal of pi(J_z), integers
-    s: np.ndarray  # eigenvalues of pi(J_y): exactly the integers -ell..ell
     p: np.ndarray  # eigenvectors of pi(J_y), one per column
+    ph: np.ndarray  # P^dag, C-contiguous
 
     @property
     def nbytes(self) -> int:
-        return self.m.nbytes + self.s.nbytes + self.p.nbytes
+        return self.p.nbytes + self.ph.nbytes
 
 
 def _spin_basis(top: np.ndarray) -> _SpinBasis:
@@ -312,16 +350,19 @@ def _spin_basis(top: np.ndarray) -> _SpinBasis:
 
 
 def _build_spin_basis(top: np.ndarray) -> _SpinBasis:
-    """pi(J_z) = diag(m) and pi(J_y) = P diag(s) P^dag for the d = 2 label
+    """P and P^dag with pi(J_y) = P diag(s) P^dag for the d = 2 label
     top = (ell, -ell), from its Gelfand-Tsetlin generators: J_z =
     (E_11 - E_22)/2 and J_y = -(i/2)(E_12 - E_21). eigh sorts the
-    eigenvalues, which are the integers -ell..ell; s holds those integers,
-    not eigh's values. Only the basis is kept; the generators are not read
-    again at d = 2."""
+    eigenvalues, so s = -ell..ell. The Gelfand-Tsetlin patterns come in
+    lexicographic order, so pi(J_z) = diag(m) with m = -ell..ell as well;
+    that order is checked here, once per label, and _spin_factors relies on
+    it. Only the basis is kept; the generators are not read again at d = 2."""
+    ell = int(top[0])
     diag, (raise_,) = _build_gt_generators(top)
+    if not np.array_equal(0.5 * (diag[0] - diag[1]), np.arange(-ell, ell + 1)):
+        raise RuntimeError(f"the Gelfand-Tsetlin basis of spin {ell} is not in the order m = -ell..ell")
     _, p = np.linalg.eigh(-0.5j * (raise_ - raise_.T))
-    m = np.rint(0.5 * (diag[0] - diag[1])).astype(np.intp)
-    basis = _SpinBasis(m, np.arange(-top[0], top[0] + 1), p)
+    basis = _SpinBasis(p, np.ascontiguousarray(p.conj().T))
     for arr in basis:
         arr.setflags(write=False)
     return basis
@@ -354,26 +395,31 @@ def _spin_factors(weights: np.ndarray, phases: np.ndarray, top: np.ndarray) -> t
     """(left, right) with left @ right = sum_k w_k pi(U_k) at d = 2, with no
     log and no eigh per gate: pi(U_k) = D(alpha_k) P diag(e^{-i beta_k s})
     P^dag D(gamma_k), D(x) = diag(e^{-i x m}), phases from _spin_phases.
-    Columns (k, j) of left hold D(alpha_k) P diag(e^{-i beta_k s}) and rows
-    (k, j) of right hold w_k P^dag D(gamma_k)."""
-    m, s, p = _spin_basis(top)
-    t = phases.shape[2] // 2
-    left = phases[:, 0, m + t].T[:, :, None] * p[:, None, :]
-    left *= phases[:, 1, s + t]
-    right = np.ascontiguousarray(p.conj().T) * (weights[:, None] * phases[:, 2, m + t])[:, None, :]
-    return left.reshape(len(m), -1), right.reshape(-1, len(m))
+    m and s both run -ell..ell (_build_spin_basis), so each angle's phases
+    are one contiguous band of _spin_phases, read as a view. Columns (k, j)
+    of left hold D(alpha_k) P diag(e^{-i beta_k s}) and rows (k, j) of
+    right hold w_k P^dag D(gamma_k)."""
+    p, ph = _spin_basis(top)
+    t, ell = phases.shape[2] // 2, int(top[0])
+    band = phases[:, :, t - ell : t + ell + 1]
+    left = band[:, 0].T[:, :, None] * p[:, None, :]
+    left *= band[:, 1]
+    right = ph * (weights[:, None] * band[:, 2])[:, None, :]
+    return left.reshape(len(p), -1), right.reshape(-1, len(p))
 
 
 def _block_norm(factors, weights: np.ndarray, gates: np.ndarray, top: np.ndarray, dim: int) -> float:
     """||sum_k w_k pi(U_k)||_2 for the label top of dimension dim, summed
     over chunks of the gates by factors(weights, gates, top) -> (left,
-    right), one product each."""
-    total = np.zeros((dim, dim), dtype=complex)
+    right), one product each. The first chunk's product is the sum's
+    start, and the norm is the largest singular value from LAPACK's SVD,
+    the call np.linalg.norm(., 2) makes."""
     step = max(1, _CHUNK // (dim * dim))
-    for lo in range(0, weights.size, step):
+    total = np.matmul(*factors(weights[:step], gates[:step], top))
+    for lo in range(step, weights.size, step):
         # no name holds a chunk's factors while the next chunk's are built
         total += np.matmul(*factors(weights[lo : lo + step], gates[lo : lo + step], top))
-    return float(np.linalg.norm(total, 2))
+    return float(np.linalg.svd(total, compute_uv=False)[0])
 
 
 def design_deltas(nu: WeightedGateSet, t: int) -> list[float]:
@@ -390,15 +436,13 @@ def design_deltas(nu: WeightedGateSet, t: int) -> list[float]:
     d = 2 and from Hermitian logs at d >= 3.
     """
     t = _check_int("t", t, 1)
-    rows, mass, dims = _block_rows(nu.d, t, len(nu.elements))
-    weights = np.array([w for w, _ in nu.elements])
-    mats = np.stack([mat for _, mat in nu.elements])
+    rows, mass, dims = _block_rows(nu.d, t, len(nu.weights))
     if nu.d == 2:
-        gates, factors = _spin_phases(mats, t), _spin_factors
+        gates, factors = _spin_phases(nu.matrices, t), _spin_factors
     else:
-        gates, factors = _hermitian_logs(mats), _log_factors
+        gates, factors = _hermitian_logs(nu.matrices), _log_factors
     best = np.zeros(t + 1)
-    np.maximum.at(best, mass, [_block_norm(factors, weights, gates, top, dim) for top, dim in zip(rows, dims)])
+    np.maximum.at(best, mass, [_block_norm(factors, nu.weights, gates, top, dim) for top, dim in zip(rows, dims)])
     return np.maximum.accumulate(best)[1:].tolist()
 
 

@@ -68,12 +68,22 @@ def _check_eps(eps) -> float:
 def _check_unitaries(mats, d: int, tol: float, what: str) -> np.ndarray:
     """Read-only complex (k, d, d) stack of mats after checking, in one
     batched product, that each is a finite d x d unitary to tol. Errors
-    name the first bad matrix as f"{what} {k}"."""
-    arrs = [np.asarray(m, dtype=complex) for m in mats]
-    for k, arr in enumerate(arrs):
-        if arr.shape != (d, d):
-            raise InvalidParameterError(f"{what} {k} must be a {d}x{d} matrix")
-    stack = np.array(arrs).reshape(len(arrs), d, d)
+    name the first bad matrix as f"{what} {k}". Matrices of one shape are
+    stacked by one np.array call; the per-matrix loop runs only when that
+    fails or gives another shape."""
+    try:
+        stack = np.array(mats, dtype=complex)
+    except (TypeError, ValueError):  # ragged, or an entry that is not a number
+        stack = None
+    if stack is None or stack.shape != (len(mats), d, d):
+        for k, m in enumerate(mats):
+            try:
+                shape = np.asarray(m, dtype=complex).shape
+            except (TypeError, ValueError):
+                shape = None
+            if shape != (d, d):
+                raise InvalidParameterError(f"{what} {k} must be a {d}x{d} matrix")
+        stack = np.array(mats, dtype=complex).reshape(len(mats), d, d)
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
         raise InvalidParameterError(f"{what} {np.argmin(finite)} has a non-finite entry")

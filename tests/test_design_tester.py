@@ -145,9 +145,19 @@ def test_gate_set_validation():
         mat[1, 0] = bad
         with pytest.raises(InvalidParameterError, match="element 1 has a non-finite entry"):
             WeightedGateSet(2, ((0.5, _I), (0.5, mat)))
-    for flag in (True, np.True_):
+    for flag in (True, np.True_, "1", " 0.5 ", None):
         with pytest.raises(InvalidParameterError, match="weight 0 must be a number"):
             WeightedGateSet(2, ((flag, _I),))
+    # a weight that is not a number is named after the positive ones before it
+    with pytest.raises(InvalidParameterError, match="weight 1 must be a number, got '0.5'"):
+        WeightedGateSet(2, ((0.5, _I), ("0.5", _X)))
+    with pytest.raises(InvalidParameterError, match="weight 0 must be positive"):
+        WeightedGateSet(2, ((-0.5, _I), ("1.5", _X)))
+    nu = WeightedGateSet(2, ((np.float32(0.25), _I), (np.float64(0.75), _X)))
+    assert nu.weights.tolist() == [0.25, 0.75] and nu.matrices.shape == (2, 2, 2)
+    for arr in (nu.weights, nu.matrices):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0
 
 
 @pytest.mark.parametrize(
@@ -381,13 +391,33 @@ def test_spin_blocks_from_euler_angles_match_the_schur_logs(ell):
 )
 def test_spin_rotations_about_y_match_wigner_small_d(ell, betas):
     # |pi_ell(R_y(beta))| against the Jacobi-polynomial formula; the moduli
-    # do not depend on the phases of the basis vectors. m orders the basis.
-    m = dt._spin_basis(np.array([ell, -ell])).m
+    # do not depend on the phases of the basis vectors. The basis runs
+    # m = -ell..ell (test_spin_basis_runs_m_and_s_from_minus_ell_to_ell).
     for beta in betas:
         c, s = math.cos(beta / 2), math.sin(beta / 2)
         (block,) = _spin_pi(ell, np.array([[[c, -s], [s, c]]], dtype=complex))
         ref = np.abs(np.array(wigner_small_d_mp(ell, beta).tolist(), dtype=complex))
-        assert abs(np.abs(block) - ref[np.ix_(m + ell, m + ell)]).max() <= 1e-12, beta
+        assert abs(np.abs(block) - ref).max() <= 1e-12, beta
+
+
+def test_spin_basis_runs_m_and_s_from_minus_ell_to_ell(monkeypatch):
+    # _spin_factors reads each label's phases as the band n = -ell..ell, so
+    # pi(J_z) = diag(-ell..ell) in the Gelfand-Tsetlin order, and
+    # pi(J_y) = P diag(-ell..ell) P^dag with P^dag stored beside P
+    for ell in range(1, 65):
+        top = np.array([ell, -ell])
+        diag, (raise_,) = dt._build_gt_generators(top)
+        spins = np.arange(-ell, ell + 1)
+        assert np.array_equal(0.5 * (diag[0] - diag[1]), spins), ell
+        p, ph = dt._build_spin_basis(top)
+        assert np.array_equal(ph, p.conj().T) and ph.flags.c_contiguous
+        j_y = -0.5j * (raise_ - raise_.T)
+        assert abs((p * spins) @ ph - j_y).max() <= 1e-12 * ell, ell
+    # a basis in another order is refused when the label is built
+    build = dt._build_gt_generators
+    monkeypatch.setattr(dt, "_build_gt_generators", lambda top: build(top)._replace(diag=build(top).diag[::-1]))
+    with pytest.raises(RuntimeError, match="not in the order m = -ell..ell"):
+        dt._build_spin_basis(np.array([3, -3]))
 
 
 def test_spin_block_norms_match_the_eigh_route():
@@ -429,7 +459,7 @@ def test_spin_bases_are_cached_read_only(monkeypatch):
     assert cache._plans[("spin", 9, -9)] is basis and basis.nbytes > basis.p.nbytes
     assert [key[0] for key in cache._plans] == ["spin"] * 9
     assert cache.nbytes == sum(entry.nbytes for entry in cache._plans.values()) <= dt.kernels._PLAN_CACHE_BYTES
-    assert list(basis.s) == list(range(-9, 10))
+    assert np.array_equal(basis.ph, basis.p.conj().T)
     for arr in basis:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 1
@@ -483,8 +513,9 @@ def test_gate_set_from_json_rejects_garbage():
     with pytest.raises(InvalidParameterError):
         gate_set_from_json({"d": 2, "elements": []})
     identity = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
-    with pytest.raises(InvalidParameterError, match="weight 0 must be a number"):
-        gate_set_from_json({"d": 2, "elements": [{"weight": True, "matrix": identity}]})
+    for weight in (True, "1", " 0.5 "):
+        with pytest.raises(InvalidParameterError, match="weight 0 must be a number"):
+            gate_set_from_json({"d": 2, "elements": [{"weight": weight, "matrix": identity}]})
     for bad in (math.nan, math.inf, -math.inf):
         matrix = [[[1, 0], [0, 0]], [[0, 0], [1, bad]]]
         with pytest.raises(InvalidParameterError, match="element 0 has a non-finite entry"):
@@ -503,6 +534,46 @@ def test_gate_set_from_json_rejects_garbage():
     for matrix in malformed:
         with pytest.raises(InvalidParameterError, match="element 0: malformed matrix"):
             gate_set_from_json({"d": 2, "elements": [{"weight": 1.0, "matrix": matrix}]})
+
+
+def _pairs(mat: np.ndarray) -> list:
+    return [[[z.real, z.imag] for z in row] for row in mat.tolist()]
+
+
+# (case, the element's matrix as a gate file holds it, the message for it,
+# the matrix as WeightedGateSet takes it, the message for that)
+_MALFORMED_36 = (
+    ("ragged row", [[[0.6, 0.0], [0.8, 0.0]], [[0.8, 0.0]]], "element 36: malformed matrix",
+     [[0.6, 0.8], [0.8]], "element 36 must be a 2x2 matrix"),
+    ("non-number entry", [[[0.6, 0.0], [0.8, None]], [[0.8, 0.0], [-0.6, 0.0]]], "element 36: malformed matrix",
+     [[0.6, None], [0.8, -0.6]], "element 36 has a non-finite entry"),
+    ("3x3 matrix", _pairs(np.eye(3)), "element 36 must be a 2x2 matrix", np.eye(3), "element 36 must be a 2x2 matrix"),
+    ("missing imaginary part", [[[0.6, 0.0], [0.8]], [[0.8, 0.0], [-0.6, 0.0]]], "element 36: malformed matrix",
+     [[[0.6, 0.0], [0.8]], [[0.8, 0.0], [-0.6, 0.0]]], "element 36 must be a 2x2 matrix"),
+)
+
+
+@pytest.mark.parametrize("case, pairs, message, mat, mat_message", _MALFORMED_36, ids=[c[0] for c in _MALFORMED_36])
+def test_a_malformed_element_among_many_is_named(case, pairs, message, mat, mat_message):
+    # the 60 matrices are decoded and stacked by one array call each; when
+    # that fails, the per-element path names the element
+    gates = _icosahedral_60()
+    elements = [{"weight": 1.0 / 60.0, "matrix": _pairs(g)} for g in gates]
+    elements[36]["matrix"] = pairs
+    with pytest.raises(InvalidParameterError, match=message):
+        gate_set_from_json({"d": 2, "elements": elements})
+    given = [(1.0 / 60.0, g) for g in gates]
+    given[36] = (1.0 / 60.0, mat)
+    with pytest.raises(InvalidParameterError, match=mat_message):
+        WeightedGateSet(2, tuple(given))
+    # an all-bool element is malformed, although numbers around it would
+    # turn a stack of it numeric
+    elements[36]["matrix"] = [[[True, False], [False, False]], [[False, False], [True, False]]]
+    with pytest.raises(InvalidParameterError, match="element 36: malformed matrix"):
+        gate_set_from_json({"d": 2, "elements": elements})
+    elements[36]["matrix"] = _pairs(gates[36])
+    nu = gate_set_from_json({"d": 2, "elements": elements})
+    assert np.array_equal(nu.matrices, np.array(gates)) and nu.matrices.flags.c_contiguous
 
 
 def test_resource_cap(monkeypatch):
@@ -558,6 +629,8 @@ def test_net_probe_checks_the_support_dimension():
         net_probe([np.complex128(1.0)], 0.5, 10, RngStream(1))
     with pytest.raises(InvalidParameterError, match="2x2 matrix"):
         net_probe([_I, np.eye(3)], 0.5, 10, RngStream(1))
+    with pytest.raises(InvalidParameterError, match="support element 3 must be a 2x2 matrix"):
+        net_probe([_I, _X, _Y, _Z[:1], _I], 0.5, 10, RngStream(1))
     for bad in (np.nan, np.inf):
         mat = _Z.copy()
         mat[0, 1] = bad

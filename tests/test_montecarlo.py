@@ -39,7 +39,7 @@ from udnet.montecarlo import (
     numeric_I0,
     torus_grid,
 )
-from udnet.weights_chars import _char_batch, enumerate_projective_weights
+from udnet.weights_chars import _char_batch, _projective_tuples
 
 from oracles import (
     dp_to_identity_broadcast,
@@ -350,7 +350,7 @@ def test_numeric_I0_still_refuses_d4():
 def _gram_deviation(d: int, t: int, grid: int) -> tuple[float, float]:
     """max |Gram - I| of the one-norm <= 2t characters on the grid, and the
     rounding of each entry's node sum, gamma_m max sum w |chi_a| |chi_b|."""
-    lams = np.array([w.lam for w in enumerate_projective_weights(d, t)])
+    lams = _projective_tuples(d, t)
     phi, w = torus_grid(d, grid)
     theta = np.concatenate([phi, -phi.sum(axis=1, keepdims=True)], axis=1)
     chars = _char_batch(lams, theta)

@@ -25,6 +25,7 @@ _UNCALLED = {
     "volume_lower_bound": "lemma calculator, waits for the bounds --chain output",
     "net_probe": "the package's only epsilon-net measurement",
     "gate_set_to_json": "writes the gate-set format that design-delta reads",
+    "enumerate_projective_weights": "public label enumerator the acceptance tests call; src reads _projective_tuples",
 }
 
 
