@@ -32,6 +32,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -153,9 +154,59 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _json_chunks(obj, pad: str, out: list) -> None:
+    """Append the JSON text of obj at indent pad to out, as json.dumps(
+    _sanitize(obj), sort_keys=True, indent=2, allow_nan=False) writes it:
+    numpy integers and floats are read as Python ones, a non-finite float
+    is the string "nan", "inf" or "-inf", and anything else that is not
+    JSON (np.bool_, an array) raises TypeError. Keys must be strings."""
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        out.append(float.__repr__(x) if math.isfinite(x) else _encode_str(_sanitize(x)))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (dict, list, tuple)):
+        if not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if isinstance(obj, dict):
+            out.append("{\n" + inner)
+            for n, key in enumerate(sorted(obj)):
+                if n:
+                    out.append(sep)
+                out.append(_encode_str(key) + ": ")
+                _json_chunks(obj[key], inner, out)
+            out.append("\n" + pad + "}")
+        else:
+            out.append("[\n" + inner)
+            for n, value in enumerate(obj):
+                if n:
+                    out.append(sep)
+                _json_chunks(value, inner, out)
+            out.append("\n" + pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _render_json(cfg: RunConfig, records: list[dict]) -> str:
-    payload = _sanitize({"config": cfg.as_dict(), "results": records})
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The document, sorted keys and an indent of 2, in one walk of the
+    payload (_json_chunks). json.dumps with an indent runs its pure-Python
+    encoder, and needed a _sanitize copy first: about twice the time for
+    the same bytes."""
+    out: list[str] = []
+    _json_chunks({"config": cfg.as_dict(), "results": records}, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _render_csv(cfg: RunConfig, records: list[dict], fieldnames: list[str]) -> str:
@@ -586,6 +637,8 @@ def _load_json_file(path: str, what: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidParameterError(f"{what} is not valid JSON: {exc}") from None
+        except ValueError as exc:  # an integer of more digits than int() reads
+            raise InvalidParameterError(f"{what} could not be read: {exc}") from None
 
 
 def _cmd_design_delta(args, seed: int, threads: int):
@@ -792,9 +845,12 @@ def _cmd_sweep(args, seed: int, threads: int):
 # -- entry point --------------------------------------------------------------
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built once per process: parse_args leaves the parser unchanged, and the
-    # commands look up the kernels and bounds they call at call time.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's parser, by name.
+
+    Built once per process: parsing leaves the parsers unchanged, and the
+    commands look up the kernels and bounds they call at call time.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default: UDNET_SEED or 0)")
     common.add_argument("--threads", type=int, default=None, help="worker pool size (default: machine parallelism)")
@@ -837,12 +893,32 @@ def _build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", parents=[common], help="tabulate a target quantity over a parameter grid")
     sw.add_argument("spec", help="path to a sweep spec JSON file")
     sw.set_defaults(run=_cmd_sweep)
-    return ap
+    return ap, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as the top-level parser would, reading each string once.
+
+    When argv[0] names a command, the rest goes straight to that command's
+    parser, which is what the top-level parser hands it after classifying
+    every string itself. Strings the command leaves over are reported
+    through the top-level parser's error, as parse_args reports them.
+    Anything else, no argv or an option first, takes the top-level parser.
+    """
+    top, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return top.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        top.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     if not logging.getLogger().handlers:

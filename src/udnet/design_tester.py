@@ -47,6 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -104,7 +105,11 @@ class WeightedGateSet:
         # JSON true and strings such as "1" are not weights; types are checked once each
         real = {c: issubclass(c, numbers.Real) and not issubclass(c, (bool, np.bool_)) for c in set(map(type, given))}
         count = next((k for k, w in enumerate(given) if not real[type(w)]), len(given))
-        weights = np.array(given[:count], dtype=float)
+        try:
+            weights = np.array(given[:count], dtype=float)
+        except OverflowError:  # an integer past the float range, as JSON may give
+            big = next(k for k, w in enumerate(given[:count]) if abs(w) > sys.float_info.max)
+            raise InvalidParameterError(f"weight {big} is too large for a float") from None
         positive = np.isfinite(weights) & (weights > 0.0)
         if not positive.all():
             raise InvalidParameterError(f"weight {np.argmin(positive)} must be positive")

@@ -386,20 +386,25 @@ def _char_eval(p: KernelParams, theta_rows: np.ndarray) -> tuple[np.ndarray, flo
     regular points and the Jacobi-Trudi form at eigenphase gaps below
     GAP_TOL and where the alternant's predicted rounding is above
     _RESIDUE_CEILING, so no (weights x points) character matrix is built.
-    At d = 3 a warm query takes 0.10-0.20 ms at a regular or a confluent
-    point, at sigma = 0.02 and 0.1 alike (best of 7 x 100 queries, 1 BLAS
-    thread, 2-vCPU Intel Xeon, 3 runs on a shared host). The sum is real,
-    so a point that _char_sum routes
-    to the h tables keeps the alternant where its imaginary part is the
-    smaller. The imaginary residue is checked on every call, as a backstop.
+    The plan's trivial term is added in place to that row, and the checks
+    below reduce with ufunc.reduce, not numpy's Python wrappers, which cost
+    more than the arithmetic on one point. At d = 3 a warm query takes
+    0.10-0.12 ms at a regular or a confluent point, at sigma = 0.02 and 0.1
+    alike (best of 7 x 100 queries, 1 BLAS thread, 2-vCPU Intel Xeon, best
+    of 6 runs on a shared host, whose medians reach 0.17 ms). The sum is
+    real, so a point that _char_sum routes to the h tables keeps the
+    alternant where its imaginary part is the smaller. The imaginary
+    residue is checked on every call, as a backstop.
     """
     plan = _PLANS.get(p)
-    vals = np.full(len(theta_rows), plan.base, dtype=complex)
-    if plan.sums is not None:
-        vals += _char_sum(plan.sums, theta_rows, real=True)[0]
-    resid = float(np.max(np.abs(vals.imag), initial=0.0))
-    ceiling = _RESIDUE_CEILING * max(1.0, float(np.max(np.abs(vals.real), initial=0.0))) + plan.bound
-    if not np.all(np.isfinite(vals.real)) or resid > ceiling:
+    if plan.sums is None:
+        vals = np.full(len(theta_rows), plan.base, dtype=complex)
+    else:
+        vals = _char_sum(plan.sums, theta_rows, real=True)[0]
+        vals += plan.base
+    resid = float(np.maximum.reduce(np.abs(vals.imag), initial=0.0))
+    ceiling = _RESIDUE_CEILING * max(1.0, float(np.maximum.reduce(np.abs(vals.real), initial=0.0))) + plan.bound
+    if not np.logical_and.reduce(np.isfinite(vals.real)) or resid > ceiling:
         raise NumericalInstabilityError(
             f"character sum lost significance: imaginary residue {resid:.3e}"
         )
@@ -598,7 +603,7 @@ def _lattice_sums(d: int, sigma: float, tail_tol: float, phis: list) -> list[Eva
             # an exponent past -1.8e308 is a term below the float range
             expo = (-rate * quad).reshape(len(rows), -1)
         peaks = np.maximum.reduce(expo, axis=1)
-        if not np.all(np.isfinite(peaks)):
+        if not np.logical_and.reduce(np.isfinite(peaks)):
             raise NumericalInstabilityError(
                 f"sigma = {sigma:g} is too small for the Poisson form: the largest term's exponent overflows"
             )
@@ -674,11 +679,12 @@ def heat_pu_poisson(p: KernelParams, x: TorusPoint) -> EvalResult:
     a warm query compares its prefactor with the plan's tails at its
     tolerance and sums over the kept grid, and a jittered one makes one
     four-row call on the same plan. At d = 3, sigma = 0.05 a warm query
-    takes 0.086-0.10 ms at a regular point and 0.15-0.22 ms at a jittered
+    takes 0.061-0.089 ms at a regular point and 0.13-0.18 ms at a jittered
     one; a cold one, which fills the plan's tails and builds the grid,
-    0.16-0.20 ms and 0.25-0.29 ms (1 BLAS thread, 2-vCPU Intel Xeon on a
-    shared host, best of 7 x 200 queries, 6 runs). Raises
-    NumericalInstabilityError when the sum lost its value to cancellation.
+    0.13-0.16 ms and 0.20-0.21 ms (1 BLAS thread, 2-vCPU Intel Xeon on a
+    shared host; best of 7 x 200 warm and 7 x 50 cold queries, the best
+    and the median of 6 runs). Raises NumericalInstabilityError when the
+    sum lost its value to cancellation.
     """
     _check_point(p, x)
     return _poisson_eval(p, [x.phi])[0]

@@ -453,7 +453,7 @@ def _run_sum(buf: np.ndarray, rows: int, step: int, plan: _SumPlan, ones: bool) 
         else:
             np.subtract(tables[plus], tables[minus], out=signed)
         terms *= powers
-        out += terms.sum(axis=(1, 2))
+        out += np.add.reduce(terms, axis=(1, 2))
     return out
 
 
@@ -502,9 +502,9 @@ def _alternant_ratio(tab: np.ndarray, plan: _SumPlan, skip: np.ndarray, out: np.
     else:
         num = _expanded_sum(tab, plan, True)
     i, j = _pairs(d)
-    vdm = np.prod(tab[i, 1] - tab[j, 1], axis=0)
+    vdm = np.multiply.reduce(tab[i, 1] - tab[j, 1], axis=0)
     limit = plan.mass * (_UNIT_ROUNDOFF * math.factorial(d) / _RESIDUE_CEILING)
-    redo = skip | (np.maximum(np.abs(num), np.abs(vdm)) < limit).any(axis=0)
+    redo = skip | np.logical_or.reduce(np.maximum(np.abs(num), np.abs(vdm)) < limit, axis=0)
     np.divide(num, vdm, out=out, where=~skip)
     return redo
 
@@ -639,9 +639,9 @@ def _block_sum(plan: _SumPlan, theta: np.ndarray, skip: np.ndarray, vals: np.nda
     fault, against 322 a call when the tables stayed referenced."""
     tab = _power_tables(theta, plan.size)
     redo = skip
-    if not skip.all():
+    if not np.logical_and.reduce(skip):
         redo = _alternant_ratio(tab, plan, skip, vals)
-    if redo.any():
+    if np.logical_or.reduce(redo):
         h = _jacobi_trudi(tab[:, :, redo], plan)
         if real:
             alt = vals[:, redo]

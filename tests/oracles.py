@@ -32,16 +32,20 @@ GUE tail by eigvalsh of full Hermitian draws, the d = 2 kernel mass
 outside the eps-ball by Gauss-Legendre quadrature, and the earlier forms
 of the GUE tail (eigvalsh of the tridiagonal model), of numeric_I0 (the
 whole grid at once) and of _dp_to_identity (the (n, d, d) broadcast),
-which their replacements must match bit for bit.
+which their replacements must match bit for bit, and the JSON renderer of
+the CLI as json.dumps of the sanitized payload, which its one-walk writer
+must match byte for byte.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 
+from udnet.cli import _sanitize
 from udnet.design_tester import _haar_su
 from udnet.kernels import (
     _MAX_LATTICE_RADIUS,
@@ -814,6 +818,12 @@ def center_average_character(w, x):
     shifted = [TorusPoint(d, tuple(p + 2 * math.pi * k / d for p in x.phi)) for k in range(d)]
     chi = _char_batch([w.lam], np.array([y.eigenphases() for y in shifted]))
     return complex(chi[0].sum()) / d
+
+
+def render_json_reference(payload):
+    """cli._render_json as it was before its one-walk writer: json.dumps of
+    the _sanitize copy of the payload, sorted keys and an indent of 2."""
+    return json.dumps(_sanitize(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def main():

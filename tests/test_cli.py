@@ -224,6 +224,96 @@ def test_patched_kernel_takes_effect_after_first_call(capsys, monkeypatch):
     assert [r["value"] for r in rows] == [0.25, 0.25]
 
 
+_TOP_USAGE = "usage: udnet [-h] {bounds,kernel,validate,design-delta,sweep} ...\n"
+_COMMANDS = "'bounds', 'kernel', 'validate', 'design-delta', 'sweep'"
+_KERNEL_USAGE = """\
+usage: udnet kernel [-h] [--seed SEED] [--threads THREADS]
+                    [--format {json,csv}] [--out OUT] --d D --sigma SIGMA
+                    [--trim-t TRIM_T] [--form {char,poisson,both}] --phi PHI
+                    [PHI ...]
+"""
+_VALIDATE_USAGE = """\
+usage: udnet validate [-h] [--seed SEED] [--threads THREADS]
+                      [--format {json,csv}] [--out OUT] --suite
+                      {trimming,i0,outside-ball,l2,gue,orthonormality,poisson-char,normalization,all}
+                      [--d D] [--n N] [--gamma GAMMA] [--eta ETA]
+"""
+_TOP_HELP = _TOP_USAGE + """
+Design-to-net bounds, trimmed heat kernels, and validation suites.
+
+positional arguments:
+  {bounds,kernel,validate,design-delta,sweep}
+    bounds              closed-form sufficiency bounds
+    kernel              evaluate the projective heat kernel at a torus point
+    validate            run internal consistency suites
+    design-delta        measure delta(nu, s) for a gate set
+    sweep               tabulate a target quantity over a parameter grid
+
+options:
+  -h, --help            show this help message and exit
+"""
+_KERNEL_HELP = _KERNEL_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --seed SEED           RNG seed (default: UDNET_SEED or 0)
+  --threads THREADS     worker pool size (default: machine parallelism)
+  --format {json,csv}   output format (default: json; sweep: csv)
+  --out OUT             write output to this path instead of stdout
+  --d D
+  --sigma SIGMA
+  --trim-t TRIM_T
+  --form {char,poisson,both}
+  --phi PHI [PHI ...]   d-1 torus coordinates
+"""
+_POINT = ["kernel", "--d", "3", "--sigma", "0.1", "--phi", "0.1", "0.2"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        ([], 2, "", _TOP_USAGE + "udnet: error: the following arguments are required: command\n"),
+        (["frobnicate"], 2, "",
+         _TOP_USAGE + f"udnet: error: argument command: invalid choice: 'frobnicate' (choose from {_COMMANDS})\n"),
+        # the top-level parser has no --seed: its value is read as the command
+        (["--seed", "1", "kernel"], 2, "",
+         _TOP_USAGE + f"udnet: error: argument command: invalid choice: '1' (choose from {_COMMANDS})\n"),
+        (_POINT + ["--bogus"], 2, "", _TOP_USAGE + "udnet: error: unrecognized arguments: --bogus\n"),
+        (["kernel", "--d", "3", "--phi", "0.1", "0.2", "--sigma", "0.1", "extra"], 2, "",
+         _TOP_USAGE + "udnet: error: unrecognized arguments: extra\n"),
+        # after --phi a stray word is read as a coordinate
+        (_POINT + ["extra"], 2, "",
+         _KERNEL_USAGE + "udnet kernel: error: argument --phi: invalid float value: 'extra'\n"),
+        (["kernel", "--d", "3", "--s", "0.1", "--phi", "0.1", "0.2"], 2, "",
+         _KERNEL_USAGE + "udnet kernel: error: ambiguous option: --s could match --seed, --sigma\n"),
+        (["validate", "--suite", "nope"], 2, "",
+         _VALIDATE_USAGE + "udnet validate: error: argument --suite: invalid choice: 'nope' (choose from"
+         " 'trimming', 'i0', 'outside-ball', 'l2', 'gue', 'orthonormality', 'poisson-char',"
+         " 'normalization', 'all')\n"),
+        (["kernel", "--d", "3", "--sigma", "x", "--phi", "0.1", "0.2"], 2, "",
+         _KERNEL_USAGE + "udnet kernel: error: argument --sigma: invalid float value: 'x'\n"),
+        (["-h"], 0, _TOP_HELP, ""),
+        (["kernel", "-h"], 0, _KERNEL_HELP, ""),
+        (["kernel", "--d", "3", "-h", "--bogus"], 0, _KERNEL_HELP, ""),
+    ],
+    ids=["no-argv", "unknown-command", "option-before-command", "bogus-option", "extra-word",
+         "extra-phi", "ambiguous-abbreviation", "bad-suite", "sigma-not-a-float", "help", "kernel-help",
+         "kernel-help-first"],
+)
+def test_argv_errors_and_help(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+
+
+def test_abbreviated_option_reads_as_the_full_one(capsys):
+    assert main(["kernel", "--d", "3", "--sig", "0.1", "--phi", "0.1", "0.2"]) == 0
+    abbreviated = capsys.readouterr()
+    assert main(_POINT) == 0
+    assert capsys.readouterr() == abbreviated
+    assert abbreviated.err == ""
+
+
 # ----------------------------------------------------------- design-delta
 
 
@@ -291,12 +381,25 @@ def test_design_delta_empty_elements_exits_2(tmp_path):
         {"d": 2, "elements": [{"weight": True, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]},
         # json reads NaN, which a unitarity test of the form err > tol lets through
         {"d": 2, "elements": [{"weight": 1.0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [math.nan, 0]]]}]},
+        # once an OverflowError traceback and exit 1
+        {"d": 2, "elements": [{"weight": 0.5, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+                              {"weight": 10**400, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]},
     ],
-    ids=["elements-not-a-list", "weight-not-a-number", "weight-null", "ragged-matrix", "weight-true", "nan-entry"],
+    ids=["elements-not-a-list", "weight-not-a-number", "weight-null", "ragged-matrix", "weight-true", "nan-entry",
+         "weight-too-large"],
 )
 def test_design_delta_malformed_gate_set_exits_2(capsys, tmp_path, doc):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(doc))
+    assert main(["design-delta", str(f), "--t", "1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_json_file_with_an_unreadable_integer_exits_2(capsys, tmp_path):
+    # json reads an integer of more than 4,300 digits as a ValueError, not a
+    # JSONDecodeError; it once ended in a traceback and exit 1
+    f = tmp_path / "long.json"
+    f.write_text('{"d": 2, "elements": [{"weight": 1' + "0" * 5000 + ', "matrix": []}]}')
     assert main(["design-delta", str(f), "--t", "1"]) == 2
     assert capsys.readouterr().out == ""
 

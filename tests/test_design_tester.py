@@ -153,6 +153,10 @@ def test_gate_set_validation():
         WeightedGateSet(2, ((0.5, _I), ("0.5", _X)))
     with pytest.raises(InvalidParameterError, match="weight 0 must be positive"):
         WeightedGateSet(2, ((-0.5, _I), ("1.5", _X)))
+    # an integer past the float range, as a JSON weight may be, is named too
+    for big in (10**400, -(10**400)):
+        with pytest.raises(InvalidParameterError, match="weight 1 is too large for a float"):
+            WeightedGateSet(2, ((0.5, _I), (big, _X)))
     nu = WeightedGateSet(2, ((np.float32(0.25), _I), (np.float64(0.75), _X)))
     assert nu.weights.tolist() == [0.25, 0.75] and nu.matrices.shape == (2, 2, 2)
     for arr in (nu.weights, nu.matrices):
