@@ -10,10 +10,8 @@ blocks, net probe), cli (command-line entry point).
 from __future__ import annotations
 
 from .bounds import (
-    AuxReport,
     BoundReport,
     application1_ell,
-    aux_inequalities_check,
     bound_I0,
     bound_L1_trimmed,
     bound_L2,
@@ -22,7 +20,6 @@ from .bounds import (
     bound_outside_ball,
     bound_trim,
     eta_min,
-    kappa,
     ratio_R_over_I0_ok,
     sigma_star,
     t_star,
@@ -38,7 +35,6 @@ from .design_tester import (
     WeightedGateSet,
     design_deltas,
     gate_set_from_json,
-    gate_set_to_json,
     net_probe,
 )
 from .kernels import (
@@ -79,7 +75,6 @@ from .weights_chars import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxReport",
     "BLOCK_BUDGET",
     "BoundReport",
     "EvalResult",
@@ -98,7 +93,6 @@ __all__ = [
     "TruncationError",
     "WeightedGateSet",
     "application1_ell",
-    "aux_inequalities_check",
     "bound_I0",
     "bound_L1_trimmed",
     "bound_L2",
@@ -111,7 +105,6 @@ __all__ = [
     "eps_tilde",
     "eta_min",
     "gate_set_from_json",
-    "gate_set_to_json",
     "group_constants",
     "gue_opnorm_cdf",
     "gue_tail_mc",
@@ -119,7 +112,6 @@ __all__ = [
     "heat_pu_char_batch",
     "heat_pu_poisson",
     "heat_pu_poisson_batch",
-    "kappa",
     "l2_norm_trimmed",
     "l2_norm_untrimmed",
     "log_prefactor",

@@ -26,9 +26,9 @@ from .lie_core import (
     InvalidParameterError,
     _check_dimension,
     _check_eps,
-    _check_int,
     _check_positive,
     _check_unit_open,
+    _log_superfactorial,
     eps_tilde,
     group_constants,
     log_prefactor,
@@ -38,8 +38,6 @@ __all__ = [
     "A_V",
     "C_BIG",
     "BoundReport",
-    "AuxCheck",
-    "AuxReport",
     "eta_min",
     "t_star",
     "sigma_star",
@@ -53,10 +51,8 @@ __all__ = [
     "bound_L1_trimmed",
     "theorem1_t_min",
     "theorem2_delta_max",
-    "kappa",
     "application1_ell",
     "volume_lower_bound",
-    "aux_inequalities_check",
 ]
 
 C_BIG = 9.0 * math.pi
@@ -280,7 +276,7 @@ def bound_L2(d: int, sigma: float, t: int | None = None) -> BoundReport:
         math.log(d)
         + 0.5 * math.lgamma(d + 1)
         - (m - 1) * math.log(2.0)
-        + math.log(float(eta_min(d)))
+        - _log_superfactorial(d)
         + wns
     )
     log_v = float(np.logaddexp(log_term1, log_term2))
@@ -332,11 +328,11 @@ def theorem1_t_min(d: int, eps: float) -> float:
     return 32.0 * d**2.5 / e * math.log(d) * math.log(4.0 / (A_V * e))
 
 
-def kappa(d: int) -> float:
-    """Group constant d^{d^2/16 - 17/4 - d/(768 log^2(d) log(9 pi))}."""
-    _check_dimension(d)
+def _log_kappa(d: int) -> float:
+    """log of the group constant kappa(d) = d^{d^2/16 - 17/4 - d/(768 log^2(d) log(9 pi))},
+    formed in log space: kappa(d) itself is past the float range from d = 54."""
     expo = d * d / 16.0 - 17.0 / 4.0 - d / (768.0 * math.log(d) ** 2 * math.log(1.0 / A_V))
-    return d**expo
+    return expo * math.log(d)
 
 
 def theorem2_delta_max(d: int, eps: float, form: str = "theorem") -> float:
@@ -366,7 +362,7 @@ def theorem2_delta_max(d: int, eps: float, form: str = "theorem") -> float:
         - 0.25 * math.log(math.log(d))
     )
     if form == "kappa":
-        return lead + bracket - n / 2.0 * math.log(d) + math.log(kappa(d))
+        return lead + bracket - n / 2.0 * math.log(d) + _log_kappa(d)
     if form == "exponential":
         return (
             lead
@@ -398,7 +394,7 @@ def application1_ell(d: int, eps: float, delta: float) -> float:
     dl = _check_unit_open("delta", float(delta))
     dcap = 8.0 * C_BIG ** (2.0 / 3.0) * math.log(2.0 * C_BIG) ** (1.0 / 3.0)
     n = d * d - 1
-    numer = math.log(1.0 / kappa(d)) + n * (
+    numer = -_log_kappa(d) + n * (
         1.25 * math.log(1.0 / e) + 0.75 * math.log(dcap * d)
     )
     return numer / math.log(1.0 / dl)
@@ -409,81 +405,3 @@ def volume_lower_bound(d: int, kappa_radius: float) -> float:
     _check_dimension(d)
     r = _check_eps(kappa_radius)
     return (d * d - 1) * math.log(A_V * r)
-
-
-@dataclass(frozen=True)
-class AuxCheck:
-    name: str
-    cases: int
-    worst_slack: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class AuxReport:
-    checks: tuple[AuxCheck, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def _upper_incomplete_gamma(s: float, x: float) -> float:
-    # scipy is imported here so that importing udnet loads none of it
-    from scipy.integrate import quad
-
-    # defining integral, adaptive quadrature; substitution keeps it proper
-    val, err = quad(lambda u: u ** (s - 1.0) * math.exp(-u), x, math.inf, epsrel=1e-10)
-    return val
-
-
-def aux_inequalities_check(d_max: int = 6, trials: int = 200, seed: int = 0) -> AuxReport:
-    """Verifies the small auxiliary inequalities on grids and random draws.
-
-    Shell counts (2r+1)^d - (2r-1)^d <= 2^d (2r)^{d-1} on integer grids;
-    Gamma(s, x) <= exp(-x) x^s / (x - s + 1) with the incomplete gamma
-    computed by adaptive quadrature; (d/4)^{-d^2/8} >= 1/prod k!. The GUE
-    spectral-norm tail bound is checked against Monte Carlo by the CLI
-    `validate --suite gue` rows, not here.
-    """
-    _check_dimension(d_max)
-    trials = _check_int("trials", trials, 1)
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    worst = math.inf
-    cases = 0
-    ok = True
-    for d in range(2, d_max + 1):
-        for r in range(1, 21):
-            lhs = (2 * r + 1) ** d - (2 * r - 1) ** d
-            rhs = 2**d * (2 * r) ** (d - 1)
-            cases += 1
-            slack = rhs - lhs
-            worst = min(worst, float(slack))
-            ok = ok and lhs <= rhs
-    checks.append(AuxCheck("shell-count", cases, worst, ok))
-
-    worst = math.inf
-    ok = True
-    n_gamma = 0
-    for _ in range(trials):
-        s = float(rng.uniform(1.0, 10.0))
-        x = float(s - 1.0 + rng.uniform(0.05, 20.0))
-        lhs = _upper_incomplete_gamma(s, x)
-        rhs = math.exp(-x) * x**s / (x - s + 1.0)
-        n_gamma += 1
-        worst = min(worst, (rhs - lhs) / rhs)
-        ok = ok and lhs <= rhs * (1.0 + 1e-9)
-    checks.append(AuxCheck("incomplete-gamma", n_gamma, worst, ok))
-
-    worst = math.inf
-    ok = True
-    for d in range(2, d_max + 1):
-        lhs = (d / 4.0) ** (-d * d / 8.0)
-        rhs = float(eta_min(d))
-        worst = min(worst, lhs - rhs)
-        ok = ok and lhs >= rhs
-    checks.append(AuxCheck("factorial-floor", d_max - 1, worst, ok))
-
-    return AuxReport(checks=tuple(checks))

@@ -71,7 +71,6 @@ __all__ = [
     "WeightedGateSet",
     "NetProbeReport",
     "gate_set_from_json",
-    "gate_set_to_json",
     "design_deltas",
     "net_probe",
 ]
@@ -85,17 +84,18 @@ _UNITARY_TOL = 1e-10
 _WEIGHT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGateSet:
     """Finitely supported measure on PU(d): positive weights summing to 1.
 
     weights (K,) and matrices (K, d, d) are the checked, read-only arrays
-    that elements pairs up."""
+    that elements pairs up. A gate set equals only itself and hashes by
+    identity, since its elements hold arrays."""
 
     d: int
     elements: tuple[tuple[float, np.ndarray], ...]
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-    matrices: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False)
+    matrices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_dimension(self.d)
@@ -125,17 +125,9 @@ class WeightedGateSet:
         object.__setattr__(self, "matrices", mats)
 
 
-def gate_set_to_json(nu: WeightedGateSet) -> dict:
-    """Plain-data form: matrices as row-major [re, im] pairs."""
-    elements = [
-        {"weight": w, "matrix": [[[z.real, z.imag] for z in row] for row in mat]}
-        for w, mat in nu.elements
-    ]
-    return {"d": nu.d, "elements": elements}
-
-
 def gate_set_from_json(obj) -> WeightedGateSet:
-    """Parse and validate the schema produced by gate_set_to_json."""
+    """Parse and validate a gate file: {"d": d, "elements": [{"weight": w,
+    "matrix": [[[re, im], ...], ...]}, ...]}, each matrix row-major."""
     if not isinstance(obj, dict) or "d" not in obj or "elements" not in obj:
         raise InvalidParameterError("expected an object with keys 'd' and 'elements'")
     entries = obj["elements"]

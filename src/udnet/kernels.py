@@ -332,9 +332,9 @@ class _PlanCache:
     bases under ("spin", *label), through fetch(). Each entry has an nbytes
     that is fixed once it is stored, and eviction subtracts it. An entry over
     the cap is returned but not kept, and a build that raises keeps nothing.
-    The lock guards the table, not the build: Monte Carlo chunks on several
-    threads may build one entry twice on a cold start, and the first one
-    stored wins.
+    The lock guards the table, not the build: udnet fills it from one
+    thread, but a library caller's threads may build one entry twice on a
+    cold start, and the first one stored wins.
     """
 
     def __init__(self):
@@ -599,15 +599,14 @@ def _lattice_sums(d: int, sigma: float, tail_tol: float, phis: list) -> list[Eva
             for j in range(i + 1, d):
                 root_prod = root_prod * (psi[..., i] - (psi[..., j] if j < d - 1 else last))
         quad = np.add.reduce(np.square(psi), axis=3) + np.square(total)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", under="ignore"):
             # an exponent past -1.8e308 is a term below the float range
             expo = (-rate * quad).reshape(len(rows), -1)
-        peaks = np.maximum.reduce(expo, axis=1)
-        if not np.logical_and.reduce(np.isfinite(peaks)):
-            raise NumericalInstabilityError(
-                f"sigma = {sigma:g} is too small for the Poisson form: the largest term's exponent overflows"
-            )
-        with np.errstate(under="ignore"):
+            peaks = np.maximum.reduce(expo, axis=1)
+            if not np.logical_and.reduce(np.isfinite(peaks)):
+                raise NumericalInstabilityError(
+                    f"sigma = {sigma:g} is too small for the Poisson form: the largest term's exponent overflows"
+                )
             terms = root_prod.reshape(len(rows), -1) * np.exp(expo - peaks[:, None])
         sums = np.add.reduce(terms, axis=1)
         mass = np.add.reduce(np.abs(terms), axis=1)

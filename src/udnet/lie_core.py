@@ -196,6 +196,11 @@ def _min_gaps(theta: np.ndarray) -> np.ndarray:
     return best
 
 
+def _log_superfactorial(d: int) -> float:
+    """log(1! 2! ... d!), summed in logs: its reciprocal underflows a float from d = 28."""
+    return math.fsum(math.lgamma(k + 1) for k in range(1, d + 1))
+
+
 def log_prefactor(d: int, sigma: float) -> float:
     """log(C(d, sigma)/|W|) for the closed-form prefactor
 
@@ -207,14 +212,13 @@ def log_prefactor(d: int, sigma: float) -> float:
     s = _check_positive("sigma", sigma)
     m = d * (d - 1) // 2
     n = d * d - 1
-    log_fact = math.fsum(math.lgamma(k + 1) for k in range(1, d + 1))
     # 4*pi*s overflows from s = 1.4e307 on
     log_4pi_s = math.log(4.0 * math.pi * s) if s < 1e307 else math.log(4.0 * math.pi) + math.log(s)
     return math.fsum(
         [
             0.5 * math.log(d),
             ((d - 1) / 2.0 + m) * math.log(2.0 * d),
-            -log_fact,
+            -_log_superfactorial(d),
             (d - 1 + m) * math.log(TWO_PI),
             (n / 24.0) * s,
             -(n / 2.0) * log_4pi_s,

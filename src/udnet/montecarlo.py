@@ -38,7 +38,7 @@ order, which the log-sum-exp shifts and exponentiates in place. Its traced
 peak is about 9 bytes per node, 9.2 MiB at 2^20 nodes, where the whole grid's
 arrays took 84 bytes per node.
 The d = 2 GUE operator-norm cdf is in closed form. So the module loads no
-scipy, and neither does a CLI command that does not need it.
+scipy, and no other module of udnet does either.
 """
 
 from __future__ import annotations

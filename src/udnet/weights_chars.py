@@ -612,8 +612,7 @@ def _char_sum(plan: _SumPlan, theta: np.ndarray, real: bool = False) -> np.ndarr
     set stays within _BLOCK_BYTES, so it stays in a core's cache and does
     not grow with the point count; Horner's rule takes the regular d = 2
     points in blocks of _horner_points, from the same budget. All state is
-    local to the call: Monte Carlo chunks run it on threads that share one
-    plan.
+    local to the call, so threads may share one plan.
     """
     theta = np.asarray(theta, dtype=float)
     d = theta.shape[1]

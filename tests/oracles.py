@@ -32,9 +32,10 @@ GUE tail by eigvalsh of full Hermitian draws, the d = 2 kernel mass
 outside the eps-ball by Gauss-Legendre quadrature, and the earlier forms
 of the GUE tail (eigvalsh of the tridiagonal model), of numeric_I0 (the
 whole grid at once) and of _dp_to_identity (the (n, d, d) broadcast),
-which their replacements must match bit for bit, and the JSON renderer of
+which their replacements must match bit for bit, the JSON renderer of
 the CLI as json.dumps of the sanitized payload, which its one-walk writer
-must match byte for byte.
+must match byte for byte, and the writer of the gate files that
+design-delta reads.
 """
 
 import itertools
@@ -824,6 +825,16 @@ def render_json_reference(payload):
     """cli._render_json as it was before its one-walk writer: json.dumps of
     the _sanitize copy of the payload, sorted keys and an indent of 2."""
     return json.dumps(_sanitize(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def gate_set_to_json(nu):
+    """The gate-file form of a WeightedGateSet that design-delta reads:
+    matrices as row-major [re, im] pairs."""
+    elements = [
+        {"weight": w, "matrix": [[[z.real, z.imag] for z in row] for row in mat]}
+        for w, mat in nu.elements
+    ]
+    return {"d": nu.d, "elements": elements}
 
 
 def main():

@@ -9,15 +9,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from udnet.bounds import (
     A_V,
     C_BIG,
-    AuxReport,
     BoundReport,
+    _log_kappa,
     application1_ell,
-    aux_inequalities_check,
     bound_I0,
     bound_L1_trimmed,
     bound_L2,
@@ -26,7 +27,6 @@ from udnet.bounds import (
     bound_outside_ball,
     bound_trim,
     eta_min,
-    kappa,
     ratio_R_over_I0_ok,
     sigma_star,
     t_star,
@@ -35,8 +35,10 @@ from udnet.bounds import (
     volume_lower_bound,
 )
 from udnet.kernels import l2_norm_trimmed, l2_norm_untrimmed, trimming_error
-from udnet.lie_core import InvalidParameterError
+from udnet.lie_core import InvalidParameterError, group_constants
 from udnet.montecarlo import numeric_I0
+
+from oracles import kappa_mp
 
 
 def test_constants():
@@ -82,8 +84,9 @@ def test_theorem2_rejects_unknown_form():
 
 
 def test_kappa_reference():
-    assert kappa(2) == pytest.approx(0.062429777108126172294, rel=1e-12)
-    assert 0.0 < kappa(3) < 1.0
+    # rel 1e-12 in kappa(2) is abs 1e-12 in its log
+    assert _log_kappa(2) == pytest.approx(math.log(0.062429777108126172294), abs=1e-12)
+    assert _log_kappa(3) < 0.0
 
 
 def test_sigma_star_reference_and_monotonicity():
@@ -212,9 +215,44 @@ def test_parameter_validation_messages():
 
 
 def test_aux_inequalities_hold():
-    rep = aux_inequalities_check(d_max=4, trials=60, seed=1)
-    assert isinstance(rep, AuxReport)
-    assert all(c.ok for c in rep.checks)
-    names = {c.name for c in rep.checks}
-    assert "shell-count" in names
-    assert "incomplete-gamma" in names
+    # shell counts of the lattice, in integers
+    for d in range(2, 7):
+        for r in range(1, 21):
+            assert (2 * r + 1) ** d - (2 * r - 1) ** d <= 2**d * (2 * r) ** (d - 1)
+    # Gamma(s, x) <= exp(-x) x^s / (x - s + 1) for x > s - 1, on seeded draws
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        s = float(rng.uniform(1.0, 10.0))
+        x = float(s - 1.0 + rng.uniform(0.05, 20.0))
+        assert float(mp.gammainc(s, x)) <= math.exp(-x) * x**s / (x - s + 1.0) * (1.0 + 1e-9)
+    # the factorial floor (d/4)^(-d^2/8) >= eta_min(d)
+    for d in range(2, 7):
+        assert (d / 4.0) ** (-d * d / 8.0) >= float(eta_min(d))
+
+
+def test_log_kappa_matches_the_oracle_past_the_float_range():
+    for d in range(2, 201):
+        assert _log_kappa(d) == pytest.approx(float(mp.log(kappa_mp(d))), rel=1e-15)
+    for d in (54, 60, 200):
+        assert math.isfinite(theorem2_delta_max(d, 0.5, form="kappa"))
+        assert math.isfinite(application1_ell(d, 0.5, 1e-3))
+
+
+def test_bound_l2_from_the_exact_log_of_eta_min():
+    # float(eta_min(d)) underflows to 0 from d = 28; the bound is finite there
+    for d in range(28, 41):
+        assert math.isfinite(bound_L2(d, 0.01).log_value_unchecked)
+    # below that, the value the bound had when formed from float(eta_min(d))
+    for d in range(2, 28):
+        for sigma in (0.01, 0.3):
+            rep = bound_L2(d, sigma)
+            m = d * (d - 1) // 2
+            remainder = (
+                math.log(d)
+                + 0.5 * math.lgamma(d + 1)
+                - (m - 1) * math.log(2.0)
+                + math.log(float(eta_min(d)))
+                + float(group_constants(d).weyl_norm_sq) * sigma
+            )
+            before = float(np.logaddexp(rep.extras["log_i00_term"], remainder))
+            assert rep.log_value_unchecked == pytest.approx(before, rel=1e-13)

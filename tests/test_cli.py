@@ -25,10 +25,12 @@ import udnet.design_tester as design_tester
 import udnet.weights_chars as weights_chars
 from udnet import bounds
 from udnet.cli import main
-from udnet.design_tester import WeightedGateSet, gate_set_to_json
+from udnet.design_tester import WeightedGateSet
 from udnet.kernels import EvalResult, KernelParams, TruncationError, heat_pu_char
 from udnet.lie_core import TorusPoint, _min_gaps
 from udnet.montecarlo import torus_grid
+
+from oracles import gate_set_to_json
 
 
 def _json_out(capsys):
@@ -78,6 +80,15 @@ def test_bounds_with_delta_reports_ell(capsys):
     assert main(["bounds", "--d", "2", "--eps", "0.1", "--delta", "1e-12"]) == 0
     (rec,) = _json_out(capsys)["results"]
     assert rec["ell"] == pytest.approx(0.85794646742194750448, rel=1e-12)
+
+
+def test_bounds_past_kappa_float_range(capsys):
+    # kappa(d) overflows a float from d = 54; every column is formed from its log
+    assert main(["bounds", "--d", "60", "--eps", "0.5", "--delta", "1e-3"]) == 0
+    (rec,) = _json_out(capsys)["results"]
+    numbers = {k: v for k, v in rec.items() if k != "provenance"}
+    assert set(numbers) == {"t_min", *cli._DELTA_MAX_COLUMNS, "sigma_star", "ell"}
+    assert all(isinstance(v, float) and math.isfinite(v) for v in numbers.values()), rec
 
 
 def test_bounds_invalid_eps_exits_2(capsys):
@@ -695,16 +706,18 @@ def test_sweep_theorem2_rows_and_default_csv(capsys, tmp_path):
     spec = _write_spec(
         tmp_path,
         "th2.json",
-        {"target": "theorem2_delta_max", "axes": {"eps": [0.1, 0.3, 1.0]}, "fixed": {"d": 2}},
+        # d = 60 is past the float range of kappa(d), which starts at d = 54
+        {"target": "theorem2_delta_max", "axes": {"d": [2, 60], "eps": [0.1, 0.3, 1.0]}},
     )
     assert main(["sweep", spec]) == 0
     cfg, rows = _parse_csv(capsys.readouterr().out)
     assert cfg["format"] == "csv"
-    assert len(rows) == 3
+    assert len(rows) == 6
     for r in rows:
+        assert all(math.isfinite(float(r[col])) for col in cli._DELTA_MAX_COLUMNS)
         # the kappa relaxation never beats the full theorem
         assert float(r["log10_delta_max_kappa"]) >= float(r["log10_delta_max_theorem"])
-    assert [float(r["eps"]) for r in rows] == [0.1, 0.3, 1.0]
+    assert [(r["d"], float(r["eps"])) for r in rows] == [(d, e) for d in ("2", "60") for e in (0.1, 0.3, 1.0)]
 
 
 def test_sweep_trimming_bound_holds_rowwise(capsys, tmp_path):

@@ -30,14 +30,20 @@ from udnet.design_tester import (
     WeightedGateSet,
     design_deltas,
     gate_set_from_json,
-    gate_set_to_json,
     net_probe,
 )
 from udnet.lie_core import InvalidDimensionError, InvalidParameterError
 from udnet.montecarlo import RngStream
 from udnet.weights_chars import _char_batch, _projective_tuples
 
-from oracles import dense_delta, haar_moment_projector, hermitian_logs_schur, measure_moment, wigner_small_d_mp
+from oracles import (
+    dense_delta,
+    gate_set_to_json,
+    haar_moment_projector,
+    hermitian_logs_schur,
+    measure_moment,
+    wigner_small_d_mp,
+)
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -509,6 +515,14 @@ def test_gate_set_json_round_trip():
     for (wa, ga), (wb, gb) in zip(nu.elements, back.elements):
         assert wa == wb
         assert abs(ga - gb).max() == 0.0
+
+
+def test_gate_sets_compare_and_hash_by_identity():
+    a, b = _pauli_set(), _pauli_set()
+    assert a == a and not (a != a)
+    assert a != b and not (a == b)
+    assert hash(a) == hash(a) and hash(a) != hash(b)
+    assert a in {a} and b not in {a}
 
 
 def test_gate_set_from_json_rejects_garbage():

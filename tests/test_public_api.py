@@ -18,13 +18,11 @@ import udnet
 _SRC = pathlib.Path(udnet.__file__).parent
 
 _UNCALLED = {
-    "aux_inequalities_check": "lemma calculator, waits for the bounds --chain output",
     "bound_L1_trimmed": "lemma calculator, waits for the bounds --chain output",
     "bound_L2": "lemma calculator, waits for the bounds --chain output",
     "ratio_R_over_I0_ok": "lemma calculator, waits for the bounds --chain output",
     "volume_lower_bound": "lemma calculator, waits for the bounds --chain output",
     "net_probe": "the package's only epsilon-net measurement",
-    "gate_set_to_json": "writes the gate-set format that design-delta reads",
     "enumerate_projective_weights": "public label enumerator the acceptance tests call; src reads _projective_tuples",
 }
 
