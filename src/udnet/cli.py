@@ -5,17 +5,20 @@ format: ``{"config": {...}, "results": [...]}`` where config echoes the fully
 resolved parameters (defaults included) and results is a list of flat records.
 CSV is a lossless projection: a ``# config {...}`` comment line, a header row,
 one row per record, floats rendered with shortest round-trip ``repr``. Given
-the same resolved config the output is byte-identical; worker count only
-changes wall time.
+the same resolved config the output is byte-identical.
 
 Exit codes: 0 success, 1 a validation check failed, 2 usage or invalid
 parameter, 3 kernel truncation or numerical-instability failure, 4 resource
 cap exceeded. Logs go to stderr, data to stdout or ``--out``.
 
-Seed resolution: ``--seed`` flag, else the UDNET_SEED environment variable,
-else 0; a seed outside [0, 2^64), the range RngStream takes, exits 2. Monte
-Carlo checks draw from numbered substreams of that seed and are retried once
-with a shifted seed before being declared failed.
+Seeds and threads: only validate draws, in its gue rows, whose chunks run
+on --threads workers and reduce in a fixed order. Each gue row draws from its
+own numbered stream of the seed, whichever suites ran before it, and is
+retried once with a shifted seed before being declared failed. The seed is
+--seed, else the UDNET_SEED environment variable, else 0; one outside
+[0, 2^64), the range RngStream takes, exits 2. kernel and design-delta draw
+nothing but still take and echo both flags, which existing callers pass;
+bounds and sweep take neither.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
@@ -93,14 +96,12 @@ class RunConfig:
 
     command: str
     parameters: dict
-    seed: int
     output_format: str
     output_path: str | None
 
     def as_dict(self) -> dict:
         base = {
             "command": self.command,
-            "seed": self.seed,
             "format": self.output_format,
             "out": self.output_path,
         }
@@ -108,24 +109,18 @@ class RunConfig:
         return base
 
 
-def _resolve_seed(flag: int | None) -> int:
-    if flag is None:
-        env = os.environ.get("UDNET_SEED")
-        if env is None:
-            return 0
+def _seed_and_threads(args) -> dict:
+    """--seed, else UDNET_SEED, else 0, and --threads, else the machine's
+    parallelism, of a command that takes both flags."""
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("UDNET_SEED", "0")
         try:
-            flag = int(env)
+            seed = int(env)
         except ValueError:
-            raise InvalidParameterError(
-                f"UDNET_SEED must be an integer, got {env!r}"
-            ) from None
-    return RngStream(flag).seed
-
-
-def _resolve_threads(flag: int | None) -> int:
-    if flag is None:
-        return os.cpu_count() or 1
-    return _check_int("threads", flag, 1)
+            raise InvalidParameterError(f"UDNET_SEED must be an integer, got {env!r}") from None
+    threads = (os.cpu_count() or 1) if args.threads is None else _check_int("threads", args.threads, 1)
+    return {"seed": RngStream(seed).seed, "threads": threads}
 
 
 def _sanitize(obj):
@@ -238,7 +233,7 @@ def _delta_max_columns(d: int, eps: float) -> dict:
     }
 
 
-def _cmd_bounds(args, seed: int, threads: int):
+def _cmd_bounds(args):
     d, eps = args.d, args.eps
     row = {"t_min": bounds.theorem1_t_min(d, eps), **_delta_max_columns(d, eps)}
     row["sigma_star"] = bounds.sigma_star(d, eps)
@@ -257,7 +252,8 @@ def _rel_discrepancy(a: float, b: float) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
-def _cmd_kernel(args, seed: int, threads: int):
+def _cmd_kernel(args):
+    seeded = _seed_and_threads(args)
     d = args.d
     phi = tuple(float(v) for v in args.phi)
     if len(phi) != d - 1:
@@ -291,7 +287,8 @@ def _cmd_kernel(args, seed: int, threads: int):
         for rec in records:
             rec["rel_discrepancy"] = rel
     params = {
-        "d": d, "sigma": args.sigma, "trim_t": args.trim_t, "form": args.form, "phi": list(phi)
+        "d": d, "sigma": args.sigma, "trim_t": args.trim_t, "form": args.form, "phi": list(phi),
+        **seeded,
     }
     return params, records, list(records[0]), EXIT_OK
 
@@ -299,15 +296,14 @@ def _cmd_kernel(args, seed: int, threads: int):
 # -- validate ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _SuiteCtx:
     d: int
     n: int
     seed: int
     gamma: float
-    eta: float
+    eta: Fraction | float  # eta_min(d) exactly, or --eta
     threads: int
-    sid: "itertools.count"
 
 
 _CHECK_FIELDS = [
@@ -354,13 +350,13 @@ def _bounded(suite, check, measured, bound, provenance, ok=True, n=None, trim_er
     return _record(suite, check, status, measured, bound, None, n, provenance, note)
 
 
-def _stat_check(ctx: _SuiteCtx, suite, check, trial):
-    """trial(rng) -> (measured, bound, std_error, n, ok); one retry on failure."""
-    sid = next(ctx.sid)
-    measured, bound, se, n, ok = trial(RngStream(ctx.seed, sid))
+def _stat_check(ctx: _SuiteCtx, suite, check, stream_id: int, trial):
+    """trial(rng) -> (measured, bound, std_error, n, ok), drawn from stream
+    stream_id of the seed; one retry on failure."""
+    measured, bound, se, n, ok = trial(RngStream(ctx.seed, stream_id))
     note = ""
     if not ok:
-        measured, bound, se, n, ok = trial(RngStream(ctx.seed + _RETRY_SHIFT, sid))
+        measured, bound, se, n, ok = trial(RngStream(ctx.seed + _RETRY_SHIFT, stream_id))
         note = "retried"
     status = "pass" if ok else "fail"
     return _record(suite, check, status, measured, bound, se, n, "mc", note)
@@ -424,14 +420,12 @@ def _suite_i0(ctx: _SuiteCtx) -> list[dict]:
 def _suite_outside_ball(ctx: _SuiteCtx) -> list[dict]:
     """The lemma's mass bound outside the eps-ball, under _bounded's rule: a
     bound whose preconditions fail does not pass. At both (sigma, eps) the
-    sigma-condition fails, so the row is skipped and draws nothing; it keeps
-    its stream id, so the Monte Carlo rows after it draw as before."""
+    sigma-condition fails, so the row is skipped and draws nothing."""
     if ctx.d > _QUAD_DMAX:
         return [_skip("outside-ball", f"d={ctx.d}", "mc", "resource-capped")]
     sigma, eps = (0.01, 0.5) if ctx.d == 2 else (0.05, 1.0)
     t = math.ceil(bounds.t_star(ctx.d, sigma))
-    rep = bounds.bound_outside_ball(ctx.d, sigma, t, eps, ctx.eta)
-    next(ctx.sid)
+    rep = bounds.bound_outside_ball(ctx.d, sigma, t, eps, float(ctx.eta))
     note = "preconditions off: " + ", ".join(rep.violated)
     return [_skip("outside-ball", f"sigma={sigma:g},eps={eps:g},t={t}", "mc", note)]
 
@@ -461,9 +455,10 @@ def _suite_l2(ctx: _SuiteCtx) -> list[dict]:
 
 
 def _suite_gue(ctx: _SuiteCtx) -> list[dict]:
+    """Two tail rows and, at d = 2, a cdf row, drawn from streams 0, 1 and 2."""
     out = []
     root = math.sqrt(ctx.d)
-    for c in (1.0, 2.0):
+    for stream_id, c in enumerate((1.0, 2.0)):
         r = (2.0 + c) * root
         bound = 0.5 * math.exp(-0.5 * ctx.d * c * c)
 
@@ -472,7 +467,7 @@ def _suite_gue(ctx: _SuiteCtx) -> list[dict]:
             ok = est.mean <= bound + 3.0 * est.std_error
             return est.mean, bound, est.std_error, est.n, ok
 
-        out.append(_stat_check(ctx, "gue", f"tail r={r:.6g}", trial))
+        out.append(_stat_check(ctx, "gue", f"tail r={r:.6g}", stream_id, trial))
     if ctx.d == 2:
         r0 = 1.5
         ref = 1.0 - gue_opnorm_cdf(2, r0)
@@ -483,7 +478,7 @@ def _suite_gue(ctx: _SuiteCtx) -> list[dict]:
             tol = 4.0 * est.std_error
             return dev, tol, est.std_error, est.n, dev <= tol
 
-        out.append(_stat_check(ctx, "gue", f"cdf r={r0:g}", trial_cdf))
+        out.append(_stat_check(ctx, "gue", f"cdf r={r0:g}", 2, trial_cdf))
     else:
         out.append(_skip("gue", "cdf", "quadrature", "unsupported-dimension"))
     return out
@@ -591,17 +586,34 @@ _SUITES = {
 }
 
 
-def _cmd_validate(args, seed: int, threads: int):
+def _echo_eta(eta: Fraction | float) -> float | str:
+    """eta as the config prints it. Where eta_min(d) is below the normal
+    float range, its float keeps one digit (d = 27) or is 0.0 (from d =
+    28), so it is a string of 16 digits in scientific notation, whose
+    exponent is the floor of the Fraction's exact log10."""
+    if isinstance(eta, float) or float(eta) >= sys.float_info.min:
+        return float(eta)
+    exp = math.floor(math.log10(eta.numerator) - math.log10(eta.denominator))
+    # the logs are floats: two exact comparisons move exp onto the floor
+    exp += (eta >= Fraction(10) ** (exp + 1)) - (eta < Fraction(10) ** exp)
+    return f"{float(eta / Fraction(10) ** exp):.15f}e{exp}"
+
+
+def _cmd_validate(args):
+    seeded = _seed_and_threads(args)
     _check_unit_open("gamma", args.gamma)
-    eta = float(bounds.eta_min(args.d)) if args.eta is None else _check_positive("eta", args.eta)
+    eta = bounds.eta_min(args.d) if args.eta is None else _check_positive("eta", args.eta)
     _check_int("n", args.n, 2)
-    ctx = _SuiteCtx(args.d, args.n, seed, args.gamma, eta, threads, itertools.count())
+    ctx = _SuiteCtx(args.d, args.n, seeded["seed"], args.gamma, eta, seeded["threads"])
     names = tuple(_SUITES) if args.suite == "all" else (args.suite,)
     records: list[dict] = []
     for name in names:
         records.extend(_SUITES[name](ctx))
     failed = any(rec["status"] == "fail" for rec in records)
-    params = {"suite": args.suite, "d": args.d, "n": args.n, "gamma": args.gamma, "eta": eta}
+    params = {
+        "suite": args.suite, "d": args.d, "n": args.n, "gamma": args.gamma, "eta": _echo_eta(eta),
+        **seeded,
+    }
     return params, records, list(_CHECK_FIELDS), EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
@@ -641,7 +653,8 @@ def _load_json_file(path: str, what: str):
             raise InvalidParameterError(f"{what} could not be read: {exc}") from None
 
 
-def _cmd_design_delta(args, seed: int, threads: int):
+def _cmd_design_delta(args):
+    seeded = _seed_and_threads(args)
     nu = gate_set_from_json(_load_json_file(args.gateset, "gate set file"))
     records = []
     for s, delta in enumerate(design_deltas(nu, args.t), start=1):
@@ -654,7 +667,8 @@ def _cmd_design_delta(args, seed: int, threads: int):
                 "provenance": "closed-form",
             }
         )
-    return {"gateset": args.gateset, "t": args.t, "d": nu.d}, records, list(records[0]), EXIT_OK
+    params = {"gateset": args.gateset, "t": args.t, "d": nu.d, **seeded}
+    return params, records, list(records[0]), EXIT_OK
 
 
 # -- sweep -------------------------------------------------------------------
@@ -817,19 +831,13 @@ def _parse_sweep_spec(spec: dict):
     return target, entry, axis_names, axis_values, base
 
 
-def _cmd_sweep(args, seed: int, threads: int):
+def _cmd_sweep(args):
     spec = _load_json_file(args.spec, "sweep spec")
     target, entry, axis_names, axis_values, base = _parse_sweep_spec(spec)
-    grid = []
-    for combo in itertools.product(*axis_values):
-        point = dict(base)
-        point.update(zip(axis_names, combo))
-        grid.append(point)
-    if threads > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(entry["row"], grid))
-    else:
-        records = [entry["row"](point) for point in grid]
+    records = [
+        entry["row"]({**base, **dict(zip(axis_names, combo))})
+        for combo in itertools.product(*axis_values)
+    ]
     fieldnames = list(entry["params"]) + [
         c for c in entry["columns"] if c not in entry["params"]
     ]
@@ -851,9 +859,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     Built once per process: parsing leaves the parsers unchanged, and the
     commands look up the kernels and bounds they call at call time.
     """
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="RNG seed (default: UDNET_SEED or 0)")
+    seeded.add_argument("--threads", type=int, default=None, help="worker pool size (default: machine parallelism)")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (default: UDNET_SEED or 0)")
-    common.add_argument("--threads", type=int, default=None, help="worker pool size (default: machine parallelism)")
     common.add_argument("--format", choices=("json", "csv"), default=None, help="output format (default: json; sweep: csv)")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
@@ -869,7 +878,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     b.add_argument("--delta", type=float, default=None, help="also report the net size exponent for this delta")
     b.set_defaults(run=_cmd_bounds)
 
-    k = sub.add_parser("kernel", parents=[common], help="evaluate the projective heat kernel at a torus point")
+    k = sub.add_parser("kernel", parents=[seeded, common], help="evaluate the projective heat kernel at a torus point")
     k.add_argument("--d", type=int, required=True)
     k.add_argument("--sigma", type=float, required=True)
     k.add_argument("--trim-t", dest="trim_t", type=int, default=None)
@@ -877,7 +886,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     k.add_argument("--phi", type=float, nargs="+", required=True, help="d-1 torus coordinates")
     k.set_defaults(run=_cmd_kernel)
 
-    v = sub.add_parser("validate", parents=[common], help="run internal consistency suites")
+    v = sub.add_parser("validate", parents=[seeded, common], help="run internal consistency suites")
     v.add_argument("--suite", choices=tuple(_SUITES) + ("all",), required=True)
     v.add_argument("--d", type=int, default=2)
     v.add_argument("--n", type=int, default=100_000, help="Monte Carlo sample count per check")
@@ -885,7 +894,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     v.add_argument("--eta", type=float, default=None, help="default: the smallest admissible value for d")
     v.set_defaults(run=_cmd_validate)
 
-    dd = sub.add_parser("design-delta", parents=[common], help="measure delta(nu, s) for a gate set")
+    dd = sub.add_parser("design-delta", parents=[seeded, common], help="measure delta(nu, s) for a gate set")
     dd.add_argument("gateset", help="path to a gate-set JSON file")
     dd.add_argument("--t", type=int, required=True)
     dd.set_defaults(run=_cmd_design_delta)
@@ -926,11 +935,9 @@ def main(argv: list[str] | None = None) -> int:
             stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
         )
     try:
-        seed = _resolve_seed(args.seed)
-        threads = _resolve_threads(args.threads)
         fmt = args.format or ("csv" if args.command == "sweep" else "json")
-        params, records, fieldnames, code = args.run(args, seed, threads)
-        cfg = RunConfig(args.command, {**params, "threads": threads}, seed, fmt, args.out)
+        params, records, fieldnames, code = args.run(args)
+        cfg = RunConfig(args.command, params, fmt, args.out)
         if fmt == "json":
             text = _render_json(cfg, records)
         else:

@@ -75,7 +75,7 @@ _CHUNK = 1 << 15
 _BLOCK = 1 << 12  # nodes per block of numeric_I0's grid loop
 
 
-@dataclass
+@dataclass(frozen=True)
 class RngStream:
     """Reproducible randomness handle: (seed, stream_id) fixes every draw."""
 
@@ -88,19 +88,10 @@ class RngStream:
                 raise InvalidParameterError(f"{name} must be an integer")
             if not 0 <= int(value) < (1 << width):
                 raise InvalidParameterError(f"{name} must fit in {width} unsigned bits")
-        self.seed = int(self.seed)
-        self.stream_id = int(self.stream_id)
-        self._gen: np.random.Generator | None = None
-
-    def generator(self) -> np.random.Generator:
-        """Stateful generator for direct sampling; draws advance it."""
-        if self._gen is None:
-            root = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
-            self._gen = np.random.Generator(np.random.PCG64(root))
-        return self._gen
+            object.__setattr__(self, name, int(value))
 
     def substream(self, index: int) -> np.random.Generator:
-        """Fresh generator keyed by (seed, stream_id, index), independent of state."""
+        """Fresh generator keyed by (seed, stream_id, index)."""
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id, int(index)))
         return np.random.Generator(np.random.PCG64(ss))
 

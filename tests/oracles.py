@@ -27,7 +27,7 @@ radius) and its own grid. pu_envelope_tail_mp and lattice_envelope_tails_mp
 sum the two shell envelopes exactly, from above, for the cutoff tests. Last
 come the helpers that the package no longer has or exports, which the tests
 use as oracles or to reach package code: the per-weight character, the
-matrix samplers that the eigenvalue samplers of montecarlo replaced, the
+generator of a seed's numbered stream, the matrix samplers that the eigenvalue samplers of montecarlo replaced, the
 GUE tail by eigvalsh of full Hermitian draws, the d = 2 kernel mass
 outside the eps-ball by Gauss-Legendre quadrature, and the earlier forms
 of the GUE tail (eigvalsh of the tridiagonal model), of numeric_I0 (the
@@ -680,6 +680,12 @@ def character(w, x):
         raise InvalidParameterError(f"weight has d={w.d}, point has d={x.d}")
     theta = np.asarray(x.eigenphases(), dtype=float)[None, :]
     return complex(_char_batch([w.lam], theta)[0, 0])
+
+
+def stream_generator(seed, stream_id=0):
+    """A stateful generator keyed by (seed, stream_id) as RngStream keys its
+    streams, for tests that draw their own samples."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream_id,))))
 
 
 def haar_eigenphases_qr(d, n, gen):

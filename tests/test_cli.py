@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,8 @@ def test_bounds_reference_values(capsys):
     assert main(["bounds", "--d", "2", "--eps", "0.1"]) == 0
     doc = _json_out(capsys)
     assert doc["config"]["command"] == "bounds"
-    assert doc["config"]["seed"] == 0
+    # bounds draws nothing, so it takes and echoes no seed and no worker count
+    assert "seed" not in doc["config"] and "threads" not in doc["config"]
     (rec,) = doc["results"]
     assert rec["t_min"] == pytest.approx(8821.8012195939272822, rel=1e-12)
     assert 10.0 ** rec["log10_delta_max_theorem"] == pytest.approx(
@@ -417,31 +419,50 @@ def test_json_file_with_an_unreadable_integer_exits_2(capsys, tmp_path):
 
 # ------------------------------------------------------------------ seeds
 
+# a suite that draws nothing: its row is skipped on the sigma-condition
+_VALIDATE_SKIP = ["validate", "--suite", "outside-ball", "--d", "2"]
+
 
 def test_seed_resolution(capsys, monkeypatch):
     monkeypatch.setenv("UDNET_SEED", "42")
-    assert main(["bounds", "--d", "2", "--eps", "0.5"]) == 0
+    assert main(_VALIDATE_SKIP) == 0
     assert _json_out(capsys)["config"]["seed"] == 42
-    assert main(["bounds", "--d", "2", "--eps", "0.5", "--seed", "7"]) == 0
+    assert main(_VALIDATE_SKIP + ["--seed", "7"]) == 0
     assert _json_out(capsys)["config"]["seed"] == 7
 
 
 def test_invalid_env_seed_exits_2(monkeypatch):
     monkeypatch.setenv("UDNET_SEED", "not-a-number")
-    assert main(["bounds", "--d", "2", "--eps", "0.5"]) == 2
+    assert main(_VALIDATE_SKIP) == 2
 
 
 def test_out_of_range_seed_exits_2(capsys, monkeypatch):
     # RngStream takes 0 <= seed < 2^64; the flag and UDNET_SEED obey its rule
     for seed in ("-1", str(1 << 64)):
-        assert main(["bounds", "--d", "2", "--eps", "0.5", "--seed", seed]) == 2
+        assert main(_VALIDATE_SKIP + ["--seed", seed]) == 2
         assert main(["validate", "--suite", "poisson-char", "--d", "2", "--seed", seed]) == 2
         monkeypatch.setenv("UDNET_SEED", seed)
-        assert main(["bounds", "--d", "2", "--eps", "0.5"]) == 2
+        assert main(_VALIDATE_SKIP) == 2
     assert capsys.readouterr().out == ""
     top = (1 << 64) - 1
-    assert main(["bounds", "--d", "2", "--eps", "0.5", "--seed", str(top)]) == 0
+    assert main(_VALIDATE_SKIP + ["--seed", str(top)]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["seed"] == top
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--threads", "2"]])
+def test_bounds_and_sweep_take_no_seed_or_threads(capsys, monkeypatch, tmp_path, flag):
+    # they draw nothing and run one loop; UDNET_SEED is not read either
+    monkeypatch.setenv("UDNET_SEED", "not-a-number")
+    spec = _write_spec(tmp_path, "tm.json", {"target": "t_min", "axes": {"eps": [0.1]}, "fixed": {"d": 2}})
+    for argv in (["bounds", "--d", "2", "--eps", "0.5"], ["sweep", spec]):
+        assert main(argv + flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("udnet: error: unrecognized arguments: " + " ".join(flag) + "\n")
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        cfg = _parse_csv(out)[0] if argv[0] == "sweep" else json.loads(out)["config"]
+        assert "seed" not in cfg and "threads" not in cfg
 
 
 # --------------------------------------------------------------- validate
@@ -674,6 +695,31 @@ def test_validate_suite_all_rows(capsys, d):
         assert ball["note"] == "preconditions off: sigma-condition" and ball["measured"] is None
 
 
+def test_gue_rows_do_not_depend_on_the_suites_before_them(capsys):
+    # the gue rows draw from their own streams 0, 1, 2 of the seed, whether
+    # or not the suites before them ran; at d = 2 the cdf row reads a
+    # nonzero tail, so a shifted stream shows in its measured value
+    argv = ["--d", "2", "--n", "20000", "--seed", "1", "--threads", "1"]
+    assert main(["validate", "--suite", "gue"] + argv) == 0
+    alone = _json_out(capsys)["results"]
+    assert main(["validate", "--suite", "all"] + argv) == 0
+    in_all = [r for r in _json_out(capsys)["results"] if r["suite"] == "gue"]
+    assert in_all == alone
+    assert alone[-1]["check"] == "cdf r=1.5" and alone[-1]["measured"] > 0.0
+
+
+@pytest.mark.parametrize("d, want", [(27, "1.250631075807528e-323"), (28, "4.101931405086184e-353")])
+def test_eta_min_past_the_float_range_is_echoed_in_full(capsys, d, want):
+    # the float of 1 / (1! 2! ... d!) is subnormal at d = 27, 1.5e-323 for
+    # 1.2506e-323, and 0.0 from d = 28
+    assert float(bounds.eta_min(d)) < sys.float_info.min
+    assert main(["validate", "--suite", "outside-ball", "--d", str(d), "--n", "100"]) == 0
+    eta = _json_out(capsys)["config"]["eta"]
+    assert eta != 0.0 and isinstance(eta, str)
+    assert abs(Fraction(eta) / bounds.eta_min(d) - 1) < Fraction(1, 10**12)
+    assert eta == want
+
+
 def test_stat_check_retries_a_failed_first_trial(capsys, monkeypatch):
     real = cli.gue_tail_mc
     seeds = []
@@ -798,14 +844,13 @@ def test_outputs_are_byte_identical_across_runs_and_threads(tmp_path):
         {"target": "l2_norms", "axes": {"sigma": [0.3, 0.5]}, "fixed": {"d": 2, "t": 3}},
     )
     outs = []
-    for name, extra in [("a.csv", []), ("b.csv", []), ("c.csv", ["--threads", "3"])]:
+    for name in ("a.csv", "b.csv"):
         path = tmp_path / name
-        assert main(["sweep", spec, "--out", str(path)] + extra) == 0
+        assert main(["sweep", spec, "--out", str(path)]) == 0
         outs.append(path.read_bytes())
     # the config echo carries the output path, so compare past the first line
     rows = [o.split(b"\n", 1)[1] for o in outs]
     assert rows[0] == rows[1]
-    assert rows[0] == rows[2]
 
 
 def test_validate_byte_identical_with_fixed_seed(tmp_path):

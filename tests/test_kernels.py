@@ -41,7 +41,6 @@ from udnet.kernels import (
     _weight_cutoff,
 )
 from udnet.lie_core import InvalidParameterError, TorusPoint, _min_gaps, log_prefactor
-from udnet.montecarlo import RngStream
 from udnet.weights_chars import (
     _casimir_array,
     _char_sum,
@@ -59,6 +58,7 @@ from oracles import (
     lattice_log_tail_scan,
     poisson_reference,
     pu_envelope_tail_mp,
+    stream_generator,
 )
 
 
@@ -67,7 +67,7 @@ def _pt(d, *phi):
 
 
 def _haar_rows(d, n, seed):
-    return haar_eigenphases_qr(d, n, RngStream(seed).generator())
+    return haar_eigenphases_qr(d, n, stream_generator(seed))
 
 
 def _confluent_rows(d):

@@ -48,6 +48,7 @@ from oracles import (
     haar_eigenphases_qr,
     numeric_I0_whole,
     projective_distance,
+    stream_generator,
     torus_quadrature,
 )
 
@@ -63,7 +64,7 @@ def test_rng_stream_validation():
 
 def test_haar_samples_lie_in_su_d():
     for d in (2, 3):
-        u = _haar_su(d, 200, RngStream(3).generator())
+        u = _haar_su(d, 200, stream_generator(3))
         assert u.shape == (200, d, d)
         eye = np.eye(d)
         assert abs(np.einsum("nij,nkj->nik", u, u.conj()) - eye).max() < 1e-12
@@ -71,14 +72,14 @@ def test_haar_samples_lie_in_su_d():
 
 
 def test_haar_first_moment_of_abs_trace_squared():
-    u = _haar_su(2, 40_000, RngStream(17).generator())
+    u = _haar_su(2, 40_000, stream_generator(17))
     vals = np.abs(np.einsum("nii->n", u)) ** 2
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - 1.0) < 5.0 * se
 
 
 def test_gue_traceless_structure_and_second_moment():
-    a = gue_traceless(3, 20_000, RngStream(0).generator())
+    a = gue_traceless(3, 20_000, stream_generator(0))
     assert abs(a - a.conj().transpose(0, 2, 1)).max() == 0.0
     assert abs(np.trace(a, axis1=1, axis2=2)).max() < 1e-12
     tr2 = np.einsum("nij,nji->n", a, a).real
@@ -91,7 +92,7 @@ def test_haar_eigenphase_power_moments(d):
     # E|Tr U^k|^2 = min(k, d) on SU(d) for k = 1..d: exact for k <= d, and
     # at k = d + 1 too, since the det = 1 correction needs k a multiple of d;
     # the eigenphases are those of _haar_su, the sampler of net_probe
-    theta = haar_eigenphases_qr(d, 40_000, RngStream(30 + d).generator())
+    theta = haar_eigenphases_qr(d, 40_000, stream_generator(30 + d))
     for k in range(1, d + 2):
         vals = np.abs(np.exp(1j * k * theta).sum(axis=1)) ** 2
         se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -100,7 +101,7 @@ def test_haar_eigenphase_power_moments(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_haar_eigenphase_rows_are_su_d_classes(d):
-    theta = haar_eigenphases_qr(d, 5_000, RngStream(d).generator())
+    theta = haar_eigenphases_qr(d, 5_000, stream_generator(d))
     assert theta.shape == (5_000, d)
     assert np.all(np.abs(theta) <= math.pi)
     total = theta.sum(axis=1)
@@ -121,7 +122,7 @@ def _tridiagonal(diag, off):
 def _tridiagonal_eigenvalues(d, n, seed):
     """Traceless GUE eigenvalue rows: eigvalsh of the tridiagonal model, less
     the mean of its diagonal."""
-    diag, off = _gue_tridiagonal(d, n, RngStream(seed).generator())
+    diag, off = _gue_tridiagonal(d, n, stream_generator(seed))
     assert diag.shape == (n, d) and off.shape == (n, d - 1)
     return np.linalg.eigvalsh(_tridiagonal(diag, off)) - diag.mean(axis=1, keepdims=True)
 
@@ -138,7 +139,7 @@ def test_gue_eigenvalues_second_moment_and_trace(d):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_gue_eigenvalues_match_the_matrix_sampler(d):
     new = _tridiagonal_eigenvalues(d, 20_000, 70 + d)
-    ref = np.linalg.eigvalsh(gue_traceless(d, 20_000, RngStream(80 + d).generator()))
+    ref = np.linalg.eigvalsh(gue_traceless(d, 20_000, stream_generator(80 + d)))
     for stat in (lambda ev: ev[:, -1], lambda ev: ev[:, -1] - ev[:, 0], lambda ev: np.abs(ev).max(axis=1)):
         assert ks_2samp(stat(new), stat(ref)).pvalue > 1e-6
 
@@ -246,8 +247,7 @@ def test_projective_distance_reference_points():
 
 
 def test_projective_distance_triangle_inequality():
-    rng = RngStream(9)
-    u = _haar_su(3, 30, rng.generator())
+    u = _haar_su(3, 30, stream_generator(9))
     for i in range(0, 30, 3):
         a, b, c = u[i], u[i + 1], u[i + 2]
         dab = projective_distance(a, b, 3)

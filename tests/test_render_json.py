@@ -53,7 +53,7 @@ _SETTINGS = settings(
 
 
 def _config(parameters: dict) -> RunConfig:
-    return RunConfig("kernel", parameters, 7, "json", None)
+    return RunConfig("kernel", {"seed": 7, **parameters}, "json", None)
 
 
 @_SETTINGS
