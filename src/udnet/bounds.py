@@ -61,13 +61,14 @@ A_V = 1.0 / C_BIG
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A bound value gated behind named validity flags.
+    """A bound value gated behind named validity flags, with the citation
+    tag of the displayed formula and the side quantities the calculator
+    derives on the way (extras).
 
     value / log_value are None unless every flag holds; the _unchecked
     variants always carry the assembled number.
     """
 
-    inputs: dict
     log_value_unchecked: float
     preconditions_ok: tuple[tuple[str, bool], ...]
     citation: str
@@ -140,7 +141,6 @@ def bound_trim(d: int, sigma: float, t: float, gamma: float = 0.5) -> BoundRepor
     arg = math.log(d**4 / (2.0 * g * sigma))
     threshold = d * d / math.sqrt(g * sigma) * math.sqrt(max(0.0, arg))
     return BoundReport(
-        inputs={"d": d, "sigma": sigma, "t": t, "gamma": g},
         log_value_unchecked=log_v,
         preconditions_ok=(("t-condition", 2.0 * t >= threshold),),
         citation="trim-tail",
@@ -155,7 +155,6 @@ def bound_I0(d: int, sigma: float, eps: float) -> BoundReport:
     et = eps_tilde(eps)
     log_v = math.log(0.5) - d * et * et / (16.0 * sigma) + _weyl_norm_sq(d) * sigma
     return BoundReport(
-        inputs={"d": d, "sigma": sigma, "eps": eps},
         log_value_unchecked=log_v,
         preconditions_ok=(("sigma-condition", sigma <= et * et / 32.0),),
         citation="gaussian-tail",
@@ -183,7 +182,6 @@ def bound_R(d: int, sigma: float) -> BoundReport:
     )
     threshold = 2.0 * math.pi**2 * d / (d * d + d - 2)
     return BoundReport(
-        inputs={"d": d, "sigma": sigma},
         log_value_unchecked=log_v,
         preconditions_ok=(("sigma-condition", sigma <= threshold),),
         citation="lattice-remainder",
@@ -212,7 +210,6 @@ def ratio_R_over_I0_ok(d: int, sigma: float, eta: float) -> BoundReport:
     )
     holds = log_lhs <= log_rhs
     return BoundReport(
-        inputs={"d": d, "sigma": sigma, "eta": eta_f},
         log_value_unchecked=0.0 if holds else -math.inf,
         preconditions_ok=(
             ("sigma-condition", sigma <= 1.0 / (d * math.log(d))),
@@ -248,7 +245,6 @@ def bound_outside_ball(d: int, sigma: float, t: float, eps: float, eta: float) -
         ("eta-condition", eta_f >= float(eta_min(d))),
     )
     return BoundReport(
-        inputs={"d": d, "sigma": sigma, "t": t, "eps": e, "eta": eta_f},
         log_value_unchecked=log_v,
         preconditions_ok=flags,
         citation="mass-outside-ball",
@@ -256,13 +252,13 @@ def bound_outside_ball(d: int, sigma: float, t: float, eps: float, eta: float) -
     )
 
 
-def bound_L2(d: int, sigma: float, t: int | None = None) -> BoundReport:
+def bound_L2(d: int, sigma: float) -> BoundReport:
     """Full L2 bound d*I00 + d (sqrt(d!)/2^{m-1}) eta_min * exp(|delta|^2 sigma).
 
     I00^2 = (C(d, sigma)/2^{m+l/2}) exp(|delta|^2 sigma) with
     C = d! exp(log_prefactor); the dominant integral is capped by its total
     Gaussian mass exp(|delta|^2 sigma). Trim-independent: the trimmed norm
-    only drops non-negative Plancherel terms, so t is echoed, not used.
+    only drops non-negative Plancherel terms, so it takes no trim order.
     """
     _check_dimension(d)
     _check_positive("sigma", sigma)
@@ -281,7 +277,6 @@ def bound_L2(d: int, sigma: float, t: int | None = None) -> BoundReport:
     )
     log_v = float(np.logaddexp(log_term1, log_term2))
     return BoundReport(
-        inputs={"d": d, "sigma": sigma, "t": t},
         log_value_unchecked=log_v,
         preconditions_ok=(("sigma-condition", sigma <= 1.0 / (d * math.log(d))),),
         citation="l2-full",
@@ -296,7 +291,6 @@ def bound_L2_simple(d: int, sigma: float) -> BoundReport:
     c = 1.0 if d >= 12 else 8.0
     log_v = math.log(c) + (d * d - 1) / 4.0 * math.log(d / sigma)
     return BoundReport(
-        inputs={"d": d, "sigma": sigma},
         log_value_unchecked=log_v,
         preconditions_ok=(("sigma-condition", sigma <= 1.0 / (d * math.log(d))),),
         citation="l2-simple",
@@ -313,7 +307,6 @@ def bound_L1_trimmed(d: int, sigma: float, t: float) -> BoundReport:
     log_v = float(np.logaddexp(0.0, log_tail))
     ts = t_star(d, sigma)
     return BoundReport(
-        inputs={"d": d, "sigma": sigma, "t": t},
         log_value_unchecked=log_v,
         preconditions_ok=(("t-condition", t >= ts),),
         citation="l1-trimmed",

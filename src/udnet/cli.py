@@ -12,13 +12,11 @@ parameter, 3 kernel truncation or numerical-instability failure, 4 resource
 cap exceeded. Logs go to stderr, data to stdout or ``--out``.
 
 Seeds and threads: only validate draws, in its gue rows, whose chunks run
-on --threads workers and reduce in a fixed order. Each gue row draws from its
-own numbered stream of the seed, whichever suites ran before it, and is
-retried once with a shifted seed before being declared failed. The seed is
---seed, else the UDNET_SEED environment variable, else 0; one outside
-[0, 2^64), the range RngStream takes, exits 2. kernel and design-delta draw
-nothing but still take and echo both flags, which existing callers pass;
-bounds and sweep take neither.
+on --threads workers and reduce in a fixed order. Each gue row is one draw
+from its own numbered stream of the seed, whichever suites ran before it.
+The seed is --seed, else 0; one outside [0, 2^64), the range RngStream
+takes, exits 2. kernel and design-delta draw nothing but still take and
+echo both flags, which existing callers pass; bounds and sweep take neither.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
@@ -58,8 +55,6 @@ from .lie_core import (
     InvalidParameterError,
     TorusPoint,
     _check_int,
-    _check_positive,
-    _check_unit_open,
     _is_int,
     eps_tilde,
 )
@@ -84,7 +79,7 @@ EXIT_RESOURCE = 4
 _LN10 = math.log(10.0)
 _QUAD_DMAX = 3
 _TAIL_TOL = 1e-12  # squared-sum remainder left out of a trimming error
-_RETRY_SHIFT = 1_000_003
+_TRIM_GAMMA = 0.5  # bound_trim's exponent in the trimming rows and sweep's default
 _BELOW_RESOLUTION = f"below resolution sqrt(tail_tol) = {math.sqrt(_TAIL_TOL):g}"
 
 _log = logging.getLogger("udnet.cli")
@@ -110,15 +105,9 @@ class RunConfig:
 
 
 def _seed_and_threads(args) -> dict:
-    """--seed, else UDNET_SEED, else 0, and --threads, else the machine's
-    parallelism, of a command that takes both flags."""
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("UDNET_SEED", "0")
-        try:
-            seed = int(env)
-        except ValueError:
-            raise InvalidParameterError(f"UDNET_SEED must be an integer, got {env!r}") from None
+    """--seed, else 0, and --threads, else the machine's parallelism, of a
+    command that takes both flags."""
+    seed = 0 if args.seed is None else args.seed
     threads = (os.cpu_count() or 1) if args.threads is None else _check_int("threads", args.threads, 1)
     return {"seed": RngStream(seed).seed, "threads": threads}
 
@@ -301,8 +290,6 @@ class _SuiteCtx:
     d: int
     n: int
     seed: int
-    gamma: float
-    eta: Fraction | float  # eta_min(d) exactly, or --eta
     threads: int
 
 
@@ -350,18 +337,6 @@ def _bounded(suite, check, measured, bound, provenance, ok=True, n=None, trim_er
     return _record(suite, check, status, measured, bound, None, n, provenance, note)
 
 
-def _stat_check(ctx: _SuiteCtx, suite, check, stream_id: int, trial):
-    """trial(rng) -> (measured, bound, std_error, n, ok), drawn from stream
-    stream_id of the seed; one retry on failure."""
-    measured, bound, se, n, ok = trial(RngStream(ctx.seed, stream_id))
-    note = ""
-    if not ok:
-        measured, bound, se, n, ok = trial(RngStream(ctx.seed + _RETRY_SHIFT, stream_id))
-        note = "retried"
-    status = "pass" if ok else "fail"
-    return _record(suite, check, status, measured, bound, se, n, "mc", note)
-
-
 def _resolve_auto_t(d: int, sigma: float, t, gamma: float | None = None) -> int:
     if t == "auto":
         if gamma is None:
@@ -391,7 +366,7 @@ def _suite_trimming(ctx: _SuiteCtx) -> list[dict]:
     sigmas = (0.01, 0.05, 0.2, 0.5) if ctx.d <= _QUAD_DMAX else (0.2, 0.5)
     out = []
     for sigma in sigmas:
-        t, err, rep = _trim_check(ctx.d, sigma, "auto", ctx.gamma)
+        t, err, rep = _trim_check(ctx.d, sigma, "auto", _TRIM_GAMMA)
         check = f"sigma={sigma:g},t={t}"
         bound = rep.value_unchecked
         out.append(_bounded("trimming", check, err, bound, "plancherel", rep.all_ok, trim_err=err))
@@ -425,7 +400,7 @@ def _suite_outside_ball(ctx: _SuiteCtx) -> list[dict]:
         return [_skip("outside-ball", f"d={ctx.d}", "mc", "resource-capped")]
     sigma, eps = (0.01, 0.5) if ctx.d == 2 else (0.05, 1.0)
     t = math.ceil(bounds.t_star(ctx.d, sigma))
-    rep = bounds.bound_outside_ball(ctx.d, sigma, t, eps, float(ctx.eta))
+    rep = bounds.bound_outside_ball(ctx.d, sigma, t, eps, float(bounds.eta_min(ctx.d)))
     note = "preconditions off: " + ", ".join(rep.violated)
     return [_skip("outside-ball", f"sigma={sigma:g},eps={eps:g},t={t}", "mc", note)]
 
@@ -455,30 +430,23 @@ def _suite_l2(ctx: _SuiteCtx) -> list[dict]:
 
 
 def _suite_gue(ctx: _SuiteCtx) -> list[dict]:
-    """Two tail rows and, at d = 2, a cdf row, drawn from streams 0, 1 and 2."""
+    """Two tail rows and, at d = 2, a cdf row, each one draw from stream 0,
+    1 or 2 of the seed."""
     out = []
     root = math.sqrt(ctx.d)
     for stream_id, c in enumerate((1.0, 2.0)):
         r = (2.0 + c) * root
         bound = 0.5 * math.exp(-0.5 * ctx.d * c * c)
-
-        def trial(rng, r=r, bound=bound):
-            est = gue_tail_mc(ctx.d, r, ctx.n, rng, workers=ctx.threads)
-            ok = est.mean <= bound + 3.0 * est.std_error
-            return est.mean, bound, est.std_error, est.n, ok
-
-        out.append(_stat_check(ctx, "gue", f"tail r={r:.6g}", stream_id, trial))
+        est = gue_tail_mc(ctx.d, r, ctx.n, RngStream(ctx.seed, stream_id), workers=ctx.threads)
+        status = "pass" if est.mean <= bound + 3.0 * est.std_error else "fail"
+        out.append(_record("gue", f"tail r={r:.6g}", status, est.mean, bound, est.std_error, est.n, "mc"))
     if ctx.d == 2:
         r0 = 1.5
-        ref = 1.0 - gue_opnorm_cdf(2, r0)
-
-        def trial_cdf(rng):
-            est = gue_tail_mc(2, r0, ctx.n, rng, workers=ctx.threads)
-            dev = abs(est.mean - ref)
-            tol = 4.0 * est.std_error
-            return dev, tol, est.std_error, est.n, dev <= tol
-
-        out.append(_stat_check(ctx, "gue", f"cdf r={r0:g}", 2, trial_cdf))
+        est = gue_tail_mc(2, r0, ctx.n, RngStream(ctx.seed, 2), workers=ctx.threads)
+        dev = abs(est.mean - (1.0 - gue_opnorm_cdf(2, r0)))
+        tol = 4.0 * est.std_error
+        status = "pass" if dev <= tol else "fail"
+        out.append(_record("gue", f"cdf r={r0:g}", status, dev, tol, est.std_error, est.n, "mc"))
     else:
         out.append(_skip("gue", "cdf", "quadrature", "unsupported-dimension"))
     return out
@@ -516,10 +484,7 @@ def _suite_orthonormality(ctx: _SuiteCtx) -> list[dict]:
     lams = _projective_tuples(ctx.d, t_cap)
     grid = _exact_grid_n(ctx.d, 2 * int(np.max(lams[:, 0] - lams[:, -1])))
     check = f"gram l1<={2 * t_cap},grid={grid}"
-    try:
-        theta, weights = _torus_rows(ctx.d, grid)
-    except ResourceLimitError:
-        return [_skip("orthonormality", check, "quadrature", "resource-capped")]
+    theta, weights = _torus_rows(ctx.d, grid)
     chars = _char_batch(lams, theta)
     gram = (chars * weights) @ chars.conj().T
     dev = float(np.max(np.abs(gram - np.eye(len(lams)))))
@@ -564,56 +529,42 @@ def _suite_normalization(ctx: _SuiteCtx) -> list[dict]:
         sigma, t = 1.0, 3
     grid = _exact_grid_n(ctx.d, 2 * t)
     check = f"exact sigma={sigma:g},t={t},grid={grid}"
-    try:
-        theta, weights = _torus_rows(ctx.d, grid)
-    except ResourceLimitError:
-        return [_skip("normalization", check, "quadrature", "resource-capped")]
+    theta, weights = _torus_rows(ctx.d, grid)
     vals, _, _ = heat_pu_char_batch(KernelParams(ctx.d, sigma, trim_t=t), theta)
     dev = abs(float(vals @ weights) - 1.0)
     bound = _gamma(len(weights)) * float(np.abs(vals) @ weights)
     return [_bounded("normalization", check, dev, bound, "quadrature", n=len(weights))]
 
 
+# name -> (suite, provenance of the row that stands for it when over budget)
 _SUITES = {
-    "trimming": _suite_trimming,
-    "i0": _suite_i0,
-    "outside-ball": _suite_outside_ball,
-    "l2": _suite_l2,
-    "gue": _suite_gue,
-    "orthonormality": _suite_orthonormality,
-    "poisson-char": _suite_poisson_char,
-    "normalization": _suite_normalization,
+    "trimming": (_suite_trimming, "plancherel"),
+    "i0": (_suite_i0, "quadrature"),
+    "outside-ball": (_suite_outside_ball, "mc"),
+    "l2": (_suite_l2, "plancherel"),
+    "gue": (_suite_gue, "mc"),
+    "orthonormality": (_suite_orthonormality, "quadrature"),
+    "poisson-char": (_suite_poisson_char, "plancherel"),
+    "normalization": (_suite_normalization, "quadrature"),
 }
 
 
-def _echo_eta(eta: Fraction | float) -> float | str:
-    """eta as the config prints it. Where eta_min(d) is below the normal
-    float range, its float keeps one digit (d = 27) or is 0.0 (from d =
-    28), so it is a string of 16 digits in scientific notation, whose
-    exponent is the floor of the Fraction's exact log10."""
-    if isinstance(eta, float) or float(eta) >= sys.float_info.min:
-        return float(eta)
-    exp = math.floor(math.log10(eta.numerator) - math.log10(eta.denominator))
-    # the logs are floats: two exact comparisons move exp onto the floor
-    exp += (eta >= Fraction(10) ** (exp + 1)) - (eta < Fraction(10) ** exp)
-    return f"{float(eta / Fraction(10) ** exp):.15f}e{exp}"
-
-
 def _cmd_validate(args):
+    """Runs the suites in order. A suite whose kernel term budget or torus
+    node budget is exceeded stands as one skipped resource-capped row."""
     seeded = _seed_and_threads(args)
-    _check_unit_open("gamma", args.gamma)
-    eta = bounds.eta_min(args.d) if args.eta is None else _check_positive("eta", args.eta)
     _check_int("n", args.n, 2)
-    ctx = _SuiteCtx(args.d, args.n, seeded["seed"], args.gamma, eta, seeded["threads"])
+    ctx = _SuiteCtx(args.d, args.n, seeded["seed"], seeded["threads"])
     names = tuple(_SUITES) if args.suite == "all" else (args.suite,)
     records: list[dict] = []
     for name in names:
-        records.extend(_SUITES[name](ctx))
+        suite, provenance = _SUITES[name]
+        try:
+            records.extend(suite(ctx))
+        except (TruncationError, ResourceLimitError) as exc:
+            records.append(_skip(name, f"d={ctx.d}", provenance, f"resource-capped: {exc}"))
     failed = any(rec["status"] == "fail" for rec in records)
-    params = {
-        "suite": args.suite, "d": args.d, "n": args.n, "gamma": args.gamma, "eta": _echo_eta(eta),
-        **seeded,
-    }
+    params = {"suite": args.suite, "d": args.d, "n": args.n, **seeded}
     return params, records, list(_CHECK_FIELDS), EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
@@ -737,7 +688,7 @@ def _sweep_row_bound_i0(p: dict) -> dict:
 _SWEEP_TARGETS = {
     "trimming_error": {
         "params": ("d", "sigma", "t", "gamma"),
-        "defaults": {"t": "auto", "gamma": 0.5},
+        "defaults": {"t": "auto", "gamma": _TRIM_GAMMA},
         "columns": ("trimming_error", "bound_trim", "bound_ok", "provenance"),
         "row": _sweep_row_trimming_error,
     },
@@ -860,8 +811,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     commands look up the kernels and bounds they call at call time.
     """
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None, help="RNG seed (default: UDNET_SEED or 0)")
-    seeded.add_argument("--threads", type=int, default=None, help="worker pool size (default: machine parallelism)")
+    seeded.add_argument("--seed", type=int, default=None, help="RNG seed, used by validate only (default: 0)")
+    seeded.add_argument(
+        "--threads", type=int, default=None,
+        help="worker pool size, used by validate only (default: machine parallelism)",
+    )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default=None, help="output format (default: json; sweep: csv)")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
@@ -890,8 +844,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     v.add_argument("--suite", choices=tuple(_SUITES) + ("all",), required=True)
     v.add_argument("--d", type=int, default=2)
     v.add_argument("--n", type=int, default=100_000, help="Monte Carlo sample count per check")
-    v.add_argument("--gamma", type=float, default=0.5)
-    v.add_argument("--eta", type=float, default=None, help="default: the smallest admissible value for d")
     v.set_defaults(run=_cmd_validate)
 
     dd = sub.add_parser("design-delta", parents=[seeded, common], help="measure delta(nu, s) for a gate set")

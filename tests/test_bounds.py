@@ -154,7 +154,7 @@ def test_bound_trim_dominates_true_trimming_error():
 
 
 def test_bound_l2_dominates_true_norms():
-    rep = bound_L2(2, 0.5, 3)
+    rep = bound_L2(2, 0.5)
     assert rep.all_ok
     assert l2_norm_trimmed(2, 0.5, 3) <= rep.value
     simple = bound_L2_simple(2, 0.5)

@@ -14,7 +14,6 @@ import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -249,7 +248,7 @@ _VALIDATE_USAGE = """\
 usage: udnet validate [-h] [--seed SEED] [--threads THREADS]
                       [--format {json,csv}] [--out OUT] --suite
                       {trimming,i0,outside-ball,l2,gue,orthonormality,poisson-char,normalization,all}
-                      [--d D] [--n N] [--gamma GAMMA] [--eta ETA]
+                      [--d D] [--n N]
 """
 _TOP_HELP = _TOP_USAGE + """
 Design-to-net bounds, trimmed heat kernels, and validation suites.
@@ -268,8 +267,9 @@ options:
 _KERNEL_HELP = _KERNEL_USAGE + """
 options:
   -h, --help            show this help message and exit
-  --seed SEED           RNG seed (default: UDNET_SEED or 0)
-  --threads THREADS     worker pool size (default: machine parallelism)
+  --seed SEED           RNG seed, used by validate only (default: 0)
+  --threads THREADS     worker pool size, used by validate only (default:
+                        machine parallelism)
   --format {json,csv}   output format (default: json; sweep: csv)
   --out OUT             write output to this path instead of stdout
   --d D
@@ -424,25 +424,27 @@ _VALIDATE_SKIP = ["validate", "--suite", "outside-ball", "--d", "2"]
 
 
 def test_seed_resolution(capsys, monkeypatch):
-    monkeypatch.setenv("UDNET_SEED", "42")
+    # --seed, else 0
+    monkeypatch.delenv("UDNET_SEED", raising=False)
     assert main(_VALIDATE_SKIP) == 0
-    assert _json_out(capsys)["config"]["seed"] == 42
+    assert _json_out(capsys)["config"]["seed"] == 0
     assert main(_VALIDATE_SKIP + ["--seed", "7"]) == 0
     assert _json_out(capsys)["config"]["seed"] == 7
 
 
-def test_invalid_env_seed_exits_2(monkeypatch):
-    monkeypatch.setenv("UDNET_SEED", "not-a-number")
-    assert main(_VALIDATE_SKIP) == 2
+def test_env_seed_is_not_read(capsys, monkeypatch):
+    # UDNET_SEED, parseable or not, leaves validate at exit 0 and seed 0
+    for env in ("42", "not-a-number"):
+        monkeypatch.setenv("UDNET_SEED", env)
+        assert main(_VALIDATE_SKIP) == 0
+        assert _json_out(capsys)["config"]["seed"] == 0
 
 
-def test_out_of_range_seed_exits_2(capsys, monkeypatch):
-    # RngStream takes 0 <= seed < 2^64; the flag and UDNET_SEED obey its rule
+def test_out_of_range_seed_exits_2(capsys):
+    # RngStream takes 0 <= seed < 2^64; the flag obeys its rule
     for seed in ("-1", str(1 << 64)):
         assert main(_VALIDATE_SKIP + ["--seed", seed]) == 2
         assert main(["validate", "--suite", "poisson-char", "--d", "2", "--seed", seed]) == 2
-        monkeypatch.setenv("UDNET_SEED", seed)
-        assert main(_VALIDATE_SKIP) == 2
     assert capsys.readouterr().out == ""
     top = (1 << 64) - 1
     assert main(_VALIDATE_SKIP + ["--seed", str(top)]) == 0
@@ -589,7 +591,23 @@ def test_exact_normalization_row_fails_one_grid_side_short(capsys, monkeypatch):
 def test_quadrature_rows_over_the_node_budget_skip(capsys):
     # d = 6 needs 19^5 nodes for the Gram matrix, over the 2^20 budget
     (row,) = _validate_rows(capsys, "orthonormality", 6)
-    assert (row["check"], row["status"], row["note"]) == ("gram l1<=4,grid=19", "skipped", "resource-capped")
+    assert (row["check"], row["status"], row["provenance"]) == ("d=6", "skipped", "quadrature")
+    assert row["note"] == "resource-capped: torus grid of 19^5 = 2476099 nodes exceeds the node budget 1048576"
+
+
+def test_suites_over_budget_are_skipped(capsys):
+    # at d = 8 the l2 suite's untrimmed norm needs 142,455,245 weights and
+    # poisson-char's kernel 8,844,916, over the 2,000,000 term budget: each
+    # suite stands as one skipped row and the run goes on
+    argv = ["validate", "--suite", "all", "--d", "8", "--n", "2000", "--seed", "1", "--threads", "1"]
+    assert main(argv) == 0
+    rows = _json_out(capsys)["results"]
+    capped = {r["suite"]: r for r in rows if r["note"].startswith("resource-capped: ")}
+    assert sorted(capped) == ["l2", "normalization", "orthonormality", "poisson-char"]
+    for suite in ("l2", "poisson-char"):
+        assert (capped[suite]["check"], capped[suite]["status"]) == ("d=8", "skipped")
+        assert "over the term budget 2000000" in capped[suite]["note"]
+    assert [r["status"] for r in rows if r["suite"] == "gue"] == ["pass", "pass", "skipped"]
 
 
 def test_trimming_rows_never_pass_on_zero(capsys):
@@ -610,11 +628,15 @@ def test_validate_rejects_tiny_n():
     assert main(["validate", "--suite", "gue", "--n", "1"]) == 2
 
 
-def test_validate_rejects_out_of_domain_gamma_and_eta(capsys):
-    # gamma lies in (0, 1) and eta is positive, whether or not a suite reads them
-    for extra in (["--gamma", "5"], ["--gamma", "0"], ["--gamma", "nan"], ["--eta", "-3"], ["--eta", "0"], ["--eta", "inf"]):
+def test_validate_takes_no_gamma_or_eta(capsys):
+    # the trimming rows use gamma = 0.5 and the outside-ball row eta_min(d)
+    for extra in (["--gamma", "0.5"], ["--eta", "1e-3"]):
         assert main(["validate", "--suite", "gue", "--d", "2", "--n", "2000", *extra]) == 2, extra
-    assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("udnet: error: unrecognized arguments: " + " ".join(extra) + "\n")
+    assert main(["validate", "--suite", "outside-ball", "--d", "2"]) == 0
+    assert not {"gamma", "eta"} & set(_json_out(capsys)["config"])
 
 
 _SKIP_RES = "skipped"  # the row's trimming error reads 0.0, below its resolution
@@ -708,35 +730,23 @@ def test_gue_rows_do_not_depend_on_the_suites_before_them(capsys):
     assert alone[-1]["check"] == "cdf r=1.5" and alone[-1]["measured"] > 0.0
 
 
-@pytest.mark.parametrize("d, want", [(27, "1.250631075807528e-323"), (28, "4.101931405086184e-353")])
-def test_eta_min_past_the_float_range_is_echoed_in_full(capsys, d, want):
-    # the float of 1 / (1! 2! ... d!) is subnormal at d = 27, 1.5e-323 for
-    # 1.2506e-323, and 0.0 from d = 28
-    assert float(bounds.eta_min(d)) < sys.float_info.min
-    assert main(["validate", "--suite", "outside-ball", "--d", str(d), "--n", "100"]) == 0
-    eta = _json_out(capsys)["config"]["eta"]
-    assert eta != 0.0 and isinstance(eta, str)
-    assert abs(Fraction(eta) / bounds.eta_min(d) - 1) < Fraction(1, 10**12)
-    assert eta == want
-
-
-def test_stat_check_retries_a_failed_first_trial(capsys, monkeypatch):
+def test_gue_row_fails_on_a_failed_first_draw(capsys, monkeypatch):
     real = cli.gue_tail_mc
-    seeds = []
+    draws = []
 
     def first_fails(d, r, n, rng, *, workers):
-        seeds.append(rng.seed)
+        draws.append((rng.seed, rng.stream_id))
         est = real(d, r, n, rng, workers=workers)
-        if len(seeds) == 1:
+        if len(draws) == 1:
             return type(est)(1.0, est.std_error, est.n)
         return est
 
     monkeypatch.setattr(cli, "gue_tail_mc", first_fails)
-    assert main(["validate", "--suite", "gue", "--d", "3", "--n", "2000", "--seed", "4"]) == 0
+    assert main(["validate", "--suite", "gue", "--d", "3", "--n", "2000", "--seed", "4"]) == 1
     rows = _json_out(capsys)["results"]
-    assert [(r["status"], r["note"]) for r in rows[:2]] == [("pass", "retried"), ("pass", "")]
-    # the retry draws from a shifted seed; later checks keep the plain one
-    assert seeds == [4, 4 + cli._RETRY_SHIFT, 4]
+    assert [(r["status"], r["measured"], r["note"]) for r in rows[:2]] == [("fail", 1.0, ""), ("pass", 0.0, "")]
+    # one draw per row, from the row's own stream: no second draw
+    assert draws == [(4, 0), (4, 1)]
 
 
 # ------------------------------------------------------------------ sweep
