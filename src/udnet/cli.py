@@ -12,11 +12,12 @@ parameter, 3 kernel truncation or numerical-instability failure, 4 resource
 cap exceeded. Logs go to stderr, data to stdout or ``--out``.
 
 Seeds and threads: only validate draws, in its gue rows, whose chunks run
-on --threads workers and reduce in a fixed order. Each gue row is one draw
-from its own numbered stream of the seed, whichever suites ran before it.
-The seed is --seed, else 0; one outside [0, 2^64), the range RngStream
-takes, exits 2. kernel and design-delta draw nothing but still take and
-echo both flags, which existing callers pass; bounds and sweep take neither.
+one after another in index order. Each gue row is one draw from its own
+numbered stream of the seed, whichever suites ran before it. The seed is
+--seed, else 0; one outside [0, 2^64), the range RngStream takes, exits 2.
+No command starts a thread: validate, kernel and design-delta accept,
+check and echo --threads for existing callers, and kernel and design-delta
+echo a --seed they do not use; bounds and sweep take neither flag.
 """
 
 from __future__ import annotations
@@ -245,10 +246,6 @@ def _cmd_kernel(args):
     seeded = _seed_and_threads(args)
     d = args.d
     phi = tuple(float(v) for v in args.phi)
-    if len(phi) != d - 1:
-        raise InvalidParameterError(
-            f"phi must have d-1 = {d - 1} entries, got {len(phi)}"
-        )
     if args.form != "char" and args.trim_t is not None:
         raise InvalidParameterError(
             "trim-t applies only to --form char; the lattice form has no trimmed variant"
@@ -290,7 +287,6 @@ class _SuiteCtx:
     d: int
     n: int
     seed: int
-    threads: int
 
 
 _CHECK_FIELDS = [
@@ -397,7 +393,7 @@ def _suite_outside_ball(ctx: _SuiteCtx) -> list[dict]:
     bound whose preconditions fail does not pass. At both (sigma, eps) the
     sigma-condition fails, so the row is skipped and draws nothing."""
     if ctx.d > _QUAD_DMAX:
-        return [_skip("outside-ball", f"d={ctx.d}", "mc", "resource-capped")]
+        return [_skip("outside-ball", f"d={ctx.d}", "mc", "unsupported-dimension")]
     sigma, eps = (0.01, 0.5) if ctx.d == 2 else (0.05, 1.0)
     t = math.ceil(bounds.t_star(ctx.d, sigma))
     rep = bounds.bound_outside_ball(ctx.d, sigma, t, eps, float(bounds.eta_min(ctx.d)))
@@ -416,7 +412,7 @@ def _suite_l2(ctx: _SuiteCtx) -> list[dict]:
         check = f"pythagoras sigma={sigma:g},t={t}"
         out.append(_bounded("l2", check, resid, 1e-10, "plancherel", trim_err=err))
     if ctx.d > _QUAD_DMAX:
-        out.append(_skip("l2", "simple-bound", "plancherel", "resource-capped"))
+        out.append(_skip("l2", "simple-bound", "plancherel", "unsupported-dimension"))
         return out
     sigma_ok = 1.0 / (ctx.d * math.log(ctx.d))
     for factor in (0.3, 1.0):
@@ -437,12 +433,12 @@ def _suite_gue(ctx: _SuiteCtx) -> list[dict]:
     for stream_id, c in enumerate((1.0, 2.0)):
         r = (2.0 + c) * root
         bound = 0.5 * math.exp(-0.5 * ctx.d * c * c)
-        est = gue_tail_mc(ctx.d, r, ctx.n, RngStream(ctx.seed, stream_id), workers=ctx.threads)
+        est = gue_tail_mc(ctx.d, r, ctx.n, RngStream(ctx.seed, stream_id))
         status = "pass" if est.mean <= bound + 3.0 * est.std_error else "fail"
         out.append(_record("gue", f"tail r={r:.6g}", status, est.mean, bound, est.std_error, est.n, "mc"))
     if ctx.d == 2:
         r0 = 1.5
-        est = gue_tail_mc(2, r0, ctx.n, RngStream(ctx.seed, 2), workers=ctx.threads)
+        est = gue_tail_mc(2, r0, ctx.n, RngStream(ctx.seed, 2))
         dev = abs(est.mean - (1.0 - gue_opnorm_cdf(2, r0)))
         tol = 4.0 * est.std_error
         status = "pass" if dev <= tol else "fail"
@@ -554,7 +550,7 @@ def _cmd_validate(args):
     node budget is exceeded stands as one skipped resource-capped row."""
     seeded = _seed_and_threads(args)
     _check_int("n", args.n, 2)
-    ctx = _SuiteCtx(args.d, args.n, seeded["seed"], seeded["threads"])
+    ctx = _SuiteCtx(args.d, args.n, seeded["seed"])
     names = tuple(_SUITES) if args.suite == "all" else (args.suite,)
     records: list[dict] = []
     for name in names:
@@ -814,7 +810,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     seeded.add_argument("--seed", type=int, default=None, help="RNG seed, used by validate only (default: 0)")
     seeded.add_argument(
         "--threads", type=int, default=None,
-        help="worker pool size, used by validate only (default: machine parallelism)",
+        help="accepted and echoed for existing callers; no command starts a thread "
+        "(default: machine parallelism)",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default=None, help="output format (default: json; sweep: csv)")

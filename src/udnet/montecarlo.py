@@ -19,9 +19,8 @@ and 7.4 us, and the dense tridiagonal model's eigenvalues 0.5, 1.1 and
 
 Estimators draw fixed-size chunks of 2^15 samples. Chunk i uses a fresh
 generator keyed by (seed, stream_id, i), and each chunk's indicator reduces
-to its count; the counts add exactly in index order, so an estimate
-depends only on (seed, stream_id, n), never on how chunks are scheduled
-across workers.
+to its count; the chunks run one after another in index order and their
+counts add exactly, so an estimate depends only on (seed, stream_id, n).
 
 Torus quadrature is the rectangle rule on the periodic cube (-pi, pi]^{d-1}
 against the Weyl density |j|^2 / |W|, at any d up to a budget of 2^20
@@ -44,8 +43,6 @@ scipy, and no other module of udnet does either.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,42 +159,26 @@ def _dp_to_identity(theta: np.ndarray, d: int) -> np.ndarray:
     return best
 
 
-def _mc_run(n: int, rng: RngStream, chunk_vals, workers: int | None = 1) -> McEstimate:
+def _mc_run(n: int, rng: RngStream, chunk_vals) -> McEstimate:
     """Chunked mean/std-error accumulator of an indicator.
 
-    Chunk i draws from rng.substream(i) and chunk_vals returns its boolean
-    indicator array; its sum and its sum of squares are both its count of
-    True entries. The counts reduce with fsum in index order, so the
-    estimate depends on (seed, stream_id, n) only, regardless of the worker
-    count.
+    Chunk i draws from rng.substream(i), in index order, and chunk_vals
+    returns its boolean indicator array; its sum and its sum of squares are
+    both its count of True entries. The counts reduce with fsum, so the
+    estimate depends on (seed, stream_id, n) only.
     """
     n = _check_int("n", n, 1)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = _check_int("workers", workers, 1)
-    plan = []
-    done = 0
-    while done < n:
-        m = min(_CHUNK, n - done)
-        plan.append((len(plan), m))
-        done += m
-
-    def one(task: tuple[int, int]) -> float:
-        index, m = task
-        return float(np.count_nonzero(chunk_vals(rng.substream(index), m)))
-
-    if workers > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(one, plan))
-    else:
-        counts = [one(task) for task in plan]
+    counts = [
+        float(np.count_nonzero(chunk_vals(rng.substream(index), min(_CHUNK, n - start))))
+        for index, start in enumerate(range(0, n, _CHUNK))
+    ]
     total = math.fsum(counts)
     mean = total / n
     var = (total - n * mean * mean) / (n - 1) if n > 1 else 0.0
     return McEstimate(mean=mean, std_error=math.sqrt(max(0.0, var) / n), n=n)
 
 
-def gue_tail_mc(d: int, r: float, n: int, rng: RngStream, *, workers: int | None = 1) -> McEstimate:
+def gue_tail_mc(d: int, r: float, n: int, rng: RngStream) -> McEstimate:
     """Empirical P(||A||_inf >= r) for the traceless GUE.
 
     A row of the tridiagonal model counts when an eigenvalue lies past
@@ -217,7 +198,7 @@ def gue_tail_mc(d: int, r: float, n: int, rng: RngStream, *, workers: int | None
         below = _sturm_count(diag, off, np.stack([c + r, c - r]))
         return (d - below[0]) + below[1] > 0
 
-    return _mc_run(n, rng, chunk, workers=workers)
+    return _mc_run(n, rng, chunk)
 
 
 def gue_opnorm_cdf(d: int, r: float) -> float:

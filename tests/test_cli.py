@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -159,8 +160,11 @@ def test_kernel_trim_with_poisson_exits_2():
     assert code == 2
 
 
-def test_kernel_phi_length_mismatch_exits_2():
-    assert main(["kernel", "--d", "3", "--sigma", "0.5", "--phi", "0.3"]) == 2
+def test_kernel_phi_length_mismatch_exits_2(capsys):
+    # TorusPoint checks the coordinate count; nothing is printed
+    for argv in (["--sigma", "0.5", "--phi", "0.3"], ["--sigma", "0.1", "--phi", "0.1"]):
+        assert main(["kernel", "--d", "3", *argv]) == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_kernel_bad_sigma_exits_2():
@@ -268,8 +272,8 @@ _KERNEL_HELP = _KERNEL_USAGE + """
 options:
   -h, --help            show this help message and exit
   --seed SEED           RNG seed, used by validate only (default: 0)
-  --threads THREADS     worker pool size, used by validate only (default:
-                        machine parallelism)
+  --threads THREADS     accepted and echoed for existing callers; no command
+                        starts a thread (default: machine parallelism)
   --format {json,csv}   output format (default: json; sweep: csv)
   --out OUT             write output to this path instead of stdout
   --d D
@@ -715,6 +719,29 @@ def test_validate_suite_all_rows(capsys, d):
     (ball,) = [r for r in rows if r["suite"] == "outside-ball"]
     if d <= 3:
         assert ball["note"] == "preconditions off: sigma-condition" and ball["measured"] is None
+    else:
+        # the rows checked only up to d = 3 skip on the dimension, as the i0
+        # row does: no budget is involved
+        notes = {(r["suite"], r["check"]): r["note"] for r in rows}
+        for key in (("i0", f"d={d}"), ("outside-ball", f"d={d}"), ("l2", "simple-bound")):
+            assert notes[key] == "unsupported-dimension", key
+
+
+def test_validate_starts_no_thread(capsys, monkeypatch):
+    # --threads is accepted and echoed, but no command starts a thread: a
+    # multi-chunk gue run at --threads 4 gives the --threads 1 results
+    argv = ["validate", "--suite", "gue", "--d", "3", "--n", "70000", "--seed", "1", "--threads"]
+    assert main(argv + ["1"]) == 0
+    serial = _json_out(capsys)
+
+    def no_start(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_start)
+    assert main(argv + ["4"]) == 0
+    doc = _json_out(capsys)
+    assert doc["config"]["threads"] == 4
+    assert doc["results"] == serial["results"]
 
 
 def test_gue_rows_do_not_depend_on_the_suites_before_them(capsys):
@@ -734,9 +761,9 @@ def test_gue_row_fails_on_a_failed_first_draw(capsys, monkeypatch):
     real = cli.gue_tail_mc
     draws = []
 
-    def first_fails(d, r, n, rng, *, workers):
+    def first_fails(d, r, n, rng):
         draws.append((rng.seed, rng.stream_id))
-        est = real(d, r, n, rng, workers=workers)
+        est = real(d, r, n, rng)
         if len(draws) == 1:
             return type(est)(1.0, est.std_error, est.n)
         return est

@@ -412,9 +412,10 @@ def test_char_sum_working_set_stays_within_the_block_budget(d, sigma, trim, n):
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_char_sum_threads_on_one_plan_match_the_serial_result(d):
-    # Monte Carlo chunks run _char_sum on threads that share one plan; all
-    # state of a call is its own. Regular, confluent and routed points, in
-    # many blocks, on two threads at once, each as the serial call bit for bit.
+    # no udnet command starts a thread, but a library caller's threads may
+    # share one plan; all state of a call is its own. Regular, confluent and
+    # routed points, in many blocks, on two threads at once, each as the
+    # serial call bit for bit.
     plan = _PLANS.get(KernelParams(d, 0.3 if d == 4 else 0.05)).sums
     theta = np.vstack([_haar_rows(d, 300, seed=d), _confluent_rows(d), _tie_rows(d)])
     theta = np.vstack([theta, theta[::-1]])
