@@ -1,6 +1,6 @@
 """Numerical laboratory for heat-kernel nets on PU(d).
 
-Submodules: lie_core (group data, torus points), weights_chars (projective
+Submodules: lie_core (argument checks, torus points), weights_chars (projective
 weights and characters), kernels (character and lattice kernel forms),
 bounds (closed-form sufficiency bounds), montecarlo (sampling estimators
 and torus quadrature), design_tester (design delta from irreducible
@@ -51,12 +51,10 @@ from .kernels import (
     trimming_error,
 )
 from .lie_core import (
-    GroupConstants,
     InvalidDimensionError,
     InvalidParameterError,
     TorusPoint,
     eps_tilde,
-    group_constants,
     log_prefactor,
 )
 from .montecarlo import (
@@ -78,7 +76,6 @@ __all__ = [
     "BLOCK_BUDGET",
     "BoundReport",
     "EvalResult",
-    "GroupConstants",
     "HighestWeight",
     "InvalidDimensionError",
     "InvalidParameterError",
@@ -105,7 +102,6 @@ __all__ = [
     "eps_tilde",
     "eta_min",
     "gate_set_from_json",
-    "group_constants",
     "gue_opnorm_cdf",
     "gue_tail_mc",
     "heat_pu_char",

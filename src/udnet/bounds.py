@@ -30,7 +30,6 @@ from .lie_core import (
     _check_unit_open,
     _log_superfactorial,
     eps_tilde,
-    group_constants,
     log_prefactor,
 )
 
@@ -124,7 +123,14 @@ def sigma_star(d: int, eps: float) -> float:
 
 
 def _weyl_norm_sq(d: int) -> float:
-    return float(group_constants(d).weyl_norm_sq)
+    """|delta|^2 = (d^2 - 1)/24: int / int rounds correctly, as float(Fraction(d^2 - 1, 24)) does."""
+    d = int(d)
+    return (d * d - 1) / 24
+
+
+def _eta_min_float(d: int) -> float:
+    """float(eta_min(d)) without its product: 0.0 from d = 28, where 1! 2! ... d! > 2^1075."""
+    return float(eta_min(d)) if d < 28 else 0.0
 
 
 def bound_trim(d: int, sigma: float, t: float, gamma: float = 0.5) -> BoundReport:
@@ -194,13 +200,12 @@ def ratio_R_over_I0_ok(d: int, sigma: float, eta: float) -> BoundReport:
 
     Compares bound_R against eta * (1/2) exp(-d pi^2/(16 sigma) + |delta|^2 sigma),
     the closed-form floor of the dominant integral at radius pi. Flags require
-    sigma <= 1/(d log d) and eta >= eta_min(d). Boolean-style: value 1 when the
-    comparison holds, 0 when it fails; eta_min is returned exactly in extras.
+    sigma <= 1/(d log d) and eta >= float(eta_min(d)). Boolean-style: value 1
+    when the comparison holds, 0 when it fails.
     """
     _check_dimension(d)
     _check_positive("sigma", sigma)
     eta_f = _check_positive("eta", eta)
-    emin = eta_min(d)
     log_lhs = bound_R(d, sigma).log_value_unchecked
     log_rhs = (
         math.log(eta_f)
@@ -213,10 +218,10 @@ def ratio_R_over_I0_ok(d: int, sigma: float, eta: float) -> BoundReport:
         log_value_unchecked=0.0 if holds else -math.inf,
         preconditions_ok=(
             ("sigma-condition", sigma <= 1.0 / (d * math.log(d))),
-            ("eta-condition", eta_f >= float(emin)),
+            ("eta-condition", eta_f >= _eta_min_float(d)),
         ),
         citation="remainder-vs-dominant",
-        extras={"eta_min": emin, "log_lhs": log_lhs, "log_rhs": log_rhs, "holds": holds},
+        extras={"log_lhs": log_lhs, "log_rhs": log_rhs, "holds": holds},
     )
 
 
@@ -242,7 +247,7 @@ def bound_outside_ball(d: int, sigma: float, t: float, eps: float, eta: float) -
     flags = (
         ("t-condition", t >= t_star(d, sigma)),
         ("sigma-condition", sigma <= e * e / (32.0 * d * math.log(d))),
-        ("eta-condition", eta_f >= float(eta_min(d))),
+        ("eta-condition", eta_f >= _eta_min_float(d)),
     )
     return BoundReport(
         log_value_unchecked=log_v,

@@ -30,7 +30,6 @@ import itertools
 import json
 import logging
 import math
-import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -106,11 +105,9 @@ class RunConfig:
 
 
 def _seed_and_threads(args) -> dict:
-    """--seed, else 0, and --threads, else the machine's parallelism, of a
-    command that takes both flags."""
+    """--seed, else 0, and --threads, else 1, of a command that takes both flags."""
     seed = 0 if args.seed is None else args.seed
-    threads = (os.cpu_count() or 1) if args.threads is None else _check_int("threads", args.threads, 1)
-    return {"seed": RngStream(seed).seed, "threads": threads}
+    return {"seed": RngStream(seed).seed, "threads": _check_int("threads", args.threads, 1)}
 
 
 def _sanitize(obj):
@@ -809,9 +806,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=None, help="RNG seed, used by validate only (default: 0)")
     seeded.add_argument(
-        "--threads", type=int, default=None,
+        "--threads", type=int, default=1,
         help="accepted and echoed for existing callers; no command starts a thread "
-        "(default: machine parallelism)",
+        "(default: 1)",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default=None, help="output format (default: json; sweep: csv)")
@@ -899,6 +896,9 @@ def main(argv: list[str] | None = None) -> int:
             _log.info("wrote %s", cfg.output_path)
     except (InvalidParameterError, InvalidDimensionError) as exc:
         _log.error("invalid parameter: %s", exc)
+        return EXIT_USAGE
+    except OverflowError as exc:  # a closed-form bound at a d past the float range
+        _log.error("invalid parameter: a result is past the float range: %s", exc)
         return EXIT_USAGE
     except (TruncationError, NumericalInstabilityError) as exc:
         _log.error("kernel evaluation failed: %s", exc)

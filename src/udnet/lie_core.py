@@ -1,4 +1,4 @@
-"""Root-system constants for A_{d-1} and Killing-form geometry on the torus.
+"""Argument checks, torus points and the heat-kernel log-prefactor for SU(d) / PU(d).
 
 Conventions used throughout the package:
 
@@ -6,6 +6,9 @@ Conventions used throughout the package:
   X_phi = i diag(phi_1, ..., phi_{d-1}, -sum phi) has squared norm
   2d (sum_j phi_j^2 + (sum_j phi_j)^2);
 * every "log" is a natural logarithm;
+* the constants of A_{d-1} are written in closed form where they are used:
+  m = d(d-1)/2 positive roots, rank d-1, dimension d^2-1, |W| = d! (read
+  in logs, lgamma(d+1)) and the squared Weyl-vector norm (d^2-1)/24;
 * the heat-kernel prefactor C(d, sigma)/|W| is only ever exposed in log
   space because C(d, sigma) grows like sigma^{-(d^2-1)/2}.
 """
@@ -15,7 +18,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -99,36 +101,6 @@ def _check_positive(name: str, value) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise InvalidParameterError(f"{name} must be a finite positive real, got {value!r}")
     return x
-
-
-
-@dataclass(frozen=True)
-class GroupConstants:
-    """Exact structural constants of SU(d) / A_{d-1}."""
-
-    d: int
-    m: int
-    l: int
-    N: int
-    weyl_order: int
-    cartan_det: int
-    weyl_norm_sq: Fraction
-
-
-def group_constants(d: int) -> GroupConstants:
-    """Exact constants: m = d(d-1)/2 positive roots, rank l = d-1,
-    dimension N = d^2-1, |W| = d!, Cartan determinant d, and the squared
-    Weyl-vector norm (d^2-1)/24 as an exact rational."""
-    _check_dimension(d)
-    return GroupConstants(
-        d=d,
-        m=d * (d - 1) // 2,
-        l=d - 1,
-        N=d * d - 1,
-        weyl_order=math.factorial(d),
-        cartan_det=d,
-        weyl_norm_sq=Fraction(d * d - 1, 24),
-    )
 
 
 def _wrap_angle(x: float) -> float:

@@ -670,8 +670,8 @@ def wigner_small_d_mp(ell, beta):
 # Helpers the package no longer has or exports. Each drives package code
 # that the tests check: the Weyl density of torus_grid, the eigenphase
 # distance _dp_to_identity, the per-weight characters of _char_batch, and the
-# Weyl-vector norm of group_constants. The matrix samplers below are the
-# references for montecarlo's eigenvalue samplers.
+# Weyl-vector norm (d^2-1)/24 that the bounds read. The matrix samplers
+# below are the references for montecarlo's eigenvalue samplers.
 
 
 def character(w, x):

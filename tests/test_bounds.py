@@ -13,11 +13,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from udnet import bounds
 from udnet.bounds import (
     A_V,
     C_BIG,
     BoundReport,
+    _eta_min_float,
     _log_kappa,
+    _weyl_norm_sq,
     application1_ell,
     bound_I0,
     bound_L1_trimmed,
@@ -35,7 +38,7 @@ from udnet.bounds import (
     volume_lower_bound,
 )
 from udnet.kernels import l2_norm_trimmed, l2_norm_untrimmed, trimming_error
-from udnet.lie_core import InvalidParameterError, group_constants
+from udnet.lie_core import InvalidParameterError
 from udnet.montecarlo import numeric_I0
 
 from oracles import kappa_mp
@@ -252,7 +255,62 @@ def test_bound_l2_from_the_exact_log_of_eta_min():
                 + 0.5 * math.lgamma(d + 1)
                 - (m - 1) * math.log(2.0)
                 + math.log(float(eta_min(d)))
-                + float(group_constants(d).weyl_norm_sq) * sigma
+                + (d * d - 1) / 24 * sigma
             )
             before = float(np.logaddexp(rep.extras["log_i00_term"], remainder))
             assert rep.log_value_unchecked == pytest.approx(before, rel=1e-13)
+
+
+def test_closed_form_constants_match_the_exact_ones():
+    # |delta|^2 = (d^2-1)/24 is the correctly rounded rational, at any d
+    # whose d^2 a float holds
+    for d in [*range(2, 41), 10**6 + 1, 3**100, 10**150 + 7]:
+        assert _weyl_norm_sq(d) == float(Fraction(d * d - 1, 24))
+    # the eta-conditions compare with float(eta_min(d)) bit for bit: at its
+    # float, at both neighbours (subnormals at d = 27) and at 0.5
+    for d in range(2, 41):
+        floor = float(eta_min(d))
+        assert _eta_min_float(d) == floor
+        etas = (floor, math.nextafter(floor, 0.0), math.nextafter(floor, 1.0), 0.5)
+        for eta in (e for e in etas if e > 0.0):
+            want = eta >= floor
+            outside = bound_outside_ball(d, 0.01, 100, 0.5, eta)
+            ratio = ratio_R_over_I0_ok(d, 0.01, eta)
+            assert dict(outside.preconditions_ok)["eta-condition"] is want
+            assert dict(ratio.preconditions_ok)["eta-condition"] is want
+
+
+@pytest.mark.parametrize("d", [28, 10**4])
+def test_bounds_build_no_factorial_product(monkeypatch, d):
+    # every calculator but eta_min reads the group's constants in closed
+    # form or in logs, so none forms d! or 1! 2! ... d!
+    def refuse(*args):
+        raise AssertionError("an exact factorial product was formed")
+
+    monkeypatch.setattr(math, "factorial", refuse)
+    monkeypatch.setattr(bounds, "eta_min", refuse)
+    sigma, t, eps = 1e-3, 10**9, 0.5
+    calls = {
+        "t_star": lambda: t_star(d, sigma),
+        "sigma_star": lambda: sigma_star(d, eps),
+        "bound_trim": lambda: bound_trim(d, sigma, t),
+        "bound_I0": lambda: bound_I0(d, sigma, eps),
+        "bound_R": lambda: bound_R(d, sigma),
+        "ratio_R_over_I0_ok": lambda: ratio_R_over_I0_ok(d, sigma, 1e-3),
+        "bound_outside_ball": lambda: bound_outside_ball(d, sigma, t, eps, 1e-3),
+        "bound_L2": lambda: bound_L2(d, sigma),
+        "bound_L2_simple": lambda: bound_L2_simple(d, sigma),
+        "bound_L1_trimmed": lambda: bound_L1_trimmed(d, sigma, t),
+        "theorem1_t_min": lambda: theorem1_t_min(d, eps),
+        "theorem2_delta_max": lambda: [theorem2_delta_max(d, eps, f) for f in ("theorem", "kappa", "exponential")],
+        "application1_ell": lambda: application1_ell(d, eps, 1e-3),
+        "volume_lower_bound": lambda: volume_lower_bound(d, eps),
+    }
+    assert set(calls) | {"A_V", "C_BIG", "BoundReport", "eta_min"} == set(bounds.__all__)
+    for name, call in calls.items():
+        out = call()
+        if isinstance(out, BoundReport):
+            assert not math.isnan(out.log_value_unchecked), name
+            assert all(isinstance(ok, bool) for _, ok in out.preconditions_ok), name
+        else:
+            assert all(math.isfinite(v) for v in np.atleast_1d(out)), name

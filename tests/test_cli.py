@@ -93,6 +93,21 @@ def test_bounds_past_kappa_float_range(capsys):
     assert all(isinstance(v, float) and math.isfinite(v) for v in numbers.values()), rec
 
 
+def _exits_2_past_the_float_range(capsys, caplog, argv):
+    caplog.clear()
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+    (record,) = caplog.records
+    assert record.levelname == "ERROR" and "past the float range" in record.getMessage()
+
+
+def test_bounds_past_the_float_range_exits_2(capsys, caplog):
+    # theorem1_t_min's d^2.5 overflows a float from d = 2.0e123; that once
+    # ended in an OverflowError traceback and exit 1
+    for d in (10**124, 10**200):
+        _exits_2_past_the_float_range(capsys, caplog, ["bounds", "--d", str(d), "--eps", "0.5"])
+
+
 def test_bounds_invalid_eps_exits_2(capsys):
     assert main(["bounds", "--d", "2", "--eps", "3.0"]) == 2
     assert capsys.readouterr().out == ""
@@ -273,7 +288,7 @@ options:
   -h, --help            show this help message and exit
   --seed SEED           RNG seed, used by validate only (default: 0)
   --threads THREADS     accepted and echoed for existing callers; no command
-                        starts a thread (default: machine parallelism)
+                        starts a thread (default: 1)
   --format {json,csv}   output format (default: json; sweep: csv)
   --out OUT             write output to this path instead of stdout
   --d D
@@ -469,6 +484,14 @@ def test_bounds_and_sweep_take_no_seed_or_threads(capsys, monkeypatch, tmp_path,
         out = capsys.readouterr().out
         cfg = _parse_csv(out)[0] if argv[0] == "sweep" else json.loads(out)["config"]
         assert "seed" not in cfg and "threads" not in cfg
+
+
+def test_omitted_threads_echoes_1(capsys, monkeypatch, pauli_file):
+    # no command starts a thread, so the echo is no machine's core count
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for argv in (_VALIDATE_SKIP, _POINT, ["design-delta", pauli_file, "--t", "1"]):
+        assert main(argv) == 0
+        assert _json_out(capsys)["config"]["threads"] == 1
 
 
 # --------------------------------------------------------------- validate
@@ -783,6 +806,18 @@ def _write_spec(tmp_path, name, spec):
     p = tmp_path / name
     p.write_text(json.dumps(spec))
     return str(p)
+
+
+def test_sweep_past_the_float_range_exits_2(capsys, caplog, tmp_path):
+    # t_min overflows from d = 2.0e123, theorem2_delta_max's (d^2 - 1) * inner
+    # from d = 1.3e154 and bound_I0's (d^2 - 1)/24 from d = 6.6e154
+    for target, d, fixed in (
+        ("t_min", 10**124, {"eps": 0.5}),
+        ("theorem2_delta_max", 10**155, {"eps": 0.5}),
+        ("bound_I0", 10**155, {"eps": 0.5, "sigma": 0.01}),
+    ):
+        spec = _write_spec(tmp_path, f"{target}.json", {"target": target, "axes": {"d": [2, d]}, "fixed": fixed})
+        _exits_2_past_the_float_range(capsys, caplog, ["sweep", spec])
 
 
 def test_sweep_theorem2_rows_and_default_csv(capsys, tmp_path):

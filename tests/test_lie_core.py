@@ -1,4 +1,4 @@
-"""Structural constants, torus-point canonicalization, and the log prefactor.
+"""The Weyl-vector norm, torus-point canonicalization, and the log prefactor.
 
 Reference values were produced by tests/oracles.py (mpmath, 50 digits).
 """
@@ -11,51 +11,29 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from udnet.bounds import _weyl_norm_sq
 from udnet.lie_core import (
-    GroupConstants,
     InvalidDimensionError,
     InvalidParameterError,
     TorusPoint,
     _min_gap,
     _min_gaps,
     eps_tilde,
-    group_constants,
     log_prefactor,
 )
 
 from oracles import weyl_vector_diag
 
 
-@pytest.mark.parametrize(
-    "d,m,l,N,w,det",
-    [
-        (2, 1, 1, 3, 2, 2),
-        (3, 3, 2, 8, 6, 3),
-        (4, 6, 3, 15, 24, 4),
-        (5, 10, 4, 24, 120, 5),
-        (6, 15, 5, 35, 720, 6),
-    ],
-)
-def test_group_constants_table(d, m, l, N, w, det):
-    g = group_constants(d)
-    assert isinstance(g, GroupConstants)
-    assert (g.m, g.l, g.N, g.weyl_order, g.cartan_det) == (m, l, N, w, det)
-    assert g.weyl_norm_sq == Fraction(d * d - 1, 24)
-
-
-def test_group_constants_rejects_bad_dimension():
-    for bad in (1, 0, -3, 2.0, True, "2"):
-        with pytest.raises(InvalidDimensionError):
-            group_constants(bad)
-
-
 def test_weyl_vector_norm_matches_constant():
-    # ||delta||^2 computed from the diagonal must equal (d^2-1)/24 exactly.
+    # ||delta||^2 computed from the diagonal must equal (d^2-1)/24 exactly,
+    # and the bounds read it correctly rounded
     for d in range(2, 7):
         diag = weyl_vector_diag(d)
         assert sum(diag) == 0
         norm = 2 * d * sum(x * x for x in diag)
-        assert norm == group_constants(d).weyl_norm_sq
+        assert norm == Fraction(d * d - 1, 24)
+        assert _weyl_norm_sq(d) == float(norm)
 
 
 def test_torus_point_wraps_to_half_open_interval():
